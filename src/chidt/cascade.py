@@ -71,9 +71,6 @@ class BRModel:
         scores = self.positive_scores(x)
         return self._labels_from_scores(scores), scores, None
 
-    def code_scores(self, x) -> np.ndarray:
-        return self.positive_scores(x)
-
     def to_dict(self) -> dict:
         return {
             "kind": "br",
@@ -104,10 +101,14 @@ class BRModel:
 
 @dataclass
 class LPModel:
-    """A single multi-class tree over the distinct observed label combinations."""
+    """A single multi-class tree over the distinct observed label combinations.
+
+    ``codes`` is the code alphabet its per-code scores are aligned with.
+    """
 
     tree: C45Tree
     combos: tuple
+    codes: tuple
     attributes: tuple
     training_ids: frozenset = frozenset()
     params: C45Params = field(default_factory=C45Params)
@@ -122,19 +123,17 @@ class LPModel:
     def predict_labels(self, x) -> frozenset:
         return self.combos[self.tree.predict(x)]
 
-    def combo_distribution(self, x) -> np.ndarray:
-        return self.tree.predict_distribution(x)
-
-    def code_scores_over(self, codes: Sequence[str], x) -> np.ndarray:
-        """Per-code marginals: each combination's probability mass goes to its codes."""
-        dist = self.combo_distribution(x)
-        scores = np.zeros(len(codes))
-        index = {c: i for i, c in enumerate(codes)}
+    def predict_with_scores(self, x):
+        """Majority combination plus per-code marginals: each combination's
+        probability mass goes to its codes."""
+        dist = self.tree.predict_distribution(x)
+        scores = np.zeros(len(self.codes))
+        index = {c: i for i, c in enumerate(self.codes)}
         for combo, p in zip(self.combos, dist):
             for code in combo:
                 if code in index:
                     scores[index[code]] += p
-        return scores
+        return self.combos[int(np.argmax(dist))], scores, None
 
     def to_dict(self) -> dict:
         return {
@@ -145,13 +144,14 @@ class LPModel:
         }
 
     @classmethod
-    def from_dict(cls, doc, attributes: Sequence[AttributeMeta], training_ids: frozenset) -> "LPModel":
+    def from_dict(cls, doc, attributes: Sequence[AttributeMeta], training_ids: frozenset, codes) -> "LPModel":
         combos = tuple(frozenset(c) for c in doc["combos"])
         class_names = tuple(combo_key(c) for c in combos)
         tree = C45Tree.from_dict(doc["tree"], attributes=attributes, class_names=class_names)
         return cls(
             tree=tree,
             combos=combos,
+            codes=tuple(codes),
             attributes=tuple(attributes),
             training_ids=training_ids,
             params=C45Params.from_dict(doc.get("params", {})),
@@ -192,10 +192,6 @@ def train_br(ds: Dataset, params: C45Params | None = None, threshold: float = 0.
     )
 
 
-def predict_br(model: BRModel, x) -> frozenset:
-    return model.predict_labels(x)
-
-
 def train_label_powerset(ds: Dataset, params: C45Params | None = None) -> LPModel:
     """Train one multi-class tree whose classes are the observed combinations."""
     if not ds.records:
@@ -212,6 +208,7 @@ def train_label_powerset(ds: Dataset, params: C45Params | None = None) -> LPMode
     return LPModel(
         tree=tree,
         combos=tuple(combos),
+        codes=ds.label_alphabet,
         attributes=ds.attributes,
         training_ids=ds.record_ids(),
         params=params,
@@ -239,24 +236,26 @@ class CascadeTrace:
 class ChiDTModel:
     """Cascade of two same-data classifiers with registry-triggered fallback.
 
-    ``stage2_eval_count`` is telemetry: it counts how many times stage 2
-    was actually consulted and is excluded from serialization and equality.
+    Both stages follow one predictor protocol: ``codes`` plus
+    ``predict_with_scores(x) -> (labels, scores aligned with codes, trace)``.
     """
 
     stage1: BRModel
-    stage2: object
+    stage2: BRModel | LPModel
     registry: ValidCombinationRegistry
     exclusions: tuple = ()
-    strategy: str = STRATEGY_DIVERSE_BR
     single_label_fallback: bool = False
-    stage2_eval_count: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
-        if self.strategy not in STRATEGIES:
-            raise ValidationError(f"unknown cascade strategy {self.strategy!r}")
         if self.stage1.training_ids != self.stage2.training_ids:
             raise ValidationError("cascade stages must be trained on the same records")
+        if tuple(self.stage1.codes) != tuple(self.stage2.codes):
+            raise ValidationError("cascade stages must share one code alphabet")
         object.__setattr__(self, "exclusions", tuple(self.exclusions))
+
+    @property
+    def strategy(self) -> str:
+        return STRATEGY_LABEL_POWERSET if isinstance(self.stage2, LPModel) else STRATEGY_DIVERSE_BR
 
     @property
     def attributes(self) -> tuple:
@@ -280,12 +279,7 @@ class ChiDTModel:
         ok, reason = is_valid(self.registry, self.exclusions, s1)
         if ok:
             return s1, s1_scores, CascadeTrace(False, REASON_OK, s1, s1)
-        self.stage2_eval_count += 1
-        if isinstance(self.stage2, LPModel):
-            final = self.stage2.predict_labels(x)
-            scores = self.stage2.code_scores_over(self.codes, x)
-        else:
-            final, scores, _ = self.stage2.predict_with_scores(x)
+        final, scores, _ = self.stage2.predict_with_scores(x)
         fallback = False
         if self.single_label_fallback:
             ok2, _ = is_valid(self.registry, self.exclusions, final)
@@ -326,7 +320,6 @@ def train_chidt(
         stage2=stage2,
         registry=registry,
         exclusions=tuple(exclusions),
-        strategy=strategy,
         single_label_fallback=single_label_fallback,
     )
 
@@ -335,17 +328,6 @@ def predict_chidt(model: ChiDTModel, x):
     """Final LabelSet and trace; stage 2 is consulted only on known errors."""
     final, _, trace = model.predict_with_scores(x)
     return final, trace
-
-
-def trigger_rate(model: ChiDTModel, ds: Dataset) -> float:
-    """Fraction of records whose stage-1 prediction was a known error."""
-    if not ds.records:
-        raise ValidationError("trigger rate undefined for an empty dataset")
-    hits = 0
-    for rec in ds.records:
-        _, trace = predict_chidt(model, rec.features)
-        hits += trace.triggered
-    return hits / len(ds.records)
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +349,15 @@ def model_to_dict(model: ChiDTModel) -> dict:
     }
 
 
+_MODEL_KEYS = ("schema", "training_ids", "registry", "exclusions", "stage1", "stage2")
+
+
 def model_from_dict(doc) -> ChiDTModel:
     if doc.get("format") != "chidt-model":
         raise ValidationError("not a cascade model document")
+    for key in _MODEL_KEYS:
+        if key not in doc:
+            raise ValidationError(f"model document has no {key!r} key")
     fp = doc["schema"]
     from .tree import _attributes_from_fingerprint  # shared fingerprint layout
 
@@ -380,14 +368,16 @@ def model_from_dict(doc) -> ChiDTModel:
         raise SchemaMismatchError("stage-1 code list does not match the model schema")
     s2doc = doc["stage2"]
     if s2doc.get("kind") == "lp":
-        stage2 = LPModel.from_dict(s2doc, attributes, training_ids)
+        stage2 = LPModel.from_dict(s2doc, attributes, training_ids, fp["classes"])
     else:
         stage2 = BRModel.from_dict(s2doc, attributes, training_ids)
-    return ChiDTModel(
+    model = ChiDTModel(
         stage1=stage1,
         stage2=stage2,
         registry=ValidCombinationRegistry.from_dict(doc["registry"]),
         exclusions=tuple(ExclusionGroup(frozenset(g)) for g in doc["exclusions"]),
-        strategy=doc["strategy"],
         single_label_fallback=bool(doc.get("single_label_fallback", False)),
     )
+    if doc.get("strategy") != model.strategy:
+        raise ValidationError(f"stored strategy {doc.get('strategy')!r} contradicts its {model.strategy} stage 2")
+    return model

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .cascade import (
+    STRATEGY_LABEL_POWERSET,
     ChiDTModel,
     model_from_dict,
     model_to_dict,
@@ -146,23 +147,7 @@ def cmd_train(cfg: RunConfig) -> int:
     ds = _load_dataset(cfg, cfg.path("dataset", "corpus.csv"))
     split = _resolve_split(cfg, ds)
     train_ds = ds.subset(split.train_ids, name=f"{ds.name}-train")
-
-    registry = observed_registry(train_ds)
-    registry_path = cfg.path("registry", "registry.json")
-    if cfg.training.use_declared_registry and registry_path.exists():
-        registry = registry.merged(_load_registry(registry_path))
-    exclusions = _load_exclusion_groups(cfg)
-
-    model = train_chidt(
-        train_ds,
-        stage1_params=cfg.training.stage1_params,
-        stage2_params=cfg.training.stage2_params,
-        strategy=cfg.training.strategy,
-        registry=registry,
-        exclusions=exclusions,
-        threshold=cfg.training.threshold,
-        single_label_fallback=cfg.training.single_label_fallback,
-    )
+    model = _build_trainer(cfg)(train_ds)
     model_path = cfg.path("model", "model.json")
     _write(model_path, _dump_json(model_to_dict(model)))
     _log(cfg, f"train strategy={model.strategy} records={len(train_ds)} -> {model_path}")
@@ -224,7 +209,9 @@ def cmd_predict(cfg: RunConfig, input_path: Path | None, terms: bool = False) ->
     return EXIT_OK
 
 
-def _build_trainer(cfg: RunConfig, registry_path: Path):
+def _build_trainer(cfg: RunConfig):
+    """Training-set -> cascade, merging the declared registry when configured."""
+    registry_path = cfg.path("registry", "registry.json")
     exclusions = _load_exclusion_groups(cfg)
 
     def trainer(train_ds: Dataset):
@@ -251,9 +238,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     if protocol == "kfold":
         ds = _load_dataset(cfg, cfg.path("dataset", "corpus.csv"))
         seed = cfg.require_seed("k-fold assignment")
-        result = evaluate_kfold(
-            ds, cfg.evaluation.k, seed, _build_trainer(cfg, cfg.path("registry", "registry.json")), mode=mode
-        )
+        result = evaluate_kfold(ds, cfg.evaluation.k, seed, _build_trainer(cfg), mode=mode)
         text = format_report(result.aggregate)
         doc = result.to_dict()
     else:
@@ -288,14 +273,14 @@ def cmd_inspect(cfg: RunConfig) -> int:
     for code, tree in zip(model.stage1.codes, model.stage1.trees):
         print(f"\n--- stage 1: {code} ({tree.n_nodes} nodes) ---")
         print(tree.render())
-    if hasattr(model.stage2, "trees"):
-        for code, tree in zip(model.stage2.codes, model.stage2.trees):
-            print(f"\n--- stage 2: {code} ({tree.n_nodes} nodes) ---")
-            print(tree.render())
-    else:
+    if model.strategy == STRATEGY_LABEL_POWERSET:
         tree = model.stage2.tree
         print(f"\n--- stage 2: label-powerset ({tree.n_nodes} nodes) ---")
         print(tree.render())
+    else:
+        for code, tree in zip(model.stage2.codes, model.stage2.trees):
+            print(f"\n--- stage 2: {code} ({tree.n_nodes} nodes) ---")
+            print(tree.render())
     return EXIT_OK
 
 

@@ -237,34 +237,6 @@ class EvalResult:
         }
 
 
-# ---------------------------------------------------------------------------
-# Prediction adapter
-# ---------------------------------------------------------------------------
-
-
-def _predict_full(model, alphabet: Sequence[str], x):
-    """(label set, per-code scores aligned with alphabet, trace or None)."""
-    if hasattr(model, "predict_with_scores"):
-        labels, scores, trace = model.predict_with_scores(x)
-        return labels, np.asarray(scores, dtype=np.float64), trace
-    labels = model.predict_labels(x)
-    if hasattr(model, "code_scores_over"):
-        scores = model.code_scores_over(alphabet, x)
-    elif hasattr(model, "code_scores"):
-        scores = model.code_scores(x)
-    else:
-        scores = np.array([1.0 if c in labels else 0.0 for c in alphabet])
-    return labels, np.asarray(scores, dtype=np.float64), None
-
-
-def _principal(labels, roles=None) -> str:
-    if roles:
-        for code, role in roles.items():
-            if role == "PDx":
-                return code
-    return min(labels) if labels else NONE_CLASS
-
-
 def _combo_class(labels) -> str:
     return combo_key(labels) if labels else NONE_CLASS
 
@@ -283,7 +255,10 @@ def evaluate_predictions(
     protocol: str = "custom",
     contaminated: bool = False,
 ) -> EvalResult:
-    """Evaluate ``model`` over ``eval_records`` with priors from ``train_records``."""
+    """Evaluate ``model`` over ``eval_records`` with priors from ``train_records``.
+
+    ``model`` has ``codes`` and ``predict_with_scores(x) -> (labels, scores, trace | None)``.
+    """
     if mode not in MODES:
         raise ValidationError(f"unknown evaluation mode {mode!r}")
     if not eval_records:
@@ -294,24 +269,23 @@ def evaluate_predictions(
     alphabet = tuple(alphabet)
     if not alphabet:
         raise ValidationError("evaluation requires a non-empty label alphabet")
-    model_codes = getattr(model, "codes", None)
-    if model_codes is not None and tuple(model_codes) != alphabet:
+    if tuple(model.codes) != alphabet:
         raise ValidationError("model code alphabet differs from the dataset's")
     truths = [r.labels for r in eval_records]
     predictions = []
     score_rows = []
     traces = []
     for rec in eval_records:
-        labels, scores, trace = _predict_full(model, alphabet, rec.features)
+        labels, scores, trace = model.predict_with_scores(rec.features)
         predictions.append(frozenset(labels))
         score_rows.append(scores)
         traces.append(trace)
     scores = np.vstack(score_rows)
 
     if mode == MODE_PRINCIPAL:
-        true_classes = [_principal(r.labels, r.roles) for r in eval_records]
-        pred_classes = [_principal(p) for p in predictions]
-        train_classes = [_principal(r.labels, r.roles) for r in train_records]
+        true_classes = [r.principal_code() or NONE_CLASS for r in eval_records]
+        pred_classes = [min(p, default=NONE_CLASS) for p in predictions]
+        train_classes = [r.principal_code() or NONE_CLASS for r in train_records]
         classes = list(alphabet)
         if NONE_CLASS in true_classes or NONE_CLASS in pred_classes:
             classes.append(NONE_CLASS)

@@ -139,10 +139,6 @@ def load_hierarchy(content: str, prefix_rule: bool = True) -> CodeHierarchy:
     return CodeHierarchy(roots, prefix_rule_enabled=prefix_rule)
 
 
-def ancestors(hierarchy: CodeHierarchy, code: str) -> list:
-    return hierarchy.ancestors(code)
-
-
 # ---------------------------------------------------------------------------
 # Valid-combination registry
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ confidence bound on leaf error. All ties break toward the lowest index
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from statistics import NormalDist
 from typing import NamedTuple, Sequence
@@ -404,7 +403,6 @@ def grow(
     attributes: Sequence[AttributeMeta],
     class_names: Sequence[str],
     params: C45Params | None = None,
-    parallel: bool = False,
 ) -> C45Tree:
     """Top-down C4.5 induction (no pruning; see prune_ebp / build_tree).
 
@@ -414,8 +412,6 @@ def grow(
         attributes: schema describing the d columns.
         class_names: ordered class list.
         params: induction parameters (defaults used when None).
-        parallel: evaluate candidate attributes in a thread pool; the
-            resulting tree is identical to sequential evaluation.
     """
     params = params or C45Params()
     X = np.asarray(X, dtype=np.float64)
@@ -430,9 +426,6 @@ def grow(
     if k < 1 or y.min() < 0 or y.max() >= k:
         raise ValidationError("class indices fall outside the class list")
 
-    n_attrs = len(attributes)
-    pool = ThreadPoolExecutor(max_workers=min(8, n_attrs)) if parallel and n_attrs > 1 else None
-
     def build(rows: np.ndarray, depth: int) -> TreeNode:
         counts = class_counts(y, k, rows)
         majority = _majority(counts)
@@ -440,13 +433,9 @@ def grow(
         if not impure or (params.max_depth is not None and depth >= params.max_depth):
             return TreeNode(counts=counts, majority=majority)
 
-        def evaluate(a: int):
-            return _attr_candidate(X, y, k, attributes, a, rows, params.min_leaf)
-
-        if pool is not None:
-            results = list(pool.map(evaluate, range(n_attrs)))
-        else:
-            results = [evaluate(a) for a in range(n_attrs)]
+        results = [
+            _attr_candidate(X, y, k, attributes, a, rows, params.min_leaf) for a in range(len(attributes))
+        ]
         chosen = _select_split([c for c in results if c is not None], impure)
         if chosen is None:
             return TreeNode(counts=counts, majority=majority)
@@ -459,11 +448,7 @@ def grow(
                 children.append(build(branch, depth + 1))
         return TreeNode(counts=counts, majority=majority, test=chosen.test, children=children)
 
-    try:
-        root = build(np.arange(len(y)), 0)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    root = build(np.arange(len(y)), 0)
     return C45Tree(root=root, attributes=tuple(attributes), class_names=tuple(class_names), params=params)
 
 
@@ -528,11 +513,10 @@ def build_tree(
     attributes: Sequence[AttributeMeta],
     class_names: Sequence[str],
     params: C45Params | None = None,
-    parallel: bool = False,
 ) -> C45Tree:
     """grow() followed by prune_ebp() when pruning is enabled."""
     params = params or C45Params()
-    tree = grow(X, y, attributes, class_names, params, parallel=parallel)
+    tree = grow(X, y, attributes, class_names, params)
     if params.pruning:
         tree = prune_ebp(tree, params)
     return tree

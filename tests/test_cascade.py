@@ -16,15 +16,14 @@ from chidt.cascade import (
     LPModel,
     model_from_dict,
     model_to_dict,
-    predict_br,
     predict_chidt,
     train_br,
     train_chidt,
     train_label_powerset,
-    trigger_rate,
 )
 from chidt.data import GeneratorConfig, GeneratorProfile, generate_synthetic
 from chidt.errors import SchemaMismatchError, ValidationError
+from chidt.evaluation import evaluate_predictions
 from chidt.ontology import declared_registry, observed_registry
 from chidt.tree import C45Params, C45Tree, SplitTest, TreeNode
 
@@ -51,7 +50,7 @@ def constant_tree(attrs, positive: bool) -> C45Tree:
     return C45Tree(root=root, attributes=attrs, class_names=BINARY_CLASSES, params=C45Params())
 
 
-def constant_lp(attrs, combos, predicted_index: int = 0) -> LPModel:
+def constant_lp(attrs, combos, predicted_index: int = 0, codes=("a", "b", "c")) -> LPModel:
     from chidt.ontology import combo_key
 
     counts = np.zeros(len(combos))
@@ -63,7 +62,20 @@ def constant_lp(attrs, combos, predicted_index: int = 0) -> LPModel:
         class_names=tuple(combo_key(c) for c in combos),
         params=C45Params(),
     )
-    return LPModel(tree=tree, combos=tuple(combos), attributes=attrs, training_ids=frozenset())
+    return LPModel(tree=tree, combos=tuple(combos), codes=codes, attributes=attrs, training_ids=frozenset())
+
+
+def count_calls(obj, method: str) -> list:
+    """Wrap ``obj.method`` in place; the returned list gets one entry per call."""
+    calls = []
+    inner = getattr(obj, method)
+
+    def spy(*args):
+        calls.append(args)
+        return inner(*args)
+
+    setattr(obj, method, spy)
+    return calls
 
 
 class TestTrainBr:
@@ -72,8 +84,8 @@ class TestTrainBr:
         model = train_br(ds, C45Params(min_leaf=1, pruning=False))
         assert model.codes == ("a",)
         assert len(model.trees) == 1
-        assert predict_br(model, (1,)) == frozenset({"a"})
-        assert predict_br(model, (0,)) == frozenset()
+        assert model.predict_labels((1,)) == frozenset({"a"})
+        assert model.predict_labels((0,)) == frozenset()
 
     def test_eleven_code_corpus_grows_eleven_trees(self):
         profiles = tuple(
@@ -90,7 +102,7 @@ class TestTrainBr:
         assert model.constant_codes["a"] == "positive"
         tree_a = model.trees[model.codes.index("a")]
         assert tree_a.root.is_leaf
-        assert predict_br(model, (0,)) >= {"a"}
+        assert model.predict_labels((0,)) >= {"a"}
 
     def test_absent_label_yields_constant_negative(self):
         ds = make_dataset([(0,), (1,)], [{"a"}, {"a"}], alphabet=["a", "zz"])
@@ -112,7 +124,7 @@ class TestPredictBr:
             trees=(constant_tree(attrs, False), constant_tree(attrs, False)),
             attributes=attrs,
         )
-        assert predict_br(model, (0, 1)) == frozenset()
+        assert model.predict_labels((0, 1)) == frozenset()
 
     def test_probability_at_threshold_included(self):
         attrs = binary_attrs(1)
@@ -120,7 +132,7 @@ class TestPredictBr:
         tree = C45Tree(root=root, attributes=attrs, class_names=BINARY_CLASSES, params=C45Params())
         model = BRModel(codes=("a",), trees=(tree,), attributes=attrs, threshold=0.5)
         assert model.positive_scores((0,))[0] == pytest.approx(0.75)
-        assert predict_br(model, (0,)) == frozenset({"a"})
+        assert model.predict_labels((0,)) == frozenset({"a"})
 
     def test_agrees_with_per_tree_oracle_on_500_vectors(self):
         rng = random.Random(44)
@@ -138,7 +150,7 @@ class TestPredictBr:
                 for code, tree in zip(model.codes, model.trees)
                 if tree.predict_distribution(x)[1] >= 0.5
             }
-            assert predict_br(model, x) == frozenset(expected)
+            assert model.predict_labels(x) == frozenset(expected)
 
     def test_threshold_half_equals_argmax_composition(self):
         # pure-leaf model: probabilities are 0/1, so >= 0.5 is exactly argmax
@@ -153,13 +165,13 @@ class TestPredictBr:
                 for code, tree in zip(model.codes, model.trees)
                 if tree.predict(x) == 1
             }
-            assert predict_br(model, x) == frozenset(argmax_set)
+            assert model.predict_labels(x) == frozenset(argmax_set)
 
     def test_schema_mismatch(self):
         ds = make_dataset([(0, 1)], [{"a"}])
         model = train_br(ds)
         with pytest.raises(SchemaMismatchError):
-            predict_br(model, (0,))
+            model.predict_labels((0,))
 
 
 class TestLabelPowerset:
@@ -285,11 +297,12 @@ class TestPredictChidt:
 
     def test_stage2_not_evaluated_when_valid(self):
         model = self._toy_model()
+        calls = count_calls(model.stage2, "predict_with_scores")
         predict_chidt(model, (1, 0, 0, 0))
         predict_chidt(model, (1, 1, 0, 0))
-        assert model.stage2_eval_count == 0
+        assert calls == []
         predict_chidt(model, (0, 0, 0, 0))
-        assert model.stage2_eval_count == 1
+        assert calls == [((0, 0, 0, 0),)]
 
     def test_triggered_output_is_stage2_verbatim_even_if_invalid(self):
         attrs = binary_attrs(4)
@@ -331,6 +344,11 @@ class TestPredictChidt:
                 assert final == trace.stage1_output
 
 
+def evaluated_trigger_rate(model, ds) -> float:
+    result = evaluate_predictions(model, ds.records, ds.records, ds.label_alphabet)
+    return result.multilabel.trigger_rate
+
+
 class TestTriggerRate:
     def test_zero_when_registry_covers_every_output(self):
         ds = make_dataset(
@@ -342,17 +360,17 @@ class TestTriggerRate:
             stage1_params=C45Params(min_leaf=1, pruning=False),
             registry=declared_registry([{"a"}, {"b"}]),
         )
-        assert trigger_rate(model, ds) == 0.0
+        assert evaluated_trigger_rate(model, ds) == 0.0
 
     def test_one_for_constant_empty_stage1(self):
         attrs = binary_attrs(2)
         stage1 = BRModel(
             codes=("a",), trees=(constant_tree(attrs, False),), attributes=attrs
         )
-        stage2 = constant_lp(attrs, (frozenset({"a"}),), 0)
+        stage2 = constant_lp(attrs, (frozenset({"a"}),), 0, codes=("a",))
         model = ChiDTModel(stage1=stage1, stage2=stage2, registry=declared_registry([{"a"}]))
         ds = make_dataset([(0, 0), (0, 1), (1, 0)], [{"a"}, {"a"}, {"a"}])
-        assert trigger_rate(model, ds) == 1.0
+        assert evaluated_trigger_rate(model, ds) == 1.0
 
     def test_equals_mean_of_per_record_traces(self):
         profiles = (
@@ -365,7 +383,7 @@ class TestTriggerRate:
         model = train_chidt(ds, strategy="label-powerset")
         traces = [predict_chidt(model, r.features)[1] for r in ds.records]
         expected = sum(t.triggered for t in traces) / len(traces)
-        assert trigger_rate(model, ds) == pytest.approx(expected, abs=1e-12)
+        assert evaluated_trigger_rate(model, ds) == pytest.approx(expected, abs=1e-12)
 
 
 class TestPersistence:
@@ -399,11 +417,19 @@ class TestConstructionInvariants:
         with pytest.raises(ValidationError, match="unchanged"):
             CascadeTrace(False, "ok", frozenset({"a"}), frozenset({"b"}))
 
+    def test_cascade_stages_must_share_one_alphabet(self):
+        attrs = binary_attrs(4)
+        stage1 = BRModel(codes=("a", "b"), trees=(indicator_tree(attrs, 0),) * 2, attributes=attrs)
+        for codes in (("b", "a"), ("a",), ("a", "b", "c")):
+            stage2 = BRModel(codes=codes, trees=(indicator_tree(attrs, 1),) * len(codes), attributes=attrs)
+            with pytest.raises(ValidationError, match="one code alphabet"):
+                ChiDTModel(stage1=stage1, stage2=stage2, registry=declared_registry([{"a"}]))
+
     def test_lp_model_rejects_empty_combination_classes(self):
         attrs = binary_attrs(2)
         with pytest.raises(ValidationError, match="non-empty"):
             constant_lp(attrs, (frozenset(),), 0)
         with pytest.raises(ValidationError, match="at least one combination"):
             LPModel(
-                tree=constant_tree(attrs, True), combos=(), attributes=attrs
+                tree=constant_tree(attrs, True), combos=(), codes=(), attributes=attrs
             )

@@ -240,6 +240,58 @@ class TestExitCodes:
         assert run(["eval", "--config", cfg]) == 1
 
 
+def trained_model(tmp_path: Path, strategy: str) -> tuple:
+    """(config path, model path, parsed model.json) after gen + train."""
+    cfg = write_config(tmp_path, training={"strategy": strategy, "train_size": 20})
+    assert run(["gen", "--config", cfg]) == 0
+    assert run(["train", "--config", cfg]) == 0
+    model_path = tmp_path / "out" / "model.json"
+    return cfg, model_path, json.loads(model_path.read_text())
+
+
+def assert_one_line_error(capsys, needle: str) -> None:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert needle in err
+
+
+class TestTamperedModel:
+    def test_reversed_stage2_codes_rejected(self, tmp_path, capsys):
+        cfg, model_path, doc = trained_model(tmp_path, "diverse-br")
+        doc["stage2"]["codes"].reverse()
+        model_path.write_text(json.dumps(doc))
+        assert run(["eval", "--config", cfg]) == 1
+        assert_one_line_error(capsys, "code alphabet")
+
+    def test_dropped_stage2_code_rejected(self, tmp_path, capsys):
+        cfg, model_path, doc = trained_model(tmp_path, "diverse-br")
+        del doc["stage2"]["codes"][-1]
+        del doc["stage2"]["trees"][-1]
+        model_path.write_text(json.dumps(doc))
+        assert run(["eval", "--config", cfg]) == 1
+        assert_one_line_error(capsys, "code alphabet")
+
+    @pytest.mark.parametrize(
+        "trained, stored", [("label-powerset", "diverse-br"), ("diverse-br", "label-powerset")]
+    )
+    def test_strategy_contradicting_stage2_rejected(self, tmp_path, capsys, trained, stored):
+        cfg, model_path, doc = trained_model(tmp_path, trained)
+        doc["strategy"] = stored
+        model_path.write_text(json.dumps(doc))
+        assert run(["eval", "--config", cfg]) == 1
+        assert_one_line_error(capsys, f"stored strategy '{stored}'")
+
+    @pytest.mark.parametrize(
+        "key", ["schema", "training_ids", "registry", "exclusions", "stage1", "stage2"]
+    )
+    def test_missing_key_rejected(self, tmp_path, capsys, key):
+        cfg, model_path, doc = trained_model(tmp_path, "label-powerset")
+        del doc[key]
+        model_path.write_text(json.dumps(doc))
+        assert run(["predict", "--config", cfg]) == 1
+        assert_one_line_error(capsys, f"no '{key}' key")
+
+
 class TestDeterminism:
     def test_gen_train_eval_twice_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path)

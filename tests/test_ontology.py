@@ -13,7 +13,6 @@ from chidt.ontology import (
     ExclusionGroup,
     TermLexicon,
     ValidCombinationRegistry,
-    ancestors,
     declared_registry,
     is_valid,
     load_exclusions,
@@ -76,11 +75,11 @@ class TestHierarchy:
 
     def test_ancestors_of_minor(self):
         h = load_hierarchy(SMALL_HIERARCHY)
-        assert ancestors(h, "I21.0") == ["I21", "CHD"]
+        assert h.ancestors("I21.0") == ["I21", "CHD"]
 
     def test_ancestors_of_concept_root(self):
         h = load_hierarchy(SMALL_HIERARCHY)
-        assert ancestors(h, "CHD") == []
+        assert h.ancestors("CHD") == []
 
     def test_every_minor_has_two_ancestors(self):
         h = load_hierarchy((DATA_DIR / "hierarchy_chd.json").read_text())

@@ -45,13 +45,14 @@ def small_corpus(seed=5, n=60, noise=0.05):
 class SpyModel:
     """Constant predictor remembering every feature vector it was shown."""
 
-    def __init__(self, labels=frozenset({"a"})):
+    def __init__(self, labels=frozenset({"a"}), codes=("a", "b", "c")):
         self.labels = frozenset(labels)
+        self.codes = tuple(codes)
         self.seen = []
 
-    def predict_labels(self, x):
+    def predict_with_scores(self, x):
         self.seen.append(tuple(x))
-        return self.labels
+        return self.labels, np.array([1.0 if c in self.labels else 0.0 for c in self.codes]), None
 
 
 class TestResubstitution:
@@ -204,7 +205,7 @@ class TestModes:
         labelsets = [{"b", "c"}, {"b", "c"}]
         roles = {0: {"c": "PDx"}, 1: {}}
         ds = make_dataset(rows, labelsets, roles=roles)
-        model = SpyModel(labels=frozenset({"b", "c"}))
+        model = SpyModel(labels=frozenset({"b", "c"}), codes=ds.label_alphabet)
         result = evaluate_predictions(model, ds.records, list(ds.records), ds.label_alphabet, mode="principal")
         # record 0 reduces to its PDx code "c"; prediction reduces to lowest "b"
         classes = result.matrix.classes
