@@ -25,7 +25,7 @@ from .ontology import (
     is_valid,
     observed_registry,
 )
-from .tree import C45Params, C45Tree, build_tree, schema_fingerprint
+from .tree import C45Params, C45Tree, build_tree, leaf_distributions, schema_fingerprint
 
 BINARY_CLASSES = ("absent", "present")
 
@@ -37,11 +37,39 @@ STRATEGIES = (STRATEGY_DIVERSE_BR, STRATEGY_LABEL_POWERSET)
 DIVERSE_STAGE2_PARAMS = C45Params(min_leaf=1, pruning=False)
 
 
-def _check_vector(attributes: Sequence[AttributeMeta], x) -> None:
-    if len(x) != len(attributes):
+def _feature_matrix(attributes: Sequence[AttributeMeta], X) -> np.ndarray:
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != len(attributes):
         raise SchemaMismatchError(
-            f"feature vector has {len(x)} slots, model schema defines {len(attributes)}"
+            f"feature matrix of shape {X.shape} does not match the model schema's {len(attributes)} attributes"
         )
+    return X
+
+
+def _one_row(model, x):
+    """``model.predict_batch`` on the single feature vector ``x``, unpacked."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1 or len(x) != len(model.attributes):
+        raise SchemaMismatchError(
+            f"feature vector has {x.size} slots, model schema defines {len(model.attributes)}"
+        )
+    labels, scores, traces = model.predict_batch(x[None, :])
+    return labels[0], scores[0], None if traces is None else traces[0]
+
+
+def _distinct_labelsets(indicator: np.ndarray, codes: Sequence[str]):
+    """(distinct label sets, per-row index into them) of a label-indicator matrix.
+
+    Rows are bit-packed into byte keys so ``np.unique`` finds the distinct
+    combinations without a Python pass over the rows.
+    """
+    if not len(indicator):
+        return [], np.zeros(0, dtype=np.intp)
+    packed = np.packbits(indicator, axis=1)
+    _, first, inverse = np.unique(packed, axis=0, return_index=True, return_inverse=True)
+    names = np.asarray(codes, dtype=object)
+    distinct = [frozenset(names[indicator[i]]) for i in first]
+    return distinct, inverse.reshape(-1)
 
 
 @dataclass
@@ -57,19 +85,27 @@ class BRModel:
     params: C45Params = field(default_factory=C45Params)
     constant_codes: Mapping = field(default_factory=dict)
 
-    def positive_scores(self, x) -> np.ndarray:
-        _check_vector(self.attributes, x)
-        return np.array([t.predict_distribution(x)[1] for t in self.trees])
+    def predict_indicator(self, X):
+        """(n x codes label indicator, n x codes positive-class scores)."""
+        X = _feature_matrix(self.attributes, X)
+        scores = np.empty((len(X), len(self.trees)))
+        for j, tree in enumerate(self.trees):
+            scores[:, j] = leaf_distributions(tree, X)[:, 1]
+        return scores >= self.threshold, scores
 
-    def _labels_from_scores(self, scores) -> frozenset:
-        return frozenset(c for c, s in zip(self.codes, scores) if s >= self.threshold)
+    def predict_batch(self, X):
+        indicator, scores = self.predict_indicator(X)
+        distinct, inverse = _distinct_labelsets(indicator, self.codes)
+        return [distinct[k] for k in inverse], scores, None
+
+    def positive_scores(self, x) -> np.ndarray:
+        return _one_row(self, x)[1]
 
     def predict_labels(self, x) -> frozenset:
-        return self._labels_from_scores(self.positive_scores(x))
+        return _one_row(self, x)[0]
 
     def predict_with_scores(self, x):
-        scores = self.positive_scores(x)
-        return self._labels_from_scores(scores), scores, None
+        return _one_row(self, x)
 
     def to_dict(self) -> dict:
         return {
@@ -120,20 +156,25 @@ class LPModel:
         if any(not c for c in self.combos):
             raise ValidationError("label-powerset classes must decode to non-empty LabelSets")
 
-    def predict_labels(self, x) -> frozenset:
-        return self.combos[self.tree.predict(x)]
-
-    def predict_with_scores(self, x):
-        """Majority combination plus per-code marginals: each combination's
-        probability mass goes to its codes."""
-        dist = self.tree.predict_distribution(x)
-        scores = np.zeros(len(self.codes))
+    def predict_batch(self, X):
+        """Majority combination per row plus per-code marginals: each
+        combination's probability mass goes to its codes."""
+        dist = leaf_distributions(self.tree, _feature_matrix(self.attributes, X))
+        scores = np.zeros((len(dist), len(self.codes)))
         index = {c: i for i, c in enumerate(self.codes)}
-        for combo, p in zip(self.combos, dist):
+        # column by column in combination order, so each marginal is summed
+        # in the same order as a one-row loop over the combinations would
+        for k, combo in enumerate(self.combos):
             for code in combo:
                 if code in index:
-                    scores[index[code]] += p
-        return self.combos[int(np.argmax(dist))], scores, None
+                    scores[:, index[code]] += dist[:, k]
+        return [self.combos[k] for k in np.argmax(dist, axis=1)], scores, None
+
+    def predict_labels(self, x) -> frozenset:
+        return _one_row(self, x)[0]
+
+    def predict_with_scores(self, x):
+        return _one_row(self, x)
 
     def to_dict(self) -> dict:
         return {
@@ -173,8 +214,8 @@ def train_br(ds: Dataset, params: C45Params | None = None, threshold: float = 0.
     X = ds.feature_matrix()
     trees = []
     constant = {}
-    for code in ds.label_alphabet:
-        y = np.array([1 if code in r.labels else 0 for r in ds.records], dtype=np.int64)
+    for code, column in zip(ds.label_alphabet, ds.Y.T):
+        y = column.astype(np.int64)
         positives = int(y.sum())
         if positives == 0:
             constant[code] = "negative"
@@ -236,8 +277,10 @@ class CascadeTrace:
 class ChiDTModel:
     """Cascade of two same-data classifiers with registry-triggered fallback.
 
-    Both stages follow one predictor protocol: ``codes`` plus
-    ``predict_with_scores(x) -> (labels, scores aligned with codes, trace)``.
+    Both stages, and the cascade itself, follow one predictor protocol:
+    ``codes`` plus ``predict_batch(X) -> (label set per row, n x codes scores,
+    trace per row | None)``. ``predict_with_scores(x)`` and
+    ``predict_labels(x)`` are one-row views over it.
     """
 
     stage1: BRModel
@@ -270,23 +313,40 @@ class ChiDTModel:
         return self.stage1.training_ids
 
     def predict_labels(self, x) -> frozenset:
-        labels, _ = predict_chidt(self, x)
-        return labels
+        return _one_row(self, x)[0]
 
     def predict_with_scores(self, x):
         """(final labels, per-code scores from the stage that produced them, trace)."""
-        s1, s1_scores, _ = self.stage1.predict_with_scores(x)
-        ok, reason = is_valid(self.registry, self.exclusions, s1)
-        if ok:
-            return s1, s1_scores, CascadeTrace(False, REASON_OK, s1, s1)
-        final, scores, _ = self.stage2.predict_with_scores(x)
-        fallback = False
-        if self.single_label_fallback:
-            ok2, _ = is_valid(self.registry, self.exclusions, final)
-            if not ok2:
-                final = frozenset({self.codes[int(np.argmax(scores))]})
+        return _one_row(self, x)
+
+    def predict_batch(self, X):
+        """(final labels, scores, traces) per row of ``X``.
+
+        Stage 1 scores the whole batch; the validity check runs once per
+        distinct stage-1 combination; stage 2 runs once, on the triggered
+        rows only, and its output replaces theirs.
+        """
+        X = _feature_matrix(self.attributes, X)
+        indicator, scores = self.stage1.predict_indicator(X)
+        distinct, inverse = _distinct_labelsets(indicator, self.codes)
+        checks = [is_valid(self.registry, self.exclusions, s1) for s1 in distinct]
+        passed = [CascadeTrace(False, REASON_OK, s1, s1) if ok else None for s1, (ok, _) in zip(distinct, checks)]
+        labels = [distinct[k] for k in inverse]
+        traces = [passed[k] for k in inverse]
+        triggered = np.flatnonzero(~np.array([ok for ok, _ in checks], dtype=bool)[inverse])
+        if not triggered.size:
+            return labels, scores, traces
+        final, stage2_scores, _ = self.stage2.predict_batch(X[triggered])
+        scores[triggered] = stage2_scores
+        for row, out, row_scores in zip(triggered, final, stage2_scores):
+            fallback = False
+            if self.single_label_fallback and not is_valid(self.registry, self.exclusions, out)[0]:
+                out = frozenset({self.codes[int(np.argmax(row_scores))]})
                 fallback = True
-        return final, scores, CascadeTrace(True, reason, s1, final, fallback)
+            k = inverse[row]
+            labels[row] = out
+            traces[row] = CascadeTrace(True, checks[k][1], distinct[k], out, fallback)
+        return labels, scores, traces
 
 
 def train_chidt(

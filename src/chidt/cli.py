@@ -16,13 +16,14 @@ import sys
 from datetime import datetime
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .cascade import (
     STRATEGY_LABEL_POWERSET,
     ChiDTModel,
     model_from_dict,
     model_to_dict,
-    predict_chidt,
     train_chidt,
 )
 from .config import RunConfig
@@ -160,7 +161,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def _rows_from_terms(cfg: RunConfig, model: ChiDTModel, source: Path):
-    """Map bags of discharge-summary terms to feature vectors via the lexicon."""
+    """Map bags of discharge-summary terms to (ids, feature matrix, ignored-term counts) via the lexicon."""
     lexicon = TermLexicon.from_json(cfg.path("lexicon").read_text(encoding="utf-8"))
     try:
         doc = json.loads(source.read_text(encoding="utf-8"))
@@ -168,24 +169,33 @@ def _rows_from_terms(cfg: RunConfig, model: ChiDTModel, source: Path):
         raise ValidationError(f"terms file is not valid JSON: {exc}")
     if not isinstance(doc, list):
         raise ValidationError('terms file must be a JSON array of {"id", "terms"} objects')
-    rows = []
+    ids, vectors, ignored = [], [], []
     for i, entry in enumerate(doc):
+        if not isinstance(entry, dict):
+            raise ValidationError(f'terms entry {i} is not a {{"id", "terms"}} object')
         extra = set(entry) - {"id", "terms"}
         if extra:
             raise ValidationError(f"terms entry {i}: unknown keys {sorted(extra)}")
-        vector, ignored = map_terms(lexicon, entry.get("terms", []), model.attributes)
-        rows.append((str(entry.get("id", f"t{i}")), vector, ignored))
-    return rows
+        terms = entry.get("terms", [])
+        if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
+            raise ValidationError(f"terms entry {i}: 'terms' must be a list of strings")
+        vector, n_ignored = map_terms(lexicon, terms, model.attributes)
+        ids.append(str(entry.get("id", f"t{i}")))
+        vectors.append(vector)
+        ignored.append(n_ignored)
+    X = np.array(vectors, dtype=np.float64).reshape(len(vectors), len(model.attributes))
+    return ids, X, ignored
 
 
 def cmd_predict(cfg: RunConfig, input_path: Path | None, terms: bool = False) -> int:
     model = _load_model(cfg.path("model", "model.json"))
     source = input_path or cfg.path("dataset", "corpus.csv")
     if terms:
-        rows = _rows_from_terms(cfg, model, source)
+        ids, X, ignored = _rows_from_terms(cfg, model, source)
     else:
         ds = _load_dataset(cfg, source, attributes=model.attributes)
-        rows = [(rec.id, rec.features, None) for rec in ds.records]
+        ids, X, ignored = [rec.id for rec in ds.records], ds.X, None
+    labels, _, traces = model.predict_batch(X)
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -193,18 +203,15 @@ def cmd_predict(cfg: RunConfig, input_path: Path | None, terms: bool = False) ->
     if terms:
         header.append("ignored_terms")
     writer.writerow(header)
-    triggered = 0
-    for rid, features, ignored in rows:
-        labels, trace = predict_chidt(model, features)
-        triggered += trace.triggered
-        row = [rid, combo_key(labels), str(trace.triggered).lower(), trace.reason]
+    for i, (rid, final, trace) in enumerate(zip(ids, labels, traces)):
+        row = [rid, combo_key(final), str(trace.triggered).lower(), trace.reason]
         if terms:
-            row.append(ignored)
+            row.append(ignored[i])
         writer.writerow(row)
     out_path = cfg.out_dir / "predictions.csv"
     _write(out_path, buf.getvalue())
     _log(cfg, f"predict {source} -> {out_path}")
-    print(f"predicted {len(rows)} records, {triggered} triggered the cascade")
+    print(f"predicted {len(ids)} records, {sum(t.triggered for t in traces)} triggered the cascade")
     print(f"predictions: {out_path}")
     return EXIT_OK
 

@@ -13,6 +13,7 @@ import io
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -183,12 +184,40 @@ class Dataset:
             name=name or self.name,
         )
 
-    def feature_matrix(self) -> np.ndarray:
-        """Features as float64 (nominal slots hold their value index)."""
-        out = np.empty((len(self.records), len(self.attributes)), dtype=np.float64)
-        for i, rec in enumerate(self.records):
-            out[i, :] = rec.features
+    @cached_property
+    def X(self) -> np.ndarray:
+        """Read-only n x d float64 features (nominal slots hold their value index)."""
+        out = np.array([rec.features for rec in self.records], dtype=np.float64)
+        out = out.reshape(len(self.records), len(self.attributes))
+        out.setflags(write=False)
         return out
+
+    @cached_property
+    def Y(self) -> np.ndarray:
+        """Read-only n x L bool label indicator over ``label_alphabet``."""
+        out = label_indicator([rec.labels for rec in self.records], self.label_alphabet)
+        out.setflags(write=False)
+        return out
+
+    def feature_matrix(self) -> np.ndarray:
+        """Features as float64 (nominal slots hold their value index); ``X``."""
+        return self.X
+
+
+def label_indicator(labelsets: Sequence, alphabet: Sequence[str]) -> np.ndarray:
+    """n x L bool matrix: cell (i, j) is set iff ``alphabet[j]`` is in
+    ``labelsets[i]``. Codes outside ``alphabet`` are ignored."""
+    index = {code: j for j, code in enumerate(alphabet)}
+    rows, cols = [], []
+    for i, labels in enumerate(labelsets):
+        for code in labels:
+            j = index.get(code)
+            if j is not None:
+                rows.append(i)
+                cols.append(j)
+    out = np.zeros((len(labelsets), len(alphabet)), dtype=bool)
+    out[rows, cols] = True
+    return out
 
 
 @dataclass(frozen=True)

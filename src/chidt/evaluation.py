@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .data import Dataset, Record, SplitSpec
+from .data import Dataset, Record, SplitSpec, label_indicator
 from .errors import ValidationError
 from .ontology import combo_key
 
@@ -257,7 +257,8 @@ def evaluate_predictions(
 ) -> EvalResult:
     """Evaluate ``model`` over ``eval_records`` with priors from ``train_records``.
 
-    ``model`` has ``codes`` and ``predict_with_scores(x) -> (labels, scores, trace | None)``.
+    ``model`` has ``codes`` and ``predict_batch(X) -> (labels, scores, traces | None)``;
+    it is called once, on the feature matrix of all of ``eval_records``.
     """
     if mode not in MODES:
         raise ValidationError(f"unknown evaluation mode {mode!r}")
@@ -272,15 +273,9 @@ def evaluate_predictions(
     if tuple(model.codes) != alphabet:
         raise ValidationError("model code alphabet differs from the dataset's")
     truths = [r.labels for r in eval_records]
-    predictions = []
-    score_rows = []
-    traces = []
-    for rec in eval_records:
-        labels, scores, trace = model.predict_with_scores(rec.features)
-        predictions.append(frozenset(labels))
-        score_rows.append(scores)
-        traces.append(trace)
-    scores = np.vstack(score_rows)
+    X = np.array([r.features for r in eval_records], dtype=np.float64)
+    predictions, scores, traces = model.predict_batch(X)
+    truth_indicator = label_indicator(truths, alphabet)
 
     if mode == MODE_PRINCIPAL:
         true_classes = [r.principal_code() or NONE_CLASS for r in eval_records]
@@ -307,7 +302,7 @@ def evaluate_predictions(
         combo_pred = [_combo_class(p) for p in predictions]
         classes = sorted(set(combo_truth) | set(combo_pred))
         cm = ConfusionMatrix.from_pairs(classes, zip(combo_truth, combo_pred))
-        errors = _binary_averaged_errors(alphabet, truths, predictions, scores, train_records)
+        errors = _binary_averaged_errors(truth_indicator, scores, [r.labels for r in train_records], alphabet)
 
     correct, pct = accuracy(cm)
     metrics = MetricsReport(
@@ -323,20 +318,19 @@ def evaluate_predictions(
         rrse_pct=errors.rrse_pct,
         contaminated=contaminated,
     )
-    ml = _multilabel_report(alphabet, truths, predictions, traces)
+    ml = _multilabel_report(alphabet, truths, predictions, truth_indicator, traces)
     return EvalResult(metrics=metrics, multilabel=ml, matrix=cm)
 
 
-def _binary_averaged_errors(alphabet, truths, predictions, scores, train_records) -> ErrorStats:
+def _binary_averaged_errors(truth_indicator, scores, train_labels, alphabet) -> ErrorStats:
     """Probabilistic errors of each code's binary subproblem, averaged."""
     maes, rmses, raes, rrses = [], [], [], []
-    n_train = len(train_records)
-    for j, code in enumerate(alphabet):
+    priors = label_indicator(train_labels, alphabet).sum(axis=0) / len(train_labels)
+    for j, q in enumerate(priors):
         s = scores[:, j]
         pred = np.column_stack([1.0 - s, s])
-        y = np.array([1.0 if code in t else 0.0 for t in truths])
+        y = truth_indicator[:, j].astype(np.float64)
         target = np.column_stack([1.0 - y, y])
-        q = sum(1 for r in train_records if code in r.labels) / n_train
         stats = probabilistic_errors(pred, target, np.array([1.0 - q, q]))
         maes.append(stats.mae)
         rmses.append(stats.rmse)
@@ -352,26 +346,24 @@ def _binary_averaged_errors(alphabet, truths, predictions, scores, train_records
     )
 
 
-def _multilabel_report(alphabet, truths, predictions, traces) -> MultiLabelReport:
+def _multilabel_report(alphabet, truths, predictions, truth_indicator, traces) -> MultiLabelReport:
     n = len(truths)
     exact = sum(1 for t, p in zip(truths, predictions) if t == p)
-    per_label = {}
-    hamming_cells = 0
-    for code in alphabet:
-        tp = fp = fn = tn = 0
-        for t, p in zip(truths, predictions):
-            in_t, in_p = code in t, code in p
-            tp += in_t and in_p
-            fp += in_p and not in_t
-            fn += in_t and not in_p
-            tn += not in_t and not in_p
-        per_label[code] = PerLabelStats(tp=tp, fp=fp, fn=fn, tn=tn)
-        hamming_cells += fp + fn
-    seen = [t for t in traces if t is not None]
-    rate = sum(t.triggered for t in seen) / n if len(seen) == n else None
+    t = truth_indicator
+    p = label_indicator(predictions, alphabet)
+    tp = (t & p).sum(axis=0)
+    fp = (p & ~t).sum(axis=0)
+    fn = (t & ~p).sum(axis=0)
+    tn = (~t & ~p).sum(axis=0)
+    per_label = {
+        code: PerLabelStats(tp=int(tp[j]), fp=int(fp[j]), fn=int(fn[j]), tn=int(tn[j]))
+        for j, code in enumerate(alphabet)
+    }
+    seen = [] if traces is None else [tr for tr in traces if tr is not None]
+    rate = sum(tr.triggered for tr in seen) / n if len(seen) == n else None
     return MultiLabelReport(
         subset_accuracy_pct=100.0 * exact / n,
-        hamming_loss=hamming_cells / (n * len(alphabet)),
+        hamming_loss=int(fp.sum() + fn.sum()) / (n * len(alphabet)),
         per_label=per_label,
         trigger_rate=rate,
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from statistics import NormalDist
 from typing import NamedTuple, Sequence
 
@@ -299,6 +300,11 @@ class C45Tree:
     def depth(self) -> int:
         return self.root.depth()
 
+    @cached_property
+    def flat(self) -> "FlatTree":
+        """The tree as flat arrays, compiled on first use."""
+        return _compile(self)
+
     def predict_distribution(self, x) -> np.ndarray:
         return predict_distribution(self, x)
 
@@ -527,30 +533,110 @@ def build_tree(
 # ---------------------------------------------------------------------------
 
 
-def _route(tree: C45Tree, x) -> TreeNode:
-    if len(x) != len(tree.attributes):
+class FlatTree(NamedTuple):
+    """A tree compiled to flat arrays, one entry per node in breadth-first
+    order with the root at 0 (the layout of scikit-learn's ``tree_``)."""
+
+    attr: np.ndarray        # tested attribute index, -1 at a leaf
+    threshold: np.ndarray   # numeric threshold, NaN at nominal tests and leaves
+    numeric: np.ndarray     # True where the test is numeric
+    n_branches: np.ndarray  # branch count, 0 at a leaf
+    children: np.ndarray    # (nodes, widest branching) child index, -1 past a node's branches
+    value: np.ndarray       # (nodes, classes) class distribution normalized to sum 1
+
+
+def _compile(tree: C45Tree) -> FlatTree:
+    """Flatten ``tree.root``; split nodes whose attribute index or child count
+    contradicts the schema or their own test are rejected here."""
+    order = [tree.root]
+    child_rows = []
+    for node in order:  # grows while iterating: breadth-first
+        if node.is_leaf:
+            child_rows.append(())
+            continue
+        test = node.test
+        if not 0 <= test.attr_index < len(tree.attributes):
+            raise ValidationError(
+                f"split on attribute {test.attr_index} outside the {len(tree.attributes)}-attribute schema"
+            )
+        if len(node.children) != test.n_branches:
+            raise ValidationError(
+                f"split on {tree.attributes[test.attr_index].name!r} declares {test.n_branches} "
+                f"branches but has {len(node.children)} children"
+            )
+        child_rows.append(range(len(order), len(order) + len(node.children)))
+        order.extend(node.children)
+    children = np.full((len(order), max(1, max(len(c) for c in child_rows))), -1, dtype=np.intp)
+    for i, row in enumerate(child_rows):
+        children[i, : len(row)] = row
+    flat = FlatTree(
+        attr=np.array([-1 if n.is_leaf else n.test.attr_index for n in order], dtype=np.intp),
+        threshold=np.array(
+            [n.test.threshold if not n.is_leaf and n.test.is_numeric else np.nan for n in order], dtype=np.float64
+        ),
+        numeric=np.array([not n.is_leaf and n.test.is_numeric for n in order], dtype=bool),
+        n_branches=np.array([0 if n.is_leaf else n.test.n_branches for n in order], dtype=np.intp),
+        children=children,
+        value=np.stack([n.counts / n.counts.sum() for n in order]),
+    )
+    for array in flat:
+        array.setflags(write=False)
+    return flat
+
+
+def _branches(tree: C45Tree, flat: FlatTree, at: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Branch taken at nodes ``at`` by ``values``; fails closed on values no
+    branch can take (NaN numerics, non-finite, non-integral or out-of-range
+    nominal value indices)."""
+    numeric = flat.numeric[at]
+    index = np.where(numeric, 0.0, values)
+    bad = np.where(
+        numeric,
+        np.isnan(values),
+        ~((index >= 0) & (index < flat.n_branches[at]) & (index == np.floor(index))),
+    )
+    if bad.any():
+        i = int(np.argmax(bad))
+        v = values[i]
+        name = tree.attributes[flat.attr[at[i]]].name
+        if numeric[i]:
+            raise ValidationError(f"NaN in numeric {name!r}")
+        if not np.isfinite(v) or v != np.floor(v):
+            raise ValidationError(f"value {v:g} of nominal {name!r} is not a value index")
+        raise ValidationError(f"value index {v:g} outside the domain of {name!r}")
+    return np.where(numeric, values > flat.threshold[at], index).astype(np.intp)
+
+
+def leaf_distributions(tree: C45Tree, X) -> np.ndarray:
+    """(n, classes) distributions of the leaves the rows of ``X`` reach.
+
+    All rows move down one level at a time: each step gathers the tested
+    value of every row still at a split node and indexes the child table.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != len(tree.attributes):
         raise ValidationError(
-            f"feature vector has {len(x)} slots, schema defines {len(tree.attributes)}"
+            f"feature matrix of shape {X.shape} does not match the {len(tree.attributes)}-attribute schema"
         )
-    node = tree.root
-    while not node.is_leaf:
-        attr = tree.attributes[node.test.attr_index]
-        value = x[node.test.attr_index]
-        if node.test.is_numeric:
-            node = node.children[0] if value <= node.test.threshold else node.children[1]
-        else:
-            idx = int(value)
-            if not 0 <= idx < node.test.n_branches:
-                raise ValidationError(f"value index {value!r} outside the domain of {attr.name!r}")
-            node = node.children[idx]
-    return node
+    flat = tree.flat
+    node = np.zeros(len(X), dtype=np.intp)
+    rows = np.arange(len(X)) if flat.attr[0] >= 0 else np.zeros(0, dtype=np.intp)
+    while rows.size:
+        at = node[rows]
+        step = flat.children[at, _branches(tree, flat, at, X[rows, flat.attr[at]])]
+        node[rows] = step
+        rows = rows[flat.attr[step] >= 0]
+    return flat.value[node]
 
 
 def predict_distribution(tree: C45Tree, x) -> np.ndarray:
     """Class distribution at the leaf reached by ``x``, normalized to sum 1."""
-    leaf = _route(tree, x)
-    total = leaf.counts.sum()
-    return leaf.counts / total
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1 or len(x) != len(tree.attributes):
+        raise ValidationError(
+            f"feature vector has {x.size} slots, schema defines {len(tree.attributes)}"
+        )
+    return leaf_distributions(tree, x[None, :])[0]
 
 
 def predict(tree: C45Tree, x) -> int:

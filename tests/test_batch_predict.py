@@ -1,0 +1,263 @@
+"""Batch prediction against the per-record walk it replaced.
+
+The oracles below are the scalar paths as they stood before prediction was
+batched: a per-record walk down the ``TreeNode`` graph, per-record BR and
+label-powerset scoring, and the per-record cascade. ``predict_batch`` must
+reproduce their scores bit for bit and their labels and traces exactly, and
+the cascade must call stage 2 once, on exactly the triggered rows.
+"""
+
+from __future__ import annotations
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from chidt.cascade import (
+    BRModel,
+    CascadeTrace,
+    LPModel,
+    STRATEGIES,
+    STRATEGY_LABEL_POWERSET,
+    train_chidt,
+)
+from chidt.data import NOMINAL, Dataset, Record
+from chidt.errors import SchemaMismatchError, ValidationError
+from chidt.ontology import (
+    REASON_OK,
+    ExclusionGroup,
+    combo_key,
+    declared_registry,
+    is_valid,
+    observed_registry,
+)
+from chidt.tree import C45Params, C45Tree, TreeNode, grow, leaf_distributions, prune_ebp
+
+from conftest import binary_attrs
+from test_tree import random_view
+
+CODES = ("a", "b", "c", "d", "e", "f")
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the per-record scalar paths
+# ---------------------------------------------------------------------------
+
+
+def oracle_route(tree, x):
+    if len(x) != len(tree.attributes):
+        raise ValidationError(f"feature vector has {len(x)} slots, schema defines {len(tree.attributes)}")
+    node = tree.root
+    while not node.is_leaf:
+        attr = tree.attributes[node.test.attr_index]
+        value = x[node.test.attr_index]
+        if node.test.is_numeric:
+            node = node.children[0] if value <= node.test.threshold else node.children[1]
+        else:
+            idx = int(value)
+            if not 0 <= idx < node.test.n_branches:
+                raise ValidationError(f"value index {value!r} outside the domain of {attr.name!r}")
+            node = node.children[idx]
+    return node
+
+
+def oracle_distribution(tree, x) -> np.ndarray:
+    leaf = oracle_route(tree, x)
+    return leaf.counts / leaf.counts.sum()
+
+
+def oracle_stage(model, x):
+    """(labels, scores) of one BR or label-powerset stage on one record."""
+    if isinstance(model, BRModel):
+        scores = np.array([oracle_distribution(t, x)[1] for t in model.trees])
+        return frozenset(c for c, s in zip(model.codes, scores) if s >= model.threshold), scores
+    dist = oracle_distribution(model.tree, x)
+    scores = np.zeros(len(model.codes))
+    index = {c: i for i, c in enumerate(model.codes)}
+    for combo, p in zip(model.combos, dist):
+        for code in combo:
+            if code in index:
+                scores[index[code]] += p
+    return model.combos[int(np.argmax(dist))], scores
+
+
+def oracle_cascade(model, x):
+    s1, s1_scores = oracle_stage(model.stage1, x)
+    ok, reason = is_valid(model.registry, model.exclusions, s1)
+    if ok:
+        return s1, s1_scores, CascadeTrace(False, REASON_OK, s1, s1)
+    final, scores = oracle_stage(model.stage2, x)
+    fallback = False
+    if model.single_label_fallback:
+        ok2, _ = is_valid(model.registry, model.exclusions, final)
+        if not ok2:
+            final = frozenset({model.codes[int(np.argmax(scores))]})
+            fallback = True
+    return final, scores, CascadeTrace(True, reason, s1, final, fallback)
+
+
+# ---------------------------------------------------------------------------
+# Generators
+# ---------------------------------------------------------------------------
+
+
+def random_queries(rng, attributes, n):
+    """Feature rows inside every attribute's domain, numeric values on and between training values."""
+    rows = []
+    for _ in range(n):
+        rows.append(
+            [
+                rng.randrange(len(a.values)) if a.kind == NOMINAL else rng.randrange(-1, 11) + 0.25 * rng.randrange(4)
+                for a in attributes
+            ]
+        )
+    return np.array(rows, dtype=np.float64).reshape(n, len(attributes))
+
+
+def random_cascade(rng, strategy: str, fallback: bool):
+    n = rng.randrange(4, 60)
+    X, _, attributes, _ = random_view(rng, n, rng.randrange(1, 5), 2)
+    alphabet = CODES[: rng.randrange(1, len(CODES) + 1)]
+    min_size = 1 if strategy == STRATEGY_LABEL_POWERSET else 0
+    records = []
+    for i in range(n):
+        labels = rng.sample(alphabet, rng.randrange(min_size, min(4, len(alphabet)) + 1))
+        features = tuple(int(v) if a.kind == NOMINAL else float(v) for a, v in zip(attributes, X[i]))
+        records.append(Record(id=f"r{i}", features=features, labels=labels))
+    ds = Dataset(attributes=attributes, label_alphabet=alphabet, records=tuple(records))
+    if rng.random() < 0.5 or not ds.distinct_labelsets():
+        registry = observed_registry(ds) if ds.distinct_labelsets() else declared_registry([alphabet[:1]])
+    else:
+        extra = [rng.sample(alphabet, rng.randrange(1, len(alphabet) + 1)) for _ in range(3)]
+        registry = observed_registry(ds).merged(declared_registry(extra))
+    exclusions = ()
+    if len(alphabet) >= 2 and rng.random() < 0.6:
+        exclusions = (ExclusionGroup(frozenset(rng.sample(alphabet, 2))),)
+    model = train_chidt(
+        ds,
+        stage1_params=C45Params(min_leaf=rng.randrange(1, 4), pruning=rng.random() < 0.5),
+        strategy=strategy,
+        registry=registry,
+        exclusions=exclusions,
+        threshold=rng.choice((0.3, 0.5, 0.7)),
+        single_label_fallback=fallback,
+    )
+    Q = np.vstack([ds.X, random_queries(rng, attributes, rng.randrange(0, 40))])
+    return model, Q
+
+
+def has_virtual_leaf(node) -> bool:
+    return node.virtual or any(has_virtual_leaf(c) for c in node.children)
+
+
+# ---------------------------------------------------------------------------
+# Properties
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 40),
+    n_attrs=st.integers(1, 5),
+    k=st.integers(2, 4),
+    min_leaf=st.integers(1, 3),
+    pruned=st.booleans(),
+)
+def test_tree_batch_equals_per_record_walk(seed, n, n_attrs, k, min_leaf, pruned):
+    rng = random.Random(seed)
+    X, y, attrs, classes = random_view(rng, n, n_attrs, k)
+    tree = grow(X, y, attrs, classes, C45Params(min_leaf=min_leaf, pruning=False))
+    if pruned:
+        tree = prune_ebp(tree)
+    Q = np.vstack([X, random_queries(rng, attrs, 30)])
+    got = leaf_distributions(tree, Q)
+    want = np.vstack([oracle_distribution(tree, q) for q in Q])
+    assert np.array_equal(got, want)
+
+
+def test_tree_generator_reaches_virtual_leaves_and_numeric_splits():
+    rng = random.Random(7)
+    virtual = numeric = 0
+    for _ in range(40):
+        X, y, attrs, classes = random_view(rng, rng.randrange(2, 40), rng.randrange(1, 5), 3)
+        tree = grow(X, y, attrs, classes, C45Params(min_leaf=1, pruning=False))
+        virtual += has_virtual_leaf(tree.root)
+        numeric += bool(tree.flat.numeric.any())
+    assert virtual and numeric
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    strategy=st.sampled_from(STRATEGIES),
+    fallback=st.booleans(),
+)
+def test_cascade_batch_equals_per_record_cascade(seed, strategy, fallback):
+    model, Q = random_cascade(random.Random(seed), strategy, fallback)
+    want = [oracle_cascade(model, q) for q in Q]
+    calls = []
+    inner = model.stage2.predict_batch
+
+    def spy(X):
+        calls.append(np.array(X, copy=True))
+        return inner(X)
+
+    model.stage2.predict_batch = spy
+    labels, scores, traces = model.predict_batch(Q)
+
+    assert labels == [w[0] for w in want]
+    assert np.array_equal(scores, np.vstack([w[1] for w in want]))
+    assert traces == [w[2] for w in want]
+    triggered = [i for i, w in enumerate(want) if w[2].triggered]
+    if triggered:
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], Q[triggered])
+    else:
+        assert calls == []
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_stage_batches_equal_per_record_stages(strategy):
+    model, Q = random_cascade(random.Random(11), strategy, False)
+    for stage in (model.stage1, model.stage2):
+        labels, scores, traces = stage.predict_batch(Q)
+        want = [oracle_stage(stage, q) for q in Q]
+        assert traces is None
+        assert labels == [w[0] for w in want]
+        assert np.array_equal(scores, np.vstack([w[1] for w in want]))
+
+
+def test_lp_marginals_add_in_combination_order():
+    # 40 overlapping combinations on one leaf: a matmul would reorder the sums
+    rng = random.Random(2)
+    attrs = binary_attrs(1)
+    combos = []
+    while len(combos) < 40:
+        combo = frozenset(rng.sample(CODES, rng.randrange(1, 5)))
+        if combo not in combos:
+            combos.append(combo)
+    counts = np.array([rng.randrange(1, 50) for _ in combos], dtype=np.float64)
+    root = TreeNode(counts=counts, majority=int(np.argmax(counts)))
+    tree = C45Tree(root=root, attributes=attrs, class_names=tuple(combo_key(c) for c in combos), params=C45Params())
+    model = LPModel(tree=tree, combos=tuple(combos), codes=CODES, attributes=attrs)
+    want = oracle_stage(model, (0,))
+    for n in (1, 2, 17):
+        labels, scores, _ = model.predict_batch(np.zeros((n, 1)))
+        assert labels == [want[0]] * n
+        assert np.array_equal(scores, np.vstack([want[1]] * n))
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_empty_batch_and_wrong_width(strategy):
+    model, Q = random_cascade(random.Random(5), strategy, True)
+    labels, scores, traces = model.predict_batch(Q[:0])
+    assert labels == [] and traces == [] and scores.shape == (0, len(model.codes))
+    for predictor in (model, model.stage1, model.stage2):
+        with pytest.raises(SchemaMismatchError):
+            predictor.predict_batch(np.zeros((3, Q.shape[1] + 1)))
+        with pytest.raises(SchemaMismatchError):
+            predictor.predict_batch(np.zeros(Q.shape[1]))
+

@@ -65,16 +65,17 @@ def constant_lp(attrs, combos, predicted_index: int = 0, codes=("a", "b", "c")) 
     return LPModel(tree=tree, combos=tuple(combos), codes=codes, attributes=attrs, training_ids=frozenset())
 
 
-def count_calls(obj, method: str) -> list:
-    """Wrap ``obj.method`` in place; the returned list gets one entry per call."""
+def spy_batch_rows(obj) -> list:
+    """Wrap ``obj.predict_batch`` in place; the returned list gets, per call,
+    the tuple of feature rows that call was given."""
     calls = []
-    inner = getattr(obj, method)
+    inner = obj.predict_batch
 
-    def spy(*args):
-        calls.append(args)
-        return inner(*args)
+    def spy(X):
+        calls.append(tuple(tuple(row) for row in np.asarray(X)))
+        return inner(X)
 
-    setattr(obj, method, spy)
+    obj.predict_batch = spy
     return calls
 
 
@@ -297,7 +298,7 @@ class TestPredictChidt:
 
     def test_stage2_not_evaluated_when_valid(self):
         model = self._toy_model()
-        calls = count_calls(model.stage2, "predict_with_scores")
+        calls = spy_batch_rows(model.stage2)
         predict_chidt(model, (1, 0, 0, 0))
         predict_chidt(model, (1, 1, 0, 0))
         assert calls == []

@@ -102,7 +102,8 @@ class TestTrainEvalPredict:
         assert row[2] in ("true", "false")
         assert row[3] in ("ok", "empty", "unregistered", "exclusion-violated")
 
-    def test_predict_from_term_bags(self, tmp_path, capsys):
+    @staticmethod
+    def trained_for_terms(tmp_path) -> Path:
         cfg_doc = {
             "seed": 42,
             "out_dir": str(tmp_path / "out"),
@@ -122,6 +123,10 @@ class TestTrainEvalPredict:
         )
         run(["gen", "--config", cfg])
         run(["train", "--config", cfg])
+        return cfg
+
+    def test_predict_from_term_bags(self, tmp_path, capsys):
+        cfg = self.trained_for_terms(tmp_path)
         terms_path = tmp_path / "terms.json"
         terms_path.write_text(
             json.dumps(
@@ -138,6 +143,29 @@ class TestTrainEvalPredict:
         note1 = lines[1].split(",")
         assert note1[0] == "note1"
         assert note1[4] == "1"
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([{"id": "n1", "terms": "chest pain"}], "list of strings"),
+            ([{"id": "n1", "terms": {"chest pain": 1}}], "list of strings"),
+            ([{"id": "n1", "terms": ["chest pain", 5]}], "list of strings"),
+            ([{"id": "n1", "terms": None}], "list of strings"),
+            (["chest pain"], "not a"),
+            ([["chest pain"]], "not a"),
+            ([{"id": "n1", "terms": []}, 7], "entry 1 is not a"),
+        ],
+    )
+    def test_mistyped_term_bags_are_validation_errors(self, tmp_path, capsys, doc, message):
+        cfg = self.trained_for_terms(tmp_path)
+        capsys.readouterr()
+        terms_path = tmp_path / "terms.json"
+        terms_path.write_text(json.dumps(doc))
+        assert run(["predict", "--config", cfg, "--input", terms_path, "--terms"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert not (tmp_path / "out" / "predictions.csv").exists()
 
     def test_untriggered_rows_report_ok(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -1,9 +1,15 @@
-"""Golden digests: the shipped run regenerates byte for byte.
+"""Golden digests: pinned runs regenerate byte for byte.
 
-The ``data/run_chd.json`` run (gen, train, eval, predict) is replayed into a
-temporary directory through ``chidt.cli.main`` and the sha256 of each
-canonical file is compared with the ``"shipped"`` block of
-``perfbench/pins.json``, so any byte drift fails the tier-1 suite.
+Each run is replayed into a temporary directory through ``chidt.cli.main``
+and the sha256 of its canonical files is compared with a pin, so any byte
+drift fails the tier-1 suite:
+
+* the shipped ``data/run_chd.json`` run (gen, train, eval, predict) against
+  the ``"shipped"`` block of ``perfbench/pins.json``;
+* a 2,000-record diverse-br resubstitution run with the single-label
+  fallback and ``data/exclusions_chd.json`` against
+  ``tests/golden/fallback_br.json``. It covers the stage-2 BR bank, every
+  trigger reason and the fallback, none of which the shipped run reaches.
 """
 
 from __future__ import annotations
@@ -14,9 +20,21 @@ from pathlib import Path
 
 from chidt.cli import main
 
-from conftest import DATA_DIR, REPO_ROOT
+from conftest import DATA_DIR, GOLDEN_DIR, REPO_ROOT
 
 PINS = REPO_ROOT / "perfbench" / "pins.json"
+COMMANDS = ("gen", "train", "eval", "predict")
+
+
+def replay(config: dict, tmp_path: Path) -> None:
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    for command in COMMANDS:
+        assert main([command, "--config", str(config_path)]) == 0, command
+
+
+def digests(tmp_path: Path, names) -> dict:
+    return {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in names}
 
 
 def test_shipped_run_matches_pinned_digests(tmp_path, capsys):
@@ -25,12 +43,33 @@ def test_shipped_run_matches_pinned_digests(tmp_path, capsys):
     for key, value in config["paths"].items():
         path = Path(value)
         config["paths"][key] = str(tmp_path / path.name if path.parts[0] == "out" else REPO_ROOT / path)
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(config), encoding="utf-8")
-    for command in ("gen", "train", "eval", "predict"):
-        assert main([command, "--config", str(config_path)]) == 0, command
+    replay(config, tmp_path)
     capsys.readouterr()
 
     pinned = json.loads(PINS.read_text(encoding="utf-8"))["shipped"]
-    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in pinned}
-    assert got == pinned
+    assert digests(tmp_path, pinned) == pinned
+
+
+def test_fallback_br_run_matches_pinned_digests(tmp_path, capsys):
+    pin = json.loads((GOLDEN_DIR / "fallback_br.json").read_text(encoding="utf-8"))
+    generator = json.loads((DATA_DIR / "generator_chd.json").read_text(encoding="utf-8"))
+    generator = {k: v for k, v in generator.items() if k != "seed"}
+    generator["n_records"] = pin["n_records"]
+    config = {
+        "seed": pin["seed"],
+        "out_dir": str(tmp_path),
+        "paths": {
+            "dataset": str(tmp_path / "corpus.csv"),
+            "registry": str(tmp_path / "registry.json"),
+            "model": str(tmp_path / "model.json"),
+            "hierarchy": str(DATA_DIR / "hierarchy_chd.json"),
+            "exclusions": str(DATA_DIR / "exclusions_chd.json"),
+        },
+        "generator": generator,
+        "training": pin["training"],
+        "evaluation": pin["evaluation"],
+    }
+    replay(config, tmp_path)
+    capsys.readouterr()
+
+    assert digests(tmp_path, pin["sha256"]) == pin["sha256"]

@@ -50,9 +50,10 @@ class SpyModel:
         self.codes = tuple(codes)
         self.seen = []
 
-    def predict_with_scores(self, x):
-        self.seen.append(tuple(x))
-        return self.labels, np.array([1.0 if c in self.labels else 0.0 for c in self.codes]), None
+    def predict_batch(self, X):
+        self.seen.extend(tuple(row) for row in X)
+        scores = np.array([[1.0 if c in self.labels else 0.0 for c in self.codes]] * len(X))
+        return [self.labels] * len(X), scores, None
 
 
 class TestResubstitution:

@@ -20,7 +20,9 @@ from chidt.tree import (
     build_tree,
     entropy,
     gain_ratio,
+    TreeNode,
     grow,
+    leaf_distributions,
     predict,
     predict_distribution,
     prune_ebp,
@@ -476,6 +478,56 @@ class TestPredict:
         tree = build_tree(X, y, attrs, classes)
         with pytest.raises(ValidationError, match="slots"):
             predict(tree, [0, 70.0])
+        with pytest.raises(ValidationError, match="4-attribute schema"):
+            leaf_distributions(tree, X[:, :3])
+
+    # weather tree: outlook at the root, humidity under sunny (2), windy under rainy (1)
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            ([1.5, 70.0, 80.0, 0], "not a value index"),
+            ([-0.5, 70.0, 80.0, 0], "not a value index"),
+            ([float("nan"), 70.0, 80.0, 0], "not a value index"),
+            ([float("inf"), 70.0, 80.0, 0], "not a value index"),
+            ([1, 70.0, 80.0, 0.999], "not a value index"),
+            ([3, 70.0, 80.0, 0], "outside the domain"),
+            ([2, 70.0, float("nan"), 0], "NaN in numeric 'humidity'"),
+        ],
+    )
+    def test_values_no_branch_can_take_fail_closed(self, weather, x, message):
+        X, y, attrs, classes = weather
+        tree = grow(X, y, attrs, classes, C45Params(min_leaf=2, pruning=False))
+        with pytest.raises(ValidationError, match=message):
+            predict_distribution(tree, x)
+        batch = np.vstack([X, np.array(x, dtype=np.float64)])
+        with pytest.raises(ValidationError, match=message):
+            leaf_distributions(tree, batch)
+
+    def test_values_off_the_tested_path_are_not_read(self, weather):
+        X, y, attrs, classes = weather
+        tree = grow(X, y, attrs, classes, C45Params(min_leaf=2, pruning=False))
+        # overcast is a leaf: neither humidity nor windy is tested
+        assert predict(tree, [0, float("nan"), float("nan"), 0.5]) == 1
+
+    def test_batch_rows_equal_one_row_calls(self, weather):
+        X, y, attrs, classes = weather
+        tree = grow(X, y, attrs, classes, C45Params(min_leaf=1, pruning=False))
+        batch = leaf_distributions(tree, X)
+        assert np.array_equal(batch, np.vstack([predict_distribution(tree, x) for x in X]))
+        assert leaf_distributions(tree, X[:0]).shape == (0, 2)
+
+    def test_malformed_split_rejected_when_compiled(self, weather):
+        X, y, attrs, classes = weather
+        leaf = TreeNode(counts=np.array([1.0, 1.0]), majority=0)
+        for test, children in (
+            (SplitTest(0, n_branches=3), [leaf, leaf]),
+            (SplitTest(1, threshold=70.0), [leaf]),
+            (SplitTest(9, n_branches=2), [leaf, leaf]),
+        ):
+            root = TreeNode(counts=np.array([1.0, 1.0]), majority=0, test=test, children=children)
+            tree = C45Tree(root=root, attributes=attrs, class_names=classes, params=C45Params())
+            with pytest.raises(ValidationError, match="children|outside"):
+                predict(tree, X[0])
 
 
 # ---------------------------------------------------------------------------
