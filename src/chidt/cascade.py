@@ -17,15 +17,11 @@ import numpy as np
 
 from .data import AttributeMeta, Dataset
 from .errors import SchemaMismatchError, ValidationError
-from .ontology import (
-    ExclusionGroup,
-    REASON_OK,
-    ValidCombinationRegistry,
-    combo_key,
-    is_valid,
-    observed_registry,
-)
-from .tree import C45Params, C45Tree, build_tree, leaf_distributions, schema_fingerprint
+from .jsondoc import Fields, code_sets, fields, flag, items, number, one_of, strings
+from .ontology import REASON_OK, ExclusionGroup, ValidCombinationRegistry, _read_registry, combo_key, is_valid
+from .ontology import observed_registry
+from .tree import C45Params, C45Tree, _read_params, _read_schema, _read_tree, build_tree, leaf_distributions
+from .tree import schema_fingerprint
 
 BINARY_CLASSES = ("absent", "present")
 
@@ -117,23 +113,6 @@ class BRModel:
             "trees": [t.to_dict(embed_schema=False) for t in self.trees],
         }
 
-    @classmethod
-    def from_dict(cls, doc, attributes: Sequence[AttributeMeta], training_ids: frozenset) -> "BRModel":
-        codes = tuple(doc["codes"])
-        trees = tuple(
-            C45Tree.from_dict(t, attributes=attributes, class_names=BINARY_CLASSES)
-            for t in doc["trees"]
-        )
-        return cls(
-            codes=codes,
-            trees=trees,
-            attributes=tuple(attributes),
-            threshold=float(doc.get("threshold", 0.5)),
-            training_ids=training_ids,
-            params=C45Params.from_dict(doc.get("params", {})),
-            constant_codes=dict(doc.get("constant_codes", {})),
-        )
-
 
 @dataclass
 class LPModel:
@@ -183,20 +162,6 @@ class LPModel:
             "params": self.params.to_dict(),
             "tree": self.tree.to_dict(embed_schema=False),
         }
-
-    @classmethod
-    def from_dict(cls, doc, attributes: Sequence[AttributeMeta], training_ids: frozenset, codes) -> "LPModel":
-        combos = tuple(frozenset(c) for c in doc["combos"])
-        class_names = tuple(combo_key(c) for c in combos)
-        tree = C45Tree.from_dict(doc["tree"], attributes=attributes, class_names=class_names)
-        return cls(
-            tree=tree,
-            combos=combos,
-            codes=tuple(codes),
-            attributes=tuple(attributes),
-            training_ids=training_ids,
-            params=C45Params.from_dict(doc.get("params", {})),
-        )
 
 
 def train_br(ds: Dataset, params: C45Params | None = None, threshold: float = 0.5) -> BRModel:
@@ -409,35 +374,50 @@ def model_to_dict(model: ChiDTModel) -> dict:
     }
 
 
-_MODEL_KEYS = ("schema", "training_ids", "registry", "exclusions", "stage1", "stage2")
+def _read_stage(doc, where: str, kinds, attributes, training_ids: frozenset, alphabet):
+    """A model stage: a BR bank or, where ``kinds`` allows, a label-powerset tree over ``alphabet``."""
+    if one_of(fields(doc, where).get("kind"), f"{where}.kind", kinds) == "lp":
+        f = Fields(doc, where, ("kind", "combos", "params", "tree"), ("combos", "tree"))
+        combos = f.get("combos", code_sets)
+        tree = f.get("tree", _read_tree, attributes=attributes, class_names=[combo_key(c) for c in combos])
+        params = f.get("params", _read_params, C45Params())
+        return LPModel(tree, combos, tuple(alphabet), tuple(attributes), training_ids, params)
+    f = Fields(doc, where, ("kind", "codes", "threshold", "params", "constant_codes", "trees"), ("codes", "trees"))
+    codes = f.get("codes", strings)
+    trees = f.get("trees", items, entry=_read_tree, attributes=attributes, class_names=BINARY_CLASSES)
+    if len(trees) != len(codes):
+        raise ValidationError(f"{f.path('trees')} has {len(trees)} trees for {len(codes)} codes")
+    constant = Fields(doc.get("constant_codes", {}), f.path("constant_codes"), codes)
+    constant = {code: constant.get(code, one_of, choices=("negative", "positive")) for code in constant.doc}
+    return BRModel(
+        codes=codes,
+        trees=tuple(trees),
+        attributes=tuple(attributes),
+        threshold=f.get("threshold", number, 0.5, low=0.0, high=1.0, open_low=True),
+        training_ids=training_ids,
+        params=f.get("params", _read_params, C45Params()),
+        constant_codes=constant,
+    )
 
 
 def model_from_dict(doc) -> ChiDTModel:
-    if doc.get("format") != "chidt-model":
+    if type(doc) is not dict or doc.get("format") != "chidt-model":
         raise ValidationError("not a cascade model document")
-    for key in _MODEL_KEYS:
-        if key not in doc:
-            raise ValidationError(f"model document has no {key!r} key")
-    fp = doc["schema"]
-    from .tree import _attributes_from_fingerprint  # shared fingerprint layout
-
-    attributes = _attributes_from_fingerprint(fp)
-    training_ids = frozenset(doc["training_ids"])
-    stage1 = BRModel.from_dict(doc["stage1"], attributes, training_ids)
-    if tuple(stage1.codes) != tuple(fp["classes"]):
+    keys = ("format", "strategy", "schema", "training_ids", "registry", "exclusions", "stage1", "stage2")
+    f = Fields(doc, "model", keys + ("single_label_fallback",), keys)
+    attributes, classes = f.get("schema", _read_schema)
+    stage = dict(attributes=attributes, training_ids=frozenset(f.get("training_ids", strings)), alphabet=classes)
+    stage1 = f.get("stage1", _read_stage, kinds=("br",), **stage)
+    if stage1.codes != classes:
         raise SchemaMismatchError("stage-1 code list does not match the model schema")
-    s2doc = doc["stage2"]
-    if s2doc.get("kind") == "lp":
-        stage2 = LPModel.from_dict(s2doc, attributes, training_ids, fp["classes"])
-    else:
-        stage2 = BRModel.from_dict(s2doc, attributes, training_ids)
     model = ChiDTModel(
         stage1=stage1,
-        stage2=stage2,
-        registry=ValidCombinationRegistry.from_dict(doc["registry"]),
-        exclusions=tuple(ExclusionGroup(frozenset(g)) for g in doc["exclusions"]),
-        single_label_fallback=bool(doc.get("single_label_fallback", False)),
+        stage2=f.get("stage2", _read_stage, kinds=("br", "lp"), **stage),
+        registry=f.get("registry", _read_registry),
+        exclusions=tuple(map(ExclusionGroup, f.get("exclusions", code_sets))),
+        single_label_fallback=f.get("single_label_fallback", flag, False),
     )
-    if doc.get("strategy") != model.strategy:
-        raise ValidationError(f"stored strategy {doc.get('strategy')!r} contradicts its {model.strategy} stage 2")
+    strategy = f.get("strategy", one_of, choices=STRATEGIES)
+    if strategy != model.strategy:
+        raise ValidationError(f"stored strategy {strategy!r} contradicts its {model.strategy} stage 2")
     return model

@@ -13,36 +13,19 @@ import csv
 import io
 import json
 import sys
+from dataclasses import replace
 from datetime import datetime
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .cascade import (
-    STRATEGY_LABEL_POWERSET,
-    ChiDTModel,
-    model_from_dict,
-    model_to_dict,
-    train_chidt,
-)
+from .cascade import STRATEGIES, STRATEGY_LABEL_POWERSET, ChiDTModel, model_from_dict, model_to_dict, train_chidt
 from .config import RunConfig
-from .data import (
-    Dataset,
-    GeneratorConfig,
-    SplitSpec,
-    cover_all_labels_split,
-    export_csv,
-    generate_synthetic,
-    load_csv,
-)
+from .data import Dataset, SplitSpec, cover_all_labels_split, export_csv, generate_synthetic, load_csv
 from .errors import ValidationError
-from .evaluation import (
-    evaluate_holdout,
-    evaluate_kfold,
-    evaluate_resubstitution,
-    format_report,
-)
+from .evaluation import MODES, evaluate_holdout, evaluate_kfold, evaluate_resubstitution, format_report
+from .jsondoc import Fields, array, code_sets, loads, read, strings, text
 from .ontology import (
     TermLexicon,
     ValidCombinationRegistry,
@@ -75,39 +58,23 @@ def _log(cfg: RunConfig, message: str) -> None:
 
 
 def _load_dataset(cfg: RunConfig, path: Path, attributes=None) -> Dataset:
-    return load_csv(
-        path.read_text(encoding="utf-8"),
-        label_column=cfg.label_column,
-        label_separator=cfg.label_separator,
-        id_column=cfg.id_column,
-        name=path.stem,
-        attributes=attributes,
-    )
+    columns = dict(label_column=cfg.label_column, label_separator=cfg.label_separator, id_column=cfg.id_column)
+    return read(path, lambda content: load_csv(content, name=path.stem, attributes=attributes, **columns))
 
 
 def _load_model(path: Path) -> ChiDTModel:
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"model file is not valid JSON: {exc}")
-    return model_from_dict(doc)
+    return read(path, lambda content: model_from_dict(loads(content, "model")))
 
 
 def _load_registry(path: Path) -> ValidCombinationRegistry:
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"registry file is not valid JSON: {exc}")
-    return ValidCombinationRegistry.from_dict(doc)
+    return read(path, lambda content: ValidCombinationRegistry.from_dict(loads(content, "registry")))
 
 
 def _load_exclusion_groups(cfg: RunConfig):
     if "exclusions" not in cfg.paths:
         return ()
-    hierarchy = None
-    if "hierarchy" in cfg.paths:
-        hierarchy = load_hierarchy(cfg.paths["hierarchy"].read_text(encoding="utf-8"))
-    return load_exclusions(cfg.paths["exclusions"].read_text(encoding="utf-8"), hierarchy)
+    hierarchy = read(cfg.paths["hierarchy"], load_hierarchy) if "hierarchy" in cfg.paths else None
+    return read(cfg.paths["exclusions"], lambda content: load_exclusions(content, hierarchy))
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +86,7 @@ def cmd_gen(cfg: RunConfig) -> int:
     if cfg.generator is None:
         raise ValidationError("config has no 'generator' section")
     seed = cfg.require_seed("generation")
-    gen_cfg = GeneratorConfig.from_dict({**cfg.generator, "seed": seed})
-    ds, combos = generate_synthetic(gen_cfg)
+    ds, combos = generate_synthetic(replace(cfg.generator, seed=seed))
 
     dataset_path = cfg.path("dataset", "corpus.csv")
     registry_path = cfg.path("registry", "registry.json")
@@ -160,31 +126,25 @@ def cmd_train(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _term_bags(content: str) -> dict:
+    """{id: terms} of a terms file; an entry without an id is ``t<index>``."""
+    bags = {}
+    for i, entry in enumerate(array(loads(content, "terms"), "terms")):
+        f = Fields(entry, f"terms entry {i}", ("id", "terms"))
+        rid = f.get("id", text, f"t{i}")
+        if rid in bags:
+            raise ValidationError(f"{f.path('id')} repeats the id {rid!r}")
+        bags[rid] = f.get("terms", strings, ())
+    return bags
+
+
 def _rows_from_terms(cfg: RunConfig, model: ChiDTModel, source: Path):
     """Map bags of discharge-summary terms to (ids, feature matrix, ignored-term counts) via the lexicon."""
-    lexicon = TermLexicon.from_json(cfg.path("lexicon").read_text(encoding="utf-8"))
-    try:
-        doc = json.loads(source.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"terms file is not valid JSON: {exc}")
-    if not isinstance(doc, list):
-        raise ValidationError('terms file must be a JSON array of {"id", "terms"} objects')
-    ids, vectors, ignored = [], [], []
-    for i, entry in enumerate(doc):
-        if not isinstance(entry, dict):
-            raise ValidationError(f'terms entry {i} is not a {{"id", "terms"}} object')
-        extra = set(entry) - {"id", "terms"}
-        if extra:
-            raise ValidationError(f"terms entry {i}: unknown keys {sorted(extra)}")
-        terms = entry.get("terms", [])
-        if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
-            raise ValidationError(f"terms entry {i}: 'terms' must be a list of strings")
-        vector, n_ignored = map_terms(lexicon, terms, model.attributes)
-        ids.append(str(entry.get("id", f"t{i}")))
-        vectors.append(vector)
-        ignored.append(n_ignored)
-    X = np.array(vectors, dtype=np.float64).reshape(len(vectors), len(model.attributes))
-    return ids, X, ignored
+    lexicon = read(cfg.path("lexicon"), TermLexicon.from_json)
+    bags = read(source, _term_bags)
+    mapped = [map_terms(lexicon, terms, model.attributes) for terms in bags.values()]
+    X = np.array([v for v, _ in mapped], dtype=np.float64).reshape(len(mapped), len(model.attributes))
+    return list(bags), X, [n for _, n in mapped]
 
 
 def cmd_predict(cfg: RunConfig, input_path: Path | None, terms: bool = False) -> int:
@@ -277,16 +237,11 @@ def cmd_inspect(cfg: RunConfig) -> int:
     if model.stage1.constant_codes:
         consts = ", ".join(f"{c}={v}" for c, v in sorted(model.stage1.constant_codes.items()))
         print(f"constant stage-1 codes: {consts}")
-    for code, tree in zip(model.stage1.codes, model.stage1.trees):
-        print(f"\n--- stage 1: {code} ({tree.n_nodes} nodes) ---")
-        print(tree.render())
-    if model.strategy == STRATEGY_LABEL_POWERSET:
-        tree = model.stage2.tree
-        print(f"\n--- stage 2: label-powerset ({tree.n_nodes} nodes) ---")
-        print(tree.render())
-    else:
-        for code, tree in zip(model.stage2.codes, model.stage2.trees):
-            print(f"\n--- stage 2: {code} ({tree.n_nodes} nodes) ---")
+    lp = model.strategy == STRATEGY_LABEL_POWERSET
+    stage2 = [("label-powerset", model.stage2.tree)] if lp else zip(model.stage2.codes, model.stage2.trees)
+    for stage, trees in ((1, zip(model.stage1.codes, model.stage1.trees)), (2, stage2)):
+        for name, tree in trees:
+            print(f"\n--- stage {stage}: {name} ({tree.n_nodes} nodes) ---")
             print(tree.render())
     return EXIT_OK
 
@@ -294,14 +249,7 @@ def cmd_inspect(cfg: RunConfig) -> int:
 def cmd_validate(cfg: RunConfig, labelsets_path: Path) -> int:
     registry = _load_registry(cfg.path("registry", "registry.json"))
     exclusions = _load_exclusion_groups(cfg)
-    try:
-        doc = json.loads(labelsets_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"labelsets file is not valid JSON: {exc}")
-    if not isinstance(doc, list):
-        raise ValidationError("labelsets file must be a JSON array of code arrays")
-    for entry in doc:
-        labels = frozenset(str(c) for c in entry)
+    for labels in read(labelsets_path, lambda content: code_sets(loads(content, "labelsets"), "labelsets")):
         ok, reason = is_valid(registry, exclusions, labels)
         shown = combo_key(labels) if labels else "(empty)"
         print(f"{shown}\t{'valid' if ok else 'invalid'}\t{reason}")
@@ -325,12 +273,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", help="override the output directory")
-        p.add_argument(
-            "--mode", choices=["principal", "multilabel"], help="override the evaluation mode"
-        )
-        p.add_argument(
-            "--strategy", choices=["diverse-br", "label-powerset"], help="override the cascade strategy"
-        )
+        p.add_argument("--mode", choices=MODES, help="override the evaluation mode")
+        p.add_argument("--strategy", choices=STRATEGIES, help="override the cascade strategy")
 
     add_common(sub.add_parser("gen", help="generate a synthetic corpus and its registry"))
     add_common(sub.add_parser("train", help="train the cascade model"))

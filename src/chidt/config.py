@@ -1,30 +1,26 @@
 """Run configuration: one JSON document driving generation, training, and evaluation.
 
-Unknown keys are rejected everywhere so typos fail loudly, and every
+Each section's keys are its dataclass's fields; unknown keys and mistyped
+values are rejected (see ``jsondoc``) so typos fail loudly, and every
 stochastic step draws from the single top-level seed.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
 from .cascade import STRATEGIES, STRATEGY_DIVERSE_BR
+from .data import GeneratorConfig, _read_generator
 from .errors import ValidationError
 from .evaluation import MODES, MODE_MULTILABEL
-from .tree import C45Params
+from .jsondoc import Fields, field_names, flag, integer, loads, number, one_of, read, text
+from .tree import C45Params, _read_params
 
 PROTOCOLS = ("resubstitution", "holdout", "kfold")
 
 _PATH_KEYS = ("dataset", "registry", "model", "hierarchy", "lexicon", "exclusions")
-
-
-def _reject_unknown(doc: Mapping, allowed, where: str) -> None:
-    unknown = set(doc) - set(allowed)
-    if unknown:
-        raise ValidationError(f"unknown {where} keys: {sorted(unknown)}")
 
 
 @dataclass
@@ -39,30 +35,15 @@ class TrainingConfig:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "TrainingConfig":
-        _reject_unknown(
-            doc,
-            (
-                "strategy",
-                "threshold",
-                "train_size",
-                "stage1_params",
-                "stage2_params",
-                "use_declared_registry",
-                "single_label_fallback",
-            ),
-            "training config",
-        )
-        strategy = doc.get("strategy", STRATEGY_DIVERSE_BR)
-        if strategy not in STRATEGIES:
-            raise ValidationError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+        f = Fields(doc, "config training", field_names(cls))
         return cls(
-            strategy=strategy,
-            threshold=float(doc.get("threshold", 0.5)),
-            train_size=None if doc.get("train_size") is None else int(doc["train_size"]),
-            stage1_params=C45Params.from_dict(doc["stage1_params"]) if "stage1_params" in doc else None,
-            stage2_params=C45Params.from_dict(doc["stage2_params"]) if "stage2_params" in doc else None,
-            use_declared_registry=bool(doc.get("use_declared_registry", True)),
-            single_label_fallback=bool(doc.get("single_label_fallback", False)),
+            strategy=f.get("strategy", one_of, STRATEGY_DIVERSE_BR, choices=STRATEGIES),
+            threshold=f.get("threshold", number, 0.5, low=0.0, high=1.0, open_low=True),
+            train_size=f.optional("train_size", integer),
+            stage1_params=f.optional("stage1_params", _read_params),
+            stage2_params=f.optional("stage2_params", _read_params),
+            use_declared_registry=f.get("use_declared_registry", flag, True),
+            single_label_fallback=f.get("single_label_fallback", flag, False),
         )
 
 
@@ -74,14 +55,17 @@ class EvaluationConfig:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "EvaluationConfig":
-        _reject_unknown(doc, ("mode", "protocol", "k"), "evaluation config")
-        mode = doc.get("mode", MODE_MULTILABEL)
-        if mode not in MODES:
-            raise ValidationError(f"unknown evaluation mode {mode!r}; expected one of {MODES}")
-        protocol = doc.get("protocol", "resubstitution")
-        if protocol not in PROTOCOLS:
-            raise ValidationError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
-        return cls(mode=mode, protocol=protocol, k=int(doc.get("k", 10)))
+        f = Fields(doc, "config evaluation", field_names(cls))
+        return cls(
+            mode=f.get("mode", one_of, MODE_MULTILABEL, choices=MODES),
+            protocol=f.get("protocol", one_of, "resubstitution", choices=PROTOCOLS),
+            k=f.get("k", integer, 10),
+        )
+
+
+def _read_paths(doc, where: str) -> dict:
+    f = Fields(doc, where, _PATH_KEYS)
+    return {name: Path(f.get(name, text)) for name in doc if doc[name] is not None}
 
 
 @dataclass
@@ -92,56 +76,28 @@ class RunConfig:
     label_separator: str = ";"
     id_column: str = "id"
     paths: dict = field(default_factory=dict)
-    generator: dict | None = None
+    generator: GeneratorConfig | None = None
     training: TrainingConfig = field(default_factory=TrainingConfig)
     evaluation: EvaluationConfig = field(default_factory=EvaluationConfig)
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "RunConfig":
-        _reject_unknown(
-            doc,
-            (
-                "seed",
-                "out_dir",
-                "label_column",
-                "label_separator",
-                "id_column",
-                "paths",
-                "generator",
-                "training",
-                "evaluation",
-            ),
-            "config",
-        )
-        paths = dict(doc.get("paths", {}))
-        _reject_unknown(paths, _PATH_KEYS, "paths")
-        generator = doc.get("generator")
-        if generator is not None:
-            if "seed" in generator:
-                raise ValidationError("generator section must not carry its own seed; use the top-level seed")
-            _reject_unknown(generator, ("profiles", "n_records", "noise_rate", "features"), "generator config")
+        f = Fields(doc, "config", field_names(cls))
         return cls(
-            seed=None if doc.get("seed") is None else int(doc["seed"]),
-            out_dir=Path(doc.get("out_dir", "out")),
-            label_column=str(doc.get("label_column", "codes")),
-            label_separator=str(doc.get("label_separator", ";")),
-            id_column=str(doc.get("id_column", "id")),
-            paths={k: Path(v) for k, v in paths.items() if v is not None},
-            generator=generator,
+            seed=f.optional("seed", integer),
+            out_dir=Path(f.get("out_dir", text, "out")),
+            label_column=f.get("label_column", text, "codes"),
+            label_separator=f.get("label_separator", text, ";"),
+            id_column=f.get("id_column", text, "id"),
+            paths=f.get("paths", _read_paths, {}),
+            generator=f.optional("generator", _read_generator, seeded=False),
             training=TrainingConfig.from_dict(doc.get("training", {})),
             evaluation=EvaluationConfig.from_dict(doc.get("evaluation", {})),
         )
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        text = Path(path).read_text(encoding="utf-8")
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"config file is not valid JSON: {exc}")
-        if not isinstance(doc, dict):
-            raise ValidationError("config file must hold a JSON object")
-        return cls.from_dict(doc)
+        return read(path, lambda content: cls.from_dict(loads(content, "config")))
 
     def require_seed(self, step: str) -> int:
         if self.seed is None:

@@ -19,6 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
+from .jsondoc import Fields, integer, items, number, strings
 
 NUMERIC = "numeric"
 NOMINAL = "nominal"
@@ -255,6 +256,34 @@ def _parses_numeric(cell: str) -> bool:
         return False
 
 
+def _row_reader(attributes: Sequence[AttributeMeta]):
+    """``read_row(cells, n)``: the values of the text cells of line ``n``, a
+    finite float per numeric cell and the value index per nominal one; any
+    other cell fails as ``line n: ...``. The CSV and ARFF loaders share it."""
+    domains = [None if a.is_numeric else {v: i for i, v in enumerate(a.values)} for a in attributes]
+
+    def read_row(cells, n: int) -> tuple:
+        out = []
+        for attr, index, cell in zip(attributes, domains, cells):
+            if not cell:
+                raise ValidationError(f"line {n}: missing value in column {attr.name!r} (unsupported)")
+            if index is None:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ValidationError(f"line {n}: unparseable numeric cell {cell!r} in {attr.name!r}") from None
+                if not math.isfinite(value):
+                    raise ValidationError(f"line {n}: non-finite value {cell!r} in {attr.name!r}")
+            elif cell in index:
+                value = index[cell]
+            else:
+                raise ValidationError(f"line {n}: value {cell!r} outside declared domain of {attr.name!r}")
+            out.append(value)
+        return tuple(out)
+
+    return read_row
+
+
 def _parse_label_cell(raw: str, separator: str, where: str):
     codes = set()
     roles = {}
@@ -295,7 +324,10 @@ def load_csv(
     cells against the declared kinds and domains instead. Missing feature
     cells are rejected; an empty label cell yields an empty LabelSet.
     """
-    rows = [r for r in csv.reader(io.StringIO(content)) if r]
+    try:
+        rows = [r for r in csv.reader(io.StringIO(content)) if r]
+    except csv.Error as exc:
+        raise ValidationError(f"CSV input is malformed: {exc}") from None
     if not rows:
         raise ValidationError("CSV input has no header row")
     header = [h.strip() for h in rows[0]]
@@ -320,10 +352,6 @@ def load_csv(
             raise ValidationError(f"line {n}: expected {len(header)} cells, found {len(row)}")
 
     feature_cols = [i for i in range(len(header)) if i != label_idx and i != id_idx]
-    for n, row in enumerate(body, start=2):
-        for col in feature_cols:
-            if not row[col].strip():
-                raise ValidationError(f"line {n}: missing value in column {header[col]!r} (unsupported)")
 
     if attributes is not None:
         metas = tuple(attributes)
@@ -341,36 +369,15 @@ def load_csv(
             else:
                 inferred.append(AttributeMeta(header[col], NOMINAL, values=tuple(distinct), index=pos))
         metas = tuple(inferred)
-    domains = {
-        pos: {v: i for i, v in enumerate(meta.values)}
-        for pos, meta in enumerate(metas)
-        if meta.kind == NOMINAL
-    }
-
+    read_row = _row_reader(metas)
     records = []
     alphabet = set()
     for n, row in enumerate(body, start=2):
-        features = []
-        for pos, col in enumerate(feature_cols):
-            cell = row[col].strip()
-            if metas[pos].kind == NUMERIC:
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ValidationError(f"line {n}: unparseable numeric cell {cell!r} in {header[col]!r}")
-                if not math.isfinite(value):
-                    raise ValidationError(f"line {n}: non-finite value {cell!r} in {header[col]!r}")
-                features.append(value)
-            else:
-                if cell not in domains[pos]:
-                    raise ValidationError(
-                        f"line {n}: value {cell!r} outside the domain of {header[col]!r}"
-                    )
-                features.append(domains[pos][cell])
         labels, roles = _parse_label_cell(row[label_idx], label_separator, f"line {n}")
         alphabet |= labels
         rid = row[id_idx].strip() if id_idx is not None else f"r{n - 2}"
-        records.append(Record(id=rid, features=tuple(features), labels=labels, roles=roles))
+        cells = [row[c].strip() for c in feature_cols]
+        records.append(Record(id=rid, features=read_row(cells, n), labels=labels, roles=roles))
 
     return Dataset(
         attributes=metas,
@@ -485,33 +492,19 @@ def load_arff_subset(content: str, name: str | None = None) -> Dataset:
     if class_kind != NOMINAL:
         raise ValidationError(f"class attribute {class_name!r} must be nominal")
 
-    feature_attrs = tuple(
-        AttributeMeta(a_name, kind, values=vals, index=i) for i, (a_name, kind, vals) in enumerate(attrs[:-1])
-    )
+    metas = tuple(AttributeMeta(a_name, kind, vals, i) for i, (a_name, kind, vals) in enumerate(attrs))
+    read_row = _row_reader(metas)
     records = []
     for n, cells in data_rows:
         if len(cells) != len(attrs):
             raise ValidationError(f"line {n}: expected {len(attrs)} values, found {len(cells)}")
-        if any(c == "?" for c in cells):
+        if "?" in cells:
             raise ValidationError(f"line {n}: missing values ('?') are not supported")
-        features = []
-        for attr, cell in zip(feature_attrs, cells[:-1]):
-            if attr.kind == NUMERIC:
-                try:
-                    features.append(float(cell))
-                except ValueError:
-                    raise ValidationError(f"line {n}: unparseable numeric cell {cell!r} in {attr.name!r}")
-            else:
-                if cell not in attr.values:
-                    raise ValidationError(f"line {n}: value {cell!r} outside declared domain of {attr.name!r}")
-                features.append(attr.values.index(cell))
-        label = cells[-1]
-        if label not in class_values:
-            raise ValidationError(f"line {n}: class value {label!r} outside declared domain of {class_name!r}")
-        records.append(Record(id=f"r{len(records)}", features=tuple(features), labels=frozenset({label})))
+        *features, label = read_row(cells, n)
+        records.append(Record(f"r{len(records)}", tuple(features), frozenset({class_values[label]})))
 
     return Dataset(
-        attributes=feature_attrs,
+        attributes=metas[:-1],
         label_alphabet=tuple(sorted(class_values)),
         records=tuple(records),
         name=relation or "dataset",
@@ -638,25 +631,25 @@ class GeneratorConfig:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "GeneratorConfig":
-        allowed = {"profiles", "n_records", "noise_rate", "seed", "features"}
-        unknown = set(doc) - allowed
-        if unknown:
-            raise ValidationError(f"unknown generator config keys: {sorted(unknown)}")
-        if "profiles" not in doc or "n_records" not in doc:
-            raise ValidationError("generator config requires 'profiles' and 'n_records'")
-        profiles = []
-        for i, p in enumerate(doc["profiles"]):
-            extra = set(p) - {"labels", "rates"}
-            if extra:
-                raise ValidationError(f"profile {i}: unknown keys {sorted(extra)}")
-            profiles.append(GeneratorProfile(labels=frozenset(p["labels"]), rates=tuple(p["rates"])))
-        return cls(
-            profiles=tuple(profiles),
-            n_records=int(doc["n_records"]),
-            noise_rate=float(doc.get("noise_rate", 0.0)),
-            seed=int(doc.get("seed", 0)),
-            feature_names=tuple(doc["features"]) if "features" in doc else None,
-        )
+        return _read_generator(doc, "generator")
+
+
+def _read_generator(doc, where: str, seeded: bool = True) -> GeneratorConfig:
+    """A generator section; a run config's carries no seed of its own (``seeded`` False)."""
+    keys = ("profiles", "n_records", "noise_rate", "features") + (("seed",) if seeded else ())
+    f = Fields(doc, where, keys, ("profiles", "n_records"))
+    return GeneratorConfig(
+        profiles=tuple(f.get("profiles", items, entry=_read_profile)),
+        n_records=f.get("n_records", integer),
+        noise_rate=f.get("noise_rate", number, 0.0),
+        seed=f.get("seed", integer, 0),
+        feature_names=f.optional("features", strings),
+    )
+
+
+def _read_profile(doc, where: str) -> GeneratorProfile:
+    f = Fields(doc, where, ("labels", "rates"), ("labels", "rates"))
+    return GeneratorProfile(frozenset(f.get("labels", strings)), tuple(f.get("rates", items, entry=number)))
 
 
 def generate_synthetic(cfg: GeneratorConfig):

@@ -7,12 +7,12 @@ exclusion group, and appears in the registry.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .data import AttributeMeta, Dataset, BINARY_DOMAIN
 from .errors import ValidationError
+from .jsondoc import Fields, code_sets, fields, items, loads, one_of, strings, text
 
 LEVELS = ("concept", "major", "minor")
 
@@ -109,18 +109,14 @@ class CodeHierarchy:
         return out
 
 
-def _node_from_dict(doc: Mapping, parent_level: str | None) -> CodeNode:
-    extra = set(doc) - {"code", "title", "children", "level"}
-    if extra:
-        raise ValidationError(f"unknown hierarchy node keys: {sorted(extra)}")
-    if "code" not in doc:
-        raise ValidationError("hierarchy node missing 'code'")
+def _read_code_node(doc, where: str, parent_level: str | None) -> CodeNode:
+    f = Fields(doc, where, ("code", "title", "children", "level"), ("code",))
     if parent_level == "minor":
-        raise ValidationError(f"node {doc['code']!r} nested deeper than the minor level")
+        raise ValidationError(f"{where}: node nested deeper than the minor level")
     default = "concept" if parent_level is None else LEVELS[LEVELS.index(parent_level) + 1]
-    level = doc.get("level", default)
-    children = tuple(_node_from_dict(c, level) for c in doc.get("children", []))
-    return CodeNode(code=str(doc["code"]), title=str(doc.get("title", "")), level=level, children=children)
+    level = f.get("level", one_of, default, choices=LEVELS)
+    children = f.get("children", items, [], entry=_read_code_node, parent_level=level)
+    return CodeNode(f.get("code", text), f.get("title", text, "", empty=True), level, children)
 
 
 def load_hierarchy(content: str, prefix_rule: bool = True) -> CodeHierarchy:
@@ -130,12 +126,11 @@ def load_hierarchy(content: str, prefix_rule: bool = True) -> CodeHierarchy:
     to the node's depth (roots are concepts) and may be overridden with an
     explicit ``level`` field.
     """
-    try:
-        doc = json.loads(content)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"hierarchy file is not valid JSON: {exc}")
-    roots_doc = doc if isinstance(doc, list) else [doc]
-    roots = tuple(_node_from_dict(r, None) for r in roots_doc)
+    doc = loads(content, "hierarchy")
+    if type(doc) is list:
+        roots = items(doc, "hierarchy", _read_code_node, parent_level=None)
+    else:
+        roots = [_read_code_node(doc, "hierarchy", None)]
     return CodeHierarchy(roots, prefix_rule_enabled=prefix_rule)
 
 
@@ -145,6 +140,7 @@ def load_hierarchy(content: str, prefix_rule: bool = True) -> CodeHierarchy:
 
 PROVENANCE_OBSERVED = "observed"
 PROVENANCE_DECLARED = "declared"
+PROVENANCES = (PROVENANCE_OBSERVED, PROVENANCE_DECLARED)
 
 
 def combo_key(labels: Iterable[str]) -> str:
@@ -170,7 +166,7 @@ class ValidCombinationRegistry:
         for combo, p in prov.items():
             if combo not in combos:
                 raise ValidationError(f"provenance entry for unknown combination {combo_key(combo)!r}")
-            if p not in (PROVENANCE_OBSERVED, PROVENANCE_DECLARED):
+            if p not in PROVENANCES:
                 raise ValidationError(f"unknown provenance {p!r}")
         object.__setattr__(self, "provenance", prov)
 
@@ -196,19 +192,18 @@ class ValidCombinationRegistry:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "ValidCombinationRegistry":
-        extra = set(doc) - {"combinations"}
-        if extra:
-            raise ValidationError(f"unknown registry keys: {sorted(extra)}")
-        combos = set()
-        prov = {}
-        for entry in doc.get("combinations", []):
-            bad = set(entry) - {"codes", "provenance"}
-            if bad:
-                raise ValidationError(f"unknown registry entry keys: {sorted(bad)}")
-            combo = frozenset(entry["codes"])
-            combos.add(combo)
-            prov[combo] = entry.get("provenance", PROVENANCE_DECLARED)
-        return cls(frozenset(combos), prov)
+        return _read_registry(doc, "registry")
+
+
+def _read_registry(doc, where: str) -> ValidCombinationRegistry:
+    entries = Fields(doc, where, ("combinations",)).get(
+        "combinations", items, [], entry=Fields, keys=("codes", "provenance"), required=("codes",)
+    )
+    prov = {
+        frozenset(e.get("codes", strings)): e.get("provenance", one_of, PROVENANCE_DECLARED, choices=PROVENANCES)
+        for e in entries
+    }
+    return ValidCombinationRegistry(frozenset(prov), prov)
 
 
 def observed_registry(ds: Dataset) -> ValidCombinationRegistry:
@@ -238,21 +233,13 @@ class ExclusionGroup:
 
 def load_exclusions(content: str, hierarchy: CodeHierarchy | None = None) -> tuple:
     """Parse a JSON array of code arrays; codes checked against ``hierarchy`` if given."""
-    try:
-        doc = json.loads(content)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"exclusions file is not valid JSON: {exc}")
-    if not isinstance(doc, list):
-        raise ValidationError("exclusions file must be a JSON array of code arrays")
-    groups = []
-    for entry in doc:
-        group = ExclusionGroup(frozenset(str(c) for c in entry))
-        if hierarchy is not None:
-            unknown = [c for c in sorted(group.codes) if c not in hierarchy]
-            if unknown:
-                raise ValidationError(f"exclusion group references unknown codes: {unknown}")
-        groups.append(group)
-    return tuple(groups)
+    groups = tuple(map(ExclusionGroup, code_sets(loads(content, "exclusions"), "exclusions")))
+    for group in groups if hierarchy is not None else ():
+        unknown = [c for c in sorted(group.codes) if c not in hierarchy]
+        if unknown:
+            raise ValidationError(f"exclusion group references unknown codes: {unknown}")
+    return groups
+
 
 
 def is_valid(
@@ -309,13 +296,8 @@ class TermLexicon:
 
     @classmethod
     def from_json(cls, content: str) -> "TermLexicon":
-        try:
-            doc = json.loads(content)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"lexicon file is not valid JSON: {exc}")
-        if not isinstance(doc, dict):
-            raise ValidationError("lexicon file must be a JSON object of term -> [feature names]")
-        return cls(doc)
+        doc = fields(loads(content, "lexicon"), "lexicon")
+        return cls({term: strings(targets, f"lexicon {term!r}") for term, targets in doc.items()})
 
 
 def map_terms(lexicon: TermLexicon, terms: Iterable[str], schema: Sequence[AttributeMeta]):

@@ -10,6 +10,7 @@ confidence bound on leaf error. All ties break toward the lowest index
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -18,8 +19,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .data import AttributeMeta, NUMERIC
+from .data import AttributeMeta, NOMINAL, NUMERIC
 from .errors import SchemaMismatchError, ValidationError
+from .jsondoc import MAX, Fields, fail, field_names, fields, flag, integer, items, number, one_of, strings, text
 
 # gains at or below this are treated as zero when ranking candidates
 GAIN_EPS = 1e-12
@@ -43,24 +45,21 @@ class C45Params:
             raise ValidationError("max_depth cannot be negative")
 
     def to_dict(self) -> dict:
-        return {
-            "min_leaf": self.min_leaf,
-            "confidence_factor": self.confidence_factor,
-            "pruning": self.pruning,
-            "max_depth": self.max_depth,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, doc) -> "C45Params":
-        extra = set(doc) - {"min_leaf", "confidence_factor", "pruning", "max_depth"}
-        if extra:
-            raise ValidationError(f"unknown tree parameter keys: {sorted(extra)}")
-        return cls(
-            min_leaf=int(doc.get("min_leaf", 2)),
-            confidence_factor=float(doc.get("confidence_factor", 0.25)),
-            pruning=bool(doc.get("pruning", True)),
-            max_depth=None if doc.get("max_depth") is None else int(doc["max_depth"]),
-        )
+        return _read_params(doc, "params")
+
+
+def _read_params(doc, where: str) -> C45Params:
+    f = Fields(doc, where, field_names(C45Params))
+    return C45Params(
+        min_leaf=f.get("min_leaf", integer, 2),
+        confidence_factor=f.get("confidence_factor", number, 0.25),
+        pruning=f.get("pruning", flag, True),
+        max_depth=f.optional("max_depth", integer),
+    )
 
 
 @dataclass(frozen=True)
@@ -321,29 +320,23 @@ class C45Tree:
         return doc
 
     @classmethod
-    def from_dict(
-        cls,
-        doc,
-        attributes: Sequence[AttributeMeta] | None = None,
-        class_names: Sequence[str] | None = None,
-    ) -> "C45Tree":
-        stored = doc.get("schema")
-        if stored is None and (attributes is None or class_names is None):
-            raise ValidationError("tree document has no schema and none was supplied")
-        if attributes is None or class_names is None:
-            attributes = _attributes_from_fingerprint(stored)
-            class_names = tuple(stored["classes"])
-        elif stored is not None:
-            expected = schema_fingerprint(attributes, class_names)
-            if stored != expected:
-                raise SchemaMismatchError("stored tree was built against a different schema")
-        root = _node_from_dict(doc["root"], len(class_names))
-        return cls(
-            root=root,
-            attributes=tuple(attributes),
-            class_names=tuple(class_names),
-            params=C45Params.from_dict(doc.get("params", {})),
-        )
+    def from_dict(cls, doc, attributes=None, class_names=None) -> "C45Tree":
+        """Read ``to_dict`` output; ``attributes`` and ``class_names`` stand in for an unembedded schema."""
+        return _read_tree(doc, "tree", attributes, class_names)
+
+
+def _read_tree(doc, where: str, attributes, class_names) -> C45Tree:
+    f = Fields(doc, where, ("root", "params", "schema"), ("root",))
+    stored = f.optional("schema", _read_schema)
+    if attributes is None or class_names is None:
+        if stored is None:
+            raise ValidationError(f"{where} has no schema and none was supplied")
+        attributes, class_names = stored
+    elif stored is not None and schema_fingerprint(*stored) != schema_fingerprint(attributes, class_names):
+        raise SchemaMismatchError("stored tree was built against a different schema")
+    tests = tuple(None if a.is_numeric else SplitTest(i, None, len(a.values)) for i, a in enumerate(attributes))
+    root = _read_node(doc["root"], f.path("root"), tuple(attributes), tests, len(class_names))
+    return C45Tree(root, tuple(attributes), tuple(class_names), f.get("params", _read_params, C45Params()))
 
 
 def schema_fingerprint(attributes: Sequence[AttributeMeta], class_names: Sequence[str]) -> dict:
@@ -356,16 +349,16 @@ def schema_fingerprint(attributes: Sequence[AttributeMeta], class_names: Sequenc
     }
 
 
-def _attributes_from_fingerprint(fp) -> tuple:
-    return tuple(
-        AttributeMeta(
-            name=a["name"],
-            kind=a["kind"],
-            values=tuple(a["values"]) if a.get("values") else None,
-            index=i,
-        )
-        for i, a in enumerate(fp["attributes"])
+def _read_schema(doc, where: str) -> tuple:
+    """(attributes, class names) of a schema fingerprint."""
+    f = Fields(doc, where, ("attributes", "classes"), ("attributes", "classes"))
+    entries = f.get("attributes", items, entry=Fields, keys=("name", "kind", "values"), required=("name", "kind"))
+    kinds = (NUMERIC, NOMINAL)
+    attributes = tuple(
+        AttributeMeta(a.get("name", text), a.get("kind", one_of, choices=kinds), a.optional("values", strings), i)
+        for i, a in enumerate(entries)
     )
+    return attributes, f.get("classes", strings)
 
 
 def _node_to_dict(node: TreeNode) -> dict:
@@ -388,19 +381,44 @@ def _node_to_dict(node: TreeNode) -> dict:
     }
 
 
-def _node_from_dict(doc, n_classes: int) -> TreeNode:
-    counts = np.asarray(doc["counts"], dtype=np.float64)
-    if len(counts) != n_classes:
-        raise SchemaMismatchError("stored class distribution does not match the class list")
-    if doc["kind"] == "leaf":
-        return TreeNode(counts=counts, majority=int(doc["majority"]), virtual=bool(doc.get("virtual", False)))
-    t = doc["test"]
-    if "threshold" in t:
-        test = SplitTest(int(t["attr"]), threshold=float(t["threshold"]))
-    else:
-        test = SplitTest(int(t["attr"]), n_branches=int(t["branches"]))
-    children = [_node_from_dict(c, n_classes) for c in doc["children"]]
-    return TreeNode(counts=counts, majority=int(doc["majority"]), test=test, children=children)
+_NODE_KEYS = {  # kind: (allowed keys, required keys)
+    "leaf": (("kind", "counts", "majority", "virtual"), ("kind", "counts", "majority")),
+    "split": (("kind", "counts", "majority", "test", "children"),) * 2,
+}
+_KEY_SETS = {kind: tuple(map(frozenset, keys)) for kind, keys in _NODE_KEYS.items()}
+
+
+def _read_node(doc, where: str, attributes: tuple, tests: tuple, n_classes: int) -> TreeNode:
+    """A node checked against the schema: class counts, majority class and, at a split, a test whose
+    branches match its attribute and children (``tests``: each nominal attribute's one split test)."""
+    kind = doc.get("kind") if type(doc) is dict else None
+    if kind not in ("leaf", "split"):
+        one_of(fields(doc, where).get("kind"), f"{where}.kind", _NODE_KEYS)
+    if doc.keys() not in _KEY_SETS[kind]:  # a model has thousands of nodes: look closer only when needed
+        fields(doc, where, *_NODE_KEYS[kind])
+    counts = doc["counts"]
+    valid = type(counts) is list and len(counts) == n_classes
+    if not (valid and all(type(c) in (int, float) and 0 <= c <= MAX for c in counts) and sum(counts) > 0):
+        fail(f"{where}.counts", f"{n_classes} finite non-negative counts with a positive sum", counts)
+    counts = np.array(counts, dtype=np.float64)
+    majority = integer(doc["majority"], f"{where}.majority", n_classes)
+    if kind == "leaf":
+        return TreeNode(counts, majority, virtual="virtual" in doc and flag(doc["virtual"], f"{where}.virtual"))
+    t = fields(doc["test"], f"{where}.test", ("attr", "threshold", "branches"), ("attr",))
+    index = integer(t["attr"], f"{where}.test.attr", len(attributes))
+    attr, test = attributes[index], tests[index]
+    if attr.is_numeric:
+        if "branches" in t or "threshold" not in t:
+            raise ValidationError(f"{where}.test: a split on numeric {attr.name!r} takes a threshold, no branches")
+        test = SplitTest(index, threshold=number(t["threshold"], f"{where}.test.threshold"))
+    elif "threshold" in t or type(t.get("branches")) is not int or t["branches"] != test.n_branches:
+        raise ValidationError(f"{where}.test: a split on nominal {attr.name!r} takes {test.n_branches} branches")
+    children = items(
+        doc["children"], f"{where}.children", _read_node, attributes=attributes, tests=tests, n_classes=n_classes
+    )
+    if len(children) != test.n_branches:
+        raise ValidationError(f"{where}.children has {len(children)} entries for {test.n_branches} branches")
+    return TreeNode(counts, majority, test, children)
 
 
 def grow(

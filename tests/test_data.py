@@ -78,6 +78,11 @@ class TestLoadCsv:
         with pytest.raises(ValidationError, match="unparseable numeric"):
             load_csv("a,codes\noops,x\n", label_column="codes", attributes=schema)
 
+    @pytest.mark.parametrize("text", ["a,codes\n1\r2,x\n", "a,codes\n1," + "x" * 200_000 + "\n"])
+    def test_unparseable_csv_is_a_validation_error(self, text):
+        with pytest.raises(ValidationError, match="CSV input is malformed"):
+            load_csv(text, label_column="codes")
+
     def test_role_tags_parsed(self):
         text = "a,codes\n1,I21.0:PDx;I25.1:SDx\n1,I21.0\n"
         ds = load_csv(text, label_column="codes")
@@ -161,6 +166,21 @@ class TestLoadArff:
         ds = load_arff_subset(text)
         assert ds.attributes[0].kind == NUMERIC
         assert ds.records[1].features == (2.5,)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_numeric_cell_names_its_line(self, cell):
+        text = f"@relation t\n@attribute age numeric\n@attribute class {{a,b}}\n@data\n1.5,a\n{cell},b\n"
+        with pytest.raises(ValidationError, match=f"^line 6: non-finite value '{cell}' in 'age'$"):
+            load_arff_subset(text)
+
+    def test_both_formats_word_a_bad_cell_alike(self):
+        header = "@relation t\n@attribute f {0,1}\n@attribute g numeric\n@attribute class {a,b}\n@data\n"
+        schema = load_arff_subset(header + "0,1.5,a\n").attributes
+        message = r"^line \d+: value '7' outside declared domain of 'f'$"
+        with pytest.raises(ValidationError, match=message):
+            load_arff_subset(header + "0,1.5,a\n7,2.5,b\n")
+        with pytest.raises(ValidationError, match=message):
+            load_csv("f,g,codes\n0,1.5,a\n7,2.5,b\n", label_column="codes", attributes=schema)
 
     def test_arff_round_trip(self):
         ds = load_arff_subset(ARFF_MINIMAL)
