@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import AttributeMeta, Dataset
+from .data import AttributeMeta, Dataset, _distinct_labelsets
 from .errors import SchemaMismatchError, ValidationError
 from .jsondoc import Fields, code_sets, fields, flag, items, number, one_of, strings
 from .ontology import REASON_OK, ExclusionGroup, ValidCombinationRegistry, _read_registry, combo_key, is_valid
@@ -51,21 +51,6 @@ def _one_row(model, x):
         )
     labels, scores, traces = model.predict_batch(x[None, :])
     return labels[0], scores[0], None if traces is None else traces[0]
-
-
-def _distinct_labelsets(indicator: np.ndarray, codes: Sequence[str]):
-    """(distinct label sets, per-row index into them) of a label-indicator matrix.
-
-    Rows are bit-packed into byte keys so ``np.unique`` finds the distinct
-    combinations without a Python pass over the rows.
-    """
-    if not len(indicator):
-        return [], np.zeros(0, dtype=np.intp)
-    packed = np.packbits(indicator, axis=1)
-    _, first, inverse = np.unique(packed, axis=0, return_index=True, return_inverse=True)
-    names = np.asarray(codes, dtype=object)
-    distinct = [frozenset(names[indicator[i]]) for i in first]
-    return distinct, inverse.reshape(-1)
 
 
 @dataclass
@@ -171,7 +156,7 @@ def train_br(ds: Dataset, params: C45Params | None = None, threshold: float = 0.
     leaf trees and are listed in the model's ``constant_codes`` metadata so
     the model's alphabet always equals the dataset's.
     """
-    if not ds.records:
+    if not len(ds):
         raise ValidationError("cannot train on an empty dataset")
     if not ds.label_alphabet:
         raise ValidationError("cannot train with an empty label alphabet")
@@ -200,16 +185,17 @@ def train_br(ds: Dataset, params: C45Params | None = None, threshold: float = 0.
 
 def train_label_powerset(ds: Dataset, params: C45Params | None = None) -> LPModel:
     """Train one multi-class tree whose classes are the observed combinations."""
-    if not ds.records:
+    if not len(ds):
         raise ValidationError("cannot train on an empty dataset")
-    empties = [r.id for r in ds.records if not r.labels]
+    empties = [ds.ids[i] for i in np.flatnonzero(~ds.Y.any(axis=1))]
     if empties:
         raise ValidationError(f"label-powerset training requires non-empty LabelSets: {empties[:5]}")
     params = params or C45Params()
-    combos = sorted(ds.distinct_labelsets(), key=combo_key)
-    class_index = {c: i for i, c in enumerate(combos)}
+    distinct, inverse = _distinct_labelsets(ds.Y, ds.label_alphabet)
+    order = sorted(range(len(distinct)), key=lambda k: combo_key(distinct[k]))
+    combos = [distinct[k] for k in order]
     X = ds.feature_matrix()
-    y = np.array([class_index[r.labels] for r in ds.records], dtype=np.int64)
+    y = np.argsort(order)[inverse]  # each row's rank of its combination
     tree = build_tree(X, y, ds.attributes, tuple(combo_key(c) for c in combos), params)
     return LPModel(
         tree=tree,

@@ -154,7 +154,7 @@ def cmd_predict(cfg: RunConfig, input_path: Path | None, terms: bool = False) ->
         ids, X, ignored = _rows_from_terms(cfg, model, source)
     else:
         ds = _load_dataset(cfg, source, attributes=model.attributes)
-        ids, X, ignored = [rec.id for rec in ds.records], ds.X, None
+        ids, X, ignored = ds.ids, ds.X, None
     labels, _, traces = model.predict_batch(X)
 
     buf = io.StringIO()

@@ -12,6 +12,7 @@ import csv
 import io
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -68,7 +69,8 @@ class Record:
     """One patient-style record: feature vector plus a set of diagnosis codes.
 
     ``roles`` optionally tags individual codes with PDx/SDx/PROC markers;
-    at most one code may carry the PDx tag.
+    at most one code may carry the PDx tag. A ``Dataset`` stores its records
+    as columns; a ``Record`` is the per-row view of them.
     """
 
     id: str
@@ -91,86 +93,117 @@ class Record:
         return None
 
 
-def _validate_record(rec: Record, attributes: Sequence[AttributeMeta], alphabet: frozenset) -> None:
-    if len(rec.features) != len(attributes):
-        raise ValidationError(
-            f"record {rec.id!r} has {len(rec.features)} features, schema defines {len(attributes)}"
-        )
-    for attr, value in zip(attributes, rec.features):
-        if attr.kind == NUMERIC:
-            if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
-                raise ValidationError(f"record {rec.id!r}: non-finite value {value!r} in numeric {attr.name!r}")
-        else:
-            if not isinstance(value, (int, np.integer)) or not 0 <= int(value) < len(attr.values):
-                raise ValidationError(f"record {rec.id!r}: value index {value!r} outside domain of {attr.name!r}")
-    unknown = rec.labels - alphabet
-    if unknown:
-        raise ValidationError(f"record {rec.id!r} carries codes outside the label alphabet: {sorted(unknown)}")
-    pdx = [c for c, r in rec.roles.items() if r == "PDx"]
-    if len(pdx) > 1:
-        raise ValidationError(f"record {rec.id!r} tags more than one code as PDx: {sorted(pdx)}")
-    for code, role in rec.roles.items():
-        if role not in ROLE_TAGS:
-            raise ValidationError(f"record {rec.id!r}: unknown role tag {role!r} on {code!r}")
-        if code not in rec.labels:
-            raise ValidationError(f"record {rec.id!r}: role tag on code {code!r} absent from its labels")
+def _refuse(bad: np.ndarray, message) -> None:
+    """Raise ``message(row, column)`` for the first set cell of the 2-D mask ``bad``, if any."""
+    if bad.any():
+        raise ValidationError(message(*map(int, np.argwhere(bad)[0])))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Immutable collection of records sharing one attribute schema.
+    """Immutable columnar records sharing one attribute schema.
 
-    The label alphabet is kept sorted so every downstream artifact
-    (per-code models, registries, reports) iterates codes in one order.
+    Row ``i`` is the record ``ids[i]``: features ``X[i]`` (float64, a nominal
+    slot holds its value index), codes ``Y[i]`` (bool, one column per code of
+    the sorted ``label_alphabet``, so the first set column is the lowest code)
+    and role tags ``roles[i]`` (uint8, 0 for none, ``k`` for ``ROLE_TAGS[k - 1]``).
+    The constructor checks the columns once and stores read-only copies.
     """
 
     attributes: tuple
     label_alphabet: tuple
-    records: tuple
+    ids: tuple
+    X: np.ndarray
+    Y: np.ndarray
+    roles: np.ndarray | None = None
     name: str = "dataset"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "attributes", tuple(self.attributes))
-        object.__setattr__(self, "records", tuple(self.records))
-        names = [a.name for a in self.attributes]
+        attrs, alphabet, ids = tuple(self.attributes), tuple(self.label_alphabet), tuple(self.ids)
+        names = [a.name for a in attrs]
         if len(set(names)) != len(names):
             raise ValidationError("attribute names must be unique")
-        for i, attr in enumerate(self.attributes):
+        for i, attr in enumerate(attrs):
             if attr.index != i:
                 raise ValidationError(f"attribute {attr.name!r} has index {attr.index}, expected {i}")
-        alphabet = tuple(self.label_alphabet)
-        if len(set(alphabet)) != len(alphabet):
-            raise ValidationError("label alphabet contains duplicates")
-        object.__setattr__(self, "label_alphabet", tuple(sorted(alphabet)))
-        seen_ids = set()
-        alpha_set = frozenset(self.label_alphabet)
-        for rec in self.records:
-            if rec.id in seen_ids:
-                raise ValidationError(f"duplicate record id {rec.id!r}")
-            seen_ids.add(rec.id)
-            _validate_record(rec, self.attributes, alpha_set)
+        if list(alphabet) != sorted(set(alphabet)):
+            raise ValidationError("label alphabet must be sorted and free of duplicates")
+        if len(set(ids)) != len(ids):
+            raise ValidationError(f"duplicate record id {next(i for i, c in Counter(ids).items() if c > 1)!r}")
+        if "" in ids:
+            raise ValidationError(f"the record in row {ids.index('')} has an empty id")
+        n, L = len(ids), len(alphabet)
+        roles = np.zeros((n, L)) if self.roles is None else self.roles
+        columns = dict(X=(self.X, np.float64, len(attrs)), Y=(self.Y, bool, L), roles=(roles, np.uint8, L))
+        for key, (values, dtype, width) in columns.items():
+            column = np.array(values, dtype=dtype)
+            if column.shape != (n, width):
+                raise ValidationError(f"{key} has shape {column.shape}, expected {(n, width)}")
+            column.setflags(write=False)
+            object.__setattr__(self, key, column)
+        X, Y, roles = self.X, self.Y, self.roles
+
+        num = [a.index for a in attrs if a.is_numeric]
+        _refuse(~np.isfinite(X[:, num]), lambda i, j: f"record {ids[i]!r}: non-finite value in {names[num[j]]!r}")
+        nom = [a.index for a in attrs if not a.is_numeric]
+        values, sizes = X[:, nom], np.array([len(attrs[j].values) for j in nom])
+        _refuse(
+            (values != np.floor(values)) | (values < 0) | (values >= sizes),
+            lambda i, j: f"record {ids[i]!r}: value index {X[i, nom[j]]:g} outside domain of {names[nom[j]]!r}",
+        )
+        pdx = roles == ROLE_TAGS.index("PDx") + 1
+        _refuse(pdx.sum(axis=1, keepdims=True) > 1, lambda i, _: f"record {ids[i]!r} tags more than one code as PDx")
+        _refuse(roles > len(ROLE_TAGS), lambda i, j: f"record {ids[i]!r}: unknown role tag on {alphabet[j]!r}")
+        absent = (roles > 0) & ~Y
+        _refuse(absent, lambda i, j: f"record {ids[i]!r}: role tag on code {alphabet[j]!r} absent from its labels")
+        for key, value in dict(attributes=attrs, label_alphabet=alphabet, ids=ids).items():
+            object.__setattr__(self, key, value)
+
+    @classmethod
+    def from_records(cls, attributes, label_alphabet, records: Iterable[Record], name: str = "dataset") -> "Dataset":
+        """The columns of ``records``; a code outside ``label_alphabet`` is refused."""
+        records, alphabet = tuple(records), sorted(label_alphabet)
+        for rec in records:
+            unknown = sorted(rec.labels.difference(alphabet))
+            if unknown:
+                raise ValidationError(f"record {rec.id!r} carries codes outside the label alphabet: {unknown}")
+        if any(len(rec.features) != len(attributes) for rec in records):
+            raise ValidationError(f"record features do not match the schema's {len(attributes)} attributes")
+        X = np.array([rec.features for rec in records]).reshape(len(records), len(attributes))
+        if X.dtype.kind not in "iuf":
+            raise ValidationError(f"record features are not numbers or value indices (read as {X.dtype})")
+        ids = [rec.id for rec in records]
+        Y = label_indicator([rec.labels for rec in records], alphabet)
+        return cls(attributes, alphabet, ids, X, Y, _role_matrix(ids, [r.roles for r in records], alphabet), name)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
+
+    def __iter__(self):
+        """The ``Record`` view of each row, built on demand."""
+        nominal = [not a.is_numeric for a in self.attributes]
+        codes = np.asarray(self.label_alphabet, dtype=object)
+        for rid, x, y, r in zip(self.ids, self.X, self.Y, self.roles):
+            features = tuple(int(v) if nom else v for v, nom in zip(x.tolist(), nominal))
+            tags = {codes[j]: ROLE_TAGS[r[j] - 1] for j in np.flatnonzero(r)}
+            yield Record(rid, features, frozenset(codes[y]), tags)
+
+    def __eq__(self, other) -> bool:
+        plain, arrays = ("attributes", "label_alphabet", "ids", "name"), ("X", "Y", "roles")
+        return isinstance(other, Dataset) and all(getattr(self, k) == getattr(other, k) for k in plain) and all(
+            np.array_equal(getattr(self, k), getattr(other, k)) for k in arrays
+        )
+
+    @cached_property
+    def records(self) -> tuple:
+        """Every row as a ``Record``: a view for per-record callers and the exporters."""
+        return tuple(self)
 
     def record_ids(self) -> frozenset:
-        return frozenset(r.id for r in self.records)
-
-    def record_by_id(self, rid: str) -> Record:
-        for rec in self.records:
-            if rec.id == rid:
-                return rec
-        raise KeyError(rid)
-
-    def label_support(self) -> dict:
-        support = {code: 0 for code in self.label_alphabet}
-        for rec in self.records:
-            for code in rec.labels:
-                support[code] += 1
-        return support
+        return frozenset(self.ids)
 
     def distinct_labelsets(self) -> set:
-        return {rec.labels for rec in self.records if rec.labels}
+        return {labels for labels in _distinct_labelsets(self.Y, self.label_alphabet)[0] if labels}
 
     def subset(self, ids: Iterable[str], name: str | None = None) -> "Dataset":
         """Records whose id is in ``ids``, original order, schema and alphabet kept."""
@@ -178,31 +211,52 @@ class Dataset:
         missing = wanted - self.record_ids()
         if missing:
             raise ValidationError(f"unknown record ids: {sorted(missing)}")
+        rows = np.fromiter((rid in wanted for rid in self.ids), dtype=bool, count=len(self.ids))
+        kept = [rid for rid in self.ids if rid in wanted]
         return Dataset(
-            attributes=self.attributes,
-            label_alphabet=self.label_alphabet,
-            records=tuple(r for r in self.records if r.id in wanted),
-            name=name or self.name,
+            self.attributes, self.label_alphabet, kept, self.X[rows], self.Y[rows], self.roles[rows], name or self.name
         )
-
-    @cached_property
-    def X(self) -> np.ndarray:
-        """Read-only n x d float64 features (nominal slots hold their value index)."""
-        out = np.array([rec.features for rec in self.records], dtype=np.float64)
-        out = out.reshape(len(self.records), len(self.attributes))
-        out.setflags(write=False)
-        return out
-
-    @cached_property
-    def Y(self) -> np.ndarray:
-        """Read-only n x L bool label indicator over ``label_alphabet``."""
-        out = label_indicator([rec.labels for rec in self.records], self.label_alphabet)
-        out.setflags(write=False)
-        return out
 
     def feature_matrix(self) -> np.ndarray:
         """Features as float64 (nominal slots hold their value index); ``X``."""
         return self.X
+
+
+def _role_matrix(ids: Sequence[str], roles: Sequence[Mapping], alphabet: Sequence[str]) -> np.ndarray:
+    """n x L role column (see ``Dataset``) of per-row ``{code: tag}`` maps."""
+    index = {code: j for j, code in enumerate(alphabet)}
+    out = np.zeros((len(roles), len(index)), dtype=np.uint8)
+    for i, tags in enumerate(roles):
+        for code, tag in tags.items():
+            if tag not in ROLE_TAGS:
+                raise ValidationError(f"record {ids[i]!r}: unknown role tag {tag!r} on {code!r}")
+            if code not in index:
+                raise ValidationError(f"record {ids[i]!r}: role tag on code {code!r} absent from its labels")
+            out[i, index[code]] = ROLE_TAGS.index(tag) + 1
+    return out
+
+
+def _distinct_labelsets(indicator: np.ndarray, codes: Sequence[str]):
+    """(distinct label sets, per-row index into them) of a label-indicator matrix.
+
+    Rows are bit-packed into byte keys so ``np.unique`` finds the distinct
+    combinations without a Python pass over the rows.
+    """
+    if not len(indicator):
+        return [], np.zeros(0, dtype=np.intp)
+    packed = np.packbits(indicator, axis=1)
+    _, first, inverse = np.unique(packed, axis=0, return_index=True, return_inverse=True)
+    names = np.asarray(codes, dtype=object)
+    distinct = [frozenset(names[indicator[i]]) for i in first]
+    return distinct, inverse.reshape(-1)
+
+
+def _principal_columns(indicator: np.ndarray, roles: np.ndarray | None = None) -> np.ndarray:
+    """Per row, the column of its PDx-tagged code, else of its first (lowest) code, else the column count."""
+    if roles is not None:
+        pdx = roles == ROLE_TAGS.index("PDx") + 1
+        indicator = np.where(pdx.any(axis=1, keepdims=True), pdx, indicator)
+    return np.argmax(np.column_stack([indicator, np.ones(len(indicator), dtype=bool)]), axis=1)
 
 
 def label_indicator(labelsets: Sequence, alphabet: Sequence[str]) -> np.ndarray:
@@ -370,21 +424,20 @@ def load_csv(
                 inferred.append(AttributeMeta(header[col], NOMINAL, values=tuple(distinct), index=pos))
         metas = tuple(inferred)
     read_row = _row_reader(metas)
-    records = []
-    alphabet = set()
+    ids, rows, labelsets, roles = [], [], [], []
     for n, row in enumerate(body, start=2):
-        labels, roles = _parse_label_cell(row[label_idx], label_separator, f"line {n}")
-        alphabet |= labels
+        labels, tags = _parse_label_cell(row[label_idx], label_separator, f"line {n}")
         rid = row[id_idx].strip() if id_idx is not None else f"r{n - 2}"
-        cells = [row[c].strip() for c in feature_cols]
-        records.append(Record(id=rid, features=read_row(cells, n), labels=labels, roles=roles))
-
-    return Dataset(
-        attributes=metas,
-        label_alphabet=tuple(sorted(alphabet)),
-        records=tuple(records),
-        name=name,
-    )
+        if not rid:
+            raise ValidationError(f"line {n}: empty id in column {id_column!r}")
+        ids.append(rid)
+        rows.append(read_row([row[c].strip() for c in feature_cols], n))
+        labelsets.append(labels)
+        roles.append(tags)
+    alphabet = sorted(set().union(*labelsets))
+    X = np.array(rows, dtype=np.float64).reshape(len(rows), len(metas))
+    Y = label_indicator(labelsets, alphabet)
+    return Dataset(metas, tuple(alphabet), ids, X, Y, _role_matrix(ids, roles, alphabet), name)
 
 
 def _render_feature(attr: AttributeMeta, value) -> str:
@@ -494,21 +547,17 @@ def load_arff_subset(content: str, name: str | None = None) -> Dataset:
 
     metas = tuple(AttributeMeta(a_name, kind, vals, i) for i, (a_name, kind, vals) in enumerate(attrs))
     read_row = _row_reader(metas)
-    records = []
+    rows = []
     for n, cells in data_rows:
         if len(cells) != len(attrs):
             raise ValidationError(f"line {n}: expected {len(attrs)} values, found {len(cells)}")
         if "?" in cells:
             raise ValidationError(f"line {n}: missing values ('?') are not supported")
-        *features, label = read_row(cells, n)
-        records.append(Record(f"r{len(records)}", tuple(features), frozenset({class_values[label]})))
-
-    return Dataset(
-        attributes=metas[:-1],
-        label_alphabet=tuple(sorted(class_values)),
-        records=tuple(records),
-        name=relation or "dataset",
-    )
+        rows.append(read_row(cells, n))
+    alphabet = sorted(class_values)
+    Y = label_indicator([{class_values[label]} for *_, label in rows], alphabet)
+    X = np.array([features for *features, _ in rows], dtype=np.float64).reshape(len(rows), len(metas) - 1)
+    return Dataset(metas[:-1], tuple(alphabet), [f"r{i}" for i in range(len(rows))], X, Y, name=relation or "dataset")
 
 
 def export_arff(ds: Dataset, class_name: str = "class") -> str:
@@ -548,29 +597,23 @@ def cover_all_labels_split(ds: Dataset, train_size: int, seed: int) -> SplitSpec
     among the records bearing each still-uncovered label); remaining train
     slots are filled by uniform sampling. Deterministic for a fixed seed.
     """
-    support = {c: n for c, n in ds.label_support().items() if n > 0}
+    support = {j: n for j, n in enumerate(ds.Y.sum(axis=0).tolist()) if n > 0}  # per alphabet column
     if train_size < len(support):
         raise ValidationError(
             f"train size {train_size} cannot cover {len(support)} distinct labels"
         )
-    if train_size > len(ds.records):
-        raise ValidationError(f"train size {train_size} exceeds record count {len(ds.records)}")
-
-    bearers: dict = {code: [] for code in support}
-    for rec in ds.records:
-        for code in rec.labels:
-            if code in bearers:
-                bearers[code].append(rec.id)
+    if train_size > len(ds):
+        raise ValidationError(f"train size {train_size} exceeds record count {len(ds)}")
 
     rng = random.Random(seed)
     chosen = set()
-    covered = set()
-    for code in sorted(support, key=lambda c: (support[c], c)):
-        if code in covered:
+    covered = np.zeros(len(ds.label_alphabet), dtype=bool)
+    for j in sorted(support, key=lambda j: (support[j], j)):  # the alphabet is sorted: ties go to the lower code
+        if covered[j]:
             continue
-        pick = rng.choice(sorted(bearers[code]))
-        chosen.add(pick)
-        covered |= ds.record_by_id(pick).labels
+        pick = rng.choice(sorted(np.flatnonzero(ds.Y[:, j]), key=ds.ids.__getitem__))
+        chosen.add(ds.ids[pick])
+        covered |= ds.Y[pick]
     remaining = sorted(ds.record_ids() - chosen)
     fill = rng.sample(remaining, train_size - len(chosen))
     train = chosen | set(fill)
@@ -669,22 +712,19 @@ def generate_synthetic(cfg: GeneratorConfig):
     alphabet = sorted(set().union(*(p.labels for p in cfg.profiles)))
 
     rng = random.Random(cfg.seed)
-    pad = len(str(cfg.n_records - 1))
-    records = []
-    for i in range(cfg.n_records):
-        profile = cfg.profiles[rng.randrange(len(cfg.profiles))]
-        features = []
-        for rate in profile.rates:
+    picks, features = [], []
+    for _ in range(cfg.n_records):
+        pick = rng.randrange(len(cfg.profiles))
+        bits = []
+        for rate in cfg.profiles[pick].rates:
             bit = 1 if rng.random() < rate else 0
             if rng.random() < cfg.noise_rate:
                 bit ^= 1
-            features.append(bit)
-        records.append(Record(id=f"r{i:0{pad}d}", features=tuple(features), labels=profile.labels))
-
-    ds = Dataset(
-        attributes=attributes,
-        label_alphabet=tuple(alphabet),
-        records=tuple(records),
-        name="synthetic",
-    )
-    return ds, [p.labels for p in cfg.profiles]
+            bits.append(bit)
+        picks.append(pick)
+        features.append(bits)
+    combos = [p.labels for p in cfg.profiles]
+    pad = len(str(cfg.n_records - 1))
+    ids = [f"r{i:0{pad}d}" for i in range(cfg.n_records)]
+    Y = label_indicator(combos, alphabet)[picks]
+    return Dataset(attributes, tuple(alphabet), ids, np.array(features), Y, name="synthetic"), combos

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .data import Dataset, Record, SplitSpec, label_indicator
+from .data import Dataset, SplitSpec, _distinct_labelsets, _principal_columns, label_indicator
 from .errors import ValidationError
 from .ontology import combo_key
 
@@ -39,30 +39,16 @@ NONE_CLASS = "(none)"
 class ConfusionMatrix:
     """k x k integer counts; cell (i, j) counts true class i predicted as j."""
 
-    def __init__(self, classes: Sequence[str], counts=None):
+    def __init__(self, classes: Sequence[str], counts):
         self.classes = tuple(classes)
         if not self.classes:
             raise ValidationError("confusion matrix needs at least one class")
         k = len(self.classes)
-        if counts is None:
-            self.counts = np.zeros((k, k), dtype=np.int64)
-        else:
-            self.counts = np.asarray(counts, dtype=np.int64)
-            if self.counts.shape != (k, k):
-                raise ValidationError(f"counts shape {self.counts.shape} does not match {k} classes")
-            if np.any(self.counts < 0):
-                raise ValidationError("confusion matrix counts must be nonnegative")
-
-    @classmethod
-    def from_pairs(cls, classes: Sequence[str], pairs) -> "ConfusionMatrix":
-        cm = cls(classes)
-        index = {c: i for i, c in enumerate(cm.classes)}
-        for truth, pred in pairs:
-            try:
-                cm.counts[index[truth], index[pred]] += 1
-            except KeyError as exc:
-                raise ValidationError(f"class {exc} is not in the matrix class list")
-        return cm
+        self.counts = np.asarray(counts, dtype=np.int64)
+        if self.counts.shape != (k, k):
+            raise ValidationError(f"counts shape {self.counts.shape} does not match {k} classes")
+        if np.any(self.counts < 0):
+            raise ValidationError("confusion matrix counts must be nonnegative")
 
     @property
     def total(self) -> int:
@@ -237,10 +223,6 @@ class EvalResult:
         }
 
 
-def _combo_class(labels) -> str:
-    return combo_key(labels) if labels else NONE_CLASS
-
-
 # ---------------------------------------------------------------------------
 # Core evaluation
 # ---------------------------------------------------------------------------
@@ -248,61 +230,52 @@ def _combo_class(labels) -> str:
 
 def evaluate_predictions(
     model,
-    eval_records: Sequence[Record],
-    train_records: Sequence[Record],
-    alphabet: Sequence[str],
+    eval_ds: Dataset,
+    train_ds: Dataset,
     mode: str = MODE_MULTILABEL,
     protocol: str = "custom",
     contaminated: bool = False,
 ) -> EvalResult:
-    """Evaluate ``model`` over ``eval_records`` with priors from ``train_records``.
+    """Evaluate ``model`` over the records of ``eval_ds`` with priors from those of ``train_ds``.
 
     ``model`` has ``codes`` and ``predict_batch(X) -> (labels, scores, traces | None)``;
-    it is called once, on the feature matrix of all of ``eval_records``.
+    it is called once, on ``eval_ds.X``.
     """
     if mode not in MODES:
         raise ValidationError(f"unknown evaluation mode {mode!r}")
-    if not eval_records:
+    if not len(eval_ds):
         raise ValidationError("no records to evaluate")
-    if not train_records:
+    if not len(train_ds):
         raise ValidationError("training records are required for the zero-rule prior")
 
-    alphabet = tuple(alphabet)
+    alphabet = eval_ds.label_alphabet
     if not alphabet:
         raise ValidationError("evaluation requires a non-empty label alphabet")
+    if train_ds.label_alphabet != alphabet:
+        raise ValidationError("training and evaluation records differ in their label alphabet")
     if tuple(model.codes) != alphabet:
         raise ValidationError("model code alphabet differs from the dataset's")
-    truths = [r.labels for r in eval_records]
-    X = np.array([r.features for r in eval_records], dtype=np.float64)
-    predictions, scores, traces = model.predict_batch(X)
-    truth_indicator = label_indicator(truths, alphabet)
+    predictions, scores, traces = model.predict_batch(eval_ds.X)
+    predicted = label_indicator(predictions, alphabet)
 
+    # truth and guess: each row's class, as an index into ``classes``
     if mode == MODE_PRINCIPAL:
-        true_classes = [r.principal_code() or NONE_CLASS for r in eval_records]
-        pred_classes = [min(p, default=NONE_CLASS) for p in predictions]
-        train_classes = [r.principal_code() or NONE_CLASS for r in train_records]
-        classes = list(alphabet)
-        if NONE_CLASS in true_classes or NONE_CLASS in pred_classes:
-            classes.append(NONE_CLASS)
-        cm = ConfusionMatrix.from_pairs(classes, zip(true_classes, pred_classes))
-        index = {c: i for i, c in enumerate(classes)}
-        onehot = np.zeros((len(eval_records), len(classes)))
-        target = np.zeros_like(onehot)
-        for i, (t, p) in enumerate(zip(true_classes, pred_classes)):
-            target[i, index[t]] = 1.0
-            onehot[i, index[p]] = 1.0
-        prior = np.zeros(len(classes))
-        for c in train_classes:
-            if c in index:
-                prior[index[c]] += 1.0
-        prior /= len(train_classes)
-        errors = probabilistic_errors(onehot, target, prior)
+        truth = _principal_columns(eval_ds.Y, eval_ds.roles)
+        guess = _principal_columns(predicted)
+        classes = list(alphabet) + [NONE_CLASS] * int(max(truth.max(), guess.max()) == len(alphabet))
+        prior = np.bincount(_principal_columns(train_ds.Y, train_ds.roles), minlength=len(alphabet) + 1)
+        onehot = np.eye(len(classes))
+        errors = probabilistic_errors(onehot[guess], onehot[truth], prior[: len(classes)] / len(train_ds))
     else:
-        combo_truth = [_combo_class(t) for t in truths]
-        combo_pred = [_combo_class(p) for p in predictions]
-        classes = sorted(set(combo_truth) | set(combo_pred))
-        cm = ConfusionMatrix.from_pairs(classes, zip(combo_truth, combo_pred))
-        errors = _binary_averaged_errors(truth_indicator, scores, [r.labels for r in train_records], alphabet)
+        truth_sets, truth = _distinct_labelsets(eval_ds.Y, alphabet)
+        guess_sets, guess = _distinct_labelsets(predicted, alphabet)
+        keys = {labels: combo_key(labels) if labels else NONE_CLASS for labels in truth_sets + guess_sets}
+        classes = sorted(set(keys.values()))
+        truth = np.array([classes.index(keys[labels]) for labels in truth_sets])[truth]
+        guess = np.array([classes.index(keys[labels]) for labels in guess_sets])[guess]
+        errors = _binary_averaged_errors(eval_ds.Y, scores, train_ds.Y)
+    k = len(classes)
+    cm = ConfusionMatrix(classes, np.bincount(truth * k + guess, minlength=k * k).reshape(k, k))
 
     correct, pct = accuracy(cm)
     metrics = MetricsReport(
@@ -318,14 +291,14 @@ def evaluate_predictions(
         rrse_pct=errors.rrse_pct,
         contaminated=contaminated,
     )
-    ml = _multilabel_report(alphabet, truths, predictions, truth_indicator, traces)
+    ml = _multilabel_report(alphabet, eval_ds.Y, predicted, traces)
     return EvalResult(metrics=metrics, multilabel=ml, matrix=cm)
 
 
-def _binary_averaged_errors(truth_indicator, scores, train_labels, alphabet) -> ErrorStats:
+def _binary_averaged_errors(truth_indicator, scores, train_indicator) -> ErrorStats:
     """Probabilistic errors of each code's binary subproblem, averaged."""
     maes, rmses, raes, rrses = [], [], [], []
-    priors = label_indicator(train_labels, alphabet).sum(axis=0) / len(train_labels)
+    priors = train_indicator.sum(axis=0) / len(train_indicator)
     for j, q in enumerate(priors):
         s = scores[:, j]
         pred = np.column_stack([1.0 - s, s])
@@ -346,11 +319,10 @@ def _binary_averaged_errors(truth_indicator, scores, train_labels, alphabet) -> 
     )
 
 
-def _multilabel_report(alphabet, truths, predictions, truth_indicator, traces) -> MultiLabelReport:
-    n = len(truths)
-    exact = sum(1 for t, p in zip(truths, predictions) if t == p)
-    t = truth_indicator
-    p = label_indicator(predictions, alphabet)
+def _multilabel_report(alphabet, t: np.ndarray, p: np.ndarray, traces) -> MultiLabelReport:
+    """Exact matches, Hamming loss and per-code counts of truth ``t`` against prediction ``p``."""
+    n = len(t)
+    exact = int((t == p).all(axis=1).sum())
     tp = (t & p).sum(axis=0)
     fp = (p & ~t).sum(axis=0)
     fn = (t & ~p).sum(axis=0)
@@ -389,26 +361,15 @@ def evaluate_resubstitution(model, ds: Dataset, split: SplitSpec, mode: str = MO
     leak into the evaluation set.
     """
     _check_model_split(model, ds, split)
-    train = [r for r in ds.records if r.id in split.train_ids]
-    return evaluate_predictions(
-        model,
-        ds.records,
-        train,
-        ds.label_alphabet,
-        mode=mode,
-        protocol="resubstitution",
-        contaminated=True,
-    )
+    train = ds.subset(split.train_ids)
+    return evaluate_predictions(model, ds, train, mode=mode, protocol="resubstitution", contaminated=True)
 
 
 def evaluate_holdout(model, ds: Dataset, split: SplitSpec, mode: str = MODE_MULTILABEL) -> EvalResult:
     """Evaluate on the test side only."""
     _check_model_split(model, ds, split)
-    train = [r for r in ds.records if r.id in split.train_ids]
-    test = [r for r in ds.records if r.id in split.test_ids]
-    return evaluate_predictions(
-        model, test, train, ds.label_alphabet, mode=mode, protocol="holdout"
-    )
+    test, train = ds.subset(split.test_ids), ds.subset(split.train_ids)
+    return evaluate_predictions(model, test, train, mode=mode, protocol="holdout")
 
 
 def kfold_assignments(ds: Dataset, k: int, seed: int) -> list:
@@ -419,11 +380,12 @@ def kfold_assignments(ds: Dataset, k: int, seed: int) -> list:
     """
     if k < 2:
         raise ValidationError("k-fold needs k >= 2")
-    if k > len(ds.records):
+    if k > len(ds):
         raise ValidationError(f"k={k} would leave folds with zero instances")
     strata: dict = {}
-    for rec in ds.records:
-        strata.setdefault(min(rec.labels) if rec.labels else NONE_CLASS, []).append(rec.id)
+    classes = ds.label_alphabet + (NONE_CLASS,)
+    for rid, column in zip(ds.ids, _principal_columns(ds.Y).tolist()):
+        strata.setdefault(classes[column], []).append(rid)
     rng = random.Random(seed)
     folds = [set() for _ in range(k)]
     pointer = 0
@@ -466,15 +428,9 @@ def evaluate_kfold(
     assignments = kfold_assignments(ds, k, seed)
     results = []
     for fold_ids in assignments:
-        train_ids = ds.record_ids() - fold_ids
-        model = trainer(ds.subset(train_ids, name=f"{ds.name}-train"))
-        train = [r for r in ds.records if r.id in train_ids]
-        test = [r for r in ds.records if r.id in fold_ids]
-        results.append(
-            evaluate_predictions(
-                model, test, train, ds.label_alphabet, mode=mode, protocol="kfold-fold"
-            )
-        )
+        train = ds.subset(ds.record_ids() - fold_ids, name=f"{ds.name}-train")
+        model = trainer(train)
+        results.append(evaluate_predictions(model, ds.subset(fold_ids), train, mode=mode, protocol="kfold-fold"))
     correct = sum(r.metrics.correct for r in results)
     total = sum(r.metrics.total for r in results)
     raes = [r.metrics.rae_pct for r in results if r.metrics.rae_pct is not None]

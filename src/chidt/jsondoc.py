@@ -21,8 +21,17 @@ MAX = sys.float_info.max
 
 
 def loads(text: str, what: str):
+    """The JSON document ``text``; a key repeated within one object is refused, not resolved to its last value."""
+
+    def unique(pairs: list) -> dict:
+        doc = dict(pairs)
+        if len(doc) < len(pairs):
+            keys = [key for key, _ in pairs]
+            raise ValidationError(f"{what} repeats the key {next(k for k in keys if keys.count(k) > 1)!r}")
+        return doc
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"{what} is not valid JSON: {exc}") from None
 

@@ -358,7 +358,11 @@ def _read_schema(doc, where: str) -> tuple:
         AttributeMeta(a.get("name", text), a.get("kind", one_of, choices=kinds), a.optional("values", strings), i)
         for i, a in enumerate(entries)
     )
-    return attributes, f.get("classes", strings)
+    classes = f.get("classes", strings)
+    if len(set(classes)) < len(classes):
+        repeated = next(c for c in classes if classes.count(c) > 1)
+        raise ValidationError(f"{f.path('classes')} repeats the class {repeated!r}")
+    return attributes, classes
 
 
 def _node_to_dict(node: TreeNode) -> dict:
@@ -400,8 +404,10 @@ def _read_node(doc, where: str, attributes: tuple, tests: tuple, n_classes: int)
     valid = type(counts) is list and len(counts) == n_classes
     if not (valid and all(type(c) in (int, float) and 0 <= c <= MAX for c in counts) and sum(counts) > 0):
         fail(f"{where}.counts", f"{n_classes} finite non-negative counts with a positive sum", counts)
-    counts = np.array(counts, dtype=np.float64)
     majority = integer(doc["majority"], f"{where}.majority", n_classes)
+    if majority != counts.index(max(counts)):
+        fail(f"{where}.majority", f"{counts.index(max(counts))}, the first index of its largest count", majority)
+    counts = np.array(counts, dtype=np.float64)
     if kind == "leaf":
         return TreeNode(counts, majority, virtual="virtual" in doc and flag(doc["virtual"], f"{where}.virtual"))
     t = fields(doc["test"], f"{where}.test", ("attr", "threshold", "branches"), ("attr",))

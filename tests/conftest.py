@@ -76,4 +76,4 @@ def make_dataset(feature_rows, labelsets, alphabet=None, roles=None):
         )
         for i, (row, ls) in enumerate(zip(feature_rows, labelsets))
     )
-    return Dataset(attributes=attrs, label_alphabet=tuple(alphabet), records=records)
+    return Dataset.from_records(attributes=attrs, label_alphabet=tuple(alphabet), records=records)

@@ -181,9 +181,8 @@ def test_criterion_5_paper_protocol_rehearsal():
             cascade = evaluate_resubstitution(model, ds, split)
             stage1_only = evaluate_predictions(
                 model.stage1,
-                ds.records,
-                [r for r in ds.records if r.id in split.train_ids],
-                ds.label_alphabet,
+                ds,
+                ds.subset(split.train_ids),
                 protocol="resubstitution",
                 contaminated=True,
             )

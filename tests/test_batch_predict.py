@@ -126,7 +126,7 @@ def random_cascade(rng, strategy: str, fallback: bool):
         labels = rng.sample(alphabet, rng.randrange(min_size, min(4, len(alphabet)) + 1))
         features = tuple(int(v) if a.kind == NOMINAL else float(v) for a, v in zip(attributes, X[i]))
         records.append(Record(id=f"r{i}", features=features, labels=labels))
-    ds = Dataset(attributes=attributes, label_alphabet=alphabet, records=tuple(records))
+    ds = Dataset.from_records(attributes=attributes, label_alphabet=alphabet, records=tuple(records))
     if rng.random() < 0.5 or not ds.distinct_labelsets():
         registry = observed_registry(ds) if ds.distinct_labelsets() else declared_registry([alphabet[:1]])
     else:

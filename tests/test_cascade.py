@@ -346,7 +346,7 @@ class TestPredictChidt:
 
 
 def evaluated_trigger_rate(model, ds) -> float:
-    result = evaluate_predictions(model, ds.records, ds.records, ds.label_alphabet)
+    result = evaluate_predictions(model, ds, ds)
     return result.multilabel.trigger_rate
 
 

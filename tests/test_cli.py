@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from chidt.cli import main
+from chidt.data import Record
 
 GEN_SECTION = {
     "n_records": 60,
@@ -343,6 +344,25 @@ class TestDeterminism:
         base = (tmp_path / "out" / "corpus.csv").read_bytes()
         run(["gen", "--config", cfg, "--seed", "43"])
         assert (tmp_path / "out" / "corpus.csv").read_bytes() != base
+
+
+def test_predict_and_eval_construct_no_record(tmp_path, monkeypatch, capsys):
+    """The shipped run's predict and eval work on the dataset's columns; no per-row ``Record`` view is built."""
+    repo = Path(__file__).resolve().parent.parent
+    config = json.loads((repo / "data" / "run_chd.json").read_text(encoding="utf-8"))
+    config["out_dir"] = str(tmp_path)
+    for key, value in config["paths"].items():
+        config["paths"][key] = str(tmp_path / Path(value).name if Path(value).parts[0] == "out" else repo / value)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    assert run(["gen", "--config", cfg]) == 0
+    assert run(["train", "--config", cfg]) == 0
+    built = []
+    monkeypatch.setattr(Record, "__post_init__", lambda rec: built.append(rec.id))
+    assert run(["predict", "--config", cfg]) == 0
+    assert run(["eval", "--config", cfg]) == 0
+    assert built == []
+    assert "predicted 196 records" in capsys.readouterr().out
 
 
 def test_module_entrypoint_smoke():

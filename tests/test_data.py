@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 from chidt.data import (
@@ -32,15 +33,20 @@ p3,1,140.75,
 """
 
 
+def record(ds: Dataset, rid: str) -> Record:
+    """The record of ``ds`` whose id is ``rid``."""
+    return ds.records[ds.ids.index(rid)]
+
+
 class TestLoadCsv:
     def test_multi_label_cell(self):
         ds = load_csv(CSV_BASIC, label_column="codes", id_column="id")
-        assert ds.record_by_id("p1").labels == frozenset({"I21.0", "I25.1"})
+        assert record(ds, "p1").labels == frozenset({"I21.0", "I25.1"})
         assert ds.label_alphabet == ("I21.0", "I25.1")
 
     def test_empty_label_cell_loads_as_empty_set(self):
         ds = load_csv(CSV_BASIC, label_column="codes", id_column="id")
-        assert ds.record_by_id("p3").labels == frozenset()
+        assert record(ds, "p3").labels == frozenset()
 
     def test_binary_column_inferred_nominal(self):
         # oracle: apply the inference rule directly to the column's cells
@@ -55,7 +61,7 @@ class TestLoadCsv:
     def test_many_valued_numeric_column_inferred_numeric(self):
         ds = load_csv(CSV_BASIC, label_column="codes", id_column="id")
         assert ds.attributes[1].kind == NUMERIC
-        assert ds.record_by_id("p2").features[1] == 131.25
+        assert record(ds, "p2").features[1] == 131.25
 
     def test_ragged_row_rejected(self):
         bad = "a,b,codes\n1,2\n"
@@ -97,6 +103,12 @@ class TestLoadCsv:
     def test_duplicate_ids_rejected(self):
         text = "id,a,codes\np1,0,x\np1,1,y\n"
         with pytest.raises(ValidationError, match="duplicate record id"):
+            load_csv(text, label_column="codes", id_column="id")
+
+    @pytest.mark.parametrize("cell", ["", "  "])
+    def test_empty_id_rejected(self, cell):
+        text = f"id,a,codes\np1,0,x\n{cell},1,y\n"
+        with pytest.raises(ValidationError, match="^line 3: empty id in column 'id'$"):
             load_csv(text, label_column="codes", id_column="id")
 
     def test_csv_round_trip(self):
@@ -193,7 +205,71 @@ class TestLoadArff:
             "@data\n0,1.5,a\n1,2.5,b\n0,3.5,a\n"
         )
         csv_ds = load_csv("f,g,codes\n0,1.5,a\n1,2.5,b\n0,3.5,a\n", label_column="codes")
-        assert csv_ds == Dataset(arff.attributes, arff.label_alphabet, arff.records, name=csv_ds.name)
+        assert csv_ds == Dataset.from_records(arff.attributes, arff.label_alphabet, arff.records, name=csv_ds.name)
+
+
+class TestColumnChecks:
+    """The Dataset constructor checks its columns, whether a loader or ``from_records`` built them."""
+
+    ATTRS = (AttributeMeta("f", NOMINAL, values=("0", "1"), index=0), AttributeMeta("g", NUMERIC, index=1))
+
+    def columns(self, X=((0, 1.5), (1, 2.5)), ids=("r0", "r1"), Y=((True, True), (False, True)), roles=None):
+        return Dataset(self.ATTRS, ("a", "b"), ids, np.array(X, dtype=float), np.array(Y), roles)
+
+    def records(self, *records):
+        return Dataset.from_records(self.ATTRS, ("a", "b"), records)
+
+    def test_valid_columns_are_stored_read_only(self):
+        ds = self.columns(roles=[[1, 2], [0, 0]])
+        assert not (ds.X.flags.writeable or ds.Y.flags.writeable or ds.roles.flags.writeable)
+        assert ds.records[0] == Record("r0", (0, 1.5), {"a", "b"}, {"a": "PDx", "b": "SDx"})
+        assert ds == self.records(*ds.records)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_numeric_value(self, value):
+        with pytest.raises(ValidationError, match="^record 'r1': non-finite value in 'g'$"):
+            self.columns(X=((0, 1.5), (1, value)))
+
+    @pytest.mark.parametrize("value", [0.5, 2, -1, np.nan])
+    def test_nominal_value_outside_its_domain(self, value):
+        with pytest.raises(ValidationError, match="^record 'r0': value index .* outside domain of 'f'$"):
+            self.columns(X=((value, 1.5), (1, 2.5)))
+        with pytest.raises(ValidationError, match="outside domain of 'f'"):
+            self.records(Record("r0", (value, 1.5), {"a"}))
+
+    def test_wrong_feature_width(self):
+        with pytest.raises(ValidationError, match=r"^X has shape \(2, 3\), expected \(2, 2\)$"):
+            self.columns(X=((0, 1.5, 0), (1, 2.5, 0)))
+        with pytest.raises(ValidationError, match="do not match the schema's 2 attributes"):
+            self.records(Record("r0", (0, 1.5), {"a"}), Record("r1", (0,), {"a"}))
+
+    def test_features_that_are_not_numbers(self):
+        with pytest.raises(ValidationError, match="not numbers or value indices"):
+            self.records(Record("r0", ("0", "1.5"), {"a"}))
+
+    @pytest.mark.parametrize("ids, message", [(("r0", "r0"), "duplicate record id 'r0'"), (("r0", ""), "empty id")])
+    def test_duplicate_or_empty_ids(self, ids, message):
+        with pytest.raises(ValidationError, match=message):
+            self.columns(ids=ids)
+        with pytest.raises(ValidationError, match=message):
+            self.records(*(Record(rid, (0, 1.5), {"a"}) for rid in ids))
+
+    def test_code_outside_the_alphabet(self):
+        with pytest.raises(ValidationError, match=r"record 'r0' carries codes outside the label alphabet: \['z'\]"):
+            self.records(Record("r0", (0, 1.5), {"a", "z"}))
+
+    def test_two_pdx_tags(self):
+        with pytest.raises(ValidationError, match="^record 'r0' tags more than one code as PDx$"):
+            self.columns(roles=[[1, 1], [0, 0]])
+        with pytest.raises(ValidationError, match="more than one code as PDx"):
+            self.records(Record("r0", (0, 1.5), {"a", "b"}, {"a": "PDx", "b": "PDx"}))
+
+    def test_role_on_an_absent_code(self):
+        with pytest.raises(ValidationError, match="^record 'r1': role tag on code 'a' absent from its labels$"):
+            self.columns(roles=[[0, 0], [2, 0]])
+        for tags in ({"b": "SDx"}, {"z": "SDx"}):
+            with pytest.raises(ValidationError, match="absent from its labels"):
+                self.records(Record("r0", (0, 1.5), {"a"}, tags))
 
 
 class TestCoverAllLabelsSplit:
@@ -207,7 +283,7 @@ class TestCoverAllLabelsSplit:
                 labels.add(rng.choice(codes))
             records.append(Record(id=f"r{i}", features=(rng.randrange(2),), labels=frozenset(labels)))
         attrs = (AttributeMeta("f0", NOMINAL, values=("0", "1"), index=0),)
-        return Dataset(attributes=attrs, label_alphabet=tuple(codes), records=tuple(records))
+        return Dataset.from_records(attributes=attrs, label_alphabet=tuple(codes), records=tuple(records))
 
     def test_53_of_196_covers_all_labels(self):
         ds = self._corpus_196()
@@ -215,7 +291,7 @@ class TestCoverAllLabelsSplit:
         assert len(split.train_ids) == 53
         assert len(split.test_ids) == 143
         split.validate_against(ds)
-        train_labels = set().union(*(ds.record_by_id(r).labels for r in split.train_ids))
+        train_labels = set().union(*(record(ds, r).labels for r in split.train_ids))
         assert train_labels == set(ds.label_alphabet)
 
     def test_full_train_leaves_empty_test(self):
@@ -227,7 +303,7 @@ class TestCoverAllLabelsSplit:
         ds = self._corpus_196()
         for seed in (3, 4):
             split = cover_all_labels_split(ds, 53, seed=seed)
-            covered = set().union(*(ds.record_by_id(r).labels for r in split.train_ids))
+            covered = set().union(*(record(ds, r).labels for r in split.train_ids))
             assert covered == set(ds.label_alphabet)
             split.validate_against(ds)
 

@@ -14,6 +14,7 @@ import copy
 import io
 import json
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -36,9 +37,24 @@ COMMAND = {
 }
 
 
+class Text(str):
+    """A document written as it is, not as JSON: the corpus, or a document edited as text."""
+
+
+class Replace(NamedTuple):
+    """A probe that replaces the first ``old`` in a document's text by ``new``: faults no parsed JSON carries."""
+
+    old: str
+    new: str
+
+
+def dump(doc) -> str:
+    return doc if isinstance(doc, Text) else json.dumps(doc)
+
+
 @pytest.fixture(scope="module")
 def shipped(tmp_path_factory) -> tuple:
-    """(case directory, {document name: parsed JSON}) of the shipped run, trained once."""
+    """(case directory, {document name: parsed JSON, or the corpus as ``Text``}) of the shipped run, trained once."""
     work = tmp_path_factory.mktemp("shipped")
     run = json.loads((DATA_DIR / "run_chd.json").read_text(encoding="utf-8"))
     run["out_dir"] = str(work)
@@ -54,7 +70,8 @@ def shipped(tmp_path_factory) -> tuple:
     case.mkdir()
     paths = {name: str(case / f"{name}.json") for name in ("model", "registry", "exclusions", "hierarchy", "lexicon")}
     docs = {
-        "config": {**run, "out_dir": str(case), "paths": {**paths, "dataset": run["paths"]["dataset"]}},
+        "config": {**run, "out_dir": str(case), "paths": {**paths, "dataset": str(case / "corpus.json")}},
+        "corpus": Text((work / "corpus.csv").read_text(encoding="utf-8")),
         "model": json.loads((work / "model.json").read_text(encoding="utf-8")),
         "registry": json.loads((work / "registry.json").read_text(encoding="utf-8")),
         "terms": [{"id": "n1", "terms": ["chest pain", "st elevation"]}, {"terms": ["old mi"]}],
@@ -68,7 +85,7 @@ def shipped(tmp_path_factory) -> tuple:
 def run_case(case: Path, docs: dict, command: str) -> tuple:
     """(exit code, stderr) of ``command`` over ``docs``, each written to ``case/<name>.json``."""
     for name, doc in docs.items():
-        (case / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+        (case / f"{name}.json").write_text(dump(doc), encoding="utf-8")
     argv = {
         "terms": ["predict", "--input", str(case / "terms.json"), "--terms"],
         "validate": ["validate", str(case / "labelsets.json")],
@@ -119,6 +136,11 @@ PROBES = [
     ("terms", (0, "id"), 5, "terms"),
     ("terms", (1, "id"), "n1", "terms"),
     ("terms", (0, "id"), "t1", "terms"),
+    # silently accepted: an empty CSV id, a repeated JSON key, repeated classes, a majority that contradicts its counts
+    ("corpus", (), Replace("\nr000,", "\n,"), "train"),
+    ("config", (), Replace('{"seed": ', '{"seed": 1, "seed": '), "train"),
+    ("model", (("schema", "classes", 1), ("stage1", "codes", 1)), "I20.0", "predict"),
+    ("model", ("stage1", "trees", 0, "root", "majority"), 1, "predict"),
 ]
 
 
@@ -133,12 +155,16 @@ def test_probed_input_fails_closed(shipped, name, path, value, command):
     if path[:1] == ("split",):  # the root of the first stage-1 tree that splits
         trees = docs["model"]["stage1"]["trees"]
         path = ("stage1", "trees", next(i for i, t in enumerate(trees) if t["root"]["kind"] == "split"), "root", "kind")
-    if not path:
+    if isinstance(value, Replace):
+        assert value.old in dump(docs[name])
+        docs[name] = Text(dump(docs[name]).replace(value.old, value.new, 1))
+    elif not path:
         docs[name] = value
     elif value is None:
         del at(docs[name], path[:-1])[path[-1]]
     else:
-        at(docs[name], path[:-1])[path[-1]] = value
+        for step in path if isinstance(path[0], tuple) else (path,):  # a tuple of paths sets each
+            at(docs[name], step[:-1])[step[-1]] = value
     code, err = run_case(case, docs, command)
     assert code == 1, err
     assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -15,6 +15,7 @@ from chidt.data import (
     SplitSpec,
     cover_all_labels_split,
     generate_synthetic,
+    load_csv,
 )
 from chidt.errors import ValidationError
 from chidt.evaluation import (
@@ -83,9 +84,7 @@ class TestResubstitution:
         split = SplitSpec(train_ids=ds.record_ids(), test_ids=frozenset())
         model = train_chidt(ds, strategy="label-powerset")
         resub = evaluate_resubstitution(model, ds, split)
-        direct = evaluate_predictions(
-            model, ds.records, list(ds.records), ds.label_alphabet, protocol="resubstitution"
-        )
+        direct = evaluate_predictions(model, ds, ds, protocol="resubstitution")
         assert resub.metrics.correct == direct.metrics.correct
         assert resub.metrics.mae == pytest.approx(direct.metrics.mae, abs=1e-12)
 
@@ -159,12 +158,16 @@ class TestKFold:
     def test_stratification_spreads_first_labels(self):
         ds = small_corpus(n=60, noise=0.0)
         folds = kfold_assignments(ds, 3, seed=8)
-        first = {rid: min(ds.record_by_id(rid).labels) for rid in ds.record_ids()}
+        first = {rec.id: min(rec.labels) for rec in ds.records}
         totals = {c: sum(1 for v in first.values() if v == c) for c in set(first.values())}
         for fold in folds:
             for code, total in totals.items():
                 in_fold = sum(1 for rid in fold if first[rid] == code)
                 assert abs(in_fold - total / 3) <= 1 + 1e-9
+
+    def test_records_without_codes_share_one_stratum(self):
+        ds = load_csv("a,codes\n1,\n0,\n1,\n", label_column="codes")
+        assert sorted(len(fold) for fold in kfold_assignments(ds, 2, seed=1)) == [1, 2]
 
     def test_zero_instance_folds_rejected(self):
         ds = small_corpus(n=10)
@@ -193,8 +196,8 @@ class TestModes:
         labelsets = [{rng.choice("abc")} for _ in rows]
         ds = make_dataset(rows, labelsets, alphabet=list("abc"))
         model = train_br(ds, C45Params(min_leaf=1, pruning=False))
-        ml = evaluate_predictions(model, ds.records, list(ds.records), ds.label_alphabet, mode="multilabel")
-        pr = evaluate_predictions(model, ds.records, list(ds.records), ds.label_alphabet, mode="principal")
+        ml = evaluate_predictions(model, ds, ds, mode="multilabel")
+        pr = evaluate_predictions(model, ds, ds, mode="principal")
         # BR can emit empty/multi-code sets; restrict the claim to the spec's
         # reduction consistency: subset accuracy equals multi-class accuracy
         assert ml.multilabel.subset_accuracy_pct == pytest.approx(ml.metrics.accuracy_pct)
@@ -207,7 +210,7 @@ class TestModes:
         roles = {0: {"c": "PDx"}, 1: {}}
         ds = make_dataset(rows, labelsets, roles=roles)
         model = SpyModel(labels=frozenset({"b", "c"}), codes=ds.label_alphabet)
-        result = evaluate_predictions(model, ds.records, list(ds.records), ds.label_alphabet, mode="principal")
+        result = evaluate_predictions(model, ds, ds, mode="principal")
         # record 0 reduces to its PDx code "c"; prediction reduces to lowest "b"
         classes = result.matrix.classes
         i_b, i_c = classes.index("b"), classes.index("c")
@@ -217,9 +220,7 @@ class TestModes:
     def test_principal_mode_handles_empty_predictions(self):
         ds = small_corpus(n=20)
         model = SpyModel(labels=frozenset())
-        result = evaluate_predictions(
-            model, ds.records, list(ds.records), ds.label_alphabet, mode="principal"
-        )
+        result = evaluate_predictions(model, ds, ds, mode="principal")
         assert "(none)" in result.matrix.classes
         none_col = result.matrix.classes.index("(none)")
         assert result.matrix.counts[:, none_col].sum() == len(ds.records)
@@ -230,15 +231,15 @@ class TestModes:
         ds = small_corpus()
         cascade = train_chidt(ds, strategy="label-powerset")
         br = train_br(ds)
-        with_cascade = evaluate_predictions(cascade, ds.records, list(ds.records), ds.label_alphabet)
-        plain = evaluate_predictions(br, ds.records, list(ds.records), ds.label_alphabet)
+        with_cascade = evaluate_predictions(cascade, ds, ds)
+        plain = evaluate_predictions(br, ds, ds)
         assert with_cascade.multilabel.trigger_rate is not None
         assert plain.multilabel.trigger_rate is None
 
     def test_hamming_and_subset_results_consistent(self):
         ds = small_corpus()
         model = train_chidt(ds, strategy="label-powerset")
-        result = evaluate_predictions(model, ds.records, list(ds.records), ds.label_alphabet)
+        result = evaluate_predictions(model, ds, ds)
         assert 0.0 <= result.multilabel.hamming_loss <= 1.0
         if result.multilabel.subset_accuracy_pct == 100.0:
             assert result.multilabel.hamming_loss == 0.0
