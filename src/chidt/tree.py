@@ -6,6 +6,18 @@ candidates whose information gain reaches the mean candidate gain. Pruning
 is bottom-up subtree replacement driven by the normal-approximation upper
 confidence bound on leaf error. All ties break toward the lowest index
 (attribute, class, threshold) so induction is deterministic.
+
+Growth is level-wise and table-driven: each tree level counts the classes
+of all its open nodes, and of every branch of every nominal test at those
+nodes, with one ``np.bincount`` each, and scores all candidates at once;
+numeric thresholds are scored as arrays over cumulative class counts.
+Every score goes through one entropy kernel, ``_entropy_rows``, that
+keeps the summation order of the scalar ``entropy``: terms subtracted
+class by class, branch terms accumulated branch by branch, an exact 0.0
+for each empty class or branch, and rows with 8 or more nonzero classes
+(where numpy's ``sum`` turns pairwise) handed to ``entropy`` itself. So
+the trees are bit for bit those of the scalar, one-node-at-a-time
+induction, which ``tests/oracle_c45.py`` keeps as the test oracle.
 """
 
 from __future__ import annotations
@@ -132,18 +144,45 @@ def entropy(weights) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def class_counts(y: np.ndarray, n_classes: int, rows: np.ndarray | None = None) -> np.ndarray:
-    sel = y if rows is None else y[rows]
-    return np.bincount(sel, minlength=n_classes).astype(np.float64)
+def _entropy_rows(C: np.ndarray) -> np.ndarray:
+    """``entropy`` of every row of a (rows, classes) count matrix, bit for bit; an all-zero row reads 0.0.
+
+    ``entropy`` adds its nonzero terms with numpy's 1-D ``sum``, which adds
+    fewer than 8 terms one after another from 0.0, so the terms are
+    subtracted here in class order, an empty class adding an exact 0.0. With
+    8 or more terms that ``sum`` switches to 8-lane pairwise summation, so a
+    row with 8 or more nonzero counts goes through ``entropy`` itself.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = C / C.sum(axis=1, keepdims=True)
+        terms = np.where(C > 0, p * np.log2(p), 0.0)
+    h = np.zeros(len(C))
+    for j in range(C.shape[1]):
+        h -= terms[:, j]
+    for i in np.flatnonzero(np.count_nonzero(C, axis=1) >= 8):
+        h[i] = entropy(C[i])
+    return h
 
 
-def split_rows(X: np.ndarray, test: SplitTest, rows: np.ndarray) -> list:
-    """Row indices per branch of ``test`` (may contain empty branches)."""
-    col = X[rows, test.attr_index]
-    if test.is_numeric:
-        return [rows[col <= test.threshold], rows[col > test.threshold]]
-    v = col.astype(np.int64)
-    return [rows[v == j] for j in range(test.n_branches)]
+def _split_scores(parent_h, table: np.ndarray) -> tuple:
+    """(gain, split information, gain ratio, branch sizes) of splits given as class-count tables.
+
+    ``table`` is (..., branches, classes), the class counts in each branch of
+    each split; ``parent_h`` is the entropy of the node each split divides.
+    The weighted child entropy is accumulated branch by branch, an empty
+    branch adding an exact 0.0, so every score is the float that the
+    scalar per-branch formula gives.
+    """
+    sizes = table.sum(axis=-1)
+    h = _entropy_rows(table.reshape(-1, table.shape[-1])).reshape(sizes.shape)
+    split_info = _entropy_rows(sizes.reshape(-1, sizes.shape[-1])).reshape(sizes.shape[:-1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = sizes / sizes.sum(axis=-1, keepdims=True)
+        weighted = np.zeros(sizes.shape[:-1])
+        for j in range(sizes.shape[-1]):
+            weighted += frac[..., j] * h[..., j]
+        gain = parent_h - weighted
+        return gain, split_info, gain / split_info, sizes
 
 
 def gain_ratio(
@@ -160,19 +199,18 @@ def gain_ratio(
     """
     if rows is None:
         rows = np.arange(len(y))
-    parent = entropy(class_counts(y, n_classes, rows))
-    branches = split_rows(X, test, rows)
-    sizes = np.array([len(b) for b in branches], dtype=np.float64)
+    values = np.asarray(X, dtype=np.float64)[rows, test.attr_index]
+    bad = _unroutable(values, test.is_numeric, test.n_branches)
+    if bad.any():
+        _refuse(values[np.argmax(bad)], test.is_numeric, f"attribute {test.attr_index}")
+    branch = (values > test.threshold) if test.is_numeric else values
+    cells = branch.astype(np.intp) * n_classes + np.asarray(y)[rows]
+    table = np.bincount(cells, minlength=test.n_branches * n_classes).reshape(1, test.n_branches, n_classes)
+    table = table.astype(np.float64)
+    gain, split_info, ratio, sizes = _split_scores(_entropy_rows(table.sum(axis=1)), table)
     if np.count_nonzero(sizes) < 2:
         return None
-    total = sizes.sum()
-    weighted = 0.0
-    for branch, size in zip(branches, sizes):
-        if size:
-            weighted += (size / total) * entropy(class_counts(y, n_classes, branch))
-    gain = parent - weighted
-    split_info = entropy(sizes)
-    return GainStats(gain=gain, split_info=split_info, ratio=gain / split_info)
+    return GainStats(gain=float(gain[0]), split_info=float(split_info[0]), ratio=float(ratio[0]))
 
 
 def best_numeric_threshold(
@@ -185,101 +223,94 @@ def best_numeric_threshold(
 ) -> NumericSplit | None:
     """Best midpoint threshold for a numeric attribute, by information gain.
 
-    Every midpoint between consecutive distinct sorted values is evaluated;
-    candidates leaving either side below ``min_leaf`` are skipped. Ties in
-    gain go to the smallest threshold. Returns None when no candidate exists.
+    Every midpoint between consecutive distinct sorted values is scored at
+    once from cumulative class counts over the sorted rows; candidates
+    leaving either side below ``min_leaf`` are skipped. Ties in gain go to
+    the smallest threshold. Returns None when no candidate exists.
     """
     if rows is None:
         rows = np.arange(len(y))
     values = X[rows, attr_index]
     order = np.argsort(values, kind="stable")
     sv = values[order]
-    sy = y[rows][order]
     n = len(rows)
-
-    parent_counts = np.bincount(sy, minlength=n_classes).astype(np.float64)
-    parent_h = entropy(parent_counts)
-
-    left = np.zeros(n_classes, dtype=np.float64)
-    best: NumericSplit | None = None
-    for i in range(n - 1):
-        left[sy[i]] += 1.0
-        if sv[i] == sv[i + 1]:
-            continue
-        n_left = i + 1
-        n_right = n - n_left
-        if n_left < min_leaf or n_right < min_leaf:
-            continue
-        threshold = (sv[i] + sv[i + 1]) / 2.0
-        if not sv[i] < threshold < sv[i + 1]:
-            # adjacent floats can collapse the midpoint onto an endpoint
-            continue
-        right = parent_counts - left
-        weighted = (n_left / n) * entropy(left) + (n_right / n) * entropy(right)
-        gain = parent_h - weighted
-        split_info = entropy([n_left, n_right])
-        cand = NumericSplit(threshold=float(threshold), gain=float(gain), ratio=float(gain / split_info))
-        if best is None or cand.gain > best.gain:
-            best = cand
-    return best
-
-
-class _Candidate(NamedTuple):
-    attr_index: int
-    test: SplitTest
-    gain: float
-    ratio: float
-
-
-def _attr_candidate(
-    X: np.ndarray,
-    y: np.ndarray,
-    n_classes: int,
-    attributes: Sequence[AttributeMeta],
-    attr_index: int,
-    rows: np.ndarray,
-    min_leaf: int,
-) -> _Candidate | None:
-    attr = attributes[attr_index]
-    if attr.kind == NUMERIC:
-        found = best_numeric_threshold(X, y, n_classes, attr_index, min_leaf, rows)
-        if found is None:
-            return None
-        test = SplitTest(attr_index, threshold=found.threshold)
-        return _Candidate(attr_index, test, found.gain, found.ratio)
-    test = SplitTest(attr_index, n_branches=len(attr.values))
-    sizes = [len(b) for b in split_rows(X, test, rows)]
-    if sum(1 for s in sizes if s >= min_leaf) < 2:
+    n_left = np.arange(1, n)
+    with np.errstate(invalid="ignore", over="ignore"):
+        mid = (sv[:-1] + sv[1:]) / 2.0
+        # a midpoint strictly inside: distinct neighbours whose midpoint did not collapse onto either
+        cut = np.flatnonzero((sv[:-1] < mid) & (mid < sv[1:]) & (n_left >= min_leaf) & (n - n_left >= min_leaf))
+    if not cut.size:
         return None
-    stats = gain_ratio(X, y, n_classes, test, rows)
-    if stats is None:
-        return None
-    return _Candidate(attr_index, test, stats.gain, stats.ratio)
+    seen = np.zeros((n, n_classes))
+    seen[np.arange(n), y[rows][order]] = 1.0
+    left = np.cumsum(seen, axis=0)
+    table = np.stack([left[cut], left[-1] - left[cut]], axis=1)
+    gain, _, ratio, _ = _split_scores(_entropy_rows(left[-1:]), table)
+    best = int(np.argmax(gain))
+    return NumericSplit(threshold=float(mid[cut[best]]), gain=float(gain[best]), ratio=float(ratio[best]))
 
 
-def _select_split(candidates: list, impure: bool) -> _Candidate | None:
-    """C4.5 selection: best gain ratio among candidates with at-least-mean gain.
+# cells of the nominal count table built at once; a tree level with more is counted in node chunks
+_TABLE_CELLS = 1 << 18
+
+
+def _candidates(X, y, k, codes, widths, rows, node, counts, min_leaf) -> tuple:
+    """(gain, gain ratio, threshold, candidacy) of every attribute at every open node of a level, as
+    (nodes, attributes) arrays. ``rows`` are the rows at the open nodes, grouped by ``node``.
+
+    The class counts of every branch of every nominal test of a chunk of
+    nodes come from one ``np.bincount`` over (node, attribute, value, class)
+    and are scored at once; each numeric attribute goes through
+    ``best_numeric_threshold`` once per node.
+    """
+    m, d = len(counts), len(widths)
+    gain, ratio, threshold = np.zeros((m, d)), np.zeros((m, d)), np.full((m, d), np.nan)
+    ok = np.zeros((m, d), dtype=bool)
+    starts = np.searchsorted(node, np.arange(m + 1))
+    nominal = np.flatnonzero(widths)
+    if nominal.size:
+        w = int(widths.max())
+        per_node = nominal.size * w * k
+        parent_h = _entropy_rows(counts)
+        step = max(1, _TABLE_CELLS // per_node)
+        for lo in range(0, m, step):
+            hi = min(m, lo + step)
+            at = slice(starts[lo], starts[hi])
+            r = rows[at]
+            cells = (((node[at, None] - lo) * nominal.size + np.arange(nominal.size)) * w + codes[r]) * k + y[r, None]
+            table = np.bincount(cells.ravel(), minlength=(hi - lo) * per_node).reshape(hi - lo, nominal.size, w, k)
+            g, _, q, sizes = _split_scores(parent_h[lo:hi, None], table.astype(np.float64))
+            gain[lo:hi, nominal], ratio[lo:hi, nominal] = g, q
+            ok[lo:hi, nominal] = np.count_nonzero(sizes >= min_leaf, axis=-1) >= 2
+    for a in np.flatnonzero(widths == 0).tolist():
+        for i in range(m):
+            found = best_numeric_threshold(X, y, k, a, min_leaf, rows[starts[i] : starts[i + 1]])
+            if found is not None:
+                threshold[i, a], gain[i, a], ratio[i, a] = found
+                ok[i, a] = True
+    return gain, ratio, threshold, ok
+
+
+def _choose(gain: np.ndarray, ratio: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """C4.5 selection at every node: best gain ratio among candidates with at-least-mean gain.
 
     Positive-gain candidates are preferred. When an impure node has only
     zero-gain candidates left, the lowest-indexed one is taken as a last
-    resort so that separable data is always separated.
+    resort so that separable data is always separated. The mean gain is a
+    left-to-right sum (``cumsum``), ratio ties go to the lowest attribute.
     """
-    positive = [c for c in candidates if c.gain > GAIN_EPS]
-    if positive:
-        mean_gain = sum(c.gain for c in positive) / len(positive)
-        eligible = [c for c in positive if c.gain >= mean_gain - GAIN_EPS]
-        best = eligible[0]
-        for c in eligible[1:]:
-            if c.ratio > best.ratio:
-                best = c
-        return best
-    if impure and candidates:
-        return candidates[0]
-    return None
+    positive = ok & (gain > GAIN_EPS)
+    n_positive = positive.sum(axis=1)
+    mean = np.cumsum(np.where(positive, gain, 0.0), axis=1)[:, -1] / np.maximum(n_positive, 1)
+    eligible = positive & (gain >= (mean - GAIN_EPS)[:, None])
+    best = np.argmax(np.where(eligible, ratio, -np.inf), axis=1)
+    return np.where(n_positive > 0, best, np.argmax(ok, axis=1))
 
 
-def _majority(counts: np.ndarray) -> int:
-    return int(np.argmax(counts))
+def _keep(rows: np.ndarray, node: np.ndarray, chosen: np.ndarray) -> tuple:
+    """The rows at the nodes where ``chosen`` holds, their nodes renumbered 0, 1, ... in order."""
+    keep = chosen[node]
+    return rows[keep], (np.cumsum(chosen) - 1)[node[keep]]
 
 
 @dataclass
@@ -434,7 +465,11 @@ def grow(
     class_names: Sequence[str],
     params: C45Params | None = None,
 ) -> C45Tree:
-    """Top-down C4.5 induction (no pruning; see prune_ebp / build_tree).
+    """Top-down C4.5 induction, one tree level at a time (no pruning; see prune_ebp / build_tree).
+
+    Each level counts the classes at all its open nodes with one
+    ``np.bincount`` and scores every candidate test of every open node at
+    once (see ``_candidates``); the rows then move to their children.
 
     Args:
         X: (n, d) float matrix; nominal columns hold value indices.
@@ -442,6 +477,10 @@ def grow(
         attributes: schema describing the d columns.
         class_names: ordered class list.
         params: induction parameters (defaults used when None).
+
+    Raises ValidationError, as prediction does, on a value no branch can
+    take: a NaN numeric value or a nominal value that is not an index into
+    its attribute's values.
     """
     params = params or C45Params()
     X = np.asarray(X, dtype=np.float64)
@@ -455,30 +494,56 @@ def grow(
     k = len(class_names)
     if k < 1 or y.min() < 0 or y.max() >= k:
         raise ValidationError("class indices fall outside the class list")
+    numeric = np.array([a.is_numeric for a in attributes], dtype=bool)
+    widths = np.array([0 if a.is_numeric else len(a.values) for a in attributes], dtype=np.intp)
+    bad = _unroutable(X, numeric, widths)
+    if bad.any():
+        i, j = divmod(int(np.argmax(bad)), X.shape[1])
+        _refuse(X[i, j], numeric[j], attributes[j].name)
+    codes = X[:, widths > 0].astype(np.intp)
+    width = max(2, int(widths.max(initial=0)))  # branches of the widest test
 
-    def build(rows: np.ndarray, depth: int) -> TreeNode:
-        counts = class_counts(y, k, rows)
-        majority = _majority(counts)
-        impure = np.count_nonzero(counts) > 1
-        if not impure or (params.max_depth is not None and depth >= params.max_depth):
-            return TreeNode(counts=counts, majority=majority)
-
-        results = [
-            _attr_candidate(X, y, k, attributes, a, rows, params.min_leaf) for a in range(len(attributes))
-        ]
-        chosen = _select_split([c for c in results if c is not None], impure)
-        if chosen is None:
-            return TreeNode(counts=counts, majority=majority)
-
-        children = []
-        for branch in split_rows(X, chosen.test, rows):
-            if len(branch) == 0:
-                children.append(TreeNode(counts=counts.copy(), majority=majority, virtual=True))
+    root = None
+    rows = np.arange(len(y))  # the rows at the open nodes, grouped by node, ascending within one
+    node = np.zeros(len(y), dtype=np.intp)  # the open node of each
+    slots = [None]  # (parent, branch) each open node hangs from; None for the root
+    depth = 0
+    while slots:
+        counts = np.bincount(node * k + y[rows], minlength=len(slots) * k).reshape(-1, k).astype(np.float64)
+        level = [TreeNode(c, m) for c, m in zip(counts, np.argmax(counts, axis=1).tolist())]
+        for slot, t in zip(slots, level):
+            if slot is None:
+                root = t
             else:
-                children.append(build(branch, depth + 1))
-        return TreeNode(counts=counts, majority=majority, test=chosen.test, children=children)
+                slot[0].children[slot[1]] = t
+        if params.max_depth is not None and depth >= params.max_depth:
+            break
+        impure = np.count_nonzero(counts, axis=1) > 1
+        rows, node = _keep(rows, node, impure)
+        gain, ratio, threshold, ok = _candidates(X, y, k, codes, widths, rows, node, counts[impure], params.min_leaf)
+        split = ok.any(axis=1)
+        if not split.any():
+            break
+        attr = _choose(gain, ratio, ok)
+        thr = threshold[np.arange(len(attr)), attr][split]
+        attr = attr[split]
+        level = [level[i] for i in np.flatnonzero(impure)[split].tolist()]
+        rows, node = _keep(rows, node, split)
 
-    root = build(np.arange(len(y)), 0)
+        at = attr[node]
+        values = X[rows, at]
+        key = node * width + np.where(numeric[at], values > thr[node], values).astype(np.intp)
+        reached = np.bincount(key, minlength=len(level) * width).reshape(-1, width) > 0
+        node = (np.cumsum(reached) - 1)[key]
+        order = np.argsort(node, kind="stable")
+        rows, node = rows[order], node[order]
+        slots = []
+        for t, a, th, seen in zip(level, attr.tolist(), thr.tolist(), reached.tolist()):
+            t.test = SplitTest(a, threshold=th) if numeric[a] else SplitTest(a, n_branches=int(widths[a]))
+            branches = range(t.test.n_branches)
+            t.children = [None if seen[j] else TreeNode(t.counts.copy(), t.majority, virtual=True) for j in branches]
+            slots += [(t, j) for j in branches if seen[j]]
+        depth += 1
     return C45Tree(root=root, attributes=tuple(attributes), class_names=tuple(class_names), params=params)
 
 
@@ -608,27 +673,33 @@ def _compile(tree: C45Tree) -> FlatTree:
     return flat
 
 
-def _branches(tree: C45Tree, flat: FlatTree, at: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Branch taken at nodes ``at`` by ``values``; fails closed on values no
-    branch can take (NaN numerics, non-finite, non-integral or out-of-range
-    nominal value indices)."""
-    numeric = flat.numeric[at]
+def _unroutable(values: np.ndarray, numeric, n_branches) -> np.ndarray:
+    """Where no branch can take a value: NaN at a numeric test; a non-finite,
+    non-integral or out-of-range value index at a nominal one (arguments broadcast)."""
     index = np.where(numeric, 0.0, values)
-    bad = np.where(
+    return np.where(
         numeric,
         np.isnan(values),
-        ~((index >= 0) & (index < flat.n_branches[at]) & (index == np.floor(index))),
+        ~((index >= 0) & (index < n_branches) & (index == np.floor(index))),
     )
+
+
+def _refuse(value: float, numeric: bool, name: str):
+    if numeric:
+        raise ValidationError(f"NaN in numeric {name!r}")
+    if not np.isfinite(value) or value != np.floor(value):
+        raise ValidationError(f"value {value:g} of nominal {name!r} is not a value index")
+    raise ValidationError(f"value index {value:g} outside the domain of {name!r}")
+
+
+def _branches(tree: C45Tree, flat: FlatTree, at: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Branch taken at nodes ``at`` by ``values``; fails closed on values no branch can take."""
+    numeric = flat.numeric[at]
+    bad = _unroutable(values, numeric, flat.n_branches[at])
     if bad.any():
         i = int(np.argmax(bad))
-        v = values[i]
-        name = tree.attributes[flat.attr[at[i]]].name
-        if numeric[i]:
-            raise ValidationError(f"NaN in numeric {name!r}")
-        if not np.isfinite(v) or v != np.floor(v):
-            raise ValidationError(f"value {v:g} of nominal {name!r} is not a value index")
-        raise ValidationError(f"value index {v:g} outside the domain of {name!r}")
-    return np.where(numeric, values > flat.threshold[at], index).astype(np.intp)
+        _refuse(values[i], numeric[i], tree.attributes[flat.attr[at[i]]].name)
+    return np.where(numeric, values > flat.threshold[at], values).astype(np.intp)
 
 
 def leaf_distributions(tree: C45Tree, X) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Shared fixtures: the classic 14-instance weather corpus and repo fixture paths."""
+"""Shared fixtures: the classic 14-instance weather corpus, random tree views and repo fixture paths."""
 
 from __future__ import annotations
 
@@ -6,8 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from chidt.data import AttributeMeta, Dataset, NOMINAL, NUMERIC, Record
+
+# a deeper, reproducible run of the property suites: pytest --hypothesis-profile=oracle-deep
+settings.register_profile("oracle-deep", max_examples=1500, derandomize=True, deadline=None)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DATA_DIR = REPO_ROOT / "data"
@@ -77,3 +81,25 @@ def make_dataset(feature_rows, labelsets, alphabet=None, roles=None):
         for i, (row, ls) in enumerate(zip(feature_rows, labelsets))
     )
     return Dataset.from_records(attributes=attrs, label_alphabet=tuple(alphabet), records=records)
+
+
+def random_view(rng, n, n_attrs, k, numeric_share=0.5, widths=(2, 4)):
+    """(X, y, attributes, class_names): n rows of n_attrs random attributes, numeric with probability
+    ``numeric_share`` (20 distinct values, so ties are common) or nominal with ``randrange(*widths)``
+    values, and k random classes."""
+    attrs = []
+    cols = []
+    for i in range(n_attrs):
+        if rng.random() < numeric_share:
+            attrs.append(AttributeMeta(f"a{i}", NUMERIC, index=i))
+            cols.append([rng.randrange(0, 10) + 0.5 * rng.randrange(0, 2) for _ in range(n)])
+        else:
+            width = rng.randrange(*widths)
+            attrs.append(
+                AttributeMeta(f"a{i}", NOMINAL, values=tuple(str(v) for v in range(width)), index=i)
+            )
+            cols.append([rng.randrange(width) for _ in range(n)])
+    X = np.array(cols, dtype=np.float64).T
+    y = np.array([rng.randrange(k) for _ in range(n)], dtype=np.int64)
+    classes = tuple(f"c{j}" for j in range(k))
+    return X, y, tuple(attrs), classes

@@ -1,0 +1,171 @@
+"""The scalar, recursive C4.5 induction that ``chidt.tree.grow`` replaced, kept as a test oracle.
+
+One node at a time and one attribute at a time: every nominal candidate
+splits the node's rows into branches and scores them with scalar
+``entropy`` calls, and every numeric candidate walks the sorted rows in a
+Python loop. ``oracle_grow(...).to_dict()`` must equal ``grow(...).to_dict()``
+for every input, so the table-driven induction is checked tree for tree.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple, Sequence
+
+import numpy as np
+
+from chidt.data import AttributeMeta, NUMERIC
+from chidt.errors import ValidationError
+from chidt.tree import GAIN_EPS, C45Params, C45Tree, GainStats, NumericSplit, SplitTest, TreeNode
+
+
+def entropy(weights) -> float:
+    """Shannon entropy, in bits, of a nonnegative weight vector."""
+    w = np.asarray(weights, dtype=np.float64)
+    if np.any(w < 0):
+        raise ValidationError("class weights must be nonnegative")
+    total = w.sum()
+    if total <= 0:
+        raise ValidationError("entropy undefined for zero total weight")
+    p = w[w > 0] / total
+    return float(-(p * np.log2(p)).sum())
+
+
+def class_counts(y: np.ndarray, n_classes: int, rows: np.ndarray | None = None) -> np.ndarray:
+    sel = y if rows is None else y[rows]
+    return np.bincount(sel, minlength=n_classes).astype(np.float64)
+
+
+def split_rows(X: np.ndarray, test: SplitTest, rows: np.ndarray) -> list:
+    """Row indices per branch of ``test`` (may contain empty branches)."""
+    col = X[rows, test.attr_index]
+    if test.is_numeric:
+        return [rows[col <= test.threshold], rows[col > test.threshold]]
+    v = col.astype(np.int64)
+    return [rows[v == j] for j in range(test.n_branches)]
+
+
+def gain_ratio(X, y, n_classes: int, test: SplitTest, rows=None) -> GainStats | None:
+    if rows is None:
+        rows = np.arange(len(y))
+    parent = entropy(class_counts(y, n_classes, rows))
+    branches = split_rows(X, test, rows)
+    sizes = np.array([len(b) for b in branches], dtype=np.float64)
+    if np.count_nonzero(sizes) < 2:
+        return None
+    total = sizes.sum()
+    weighted = 0.0
+    for branch, size in zip(branches, sizes):
+        if size:
+            weighted += (size / total) * entropy(class_counts(y, n_classes, branch))
+    gain = parent - weighted
+    split_info = entropy(sizes)
+    return GainStats(gain=gain, split_info=split_info, ratio=gain / split_info)
+
+
+def best_numeric_threshold(X, y, n_classes: int, attr_index: int, min_leaf: int = 1, rows=None) -> NumericSplit | None:
+    if rows is None:
+        rows = np.arange(len(y))
+    values = X[rows, attr_index]
+    order = np.argsort(values, kind="stable")
+    sv = values[order]
+    sy = y[rows][order]
+    n = len(rows)
+
+    parent_counts = np.bincount(sy, minlength=n_classes).astype(np.float64)
+    parent_h = entropy(parent_counts)
+
+    left = np.zeros(n_classes, dtype=np.float64)
+    best: NumericSplit | None = None
+    for i in range(n - 1):
+        left[sy[i]] += 1.0
+        if sv[i] == sv[i + 1]:
+            continue
+        n_left = i + 1
+        n_right = n - n_left
+        if n_left < min_leaf or n_right < min_leaf:
+            continue
+        threshold = (sv[i] + sv[i + 1]) / 2.0
+        if not sv[i] < threshold < sv[i + 1]:
+            continue
+        right = parent_counts - left
+        weighted = (n_left / n) * entropy(left) + (n_right / n) * entropy(right)
+        gain = parent_h - weighted
+        split_info = entropy([n_left, n_right])
+        cand = NumericSplit(threshold=float(threshold), gain=float(gain), ratio=float(gain / split_info))
+        if best is None or cand.gain > best.gain:
+            best = cand
+    return best
+
+
+class _Candidate(NamedTuple):
+    attr_index: int
+    test: SplitTest
+    gain: float
+    ratio: float
+
+
+def _attr_candidate(X, y, n_classes, attributes, attr_index, rows, min_leaf) -> _Candidate | None:
+    attr = attributes[attr_index]
+    if attr.kind == NUMERIC:
+        found = best_numeric_threshold(X, y, n_classes, attr_index, min_leaf, rows)
+        if found is None:
+            return None
+        test = SplitTest(attr_index, threshold=found.threshold)
+        return _Candidate(attr_index, test, found.gain, found.ratio)
+    test = SplitTest(attr_index, n_branches=len(attr.values))
+    sizes = [len(b) for b in split_rows(X, test, rows)]
+    if sum(1 for s in sizes if s >= min_leaf) < 2:
+        return None
+    stats = gain_ratio(X, y, n_classes, test, rows)
+    if stats is None:
+        return None
+    return _Candidate(attr_index, test, stats.gain, stats.ratio)
+
+
+def _select_split(candidates: list, impure: bool) -> _Candidate | None:
+    positive = [c for c in candidates if c.gain > GAIN_EPS]
+    if positive:
+        mean_gain = sum(c.gain for c in positive) / len(positive)
+        eligible = [c for c in positive if c.gain >= mean_gain - GAIN_EPS]
+        best = eligible[0]
+        for c in eligible[1:]:
+            if c.ratio > best.ratio:
+                best = c
+        return best
+    if impure and candidates:
+        return candidates[0]
+    return None
+
+
+def oracle_grow(
+    X: np.ndarray,
+    y,
+    attributes: Sequence[AttributeMeta],
+    class_names: Sequence[str],
+    params: C45Params | None = None,
+) -> C45Tree:
+    params = params or C45Params()
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    k = len(class_names)
+
+    def build(rows: np.ndarray, depth: int) -> TreeNode:
+        counts = class_counts(y, k, rows)
+        majority = int(np.argmax(counts))
+        impure = np.count_nonzero(counts) > 1
+        if not impure or (params.max_depth is not None and depth >= params.max_depth):
+            return TreeNode(counts=counts, majority=majority)
+        results = [_attr_candidate(X, y, k, attributes, a, rows, params.min_leaf) for a in range(len(attributes))]
+        chosen = _select_split([c for c in results if c is not None], impure)
+        if chosen is None:
+            return TreeNode(counts=counts, majority=majority)
+        children = []
+        for branch in split_rows(X, chosen.test, rows):
+            if len(branch) == 0:
+                children.append(TreeNode(counts=counts.copy(), majority=majority, virtual=True))
+            else:
+                children.append(build(branch, depth + 1))
+        return TreeNode(counts=counts, majority=majority, test=chosen.test, children=children)
+
+    root = build(np.arange(len(y)), 0)
+    return C45Tree(root=root, attributes=tuple(attributes), class_names=tuple(class_names), params=params)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from chidt.tree import (
     prune_ebp,
 )
 
-from conftest import binary_attrs
+from conftest import binary_attrs, random_view
 
 
 # ---------------------------------------------------------------------------
@@ -126,25 +127,6 @@ def oracle_root_selection(X, y, k, attributes, min_leaf):
         if c[2] > best[2]:
             best = c
     return best[0]
-
-
-def random_view(rng, n, n_attrs, k, numeric_share=0.5):
-    attrs = []
-    cols = []
-    for i in range(n_attrs):
-        if rng.random() < numeric_share:
-            attrs.append(AttributeMeta(f"a{i}", NUMERIC, index=i))
-            cols.append([rng.randrange(0, 10) + 0.5 * rng.randrange(0, 2) for _ in range(n)])
-        else:
-            width = rng.randrange(2, 4)
-            attrs.append(
-                AttributeMeta(f"a{i}", NOMINAL, values=tuple(str(v) for v in range(width)), index=i)
-            )
-            cols.append([rng.randrange(width) for _ in range(n)])
-    X = np.array(cols, dtype=np.float64).T
-    y = np.array([rng.randrange(k) for _ in range(n)], dtype=np.int64)
-    classes = tuple(f"c{j}" for j in range(k))
-    return X, y, tuple(attrs), classes
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +330,28 @@ class TestGrow:
         y = np.array([0, 1, 1, 0])
         tree = grow(X, y, binary_attrs(2), ("a", "b"), C45Params(min_leaf=1, pruning=False))
         assert resubstitution_accuracy(tree, X, y) == 1.0
+
+    # before grow checked its input, each of these views lost the bad row: the root's children held 4 rows
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            (1, float("nan"), "NaN in numeric 'lab'"),
+            (0, 2.0, "value index 2 outside the domain of 'sign'"),
+            (0, -1.0, "value index -1 outside the domain of 'sign'"),
+            (0, 0.5, "value 0.5 of nominal 'sign' is not a value index"),
+            (0, float("inf"), "value inf of nominal 'sign' is not a value index"),
+        ],
+    )
+    def test_values_no_branch_can_take_fail_closed(self, column, value, message):
+        attrs = (AttributeMeta("sign", NOMINAL, values=("0", "1"), index=0), AttributeMeta("lab", NUMERIC, index=1))
+        X = np.array([[0, 1.0], [0, 2.0], [1, 3.0], [1, 4.0], [0, 5.0]])
+        y = np.array([0, 0, 1, 1, 0])
+        X[3, column] = value
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            grow(X, y, attrs, ("no", "yes"), C45Params(min_leaf=1))
+        test = SplitTest(1, threshold=2.5) if column else SplitTest(0, n_branches=2)
+        with pytest.raises(ValidationError, match="attribute"):
+            gain_ratio(X, y, 2, test)
 
     def test_unobserved_nominal_value_routes_to_parent_majority(self):
         attrs = (AttributeMeta("color", NOMINAL, values=("r", "g", "b"), index=0),)
