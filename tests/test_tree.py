@@ -331,7 +331,7 @@ class TestGrow:
         tree = grow(X, y, binary_attrs(2), ("a", "b"), C45Params(min_leaf=1, pruning=False))
         assert resubstitution_accuracy(tree, X, y) == 1.0
 
-    # before grow checked its input, each of these views lost the bad row: the root's children held 4 rows
+    # before grow checked its input, these views lost the bad row (the root's children held 4 rows) or misread it
     @pytest.mark.parametrize(
         "column, value, message",
         [

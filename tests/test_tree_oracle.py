@@ -77,6 +77,14 @@ class TestGrowMatchesOracle:
         assert grow(X, y, attrs, classes, params).to_dict() == oracle_grow(X, y, attrs, classes, params).to_dict()
         assert calls and min(calls) >= 8
 
+    def test_level_counted_one_node_at_a_time(self, monkeypatch):
+        # a level whose count table would exceed the cell budget is counted in node chunks
+        monkeypatch.setattr(tree_module, "_TABLE_CELLS", 1)
+        for seed in range(5):
+            X, y, attrs, classes = view(seed=seed, n=200, n_attrs=4, k=9, numeric_share=0.0, max_width=10)
+            params = C45Params(min_leaf=1, pruning=False)
+            assert grow(X, y, attrs, classes, params).to_dict() == oracle_grow(X, y, attrs, classes, params).to_dict()
+
     def test_shipped_corpus_sized_views(self):
         # the shape of a diverse-br bank: 14 binary attributes, two classes, 2,000 rows
         rng = random.Random(2009)
