@@ -335,12 +335,6 @@ def train_chidt(
     )
 
 
-def predict_chidt(model: ChiDTModel, x):
-    """Final LabelSet and trace; stage 2 is consulted only on known errors."""
-    final, _, trace = model.predict_with_scores(x)
-    return final, trace
-
-
 # ---------------------------------------------------------------------------
 # Persistence
 # ---------------------------------------------------------------------------

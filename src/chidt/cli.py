@@ -36,6 +36,7 @@ from .ontology import (
     map_terms,
     observed_registry,
 )
+from .tree import render
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -242,7 +243,7 @@ def cmd_inspect(cfg: RunConfig) -> int:
     for stage, trees in ((1, zip(model.stage1.codes, model.stage1.trees)), (2, stage2)):
         for name, tree in trees:
             print(f"\n--- stage {stage}: {name} ({tree.n_nodes} nodes) ---")
-            print(tree.render())
+            print(render(tree))
     return EXIT_OK
 
 

@@ -1,9 +1,9 @@
 """Clinical-coding dataset model: attribute schema, records, loaders, splits, synthesis.
 
-On-disk formats are a small CSV dialect (one label column holding
-separator-joined code lists, optional ``code:ROLE`` suffixes for
-PDx/SDx/PROC markers) and a dense ARFF subset. Datasets are immutable
-after construction and safe to share across threads.
+The on-disk format is a small CSV dialect: one label column holding
+separator-joined code lists, with optional ``code:ROLE`` suffixes for
+PDx/SDx/PROC markers. Datasets are immutable after construction and safe
+to share across threads.
 """
 
 from __future__ import annotations
@@ -82,15 +82,6 @@ class Record:
         object.__setattr__(self, "features", tuple(self.features))
         object.__setattr__(self, "labels", frozenset(self.labels))
         object.__setattr__(self, "roles", dict(self.roles))
-
-    def principal_code(self) -> str | None:
-        """PDx-tagged code if present, else the lowest-sorted code, else None."""
-        for code, role in self.roles.items():
-            if role == "PDx":
-                return code
-        if self.labels:
-            return min(self.labels)
-        return None
 
 
 def _refuse(bad: np.ndarray, message) -> None:
@@ -313,7 +304,7 @@ def _parses_numeric(cell: str) -> bool:
 def _row_reader(attributes: Sequence[AttributeMeta]):
     """``read_row(cells, n)``: the values of the text cells of line ``n``, a
     finite float per numeric cell and the value index per nominal one; any
-    other cell fails as ``line n: ...``. The CSV and ARFF loaders share it."""
+    other cell fails as ``line n: ...``."""
     domains = [None if a.is_numeric else {v: i for i, v in enumerate(a.values)} for a in attributes]
 
     def read_row(cells, n: int) -> tuple:
@@ -471,118 +462,6 @@ def export_csv(
         row.append(_render_label_cell(rec, label_separator))
         writer.writerow(row)
     return buf.getvalue()
-
-
-# ---------------------------------------------------------------------------
-# ARFF subset loading / export
-# ---------------------------------------------------------------------------
-
-_NUMERIC_KEYWORDS = ("numeric", "real", "integer")
-
-
-def _split_arff_name(rest: str, n: int):
-    rest = rest.strip()
-    if rest.startswith(("'", '"')):
-        quote = rest[0]
-        try:
-            end = rest.index(quote, 1)
-        except ValueError:
-            raise ValidationError(f"line {n}: unterminated quoted attribute name")
-        return rest[1:end], rest[end + 1 :].strip()
-    parts = rest.split(None, 1)
-    if len(parts) < 2:
-        raise ValidationError(f"line {n}: malformed @attribute declaration")
-    return parts[0], parts[1].strip()
-
-
-def load_arff_subset(content: str, name: str | None = None) -> Dataset:
-    """Load a dense ARFF file restricted to numeric and nominal attributes.
-
-    The last attribute is the class attribute (must be nominal); each data
-    row becomes a record with a one-element LabelSet. Sparse rows, string,
-    date, and relational attributes, and missing values ('?') are rejected.
-    """
-    relation = name
-    attrs: list[tuple[str, str, tuple | None]] = []
-    data_rows = []
-    in_data = False
-    for n, raw in enumerate(content.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("%"):
-            continue
-        low = line.lower()
-        if in_data:
-            if line.startswith("{"):
-                raise ValidationError(f"line {n}: sparse ARFF rows are not supported")
-            cells = [c.strip().strip("'\"") for c in line.split(",")]
-            data_rows.append((n, cells))
-        elif low.startswith("@relation"):
-            if relation is None:
-                relation = line.split(None, 1)[1].strip().strip("'\"") if " " in line else "dataset"
-        elif low.startswith("@attribute"):
-            attr_name, rest = _split_arff_name(line.split(None, 1)[1], n)
-            if rest.startswith("{"):
-                if not rest.endswith("}"):
-                    raise ValidationError(f"line {n}: unterminated nominal domain")
-                values = tuple(v.strip().strip("'\"") for v in rest[1:-1].split(","))
-                if any(not v for v in values):
-                    raise ValidationError(f"line {n}: empty value in nominal domain")
-                attrs.append((attr_name, NOMINAL, values))
-            elif rest.lower() in _NUMERIC_KEYWORDS:
-                attrs.append((attr_name, NUMERIC, None))
-            else:
-                raise ValidationError(f"line {n}: unsupported attribute kind {rest!r}")
-        elif low.startswith("@data"):
-            in_data = True
-        else:
-            raise ValidationError(f"line {n}: unrecognized declaration {line.split()[0]!r}")
-
-    if not in_data:
-        raise ValidationError("ARFF input has no @data section")
-    if len(attrs) < 2:
-        raise ValidationError("ARFF input needs at least one feature and a class attribute")
-    class_name, class_kind, class_values = attrs[-1]
-    if class_kind != NOMINAL:
-        raise ValidationError(f"class attribute {class_name!r} must be nominal")
-
-    metas = tuple(AttributeMeta(a_name, kind, vals, i) for i, (a_name, kind, vals) in enumerate(attrs))
-    read_row = _row_reader(metas)
-    rows = []
-    for n, cells in data_rows:
-        if len(cells) != len(attrs):
-            raise ValidationError(f"line {n}: expected {len(attrs)} values, found {len(cells)}")
-        if "?" in cells:
-            raise ValidationError(f"line {n}: missing values ('?') are not supported")
-        rows.append(read_row(cells, n))
-    alphabet = sorted(class_values)
-    Y = label_indicator([{class_values[label]} for *_, label in rows], alphabet)
-    X = np.array([features for *features, _ in rows], dtype=np.float64).reshape(len(rows), len(metas) - 1)
-    return Dataset(metas[:-1], tuple(alphabet), [f"r{i}" for i in range(len(rows))], X, Y, name=relation or "dataset")
-
-
-def export_arff(ds: Dataset, class_name: str = "class") -> str:
-    """Render a single-label Dataset as dense ARFF (inverse of load_arff_subset)."""
-    if any(len(r.labels) != 1 for r in ds.records):
-        raise ValidationError("ARFF export requires exactly one code per record")
-    if any(r.roles for r in ds.records):
-        raise ValidationError("ARFF export cannot represent role tags")
-    if class_name in (a.name for a in ds.attributes):
-        raise ValidationError(f"class attribute name {class_name!r} collides with a feature")
-    lines = [f"@relation {ds.name}", ""]
-    for attr in ds.attributes:
-        if attr.kind == NUMERIC:
-            lines.append(f"@attribute {attr.name} numeric")
-        else:
-            lines.append(f"@attribute {attr.name} {{{','.join(attr.values)}}}")
-    lines.append(f"@attribute {class_name} {{{','.join(ds.label_alphabet)}}}")
-    lines.append("")
-    lines.append("@data")
-    for rec in ds.records:
-        cells = [_render_feature(a, v) for a, v in zip(ds.attributes, rec.features)]
-        cells.append(next(iter(rec.labels)))
-        lines.append(",".join(cells))
-    lines.append("")
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,10 @@ def loads(text: str, what: str):
 
 
 def read(path, parse):
-    """``parse`` of the UTF-8 text of the file at ``path``; its ValidationError names the file."""
+    """``parse`` of the UTF-8 text of the file at ``path``, a leading byte-order mark dropped; its
+    ValidationError names the file."""
     try:
-        return parse(Path(path).read_text(encoding="utf-8"))
+        return parse(Path(path).read_text(encoding="utf-8-sig"))
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except ValidationError as exc:

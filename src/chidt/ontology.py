@@ -38,18 +38,15 @@ class CodeNode:
 
 
 class CodeHierarchy:
-    """Concept / major / minor code tree with an optional prefix rule.
+    """Concept / major / minor code tree.
 
-    When the prefix rule is enabled every minor code must start with its
-    parent major code followed by '.', matching ICD-10 notation (I21.0
-    under I21).
+    Every minor code must start with its parent major code followed by '.'
+    (the prefix rule), matching ICD-10 notation (I21.0 under I21).
     """
 
-    def __init__(self, roots: Sequence[CodeNode], prefix_rule_enabled: bool = True):
+    def __init__(self, roots: Sequence[CodeNode]):
         self.roots = tuple(roots)
-        self.prefix_rule_enabled = prefix_rule_enabled
         self._nodes: dict = {}
-        self._parent: dict = {}
         for root in self.roots:
             self._register(root, None)
 
@@ -66,47 +63,14 @@ class CodeHierarchy:
             raise ValidationError(f"minor {parent.code!r} must be a leaf, found child {node.code!r}")
         if node.level == "minor" and node.children:
             raise ValidationError(f"minor {node.code!r} must be a leaf")
-        if (
-            self.prefix_rule_enabled
-            and parent is not None
-            and node.level == "minor"
-            and not node.code.startswith(parent.code + ".")
-        ):
-            raise ValidationError(
-                f"minor {node.code!r} does not extend its major {parent.code!r} (prefix rule)"
-            )
+        if parent is not None and node.level == "minor" and not node.code.startswith(parent.code + "."):
+            raise ValidationError(f"minor {node.code!r} does not extend its major {parent.code!r} (prefix rule)")
         self._nodes[node.code] = node
-        if parent is not None:
-            self._parent[node.code] = parent.code
         for child in node.children:
             self._register(child, node)
 
     def __contains__(self, code: str) -> bool:
         return code in self._nodes
-
-    def node(self, code: str) -> CodeNode:
-        try:
-            return self._nodes[code]
-        except KeyError:
-            raise ValidationError(f"unknown code {code!r}")
-
-    def codes(self) -> list:
-        return sorted(self._nodes)
-
-    def at_level(self, level: str) -> list:
-        if level not in LEVELS:
-            raise ValidationError(f"unknown hierarchy level {level!r}")
-        return sorted(c for c, n in self._nodes.items() if n.level == level)
-
-    def ancestors(self, code: str) -> list:
-        """Ancestor codes nearest first (minor -> [major, concept])."""
-        self.node(code)
-        out = []
-        cur = code
-        while cur in self._parent:
-            cur = self._parent[cur]
-            out.append(cur)
-        return out
 
 
 def _read_code_node(doc, where: str, parent_level: str | None) -> CodeNode:
@@ -119,7 +83,7 @@ def _read_code_node(doc, where: str, parent_level: str | None) -> CodeNode:
     return CodeNode(f.get("code", text), f.get("title", text, "", empty=True), level, children)
 
 
-def load_hierarchy(content: str, prefix_rule: bool = True) -> CodeHierarchy:
+def load_hierarchy(content: str) -> CodeHierarchy:
     """Build a CodeHierarchy from JSON (a node object or a list of roots).
 
     Node objects carry ``code``, ``title`` and ``children``; level defaults
@@ -131,7 +95,7 @@ def load_hierarchy(content: str, prefix_rule: bool = True) -> CodeHierarchy:
         roots = items(doc, "hierarchy", _read_code_node, parent_level=None)
     else:
         roots = [_read_code_node(doc, "hierarchy", None)]
-    return CodeHierarchy(roots, prefix_rule_enabled=prefix_rule)
+    return CodeHierarchy(roots)
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +176,6 @@ def observed_registry(ds: Dataset) -> ValidCombinationRegistry:
     return ValidCombinationRegistry(
         frozenset(combos), {c: PROVENANCE_OBSERVED for c in combos}
     )
-
-
-def declared_registry(combos: Iterable[Iterable[str]]) -> ValidCombinationRegistry:
-    combos = frozenset(frozenset(c) for c in combos)
-    return ValidCombinationRegistry(combos, {c: PROVENANCE_DECLARED for c in combos})
 
 
 @dataclass(frozen=True)

@@ -59,10 +59,6 @@ class C45Params:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-    @classmethod
-    def from_dict(cls, doc) -> "C45Params":
-        return _read_params(doc, "params")
-
 
 def _read_params(doc, where: str) -> C45Params:
     f = Fields(doc, where, field_names(C45Params))
@@ -113,17 +109,6 @@ class TreeNode:
 
     def node_count(self) -> int:
         return 1 + sum(c.node_count() for c in self.children)
-
-    def depth(self) -> int:
-        if self.is_leaf:
-            return 0
-        return 1 + max(c.depth() for c in self.children)
-
-
-class GainStats(NamedTuple):
-    gain: float
-    split_info: float
-    ratio: float
 
 
 class NumericSplit(NamedTuple):
@@ -183,34 +168,6 @@ def _split_scores(parent_h, table: np.ndarray) -> tuple:
             weighted += frac[..., j] * h[..., j]
         gain = parent_h - weighted
         return gain, split_info, gain / split_info, sizes
-
-
-def gain_ratio(
-    X: np.ndarray,
-    y: np.ndarray,
-    n_classes: int,
-    test: SplitTest,
-    rows: np.ndarray | None = None,
-) -> GainStats | None:
-    """Information gain, split information, and their ratio for one test.
-
-    Returns None when the test yields fewer than two non-empty branches
-    (split information would be zero, so the test is not a candidate).
-    """
-    if rows is None:
-        rows = np.arange(len(y))
-    values = np.asarray(X, dtype=np.float64)[rows, test.attr_index]
-    bad = _unroutable(values, test.is_numeric, test.n_branches)
-    if bad.any():
-        _refuse(values[np.argmax(bad)], test.is_numeric, f"attribute {test.attr_index}")
-    branch = (values > test.threshold) if test.is_numeric else values
-    cells = branch.astype(np.intp) * n_classes + np.asarray(y)[rows]
-    table = np.bincount(cells, minlength=test.n_branches * n_classes).reshape(1, test.n_branches, n_classes)
-    table = table.astype(np.float64)
-    gain, split_info, ratio, sizes = _split_scores(_entropy_rows(table.sum(axis=1)), table)
-    if np.count_nonzero(sizes) < 2:
-        return None
-    return GainStats(gain=float(gain[0]), split_info=float(split_info[0]), ratio=float(ratio[0]))
 
 
 def best_numeric_threshold(
@@ -326,23 +283,10 @@ class C45Tree:
     def n_nodes(self) -> int:
         return self.root.node_count()
 
-    @property
-    def depth(self) -> int:
-        return self.root.depth()
-
     @cached_property
     def flat(self) -> "FlatTree":
         """The tree as flat arrays, compiled on first use."""
         return _compile(self)
-
-    def predict_distribution(self, x) -> np.ndarray:
-        return predict_distribution(self, x)
-
-    def predict(self, x) -> int:
-        return predict(self, x)
-
-    def render(self) -> str:
-        return render(self)
 
     def to_dict(self, embed_schema: bool = True) -> dict:
         doc = {"root": _node_to_dict(self.root), "params": self.params.to_dict()}

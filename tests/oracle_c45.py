@@ -15,7 +15,13 @@ import numpy as np
 
 from chidt.data import AttributeMeta, NUMERIC
 from chidt.errors import ValidationError
-from chidt.tree import GAIN_EPS, C45Params, C45Tree, GainStats, NumericSplit, SplitTest, TreeNode
+from chidt.tree import GAIN_EPS, C45Params, C45Tree, NumericSplit, SplitTest, TreeNode
+
+
+class GainStats(NamedTuple):
+    gain: float
+    split_info: float
+    ratio: float
 
 
 def entropy(weights) -> float:

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from chidt.cascade import predict_chidt, train_chidt
+from chidt.cascade import train_chidt
 from chidt.data import (
     GeneratorConfig,
     cover_all_labels_split,
@@ -28,7 +28,7 @@ from chidt.evaluation import (
     kappa,
     probabilistic_errors,
 )
-from chidt.ontology import declared_registry, is_valid, observed_registry
+from chidt.ontology import ValidCombinationRegistry, is_valid, observed_registry
 from chidt.tree import C45Params, entropy, grow, predict, prune_ebp
 
 from conftest import DATA_DIR, binary_attrs, make_dataset
@@ -129,7 +129,7 @@ def test_criterion_4_cascade_contract_exhaustive():
         trees=(indicator_tree(attrs, 0), indicator_tree(attrs, 1), indicator_tree(attrs, 2)),
         attributes=attrs,
     )
-    registry = declared_registry([{"a"}, {"a", "b"}, {"c"}])
+    registry = ValidCombinationRegistry([{"a"}, {"a", "b"}, {"c"}])
     stage2 = constant_lp(attrs, (frozenset({"a"}), frozenset({"a", "b"}), frozenset({"c"})), 2)
     model = ChiDTModel(stage1=stage1, stage2=stage2, registry=registry)
 
@@ -141,13 +141,13 @@ def test_criterion_4_cascade_contract_exhaustive():
     stage2_calls = spy_batch_rows(stage2)
 
     for x in valid_inputs:
-        final, trace = predict_chidt(model, x)
+        final, _, trace = model.predict_with_scores(x)
         assert not trace.triggered
         assert final == trace.stage1_output == stage1.predict_labels(x)
     assert stage2_calls == []
 
     for x in invalid_inputs:
-        final, trace = predict_chidt(model, x)
+        final, _, trace = model.predict_with_scores(x)
         assert trace.triggered
         assert final == stage2_alone[x]
         assert final in registry
@@ -220,7 +220,7 @@ def test_criterion_6_validity_semantics():
         while len(combos) < n_combos:
             size = rng.randrange(1, 4)
             combos.append(set(rng.sample(codes, size)))
-        registry = declared_registry(combos)
+        registry = ValidCombinationRegistry(combos)
         assert is_valid(registry, (), frozenset()) == (False, "empty")
 
     for _ in range(100):

@@ -28,8 +28,8 @@ from chidt.errors import SchemaMismatchError, ValidationError
 from chidt.ontology import (
     REASON_OK,
     ExclusionGroup,
+    ValidCombinationRegistry,
     combo_key,
-    declared_registry,
     is_valid,
     observed_registry,
 )
@@ -128,10 +128,10 @@ def random_cascade(rng, strategy: str, fallback: bool):
         records.append(Record(id=f"r{i}", features=features, labels=labels))
     ds = Dataset.from_records(attributes=attributes, label_alphabet=alphabet, records=tuple(records))
     if rng.random() < 0.5 or not ds.distinct_labelsets():
-        registry = observed_registry(ds) if ds.distinct_labelsets() else declared_registry([alphabet[:1]])
+        registry = observed_registry(ds) if ds.distinct_labelsets() else ValidCombinationRegistry([alphabet[:1]])
     else:
         extra = [rng.sample(alphabet, rng.randrange(1, len(alphabet) + 1)) for _ in range(3)]
-        registry = observed_registry(ds).merged(declared_registry(extra))
+        registry = observed_registry(ds).merged(ValidCombinationRegistry(extra))
     exclusions = ()
     if len(alphabet) >= 2 and rng.random() < 0.6:
         exclusions = (ExclusionGroup(frozenset(rng.sample(alphabet, 2))),)

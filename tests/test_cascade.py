@@ -16,7 +16,6 @@ from chidt.cascade import (
     LPModel,
     model_from_dict,
     model_to_dict,
-    predict_chidt,
     train_br,
     train_chidt,
     train_label_powerset,
@@ -24,8 +23,8 @@ from chidt.cascade import (
 from chidt.data import GeneratorConfig, GeneratorProfile, generate_synthetic
 from chidt.errors import SchemaMismatchError, ValidationError
 from chidt.evaluation import evaluate_predictions
-from chidt.ontology import declared_registry, observed_registry
-from chidt.tree import C45Params, C45Tree, SplitTest, TreeNode
+from chidt.ontology import ValidCombinationRegistry, observed_registry
+from chidt.tree import C45Params, C45Tree, SplitTest, TreeNode, predict, predict_distribution
 
 from conftest import binary_attrs, make_dataset
 
@@ -149,7 +148,7 @@ class TestPredictBr:
             expected = {
                 code
                 for code, tree in zip(model.codes, model.trees)
-                if tree.predict_distribution(x)[1] >= 0.5
+                if predict_distribution(tree, x)[1] >= 0.5
             }
             assert model.predict_labels(x) == frozenset(expected)
 
@@ -164,7 +163,7 @@ class TestPredictBr:
             argmax_set = {
                 code
                 for code, tree in zip(model.codes, model.trees)
-                if tree.predict(x) == 1
+                if predict(tree, x) == 1
             }
             assert model.predict_labels(x) == frozenset(argmax_set)
 
@@ -270,12 +269,12 @@ class TestPredictChidt:
         if stage2 is None:
             stage2 = constant_lp(attrs, (frozenset({"a"}), frozenset({"a", "b"})), 0)
         if registry is None:
-            registry = declared_registry([{"a"}, {"a", "b"}])
+            registry = ValidCombinationRegistry([{"a"}, {"a", "b"}])
         return ChiDTModel(stage1=stage1, stage2=stage2, registry=registry, **kwargs)
 
     def test_empty_prediction_triggers(self):
         model = self._toy_model()
-        final, trace = predict_chidt(model, (0, 0, 0, 0))
+        final, _, trace = model.predict_with_scores((0, 0, 0, 0))
         assert trace.triggered
         assert trace.reason == "empty"
         assert trace.stage1_output == frozenset()
@@ -283,14 +282,14 @@ class TestPredictChidt:
 
     def test_registered_prediction_passes_through(self):
         model = self._toy_model()
-        final, trace = predict_chidt(model, (1, 1, 0, 0))
+        final, _, trace = model.predict_with_scores((1, 1, 0, 0))
         assert not trace.triggered
         assert trace.reason == "ok"
         assert final == trace.stage1_output == frozenset({"a", "b"})
 
     def test_unregistered_combination_triggers(self):
         model = self._toy_model()
-        final, trace = predict_chidt(model, (1, 0, 1, 0))
+        final, _, trace = model.predict_with_scores((1, 0, 1, 0))
         assert trace.triggered
         assert trace.reason == "unregistered"
         assert trace.stage1_output == frozenset({"a", "c"})
@@ -299,10 +298,10 @@ class TestPredictChidt:
     def test_stage2_not_evaluated_when_valid(self):
         model = self._toy_model()
         calls = spy_batch_rows(model.stage2)
-        predict_chidt(model, (1, 0, 0, 0))
-        predict_chidt(model, (1, 1, 0, 0))
+        model.predict_with_scores((1, 0, 0, 0))
+        model.predict_with_scores((1, 1, 0, 0))
         assert calls == []
-        predict_chidt(model, (0, 0, 0, 0))
+        model.predict_with_scores((0, 0, 0, 0))
         assert calls == [((0, 0, 0, 0),)]
 
     def test_triggered_output_is_stage2_verbatim_even_if_invalid(self):
@@ -310,7 +309,7 @@ class TestPredictChidt:
         # stage 2 constantly predicts an unregistered combination
         stage2 = constant_lp(attrs, (frozenset({"zzz"}),), 0)
         model = self._toy_model(stage2=stage2)
-        final, trace = predict_chidt(model, (0, 0, 0, 0))
+        final, _, trace = model.predict_with_scores((0, 0, 0, 0))
         assert trace.triggered
         assert final == frozenset({"zzz"})
         assert not trace.fallback_applied
@@ -323,7 +322,7 @@ class TestPredictChidt:
             attributes=attrs,
         )
         model = self._toy_model(stage2=stage2, single_label_fallback=True)
-        final, trace = predict_chidt(model, (0, 0, 0, 0))
+        final, _, trace = model.predict_with_scores((0, 0, 0, 0))
         assert trace.fallback_applied
         assert len(final) == 1
 
@@ -337,7 +336,7 @@ class TestPredictChidt:
         )
         model = train_chidt(ds, strategy="diverse-br")
         for x in itertools.product((0, 1), repeat=3):
-            final, trace = predict_chidt(model, x)
+            final, _, trace = model.predict_with_scores(x)
             stage2_raw = model.stage2.predict_labels(x)
             if trace.triggered:
                 assert final == stage2_raw
@@ -359,7 +358,7 @@ class TestTriggerRate:
         model = train_chidt(
             ds,
             stage1_params=C45Params(min_leaf=1, pruning=False),
-            registry=declared_registry([{"a"}, {"b"}]),
+            registry=ValidCombinationRegistry([{"a"}, {"b"}]),
         )
         assert evaluated_trigger_rate(model, ds) == 0.0
 
@@ -369,7 +368,7 @@ class TestTriggerRate:
             codes=("a",), trees=(constant_tree(attrs, False),), attributes=attrs
         )
         stage2 = constant_lp(attrs, (frozenset({"a"}),), 0, codes=("a",))
-        model = ChiDTModel(stage1=stage1, stage2=stage2, registry=declared_registry([{"a"}]))
+        model = ChiDTModel(stage1=stage1, stage2=stage2, registry=ValidCombinationRegistry([{"a"}]))
         ds = make_dataset([(0, 0), (0, 1), (1, 0)], [{"a"}, {"a"}, {"a"}])
         assert evaluated_trigger_rate(model, ds) == 1.0
 
@@ -382,7 +381,7 @@ class TestTriggerRate:
             GeneratorConfig(profiles=profiles, n_records=40, noise_rate=0.2, seed=11)
         )
         model = train_chidt(ds, strategy="label-powerset")
-        traces = [predict_chidt(model, r.features)[1] for r in ds.records]
+        traces = [model.predict_with_scores(r.features)[2] for r in ds.records]
         expected = sum(t.triggered for t in traces) / len(traces)
         assert evaluated_trigger_rate(model, ds) == pytest.approx(expected, abs=1e-12)
 
@@ -402,7 +401,7 @@ class TestPersistence:
             again = model_from_dict(doc)
             assert model_to_dict(again) == model_to_dict(model)
             for rec in ds.records:
-                assert predict_chidt(again, rec.features)[0] == predict_chidt(model, rec.features)[0]
+                assert again.predict_with_scores(rec.features)[0] == model.predict_with_scores(rec.features)[0]
 
     def test_rejects_foreign_documents(self):
         with pytest.raises(ValidationError, match="not a cascade model"):
@@ -424,7 +423,7 @@ class TestConstructionInvariants:
         for codes in (("b", "a"), ("a",), ("a", "b", "c")):
             stage2 = BRModel(codes=codes, trees=(indicator_tree(attrs, 1),) * len(codes), attributes=attrs)
             with pytest.raises(ValidationError, match="one code alphabet"):
-                ChiDTModel(stage1=stage1, stage2=stage2, registry=declared_registry([{"a"}]))
+                ChiDTModel(stage1=stage1, stage2=stage2, registry=ValidCombinationRegistry([{"a"}]))
 
     def test_lp_model_rejects_empty_combination_classes(self):
         attrs = binary_attrs(2)

@@ -103,6 +103,24 @@ class TestTrainEvalPredict:
         assert row[2] in ("true", "false")
         assert row[3] in ("ok", "empty", "unregistered", "exclusion-violated")
 
+    def test_bom_prefixed_corpus_trains_to_the_same_model(self, tmp_path):
+        # spreadsheet exports start with a UTF-8 byte-order mark, here in front of a feature column's name
+        assert run(["gen", "--config", write_config(tmp_path)]) == 0
+        rows = [line.split(",") for line in (tmp_path / "out" / "corpus.csv").read_text().splitlines()]
+        corpus = "".join(",".join(cells[1:2] + cells[:1] + cells[2:]) + "\n" for cells in rows)
+        models = []
+        for name, mark in (("plain", ""), ("bom", "\ufeff")):
+            (tmp_path / f"{name}.csv").write_text(mark + corpus, encoding="utf-8")
+            paths = {
+                "dataset": str(tmp_path / f"{name}.csv"),
+                "registry": str(tmp_path / "out" / "registry.json"),
+                "model": str(tmp_path / name / "model.json"),
+            }
+            assert run(["train", "--config", write_config(tmp_path, paths=paths)]) == 0
+            models.append((tmp_path / name / "model.json").read_bytes())
+        assert (tmp_path / "bom.csv").read_bytes().startswith(b"\xef\xbb\xbff0,id,")
+        assert models[0] == models[1]
+
     @staticmethod
     def trained_for_terms(tmp_path) -> Path:
         cfg_doc = {

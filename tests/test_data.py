@@ -18,11 +18,10 @@ from chidt.data import (
     Record,
     SplitSpec,
     cover_all_labels_split,
-    export_arff,
     export_csv,
     generate_synthetic,
-    load_arff_subset,
     load_csv,
+    _principal_columns,
 )
 from chidt.errors import ValidationError
 
@@ -84,6 +83,17 @@ class TestLoadCsv:
         with pytest.raises(ValidationError, match="unparseable numeric"):
             load_csv("a,codes\noops,x\n", label_column="codes", attributes=schema)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_numeric_cell_names_its_line(self, cell):
+        schema = (AttributeMeta("age", NUMERIC, index=0),)
+        with pytest.raises(ValidationError, match=f"^line 3: non-finite value '{cell}' in 'age'$"):
+            load_csv(f"age,codes\n1.5,a\n{cell},b\n", label_column="codes", attributes=schema)
+
+    def test_value_outside_declared_domain_names_its_line(self):
+        schema = (AttributeMeta("f", NOMINAL, values=("0", "1"), index=0), AttributeMeta("g", NUMERIC, index=1))
+        with pytest.raises(ValidationError, match=r"^line 3: value '7' outside declared domain of 'f'$"):
+            load_csv("f,g,codes\n0,1.5,a\n7,2.5,b\n", label_column="codes", attributes=schema)
+
     @pytest.mark.parametrize("text", ["a,codes\n1\r2,x\n", "a,codes\n1," + "x" * 200_000 + "\n"])
     def test_unparseable_csv_is_a_validation_error(self, text):
         with pytest.raises(ValidationError, match="CSV input is malformed"):
@@ -93,7 +103,7 @@ class TestLoadCsv:
         text = "a,codes\n1,I21.0:PDx;I25.1:SDx\n1,I21.0\n"
         ds = load_csv(text, label_column="codes")
         assert ds.records[0].roles == {"I21.0": "PDx", "I25.1": "SDx"}
-        assert ds.records[0].principal_code() == "I21.0"
+        assert ds.label_alphabet[_principal_columns(ds.Y, ds.roles)[0]] == "I21.0"
 
     def test_two_pdx_tags_rejected(self):
         text = "a,codes\n1,I21.0:PDx;I25.1:PDx\n"
@@ -129,83 +139,6 @@ class TestLoadCsv:
         assert ds.attributes[0].values == ('angina, unstable', 'said "stable"')
         again = load_csv(export_csv(ds), label_column="codes", id_column="id", name=ds.name)
         assert again == ds
-
-
-ARFF_MINIMAL = """% toy
-@relation toy
-@attribute color {red,blue}
-@attribute class {a,b}
-@data
-red,a
-blue,b
-"""
-
-
-class TestLoadArff:
-    def test_minimal_nominal_file(self):
-        ds = load_arff_subset(ARFF_MINIMAL)
-        assert len(ds.records) == 2
-        assert ds.label_alphabet == ("a", "b")
-        assert ds.records[0].labels == frozenset({"a"})
-
-    def test_value_outside_declared_domain(self):
-        bad = ARFF_MINIMAL + "red,c\n"
-        with pytest.raises(ValidationError, match="outside declared domain"):
-            load_arff_subset(bad)
-
-    def test_feature_value_outside_domain(self):
-        bad = ARFF_MINIMAL.replace("blue,b", "green,b")
-        with pytest.raises(ValidationError, match="outside declared domain"):
-            load_arff_subset(bad)
-
-    def test_unsupported_attribute_kind(self):
-        bad = "@relation t\n@attribute note string\n@attribute class {a}\n@data\nhi,a\n"
-        with pytest.raises(ValidationError, match="unsupported attribute kind"):
-            load_arff_subset(bad)
-
-    def test_sparse_rows_rejected(self):
-        bad = ARFF_MINIMAL + "{0 red}\n"
-        with pytest.raises(ValidationError, match="sparse"):
-            load_arff_subset(bad)
-
-    def test_missing_values_rejected(self):
-        bad = ARFF_MINIMAL + "?,a\n"
-        with pytest.raises(ValidationError, match="missing values"):
-            load_arff_subset(bad)
-
-    def test_numeric_attribute_and_case_insensitive_keywords(self):
-        text = "@RELATION t\n@ATTRIBUTE age NUMERIC\n@ATTRIBUTE class {a,b}\n@DATA\n1.5,a\n2.5,b\n"
-        ds = load_arff_subset(text)
-        assert ds.attributes[0].kind == NUMERIC
-        assert ds.records[1].features == (2.5,)
-
-    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
-    def test_non_finite_numeric_cell_names_its_line(self, cell):
-        text = f"@relation t\n@attribute age numeric\n@attribute class {{a,b}}\n@data\n1.5,a\n{cell},b\n"
-        with pytest.raises(ValidationError, match=f"^line 6: non-finite value '{cell}' in 'age'$"):
-            load_arff_subset(text)
-
-    def test_both_formats_word_a_bad_cell_alike(self):
-        header = "@relation t\n@attribute f {0,1}\n@attribute g numeric\n@attribute class {a,b}\n@data\n"
-        schema = load_arff_subset(header + "0,1.5,a\n").attributes
-        message = r"^line \d+: value '7' outside declared domain of 'f'$"
-        with pytest.raises(ValidationError, match=message):
-            load_arff_subset(header + "0,1.5,a\n7,2.5,b\n")
-        with pytest.raises(ValidationError, match=message):
-            load_csv("f,g,codes\n0,1.5,a\n7,2.5,b\n", label_column="codes", attributes=schema)
-
-    def test_arff_round_trip(self):
-        ds = load_arff_subset(ARFF_MINIMAL)
-        again = load_arff_subset(export_arff(ds))
-        assert again == ds
-
-    def test_matches_csv_loader_on_same_logical_data(self):
-        arff = load_arff_subset(
-            "@relation t\n@attribute f {0,1}\n@attribute g numeric\n@attribute class {a,b}\n"
-            "@data\n0,1.5,a\n1,2.5,b\n0,3.5,a\n"
-        )
-        csv_ds = load_csv("f,g,codes\n0,1.5,a\n1,2.5,b\n0,3.5,a\n", label_column="codes")
-        assert csv_ds == Dataset.from_records(arff.attributes, arff.label_alphabet, arff.records, name=csv_ds.name)
 
 
 class TestColumnChecks:

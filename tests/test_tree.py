@@ -20,13 +20,13 @@ from chidt.tree import (
     best_numeric_threshold,
     build_tree,
     entropy,
-    gain_ratio,
     TreeNode,
     grow,
     leaf_distributions,
     predict,
     predict_distribution,
     prune_ebp,
+    render,
 )
 
 from conftest import binary_attrs, random_view
@@ -159,51 +159,8 @@ class TestEntropy:
 
 
 # ---------------------------------------------------------------------------
-# gain ratio and numeric thresholds
+# numeric thresholds
 # ---------------------------------------------------------------------------
-
-
-class TestGainRatio:
-    def test_perfect_binary_split(self):
-        X = np.array([[0], [0], [0], [0], [0], [1], [1], [1], [1], [1]], dtype=float)
-        y = np.array([0] * 5 + [1] * 5)
-        attrs = binary_attrs(1)
-        stats = gain_ratio(X, y, 2, SplitTest(0, n_branches=2))
-        assert stats.gain == pytest.approx(1.0, abs=1e-12)
-        assert stats.split_info == pytest.approx(1.0, abs=1e-12)
-        assert stats.ratio == pytest.approx(1.0, abs=1e-12)
-
-    def test_proportional_branches_have_zero_gain(self):
-        X = np.array([[0], [0], [1], [1]], dtype=float)
-        y = np.array([0, 1, 0, 1])
-        stats = gain_ratio(X, y, 2, SplitTest(0, n_branches=2))
-        assert stats.gain == pytest.approx(0.0, abs=1e-12)
-        assert stats.ratio == pytest.approx(0.0, abs=1e-12)
-
-    def test_single_nonempty_branch_is_not_a_candidate(self):
-        X = np.zeros((4, 1))
-        y = np.array([0, 1, 0, 1])
-        assert gain_ratio(X, y, 2, SplitTest(0, n_branches=2)) is None
-
-    def test_weather_outlook_matches_oracle(self, weather):
-        X, y, attrs, classes = weather
-        test = SplitTest(0, n_branches=3)
-        stats = gain_ratio(X, y, len(classes), test)
-        o_gain, o_split, o_ratio = oracle_gain_stats(X, y, len(classes), attrs, test, range(len(y)))
-        assert stats.gain == pytest.approx(o_gain, abs=1e-12)
-        assert stats.split_info == pytest.approx(o_split, abs=1e-12)
-        assert stats.ratio == pytest.approx(o_ratio, abs=1e-12)
-
-    def test_gain_never_negative_on_random_views(self):
-        rng = random.Random(5)
-        for _ in range(40):
-            X, y, attrs, classes = random_view(rng, rng.randrange(4, 20), 3, 2)
-            for a, attr in enumerate(attrs):
-                if attr.kind == NOMINAL:
-                    stats = gain_ratio(X, y, len(classes), SplitTest(a, n_branches=len(attr.values)))
-                    if stats is not None:
-                        assert stats.gain >= -1e-12
-                        assert stats.ratio >= -1e-12 and math.isfinite(stats.ratio)
 
 
 class TestBestNumericThreshold:
@@ -256,6 +213,11 @@ class TestBestNumericThreshold:
 # ---------------------------------------------------------------------------
 
 
+def depth(node: TreeNode) -> int:
+    """Edges on the longest root-to-leaf path below ``node``."""
+    return 0 if node.is_leaf else 1 + max(depth(c) for c in node.children)
+
+
 def resubstitution_accuracy(tree: C45Tree, X, y) -> float:
     hits = sum(1 for i in range(len(y)) if predict(tree, X[i]) == y[i])
     return hits / len(y)
@@ -273,7 +235,7 @@ class TestGrow:
         X = np.array([[0], [0], [1], [1]], dtype=float)
         y = np.array([0, 0, 1, 1])
         tree = grow(X, y, binary_attrs(1), ("a", "b"), C45Params(min_leaf=1, pruning=False))
-        assert tree.depth == 1
+        assert depth(tree.root) == 1
         assert resubstitution_accuracy(tree, X, y) == 1.0
 
     def test_weather_unpruned_is_perfect_and_root_matches_oracle(self, weather):
@@ -291,7 +253,7 @@ class TestGrow:
     def test_max_depth_stops_growth(self, weather):
         X, y, attrs, classes = weather
         tree = grow(X, y, attrs, classes, C45Params(min_leaf=1, pruning=False, max_depth=1))
-        assert tree.depth <= 1
+        assert depth(tree.root) <= 1
 
     def test_deterministic_across_runs(self, weather):
         X, y, attrs, classes = weather
@@ -349,9 +311,6 @@ class TestGrow:
         X[3, column] = value
         with pytest.raises(ValidationError, match=re.escape(message)):
             grow(X, y, attrs, ("no", "yes"), C45Params(min_leaf=1))
-        test = SplitTest(1, threshold=2.5) if column else SplitTest(0, n_branches=2)
-        with pytest.raises(ValidationError, match="attribute"):
-            gain_ratio(X, y, 2, test)
 
     def test_unobserved_nominal_value_routes_to_parent_majority(self):
         attrs = (AttributeMeta("color", NOMINAL, values=("r", "g", "b"), index=0),)
@@ -559,7 +518,7 @@ class TestPersistence:
 
     def test_render_mentions_tests_and_leaves(self, weather):
         X, y, attrs, classes = weather
-        text = grow(X, y, attrs, classes, C45Params(min_leaf=2, pruning=False)).render()
+        text = render(grow(X, y, attrs, classes, C45Params(min_leaf=2, pruning=False)))
         assert "outlook = sunny" in text
         assert "humidity" in text
         assert "yes (" in text
