@@ -117,7 +117,11 @@ def cmd_train(cfg: RunConfig) -> int:
     train_ds = ds.subset(split.train_ids, name=f"{ds.name}-train")
     model = _build_trainer(cfg)(train_ds)
     model_path = cfg.path("model", "model.json")
-    _write(model_path, _dump_json(model_to_dict(model)))
+    try:
+        text = _dump_json(model_to_dict(model))
+    except RecursionError:  # the encoder recurses twice per tree level: about 495 levels fit
+        raise ValidationError(f"cannot write {model_path}: a tree has more levels than JSON output can nest") from None
+    _write(model_path, text)
     _log(cfg, f"train strategy={model.strategy} records={len(train_ds)} -> {model_path}")
     print(
         f"trained {model.strategy} cascade on {len(train_ds)} records, "

@@ -18,14 +18,20 @@ for each empty class or branch, and rows with 8 or more nonzero classes
 (where numpy's ``sum`` turns pairwise) handed to ``entropy`` itself. So
 the trees are bit for bit those of the scalar, one-node-at-a-time
 induction, which ``tests/oracle_c45.py`` keeps as the test oracle.
+
+A tree is one set of flat arrays in breadth-first order (``C45Tree``):
+growth appends each level's nodes, pruning is one pass in reverse order,
+prediction indexes the child table, and writing, reading and rendering
+walk the arrays or an explicit queue or stack. Nothing recurses, so any
+depth that JSON can nest works. The oracle module also keeps the
+recursive pruning that the reverse pass replaced.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass
 from statistics import NormalDist
 from typing import NamedTuple, Sequence
 
@@ -68,47 +74,6 @@ def _read_params(doc, where: str) -> C45Params:
         pruning=f.get("pruning", flag, True),
         max_depth=f.optional("max_depth", integer),
     )
-
-
-@dataclass(frozen=True)
-class SplitTest:
-    """Branch test at an internal node.
-
-    Numeric attributes branch on (<= threshold, > threshold); nominal
-    attributes hold one branch per declared value.
-    """
-
-    attr_index: int
-    threshold: float | None = None
-    n_branches: int = 2
-
-    @property
-    def is_numeric(self) -> bool:
-        return self.threshold is not None
-
-
-@dataclass
-class TreeNode:
-    """Tree node; a leaf when ``test`` is None.
-
-    ``counts`` holds the training class distribution reaching the node.
-    Branches that received no training instances become *virtual* leaves
-    carrying their parent's distribution: they predict the parent majority
-    but contribute nothing to pruning error sums.
-    """
-
-    counts: np.ndarray
-    majority: int
-    test: SplitTest | None = None
-    children: list = field(default_factory=list)
-    virtual: bool = False
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.test is None
-
-    def node_count(self) -> int:
-        return 1 + sum(c.node_count() for c in self.children)
 
 
 class NumericSplit(NamedTuple):
@@ -270,26 +235,65 @@ def _keep(rows: np.ndarray, node: np.ndarray, chosen: np.ndarray) -> tuple:
     return rows[keep], (np.cumsum(chosen) - 1)[node[keep]]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class C45Tree:
-    """A grown (optionally pruned) tree plus the schema it was trained on."""
+    """A grown (optionally pruned) tree plus the schema it was trained on.
 
-    root: TreeNode
+    The tree is read-only flat arrays, one entry per node in breadth-first
+    order with the root at 0 (the layout of scikit-learn's ``tree_``): a
+    node's children are consecutive, in branch order, and come after the
+    children of every node before it. A branch that no training row reached
+    is a *virtual* leaf with its parent's counts: it predicts the parent
+    majority but adds nothing to pruning error sums.
+    """
+
+    attr: np.ndarray  # tested attribute, -1 at a leaf
+    threshold: np.ndarray  # numeric threshold, NaN at nominal tests and leaves
+    children: np.ndarray  # (nodes, widest branching) child index, -1 past a node's branches
+    counts: np.ndarray  # (nodes, classes) training class counts
+    virtual: np.ndarray  # True at a virtual leaf
     attributes: tuple
     class_names: tuple
     params: C45Params
 
+    def __post_init__(self) -> None:
+        for array in (self.attr, self.threshold, self.children, self.counts, self.virtual):
+            array.setflags(write=False)
+
     @property
     def n_nodes(self) -> int:
-        return self.root.node_count()
+        return len(self.attr)
 
-    @cached_property
-    def flat(self) -> "FlatTree":
-        """The tree as flat arrays, compiled on first use."""
-        return _compile(self)
+    @property
+    def majority(self) -> np.ndarray:
+        """Each node's majority class: the first index of its largest count."""
+        return np.argmax(self.counts, axis=1)
+
+    @property
+    def n_branches(self) -> np.ndarray:
+        """Each node's branch count, 0 at a leaf."""
+        return np.count_nonzero(self.children >= 0, axis=1)
 
     def to_dict(self, embed_schema: bool = True) -> dict:
-        doc = {"root": _node_to_dict(self.root), "params": self.params.to_dict()}
+        """The tree as nested node documents, built children first, so that no depth recurses."""
+        attr, threshold, children = self.attr.tolist(), self.threshold.tolist(), self.children.tolist()
+        counts, majority, virtual = self.counts.tolist(), self.majority.tolist(), self.virtual.tolist()
+        nodes = [None] * self.n_nodes
+        for i in reversed(range(self.n_nodes)):
+            if attr[i] < 0:
+                nodes[i] = {"kind": "leaf", "counts": counts[i], "majority": majority[i]}
+                if virtual[i]:
+                    nodes[i]["virtual"] = True
+                continue
+            branches = [nodes[c] for c in children[i] if c >= 0]
+            test = {"attr": attr[i]}
+            if math.isnan(threshold[i]):
+                test["branches"] = len(branches)
+            else:
+                test["threshold"] = threshold[i]
+            nodes[i] = {"kind": "split", "test": test, "counts": counts[i], "majority": majority[i]}
+            nodes[i]["children"] = branches
+        doc = {"root": nodes[0], "params": self.params.to_dict()}
         if embed_schema:
             doc["schema"] = schema_fingerprint(self.attributes, self.class_names)
         return doc
@@ -298,6 +302,23 @@ class C45Tree:
     def from_dict(cls, doc, attributes=None, class_names=None) -> "C45Tree":
         """Read ``to_dict`` output; ``attributes`` and ``class_names`` stand in for an unembedded schema."""
         return _read_tree(doc, "tree", attributes, class_names)
+
+
+def _tree(attr, threshold, n_branches, counts, virtual, attributes, class_names, params) -> C45Tree:
+    """A tree from its per-node values in breadth-first order; the child table follows from the branch counts."""
+    n_branches = np.asarray(n_branches, dtype=np.intp)
+    first = np.cumsum(n_branches) - n_branches + 1
+    j = np.arange(max(1, int(n_branches.max())))
+    return C45Tree(
+        attr=np.asarray(attr, dtype=np.intp),
+        threshold=np.asarray(threshold, dtype=np.float64),
+        children=np.where(j < n_branches[:, None], first[:, None] + j, -1),
+        counts=np.asarray(counts, dtype=np.float64).reshape(len(n_branches), len(class_names)),
+        virtual=np.asarray(virtual, dtype=bool),
+        attributes=tuple(attributes),
+        class_names=tuple(class_names),
+        params=params,
+    )
 
 
 def _read_tree(doc, where: str, attributes, class_names) -> C45Tree:
@@ -309,9 +330,8 @@ def _read_tree(doc, where: str, attributes, class_names) -> C45Tree:
         attributes, class_names = stored
     elif stored is not None and schema_fingerprint(*stored) != schema_fingerprint(attributes, class_names):
         raise SchemaMismatchError("stored tree was built against a different schema")
-    tests = tuple(None if a.is_numeric else SplitTest(i, None, len(a.values)) for i, a in enumerate(attributes))
-    root = _read_node(doc["root"], f.path("root"), tuple(attributes), tests, len(class_names))
-    return C45Tree(root, tuple(attributes), tuple(class_names), f.get("params", _read_params, C45Params()))
+    nodes = _read_nodes(doc["root"], f.path("root"), tuple(attributes), len(class_names))
+    return _tree(*nodes, attributes, class_names, f.get("params", _read_params, C45Params()))
 
 
 def schema_fingerprint(attributes: Sequence[AttributeMeta], class_names: Sequence[str]) -> dict:
@@ -340,66 +360,81 @@ def _read_schema(doc, where: str) -> tuple:
     return attributes, classes
 
 
-def _node_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        doc = {"kind": "leaf", "counts": [float(c) for c in node.counts], "majority": node.majority}
-        if node.virtual:
-            doc["virtual"] = True
-        return doc
-    test = {"attr": node.test.attr_index}
-    if node.test.is_numeric:
-        test["threshold"] = node.test.threshold
-    else:
-        test["branches"] = node.test.n_branches
-    return {
-        "kind": "split",
-        "test": test,
-        "counts": [float(c) for c in node.counts],
-        "majority": node.majority,
-        "children": [_node_to_dict(c) for c in node.children],
-    }
-
-
 _NODE_KEYS = {  # kind: (allowed keys, required keys)
     "leaf": (("kind", "counts", "majority", "virtual"), ("kind", "counts", "majority")),
     "split": (("kind", "counts", "majority", "test", "children"),) * 2,
 }
 _KEY_SETS = {kind: tuple(map(frozenset, keys)) for kind, keys in _NODE_KEYS.items()}
+_TEST_KEYS = frozenset(("attr", "threshold", "branches"))
 
 
-def _read_node(doc, where: str, attributes: tuple, tests: tuple, n_classes: int) -> TreeNode:
-    """A node checked against the schema: class counts, majority class and, at a split, a test whose
-    branches match its attribute and children (``tests``: each nominal attribute's one split test)."""
-    kind = doc.get("kind") if type(doc) is dict else None
-    if kind not in ("leaf", "split"):
-        one_of(fields(doc, where).get("kind"), f"{where}.kind", _NODE_KEYS)
-    if doc.keys() not in _KEY_SETS[kind]:  # a model has thousands of nodes: look closer only when needed
-        fields(doc, where, *_NODE_KEYS[kind])
-    counts = doc["counts"]
-    valid = type(counts) is list and len(counts) == n_classes
-    if not (valid and all(type(c) in (int, float) and 0 <= c <= MAX for c in counts) and sum(counts) > 0):
-        fail(f"{where}.counts", f"{n_classes} finite non-negative counts with a positive sum", counts)
-    majority = integer(doc["majority"], f"{where}.majority", n_classes)
-    if majority != counts.index(max(counts)):
-        fail(f"{where}.majority", f"{counts.index(max(counts))}, the first index of its largest count", majority)
-    counts = np.array(counts, dtype=np.float64)
-    if kind == "leaf":
-        return TreeNode(counts, majority, virtual="virtual" in doc and flag(doc["virtual"], f"{where}.virtual"))
-    t = fields(doc["test"], f"{where}.test", ("attr", "threshold", "branches"), ("attr",))
-    index = integer(t["attr"], f"{where}.test.attr", len(attributes))
-    attr, test = attributes[index], tests[index]
-    if attr.is_numeric:
-        if "branches" in t or "threshold" not in t:
-            raise ValidationError(f"{where}.test: a split on numeric {attr.name!r} takes a threshold, no branches")
-        test = SplitTest(index, threshold=number(t["threshold"], f"{where}.test.threshold"))
-    elif "threshold" in t or type(t.get("branches")) is not int or t["branches"] != test.n_branches:
-        raise ValidationError(f"{where}.test: a split on nominal {attr.name!r} takes {test.n_branches} branches")
-    children = items(
-        doc["children"], f"{where}.children", _read_node, attributes=attributes, tests=tests, n_classes=n_classes
-    )
-    if len(children) != test.n_branches:
-        raise ValidationError(f"{where}.children has {len(children)} entries for {test.n_branches} branches")
-    return TreeNode(counts, majority, test, children)
+def _read_nodes(root, where: str, attributes: tuple, n_classes: int) -> tuple:
+    """(attribute, threshold, branch count, class counts, virtual flag) of each node of the node document
+    ``root``, breadth-first. Each node is checked against the schema: class counts, majority class and, at
+    a split, a test whose branches match its attribute and children. A model has thousands of nodes, so
+    the checked getters, and the node's field path they name, are reached only when a check fails."""
+    widths = [None if a.is_numeric else len(a.values) for a in attributes]
+    docs, parents, branches = [root], [0], [0]
+    nodes = []
+
+    def path() -> str:
+        """The field path of node ``i``: ``where``, then ``.children[j]`` for each branch down to it."""
+        steps, j = [], i
+        while j:
+            steps.append(f".children[{branches[j]}]")
+            j = parents[j]
+        return where + "".join(reversed(steps))
+
+    for i, doc in enumerate(docs):  # docs grows while iterating: breadth-first
+        kind = doc.get("kind") if type(doc) is dict else None
+        if kind not in ("leaf", "split"):
+            one_of(fields(doc, path()).get("kind"), f"{path()}.kind", _NODE_KEYS)
+        if doc.keys() not in _KEY_SETS[kind]:
+            fields(doc, path(), *_NODE_KEYS[kind])
+        c = doc["counts"]
+        valid = type(c) is list and len(c) == n_classes
+        if not (valid and all(type(v) in (int, float) and 0 <= v <= MAX for v in c) and sum(c) > 0):
+            expected = f"{n_classes} finite non-negative counts with a positive sum"
+            fail(f"{path()}.counts", expected, c)
+        m = doc["majority"]
+        if type(m) is not int or not 0 <= m < n_classes:
+            integer(m, f"{path()}.majority", n_classes)
+        if m != c.index(max(c)):
+            expected = f"{c.index(max(c))}, the first index of its largest count"
+            fail(f"{path()}.majority", expected, m)
+        if kind == "leaf":
+            if type(doc.get("virtual", False)) is not bool:
+                flag(doc["virtual"], f"{path()}.virtual")
+            nodes.append((-1, math.nan, 0, c, doc.get("virtual", False)))
+            continue
+        t = doc["test"]
+        if type(t) is not dict or t.keys() - _TEST_KEYS or "attr" not in t:
+            fields(t, f"{path()}.test", _TEST_KEYS, ("attr",))
+        a = t["attr"]
+        if type(a) is not int or not 0 <= a < len(attributes):
+            integer(a, f"{path()}.test.attr", len(attributes))
+        width, name = widths[a], attributes[a].name
+        if width is None:
+            if "branches" in t or "threshold" not in t:
+                raise ValidationError(f"{path()}.test: a split on numeric {name!r} takes a threshold, no branches")
+            th = t["threshold"]
+            if type(th) not in (int, float) or not -MAX <= th <= MAX:
+                number(th, f"{path()}.test.threshold")
+            width, th = 2, float(th)
+        elif "threshold" in t or type(t.get("branches")) is not int or t["branches"] != width:
+            raise ValidationError(f"{path()}.test: a split on nominal {name!r} takes {width} branches")
+        else:
+            th = math.nan
+        kids = doc["children"]
+        if type(kids) is not list:
+            fail(f"{path()}.children", "a list", kids)
+        if len(kids) != width:
+            raise ValidationError(f"{path()}.children has {len(kids)} entries for {width} branches")
+        docs += kids
+        parents += [i] * width
+        branches += range(width)
+        nodes.append((a, th, width, c, False))
+    return tuple(zip(*nodes))
 
 
 def grow(
@@ -413,7 +448,9 @@ def grow(
 
     Each level counts the classes at all its open nodes with one
     ``np.bincount`` and scores every candidate test of every open node at
-    once (see ``_candidates``); the rows then move to their children.
+    once (see ``_candidates``); the rows then move to their children. A
+    level's nodes, virtual leaves included, are appended to the arrays in
+    (parent, branch) order, which is breadth-first order.
 
     Args:
         X: (n, d) float matrix; nominal columns hold value indices.
@@ -447,48 +484,41 @@ def grow(
     codes = X[:, widths > 0].astype(np.intp)
     width = max(2, int(widths.max(initial=0)))  # branches of the widest test
 
-    root = None
-    rows = np.arange(len(y))  # the rows at the open nodes, grouped by node, ascending within one
-    node = np.zeros(len(y), dtype=np.intp)  # the open node of each
-    slots = [None]  # (parent, branch) each open node hangs from; None for the root
+    levels = []  # (attribute, threshold, branch count, class counts, virtual) of each level's nodes
+    rows = np.arange(len(y))  # the rows at the level's reached nodes, grouped by node, ascending within one
+    node = np.zeros(len(y), dtype=np.intp)  # the reached node of each, numbered among the reached nodes
+    reached = np.ones(1, dtype=bool)  # the level's nodes that rows reach; the others are virtual
+    counts = np.zeros((1, k))  # the level's class counts: a virtual node keeps its parent's
     depth = 0
-    while slots:
-        counts = np.bincount(node * k + y[rows], minlength=len(slots) * k).reshape(-1, k).astype(np.float64)
-        level = [TreeNode(c, m) for c, m in zip(counts, np.argmax(counts, axis=1).tolist())]
-        for slot, t in zip(slots, level):
-            if slot is None:
-                root = t
-            else:
-                slot[0].children[slot[1]] = t
+    while True:
+        counts[reached] = np.bincount(node * k + y[rows], minlength=np.count_nonzero(reached) * k).reshape(-1, k)
+        attr, thr, n_branches = np.full(len(reached), -1), np.full(len(reached), np.nan), np.zeros(len(reached), int)
+        levels.append((attr, thr, n_branches, counts, ~reached))  # the splits below fill in attr, thr, n_branches
         if params.max_depth is not None and depth >= params.max_depth:
             break
-        impure = np.count_nonzero(counts, axis=1) > 1
+        impure = np.count_nonzero(counts[reached], axis=1) > 1
         rows, node = _keep(rows, node, impure)
-        gain, ratio, threshold, ok = _candidates(X, y, k, codes, widths, rows, node, counts[impure], params.min_leaf)
+        at = np.flatnonzero(reached)[impure]
+        gain, ratio, threshold, ok = _candidates(X, y, k, codes, widths, rows, node, counts[at], params.min_leaf)
         split = ok.any(axis=1)
         if not split.any():
             break
-        attr = _choose(gain, ratio, ok)
-        thr = threshold[np.arange(len(attr)), attr][split]
-        attr = attr[split]
-        level = [level[i] for i in np.flatnonzero(impure)[split].tolist()]
+        chosen = _choose(gain, ratio, ok)
+        at, a, t = at[split], chosen[split], threshold[np.arange(len(chosen)), chosen][split]
+        nb = np.where(numeric[a], 2, widths[a])
+        attr[at], thr[at], n_branches[at] = a, t, nb
         rows, node = _keep(rows, node, split)
 
-        at = attr[node]
-        values = X[rows, at]
-        key = node * width + np.where(numeric[at], values > thr[node], values).astype(np.intp)
-        reached = np.bincount(key, minlength=len(level) * width).reshape(-1, width) > 0
-        node = (np.cumsum(reached) - 1)[key]
+        values = X[rows, a[node]]
+        key = node * width + np.where(numeric[a[node]], values > t[node], values).astype(np.intp)
+        seen = np.bincount(key, minlength=len(at) * width).reshape(-1, width) > 0
+        node = (np.cumsum(seen) - 1)[key]
         order = np.argsort(node, kind="stable")
         rows, node = rows[order], node[order]
-        slots = []
-        for t, a, th, seen in zip(level, attr.tolist(), thr.tolist(), reached.tolist()):
-            t.test = SplitTest(a, threshold=th) if numeric[a] else SplitTest(a, n_branches=int(widths[a]))
-            branches = range(t.test.n_branches)
-            t.children = [None if seen[j] else TreeNode(t.counts.copy(), t.majority, virtual=True) for j in branches]
-            slots += [(t, j) for j in branches if seen[j]]
+        reached = seen[np.arange(width) < nb[:, None]]
+        counts = np.repeat(counts[at], nb, axis=0)
         depth += 1
-    return C45Tree(root=root, attributes=tuple(attributes), class_names=tuple(class_names), params=params)
+    return _tree(*(np.concatenate(column) for column in zip(*levels)), attributes, class_names, params)
 
 
 # ---------------------------------------------------------------------------
@@ -511,39 +541,47 @@ def pessimistic_errors(n: float, e: float, cf: float) -> float:
     return n * u
 
 
-def _subtree_error(node: TreeNode, cf: float) -> float:
-    if node.is_leaf:
-        if node.virtual:
-            return 0.0
-        n = float(node.counts.sum())
-        e = n - float(node.counts[node.majority])
-        return pessimistic_errors(n, e, cf)
-    return sum(_subtree_error(c, cf) for c in node.children)
-
-
-def _prune_node(node: TreeNode, cf: float) -> TreeNode:
-    if node.is_leaf:
-        return node
-    node = replace(node, children=[_prune_node(c, cf) for c in node.children])
-    n = float(node.counts.sum())
-    e = n - float(node.counts[node.majority])
-    as_leaf = pessimistic_errors(n, e, cf)
-    as_subtree = _subtree_error(node, cf)
-    if as_leaf <= as_subtree:
-        return TreeNode(counts=node.counts, majority=node.majority)
-    return node
-
-
 def prune_ebp(tree: C45Tree, params: C45Params | None = None) -> C45Tree:
-    """Bottom-up subtree replacement using the pessimistic error bound.
+    """Bottom-up subtree replacement using the pessimistic error bound; ``tree`` itself is unchanged.
 
     A subtree collapses to a majority leaf whenever the leaf's pessimistic
     error is no worse than the sum over the subtree's leaves, so node count
-    never increases and ties favor the smaller tree.
+    never increases and ties favor the smaller tree. One pass in reverse
+    breadth-first order sees every node's children before the node; a
+    subtree's error is summed over its children in branch order. The nodes
+    below a collapsed one are then dropped, the rest keeping their order.
     """
     params = params or tree.params
-    root = _prune_node(tree.root, params.confidence_factor)
-    return C45Tree(root=root, attributes=tree.attributes, class_names=tree.class_names, params=params)
+    n = tree.counts.sum(axis=1)
+    n, e, virtual = n.tolist(), (n - tree.counts.max(axis=1)).tolist(), tree.virtual.tolist()
+    attr, children = tree.attr.tolist(), tree.children.tolist()
+    error = [0.0] * tree.n_nodes  # of each subtree, as pruned
+    for i in reversed(range(tree.n_nodes)):
+        error[i] = 0.0 if virtual[i] else pessimistic_errors(n[i], e[i], params.confidence_factor)
+        if attr[i] >= 0:
+            as_subtree = sum(error[c] for c in children[i] if c >= 0)
+            if error[i] <= as_subtree:
+                attr[i] = -1
+            else:
+                error[i] = as_subtree
+    attr = np.array(attr, dtype=np.intp)
+    dropped = np.zeros(tree.n_nodes, dtype=bool)
+    below = tree.children[attr != tree.attr]
+    while below.size:  # one level down at a time
+        below = below[below >= 0]
+        dropped[below] = True
+        below = tree.children[below]
+    keep, split = ~dropped, attr >= 0
+    return _tree(
+        attr[keep],
+        np.where(split, tree.threshold, np.nan)[keep],
+        np.where(split, tree.n_branches, 0)[keep],
+        tree.counts[keep],
+        tree.virtual[keep],
+        tree.attributes,
+        tree.class_names,
+        params,
+    )
 
 
 def build_tree(
@@ -566,57 +604,6 @@ def build_tree(
 # ---------------------------------------------------------------------------
 
 
-class FlatTree(NamedTuple):
-    """A tree compiled to flat arrays, one entry per node in breadth-first
-    order with the root at 0 (the layout of scikit-learn's ``tree_``)."""
-
-    attr: np.ndarray        # tested attribute index, -1 at a leaf
-    threshold: np.ndarray   # numeric threshold, NaN at nominal tests and leaves
-    numeric: np.ndarray     # True where the test is numeric
-    n_branches: np.ndarray  # branch count, 0 at a leaf
-    children: np.ndarray    # (nodes, widest branching) child index, -1 past a node's branches
-    value: np.ndarray       # (nodes, classes) class distribution normalized to sum 1
-
-
-def _compile(tree: C45Tree) -> FlatTree:
-    """Flatten ``tree.root``; split nodes whose attribute index or child count
-    contradicts the schema or their own test are rejected here."""
-    order = [tree.root]
-    child_rows = []
-    for node in order:  # grows while iterating: breadth-first
-        if node.is_leaf:
-            child_rows.append(())
-            continue
-        test = node.test
-        if not 0 <= test.attr_index < len(tree.attributes):
-            raise ValidationError(
-                f"split on attribute {test.attr_index} outside the {len(tree.attributes)}-attribute schema"
-            )
-        if len(node.children) != test.n_branches:
-            raise ValidationError(
-                f"split on {tree.attributes[test.attr_index].name!r} declares {test.n_branches} "
-                f"branches but has {len(node.children)} children"
-            )
-        child_rows.append(range(len(order), len(order) + len(node.children)))
-        order.extend(node.children)
-    children = np.full((len(order), max(1, max(len(c) for c in child_rows))), -1, dtype=np.intp)
-    for i, row in enumerate(child_rows):
-        children[i, : len(row)] = row
-    flat = FlatTree(
-        attr=np.array([-1 if n.is_leaf else n.test.attr_index for n in order], dtype=np.intp),
-        threshold=np.array(
-            [n.test.threshold if not n.is_leaf and n.test.is_numeric else np.nan for n in order], dtype=np.float64
-        ),
-        numeric=np.array([not n.is_leaf and n.test.is_numeric for n in order], dtype=bool),
-        n_branches=np.array([0 if n.is_leaf else n.test.n_branches for n in order], dtype=np.intp),
-        children=children,
-        value=np.stack([n.counts / n.counts.sum() for n in order]),
-    )
-    for array in flat:
-        array.setflags(write=False)
-    return flat
-
-
 def _unroutable(values: np.ndarray, numeric, n_branches) -> np.ndarray:
     """Where no branch can take a value: NaN at a numeric test; a non-finite,
     non-integral or out-of-range value index at a nominal one (arguments broadcast)."""
@@ -636,18 +623,19 @@ def _refuse(value: float, numeric: bool, name: str):
     raise ValidationError(f"value index {value:g} outside the domain of {name!r}")
 
 
-def _branches(tree: C45Tree, flat: FlatTree, at: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _branches(tree: C45Tree, n_branches: np.ndarray, at: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Branch taken at nodes ``at`` by ``values``; fails closed on values no branch can take."""
-    numeric = flat.numeric[at]
-    bad = _unroutable(values, numeric, flat.n_branches[at])
+    threshold = tree.threshold[at]
+    numeric = ~np.isnan(threshold)
+    bad = _unroutable(values, numeric, n_branches[at])
     if bad.any():
         i = int(np.argmax(bad))
-        _refuse(values[i], numeric[i], tree.attributes[flat.attr[at[i]]].name)
-    return np.where(numeric, values > flat.threshold[at], values).astype(np.intp)
+        _refuse(values[i], numeric[i], tree.attributes[tree.attr[at[i]]].name)
+    return np.where(numeric, values > threshold, values).astype(np.intp)
 
 
 def leaf_distributions(tree: C45Tree, X) -> np.ndarray:
-    """(n, classes) distributions of the leaves the rows of ``X`` reach.
+    """(n, classes) distributions of the leaves the rows of ``X`` reach, each count row normalized to sum 1.
 
     All rows move down one level at a time: each step gathers the tested
     value of every row still at a split node and indexes the child table.
@@ -657,15 +645,16 @@ def leaf_distributions(tree: C45Tree, X) -> np.ndarray:
         raise ValidationError(
             f"feature matrix of shape {X.shape} does not match the {len(tree.attributes)}-attribute schema"
         )
-    flat = tree.flat
+    n_branches = tree.n_branches
     node = np.zeros(len(X), dtype=np.intp)
-    rows = np.arange(len(X)) if flat.attr[0] >= 0 else np.zeros(0, dtype=np.intp)
+    rows = np.arange(len(X)) if tree.attr[0] >= 0 else np.zeros(0, dtype=np.intp)
     while rows.size:
         at = node[rows]
-        step = flat.children[at, _branches(tree, flat, at, X[rows, flat.attr[at]])]
+        step = tree.children[at, _branches(tree, n_branches, at, X[rows, tree.attr[at]])]
         node[rows] = step
-        rows = rows[flat.attr[step] >= 0]
-    return flat.value[node]
+        rows = rows[tree.attr[step] >= 0]
+    counts = tree.counts[node]
+    return counts / counts.sum(axis=1, keepdims=True)
 
 
 def predict_distribution(tree: C45Tree, x) -> np.ndarray:
@@ -692,39 +681,42 @@ def _fmt_count(v: float) -> str:
     return f"{v:g}"
 
 
-def _leaf_suffix(tree: C45Tree, node: TreeNode) -> str:
-    n = float(node.counts.sum())
-    e = n - float(node.counts[node.majority])
-    label = tree.class_names[node.majority]
-    if node.virtual:
+def _leaf_suffix(tree: C45Tree, i: int) -> str:
+    counts = tree.counts[i]
+    majority = int(np.argmax(counts))
+    n = float(counts.sum())
+    e = n - float(counts[majority])
+    label = tree.class_names[majority]
+    if tree.virtual[i]:
         return f": {label} (0)"
     if e > 0:
         return f": {label} ({_fmt_count(n)}/{_fmt_count(e)})"
     return f": {label} ({_fmt_count(n)})"
 
 
+def _branch_label(tree: C45Tree, i: int, j: int) -> str:
+    attr = tree.attributes[tree.attr[i]]
+    threshold = float(tree.threshold[i])
+    if not math.isnan(threshold):
+        op = "<=" if j == 0 else ">"
+        return f"{attr.name} {op} {threshold:g}"
+    return f"{attr.name} = {attr.values[j]}"
+
+
 def render(tree: C45Tree) -> str:
     """Indented one-test-per-line rendering, leaves annotated with (n) or (n/errors)."""
-    lines: list = []
-
-    def branch_label(test: SplitTest, j: int) -> str:
-        attr = tree.attributes[test.attr_index]
-        if test.is_numeric:
-            op = "<=" if j == 0 else ">"
-            return f"{attr.name} {op} {test.threshold:g}"
-        return f"{attr.name} = {attr.values[j]}"
-
-    def walk(node: TreeNode, prefix: str) -> None:
-        for j, child in enumerate(node.children):
-            head = f"{prefix}{branch_label(node.test, j)}"
-            if child.is_leaf:
-                lines.append(head + _leaf_suffix(tree, child))
-            else:
-                lines.append(head)
-                walk(child, prefix + "|   ")
-
-    if tree.root.is_leaf:
-        lines.append("root" + _leaf_suffix(tree, tree.root))
-    else:
-        walk(tree.root, "")
+    if tree.attr[0] < 0:
+        return "root" + _leaf_suffix(tree, 0)
+    n_branches = tree.n_branches.tolist()
+    lines = []
+    stack = [(0, j, "") for j in reversed(range(n_branches[0]))]  # (node, branch, indent) lines still to write
+    while stack:  # depth first, branches in order
+        i, j, prefix = stack.pop()
+        child = int(tree.children[i, j])
+        head = prefix + _branch_label(tree, i, j)
+        if tree.attr[child] < 0:
+            lines.append(head + _leaf_suffix(tree, child))
+        else:
+            lines.append(head)
+            stack += [(child, b, prefix + "|   ") for b in reversed(range(n_branches[child]))]
     return "\n".join(lines)

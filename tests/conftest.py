@@ -9,6 +9,7 @@ import pytest
 from hypothesis import settings
 
 from chidt.data import AttributeMeta, Dataset, NOMINAL, NUMERIC, Record
+from chidt.tree import C45Tree
 
 # a deeper, reproducible run of the property suites: pytest --hypothesis-profile=oracle-deep
 settings.register_profile("oracle-deep", max_examples=1500, derandomize=True, deadline=None)
@@ -63,6 +64,12 @@ def weather():
 def binary_attrs(n: int):
     """n binary {0,1} nominal attributes named f0..f{n-1}."""
     return tuple(AttributeMeta(f"f{i}", NOMINAL, values=("0", "1"), index=i) for i in range(n))
+
+
+def leaf_tree(counts, attributes, class_names) -> C45Tree:
+    """A tree that is one leaf with the given class counts."""
+    root = {"kind": "leaf", "counts": [float(c) for c in counts], "majority": int(np.argmax(counts))}
+    return C45Tree.from_dict({"root": root}, attributes=attributes, class_names=class_names)
 
 
 def make_dataset(feature_rows, labelsets, alphabet=None, roles=None):

@@ -1,21 +1,42 @@
-"""The scalar, recursive C4.5 induction that ``chidt.tree.grow`` replaced, kept as a test oracle.
+"""The scalar, recursive C4.5 induction and pruning that ``chidt.tree`` replaced, kept as test oracles.
 
 One node at a time and one attribute at a time: every nominal candidate
 splits the node's rows into branches and scores them with scalar
 ``entropy`` calls, and every numeric candidate walks the sorted rows in a
-Python loop. ``oracle_grow(...).to_dict()`` must equal ``grow(...).to_dict()``
-for every input, so the table-driven induction is checked tree for tree.
+Python loop. ``oracle_grow(...)`` builds the nested node documents of
+``C45Tree.to_dict`` directly and must equal ``grow(...).to_dict()`` for
+every input, so the table-driven induction is checked tree for tree.
+``oracle_prune`` prunes such a document by recursive subtree replacement
+and must equal what ``prune_ebp`` makes of the flat tree.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from chidt.data import AttributeMeta, NUMERIC
 from chidt.errors import ValidationError
-from chidt.tree import GAIN_EPS, C45Params, C45Tree, NumericSplit, SplitTest, TreeNode
+from chidt.tree import GAIN_EPS, C45Params, NumericSplit, pessimistic_errors, schema_fingerprint
+
+
+@dataclass(frozen=True)
+class SplitTest:
+    """Branch test at an internal node.
+
+    Numeric attributes branch on (<= threshold, > threshold); nominal
+    attributes hold one branch per declared value.
+    """
+
+    attr_index: int
+    threshold: float | None = None
+    n_branches: int = 2
+
+    @property
+    def is_numeric(self) -> bool:
+        return self.threshold is not None
 
 
 class GainStats(NamedTuple):
@@ -149,29 +170,71 @@ def oracle_grow(
     attributes: Sequence[AttributeMeta],
     class_names: Sequence[str],
     params: C45Params | None = None,
-) -> C45Tree:
+) -> dict:
+    """The tree as the document ``C45Tree.to_dict`` writes."""
     params = params or C45Params()
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     k = len(class_names)
 
-    def build(rows: np.ndarray, depth: int) -> TreeNode:
+    def leaf(counts: np.ndarray, majority: int, virtual: bool = False) -> dict:
+        node = {"kind": "leaf", "counts": counts.tolist(), "majority": majority}
+        if virtual:
+            node["virtual"] = True
+        return node
+
+    def build(rows: np.ndarray, depth: int) -> dict:
         counts = class_counts(y, k, rows)
         majority = int(np.argmax(counts))
         impure = np.count_nonzero(counts) > 1
         if not impure or (params.max_depth is not None and depth >= params.max_depth):
-            return TreeNode(counts=counts, majority=majority)
+            return leaf(counts, majority)
         results = [_attr_candidate(X, y, k, attributes, a, rows, params.min_leaf) for a in range(len(attributes))]
         chosen = _select_split([c for c in results if c is not None], impure)
         if chosen is None:
-            return TreeNode(counts=counts, majority=majority)
+            return leaf(counts, majority)
         children = []
         for branch in split_rows(X, chosen.test, rows):
             if len(branch) == 0:
-                children.append(TreeNode(counts=counts.copy(), majority=majority, virtual=True))
+                children.append(leaf(counts, majority, virtual=True))
             else:
                 children.append(build(branch, depth + 1))
-        return TreeNode(counts=counts, majority=majority, test=chosen.test, children=children)
+        test = {"attr": chosen.test.attr_index}
+        if chosen.test.is_numeric:
+            test["threshold"] = chosen.test.threshold
+        else:
+            test["branches"] = chosen.test.n_branches
+        return {"kind": "split", "test": test, "counts": counts.tolist(), "majority": majority, "children": children}
 
     root = build(np.arange(len(y)), 0)
-    return C45Tree(root=root, attributes=tuple(attributes), class_names=tuple(class_names), params=params)
+    return {"root": root, "params": params.to_dict(), "schema": schema_fingerprint(attributes, class_names)}
+
+
+def _subtree_error(node: dict, cf: float) -> float:
+    if node["kind"] == "leaf":
+        if node.get("virtual"):
+            return 0.0
+        counts = np.array(node["counts"])
+        n = float(counts.sum())
+        e = n - float(counts[node["majority"]])
+        return pessimistic_errors(n, e, cf)
+    return sum(_subtree_error(c, cf) for c in node["children"])
+
+
+def _prune_node(node: dict, cf: float) -> dict:
+    if node["kind"] == "leaf":
+        return node
+    node = {**node, "children": [_prune_node(c, cf) for c in node["children"]]}
+    counts = np.array(node["counts"])
+    n = float(counts.sum())
+    e = n - float(counts[node["majority"]])
+    as_leaf = pessimistic_errors(n, e, cf)
+    as_subtree = _subtree_error(node, cf)
+    if as_leaf <= as_subtree:
+        return {"kind": "leaf", "counts": node["counts"], "majority": node["majority"]}
+    return node
+
+
+def oracle_prune(doc: dict) -> dict:
+    """A ``to_dict`` document pruned bottom-up at its own confidence factor, one subtree at a time."""
+    return {**doc, "root": _prune_node(doc["root"], doc["params"]["confidence_factor"])}

@@ -1,8 +1,9 @@
 """Batch prediction against the per-record walk it replaced.
 
 The oracles below are the scalar paths as they stood before prediction was
-batched: a per-record walk down the ``TreeNode`` graph, per-record BR and
-label-powerset scoring, and the per-record cascade. ``predict_batch`` must
+batched: a per-record tree walk, now down the tree's ``to_dict()``
+document, per-record BR and label-powerset scoring, and the per-record
+cascade. ``predict_batch`` must
 reproduce their scores bit for bit and their labels and traces exactly, and
 the cascade must call stage 2 once, on exactly the triggered rows.
 """
@@ -33,9 +34,9 @@ from chidt.ontology import (
     is_valid,
     observed_registry,
 )
-from chidt.tree import C45Params, C45Tree, TreeNode, grow, leaf_distributions, prune_ebp
+from chidt.tree import C45Params, grow, leaf_distributions, prune_ebp
 
-from conftest import binary_attrs
+from conftest import binary_attrs, leaf_tree
 from test_tree import random_view
 
 CODES = ("a", "b", "c", "d", "e", "f")
@@ -46,26 +47,27 @@ CODES = ("a", "b", "c", "d", "e", "f")
 # ---------------------------------------------------------------------------
 
 
-def oracle_route(tree, x):
+def oracle_route(tree, x) -> dict:
     if len(x) != len(tree.attributes):
         raise ValidationError(f"feature vector has {len(x)} slots, schema defines {len(tree.attributes)}")
-    node = tree.root
-    while not node.is_leaf:
-        attr = tree.attributes[node.test.attr_index]
-        value = x[node.test.attr_index]
-        if node.test.is_numeric:
-            node = node.children[0] if value <= node.test.threshold else node.children[1]
+    node = tree.to_dict()["root"]
+    while node["kind"] == "split":
+        test = node["test"]
+        attr = tree.attributes[test["attr"]]
+        value = x[test["attr"]]
+        if "threshold" in test:
+            node = node["children"][0] if value <= test["threshold"] else node["children"][1]
         else:
             idx = int(value)
-            if not 0 <= idx < node.test.n_branches:
+            if not 0 <= idx < test["branches"]:
                 raise ValidationError(f"value index {value!r} outside the domain of {attr.name!r}")
-            node = node.children[idx]
+            node = node["children"][idx]
     return node
 
 
 def oracle_distribution(tree, x) -> np.ndarray:
-    leaf = oracle_route(tree, x)
-    return leaf.counts / leaf.counts.sum()
+    counts = np.array(oracle_route(tree, x)["counts"])
+    return counts / counts.sum()
 
 
 def oracle_stage(model, x):
@@ -148,10 +150,6 @@ def random_cascade(rng, strategy: str, fallback: bool):
     return model, Q
 
 
-def has_virtual_leaf(node) -> bool:
-    return node.virtual or any(has_virtual_leaf(c) for c in node.children)
-
-
 # ---------------------------------------------------------------------------
 # Properties
 # ---------------------------------------------------------------------------
@@ -184,8 +182,8 @@ def test_tree_generator_reaches_virtual_leaves_and_numeric_splits():
     for _ in range(40):
         X, y, attrs, classes = random_view(rng, rng.randrange(2, 40), rng.randrange(1, 5), 3)
         tree = grow(X, y, attrs, classes, C45Params(min_leaf=1, pruning=False))
-        virtual += has_virtual_leaf(tree.root)
-        numeric += bool(tree.flat.numeric.any())
+        virtual += bool(tree.virtual.any())
+        numeric += bool((~np.isnan(tree.threshold)).any())
     assert virtual and numeric
 
 
@@ -240,8 +238,7 @@ def test_lp_marginals_add_in_combination_order():
         if combo not in combos:
             combos.append(combo)
     counts = np.array([rng.randrange(1, 50) for _ in combos], dtype=np.float64)
-    root = TreeNode(counts=counts, majority=int(np.argmax(counts)))
-    tree = C45Tree(root=root, attributes=attrs, class_names=tuple(combo_key(c) for c in combos), params=C45Params())
+    tree = leaf_tree(counts, attrs, tuple(combo_key(c) for c in combos))
     model = LPModel(tree=tree, combos=tuple(combos), codes=CODES, attributes=attrs)
     want = oracle_stage(model, (0,))
     for n in (1, 2, 17):

@@ -24,29 +24,28 @@ from chidt.data import GeneratorConfig, GeneratorProfile, generate_synthetic
 from chidt.errors import SchemaMismatchError, ValidationError
 from chidt.evaluation import evaluate_predictions
 from chidt.ontology import ValidCombinationRegistry, observed_registry
-from chidt.tree import C45Params, C45Tree, SplitTest, TreeNode, predict, predict_distribution
+from chidt.tree import C45Params, C45Tree, predict, predict_distribution
 
-from conftest import binary_attrs, make_dataset
+from conftest import binary_attrs, leaf_tree, make_dataset
 
 
 def indicator_tree(attrs, feat_idx: int) -> C45Tree:
     """Hand-built stump: positive iff feature ``feat_idx`` is 1."""
-    root = TreeNode(
-        counts=np.array([1.0, 1.0]),
-        majority=0,
-        test=SplitTest(feat_idx, n_branches=2),
-        children=[
-            TreeNode(counts=np.array([1.0, 0.0]), majority=0),
-            TreeNode(counts=np.array([0.0, 1.0]), majority=1),
+    root = {
+        "kind": "split",
+        "test": {"attr": feat_idx, "branches": 2},
+        "counts": [1.0, 1.0],
+        "majority": 0,
+        "children": [
+            {"kind": "leaf", "counts": [1.0, 0.0], "majority": 0},
+            {"kind": "leaf", "counts": [0.0, 1.0], "majority": 1},
         ],
-    )
-    return C45Tree(root=root, attributes=attrs, class_names=BINARY_CLASSES, params=C45Params())
+    }
+    return C45Tree.from_dict({"root": root}, attributes=attrs, class_names=BINARY_CLASSES)
 
 
 def constant_tree(attrs, positive: bool) -> C45Tree:
-    counts = np.array([0.0, 1.0]) if positive else np.array([1.0, 0.0])
-    root = TreeNode(counts=counts, majority=1 if positive else 0)
-    return C45Tree(root=root, attributes=attrs, class_names=BINARY_CLASSES, params=C45Params())
+    return leaf_tree([0.0, 1.0] if positive else [1.0, 0.0], attrs, BINARY_CLASSES)
 
 
 def constant_lp(attrs, combos, predicted_index: int = 0, codes=("a", "b", "c")) -> LPModel:
@@ -54,13 +53,7 @@ def constant_lp(attrs, combos, predicted_index: int = 0, codes=("a", "b", "c")) 
 
     counts = np.zeros(len(combos))
     counts[predicted_index] = 1.0
-    root = TreeNode(counts=counts, majority=predicted_index)
-    tree = C45Tree(
-        root=root,
-        attributes=attrs,
-        class_names=tuple(combo_key(c) for c in combos),
-        params=C45Params(),
-    )
+    tree = leaf_tree(counts, attrs, tuple(combo_key(c) for c in combos))
     return LPModel(tree=tree, combos=tuple(combos), codes=codes, attributes=attrs, training_ids=frozenset())
 
 
@@ -101,7 +94,7 @@ class TestTrainBr:
         model = train_br(ds, C45Params(min_leaf=1, pruning=False))
         assert model.constant_codes["a"] == "positive"
         tree_a = model.trees[model.codes.index("a")]
-        assert tree_a.root.is_leaf
+        assert tree_a.n_nodes == 1
         assert model.predict_labels((0,)) >= {"a"}
 
     def test_absent_label_yields_constant_negative(self):
@@ -128,8 +121,7 @@ class TestPredictBr:
 
     def test_probability_at_threshold_included(self):
         attrs = binary_attrs(1)
-        root = TreeNode(counts=np.array([1.0, 3.0]), majority=1)
-        tree = C45Tree(root=root, attributes=attrs, class_names=BINARY_CLASSES, params=C45Params())
+        tree = leaf_tree([1.0, 3.0], attrs, BINARY_CLASSES)
         model = BRModel(codes=("a",), trees=(tree,), attributes=attrs, threshold=0.5)
         assert model.positive_scores((0,))[0] == pytest.approx(0.75)
         assert model.predict_labels((0,)) == frozenset({"a"})

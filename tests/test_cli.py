@@ -144,6 +144,20 @@ class TestTrainEvalPredict:
         run(["train", "--config", cfg])
         return cfg
 
+    def test_tree_too_deep_for_json_fails_closed(self, tmp_path, capsys):
+        # the code alternates along a numeric column: each split of an unpruned stage-2 tree cuts off one row
+        corpus = tmp_path / "deep.csv"
+        corpus.write_text("id,x,codes\n" + "".join(f"r{i},{i},{'I20.0' if i % 2 else 'I21.0'}\n" for i in range(600)))
+        paths = {"dataset": str(corpus), "model": str(tmp_path / "out" / "model.json")}
+        training = {"strategy": "diverse-br"}
+        assert run(["train", "--config", write_config(tmp_path, paths=paths, training=training)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "more levels than JSON output can nest" in err
+        assert not (tmp_path / "out" / "model.json").exists()
+        kfold = {"mode": "multilabel", "protocol": "kfold", "k": 3}
+        assert run(["eval", "--config", write_config(tmp_path, paths=paths, training=training, evaluation=kfold)]) == 0
+
     def test_predict_from_term_bags(self, tmp_path, capsys):
         cfg = self.trained_for_terms(tmp_path)
         terms_path = tmp_path / "terms.json"

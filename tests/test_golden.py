@@ -10,6 +10,10 @@ drift fails the tier-1 suite:
   fallback and ``data/exclusions_chd.json`` against
   ``tests/golden/fallback_br.json``. It covers the stage-2 BR bank, every
   trigger reason and the fallback, none of which the shipped run reaches.
+
+Both runs then ``inspect`` their model, and the sha256 of its stdout is
+compared with ``tests/golden/inspect.json``: that pins every tree's node
+count and rendering.
 """
 
 from __future__ import annotations
@@ -23,14 +27,19 @@ from chidt.cli import main
 from conftest import DATA_DIR, GOLDEN_DIR, REPO_ROOT
 
 PINS = REPO_ROOT / "perfbench" / "pins.json"
+INSPECT_PINS = json.loads((GOLDEN_DIR / "inspect.json").read_text(encoding="utf-8"))
 COMMANDS = ("gen", "train", "eval", "predict")
 
 
-def replay(config: dict, tmp_path: Path) -> None:
+def replay(config: dict, tmp_path: Path, capsys) -> str:
+    """Run ``COMMANDS`` then ``inspect``; the sha256 of what ``inspect`` prints."""
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config), encoding="utf-8")
     for command in COMMANDS:
         assert main([command, "--config", str(config_path)]) == 0, command
+    capsys.readouterr()
+    assert main(["inspect", "--config", str(config_path)]) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
 
 
 def digests(tmp_path: Path, names) -> dict:
@@ -43,11 +52,11 @@ def test_shipped_run_matches_pinned_digests(tmp_path, capsys):
     for key, value in config["paths"].items():
         path = Path(value)
         config["paths"][key] = str(tmp_path / path.name if path.parts[0] == "out" else REPO_ROOT / path)
-    replay(config, tmp_path)
-    capsys.readouterr()
+    inspected = replay(config, tmp_path, capsys)
 
     pinned = json.loads(PINS.read_text(encoding="utf-8"))["shipped"]
     assert digests(tmp_path, pinned) == pinned
+    assert inspected == INSPECT_PINS["shipped"]
 
 
 def test_fallback_br_run_matches_pinned_digests(tmp_path, capsys):
@@ -69,7 +78,7 @@ def test_fallback_br_run_matches_pinned_digests(tmp_path, capsys):
         "training": pin["training"],
         "evaluation": pin["evaluation"],
     }
-    replay(config, tmp_path)
-    capsys.readouterr()
+    inspected = replay(config, tmp_path, capsys)
 
     assert digests(tmp_path, pin["sha256"]) == pin["sha256"]
+    assert inspected == INSPECT_PINS["fallback_br"]

@@ -42,6 +42,7 @@ ALLOWED = {
     "tree.predict_distribution": "per-row view over leaf_distributions",
     "jsondoc.fail": "raises on malformed input only",
     "tree._refuse": "raises on an unroutable value only",
+    "tree._read_nodes.<locals>.path": "names a tree node only in the message of a failed check",
     "data.Dataset.from_records": "builds a Dataset from Record views in tests and the Python API",
     "data.Dataset.__eq__": "compares datasets in round-trip tests",
     "tree.C45Tree.from_dict": "reads one tree document in round-trip tests",

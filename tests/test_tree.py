@@ -16,11 +16,9 @@ from chidt.errors import SchemaMismatchError, ValidationError
 from chidt.tree import (
     C45Params,
     C45Tree,
-    SplitTest,
     best_numeric_threshold,
     build_tree,
     entropy,
-    TreeNode,
     grow,
     leaf_distributions,
     predict,
@@ -30,6 +28,7 @@ from chidt.tree import (
 )
 
 from conftest import binary_attrs, random_view
+from oracle_c45 import SplitTest
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +212,15 @@ class TestBestNumericThreshold:
 # ---------------------------------------------------------------------------
 
 
-def depth(node: TreeNode) -> int:
-    """Edges on the longest root-to-leaf path below ``node``."""
-    return 0 if node.is_leaf else 1 + max(depth(c) for c in node.children)
+def depth(tree: C45Tree) -> int:
+    """Edges on the longest root-to-leaf path."""
+    level, edges = np.zeros(1, dtype=np.intp), 0
+    while True:
+        level = tree.children[level]
+        level = level[level >= 0]
+        if not level.size:
+            return edges
+        edges += 1
 
 
 def resubstitution_accuracy(tree: C45Tree, X, y) -> float:
@@ -228,14 +233,14 @@ class TestGrow:
         X = np.array([[0], [1], [0]], dtype=float)
         y = np.array([1, 1, 1])
         tree = grow(X, y, binary_attrs(1), ("a", "b"))
-        assert tree.root.is_leaf
-        assert tree.root.majority == 1
+        assert tree.n_nodes == 1
+        assert tree.majority[0] == 1
 
     def test_single_separating_attribute(self):
         X = np.array([[0], [0], [1], [1]], dtype=float)
         y = np.array([0, 0, 1, 1])
         tree = grow(X, y, binary_attrs(1), ("a", "b"), C45Params(min_leaf=1, pruning=False))
-        assert depth(tree.root) == 1
+        assert depth(tree) == 1
         assert resubstitution_accuracy(tree, X, y) == 1.0
 
     def test_weather_unpruned_is_perfect_and_root_matches_oracle(self, weather):
@@ -244,7 +249,7 @@ class TestGrow:
         tree = grow(X, y, attrs, classes, params)
         assert resubstitution_accuracy(tree, X, y) == 1.0
         expected_root = oracle_root_selection(X, y, len(classes), attrs, params.min_leaf)
-        assert tree.root.test.attr_index == expected_root
+        assert tree.attr[0] == expected_root
 
     def test_empty_view_rejected(self):
         with pytest.raises(ValidationError):
@@ -253,7 +258,7 @@ class TestGrow:
     def test_max_depth_stops_growth(self, weather):
         X, y, attrs, classes = weather
         tree = grow(X, y, attrs, classes, C45Params(min_leaf=1, pruning=False, max_depth=1))
-        assert depth(tree.root) <= 1
+        assert depth(tree) <= 1
 
     def test_deterministic_across_runs(self, weather):
         X, y, attrs, classes = weather
@@ -341,15 +346,13 @@ class TestPrune:
         y = np.array([0, 0, 0, 1, 0, 0, 0, 1])
         grown = grow(X, y, binary_attrs(1), ("a", "b"), C45Params(min_leaf=1, pruning=False))
         pruned = prune_ebp(grown, C45Params(min_leaf=1, pruning=True))
-        assert pruned.root.is_leaf
-        assert pruned.root.majority == 0
+        assert pruned.n_nodes == 1
+        assert pruned.majority[0] == 0
 
     def test_never_increases_node_count_on_50_random_trees(self):
-        def assert_internal_arity(node):
-            if not node.is_leaf:
-                assert len(node.children) >= 2
-                for child in node.children:
-                    assert_internal_arity(child)
+        def assert_internal_arity(tree):
+            assert (tree.n_branches[tree.attr >= 0] >= 2).all()
+            assert (tree.n_branches[tree.attr < 0] == 0).all()
 
         rng = random.Random(2024)
         for _ in range(50):
@@ -359,14 +362,14 @@ class TestPrune:
             assert pruned.n_nodes <= grown.n_nodes
             assert pruned.attributes == grown.attributes
             assert pruned.class_names == grown.class_names
-            assert_internal_arity(grown.root)
-            assert_internal_arity(pruned.root)
+            assert_internal_arity(grown)
+            assert_internal_arity(pruned)
 
     def test_useful_split_survives(self):
         X = np.repeat(np.array([[0], [1]], dtype=float), 20, axis=0)
         y = np.repeat(np.array([0, 1]), 20)
         grown = grow(X, y, binary_attrs(1), ("a", "b"), C45Params(min_leaf=1, pruning=False))
-        assert not prune_ebp(grown).root.is_leaf
+        assert prune_ebp(grown).attr[0] >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +382,7 @@ class TestPredict:
         X = np.array([[0], [0], [0], [1]], dtype=float)
         y = np.array([0, 0, 0, 1])
         tree = grow(X, y, binary_attrs(1), ("a", "b"), C45Params(min_leaf=4))
-        assert tree.root.is_leaf
+        assert tree.n_nodes == 1
         dist = predict_distribution(tree, [0])
         assert dist == pytest.approx([0.75, 0.25], abs=1e-12)
 
@@ -394,14 +397,11 @@ class TestPredict:
         tree = grow(X, y, attrs, classes, C45Params(min_leaf=2, pruning=False))
 
         def hand_route(x):
-            node = tree.root
-            while not node.is_leaf:
-                t = node.test
-                if t.threshold is not None:
-                    node = node.children[0] if x[t.attr_index] <= t.threshold else node.children[1]
-                else:
-                    node = node.children[int(x[t.attr_index])]
-            return node.counts / node.counts.sum()
+            i = 0
+            while tree.attr[i] >= 0:
+                value, threshold = x[tree.attr[i]], tree.threshold[i]
+                i = tree.children[i, int(value) if np.isnan(threshold) else int(value > threshold)]
+            return tree.counts[i] / tree.counts[i].sum()
 
         for i in range(len(y)):
             assert predict_distribution(tree, X[i]) == pytest.approx(hand_route(X[i]), abs=1e-15)
@@ -410,7 +410,7 @@ class TestPredict:
         X = np.array([[0], [1]], dtype=float)
         y = np.array([1, 0])
         tree = grow(X, y, binary_attrs(1), ("a", "b"), C45Params(min_leaf=2))
-        assert tree.root.is_leaf
+        assert tree.n_nodes == 1
         assert predict_distribution(tree, [0]) == pytest.approx([0.5, 0.5])
         assert predict(tree, [0]) == 0
 
@@ -432,7 +432,7 @@ class TestPredict:
     def test_out_of_domain_nominal_value(self, weather):
         X, y, attrs, classes = weather
         tree = grow(X, y, attrs, classes, C45Params(min_leaf=2, pruning=False))
-        assert tree.root.test.attr_index == 0
+        assert tree.attr[0] == 0
         with pytest.raises(ValidationError, match="outside the domain"):
             predict(tree, [7, 70.0, 80.0, 0])
 
@@ -479,19 +479,6 @@ class TestPredict:
         assert np.array_equal(batch, np.vstack([predict_distribution(tree, x) for x in X]))
         assert leaf_distributions(tree, X[:0]).shape == (0, 2)
 
-    def test_malformed_split_rejected_when_compiled(self, weather):
-        X, y, attrs, classes = weather
-        leaf = TreeNode(counts=np.array([1.0, 1.0]), majority=0)
-        for test, children in (
-            (SplitTest(0, n_branches=3), [leaf, leaf]),
-            (SplitTest(1, threshold=70.0), [leaf]),
-            (SplitTest(9, n_branches=2), [leaf, leaf]),
-        ):
-            root = TreeNode(counts=np.array([1.0, 1.0]), majority=0, test=test, children=children)
-            tree = C45Tree(root=root, attributes=attrs, class_names=classes, params=C45Params())
-            with pytest.raises(ValidationError, match="children|outside"):
-                predict(tree, X[0])
-
 
 # ---------------------------------------------------------------------------
 # persistence and rendering
@@ -516,9 +503,44 @@ class TestPersistence:
         with pytest.raises(SchemaMismatchError):
             C45Tree.from_dict(doc, attributes=other, class_names=classes)
 
+    def test_malformed_split_rejected_when_read(self, weather):
+        _, _, attrs, classes = weather
+        leaf = {"kind": "leaf", "counts": [1.0, 1.0], "majority": 0}
+        for test, children, message in (
+            ({"attr": 0, "branches": 3}, [leaf, leaf], "tree root.children has 2 entries for 3 branches"),
+            ({"attr": 1, "threshold": 70.0}, [leaf], "tree root.children has 1 entries for 2 branches"),
+            ({"attr": 9, "branches": 2}, [leaf, leaf], "tree root.test.attr is not an integer in [0, 4): got 9"),
+        ):
+            root = {"kind": "split", "test": test, "counts": [1.0, 1.0], "majority": 0, "children": children}
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                C45Tree.from_dict({"root": root}, attributes=attrs, class_names=classes)
+
     def test_render_mentions_tests_and_leaves(self, weather):
         X, y, attrs, classes = weather
         text = render(grow(X, y, attrs, classes, C45Params(min_leaf=2, pruning=False)))
         assert "outlook = sunny" in text
         assert "humidity" in text
         assert "yes (" in text
+
+
+# ---------------------------------------------------------------------------
+# deep trees
+# ---------------------------------------------------------------------------
+
+
+def test_chain_of_2000_levels_needs_no_recursion():
+    # the class alternates along a numeric column: each split cuts one row off the rest
+    n = 2001
+    X = np.arange(n, dtype=np.float64)[:, None]
+    y = np.arange(n) % 2
+    tree = grow(X, y, (AttributeMeta("x", NUMERIC, index=0),), ("a", "b"), C45Params(min_leaf=1, pruning=False))
+    assert depth(tree) == 2000
+    assert tree.n_nodes == 4001
+    assert np.array_equal(np.argmax(leaf_distributions(tree, X), axis=1), y)
+    again = C45Tree.from_dict(tree.to_dict())
+    for name in ("attr", "threshold", "children", "counts", "virtual"):
+        assert np.array_equal(getattr(again, name), getattr(tree, name), equal_nan=True), name
+    pruned = prune_ebp(tree)
+    assert pruned.n_nodes <= tree.n_nodes
+    assert leaf_distributions(pruned, X).shape == (n, 2)
+    assert pruned.to_dict()["root"]["kind"] in ("leaf", "split")

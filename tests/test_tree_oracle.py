@@ -1,4 +1,5 @@
-"""Table-driven C4.5 induction against the scalar induction it replaced (``oracle_c45``), tree for tree.
+"""Table-driven C4.5 induction and flat-array pruning against the scalar, recursive code they replaced
+(``oracle_c45``), tree for tree.
 
 Every comparison is exact (``==``): the table kernel must reproduce the
 scalar arithmetic bit for bit, or a near-tie between two candidates could
@@ -18,9 +19,9 @@ from hypothesis import given, settings, strategies as st
 
 import chidt.tree as tree_module
 import oracle_c45
-from chidt.tree import C45Params, _entropy_rows, best_numeric_threshold, entropy, grow
+from chidt.tree import C45Params, _entropy_rows, best_numeric_threshold, entropy, grow, prune_ebp
 from conftest import random_view
-from oracle_c45 import oracle_grow
+from oracle_c45 import SplitTest, oracle_grow, oracle_prune
 
 views = st.fixed_dictionaries(
     {
@@ -48,7 +49,7 @@ class TestGrowMatchesOracle:
     def test_same_tree_as_scalar_induction(self, spec, min_leaf, max_depth):
         X, y, attrs, classes = view(**spec)
         params = C45Params(min_leaf=min_leaf, max_depth=max_depth, pruning=False)
-        assert grow(X, y, attrs, classes, params).to_dict() == oracle_grow(X, y, attrs, classes, params).to_dict()
+        assert grow(X, y, attrs, classes, params).to_dict() == oracle_grow(X, y, attrs, classes, params)
 
     @settings(deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(3, 10), st.integers(2, 12))
@@ -61,7 +62,7 @@ class TestGrowMatchesOracle:
         X = np.column_stack([np.take(p, X[:, 0].astype(int)) for p in perms]).astype(np.float64)
         attrs = tuple(dataclasses.replace(attrs[0], name=f"a{i}", index=i) for i in range(len(perms)))
         params = C45Params(min_leaf=1, max_depth=2, pruning=False)
-        assert grow(X, y, attrs, classes, params).to_dict() == oracle_grow(X, y, attrs, classes, params).to_dict()
+        assert grow(X, y, attrs, classes, params).to_dict() == oracle_grow(X, y, attrs, classes, params)
 
     def test_wide_views_reach_the_scalar_fallback(self, monkeypatch):
         # 12 classes and 10-value attributes: nodes and splits with 8 or more nonzero terms
@@ -74,7 +75,7 @@ class TestGrowMatchesOracle:
         monkeypatch.setattr(tree_module, "entropy", counted)
         X, y, attrs, classes = view(seed=3, n=300, n_attrs=4, k=12, numeric_share=0.5, max_width=10)
         params = C45Params(min_leaf=1, pruning=False)
-        assert grow(X, y, attrs, classes, params).to_dict() == oracle_grow(X, y, attrs, classes, params).to_dict()
+        assert grow(X, y, attrs, classes, params).to_dict() == oracle_grow(X, y, attrs, classes, params)
         assert calls and min(calls) >= 8
 
     def test_level_counted_one_node_at_a_time(self, monkeypatch):
@@ -83,7 +84,7 @@ class TestGrowMatchesOracle:
         for seed in range(5):
             X, y, attrs, classes = view(seed=seed, n=200, n_attrs=4, k=9, numeric_share=0.0, max_width=10)
             params = C45Params(min_leaf=1, pruning=False)
-            assert grow(X, y, attrs, classes, params).to_dict() == oracle_grow(X, y, attrs, classes, params).to_dict()
+            assert grow(X, y, attrs, classes, params).to_dict() == oracle_grow(X, y, attrs, classes, params)
 
     def test_shipped_corpus_sized_views(self):
         # the shape of a diverse-br bank: 14 binary attributes, two classes, 2,000 rows
@@ -91,7 +92,23 @@ class TestGrowMatchesOracle:
         for min_leaf in (1, 2):
             X, y, attrs, classes = random_view(rng, 2000, 14, 2, numeric_share=0.0)
             params = C45Params(min_leaf=min_leaf, pruning=False)
-            assert grow(X, y, attrs, classes, params).to_dict() == oracle_grow(X, y, attrs, classes, params).to_dict()
+            assert grow(X, y, attrs, classes, params).to_dict() == oracle_grow(X, y, attrs, classes, params)
+
+
+class TestPruneMatchesOracle:
+    @settings(deadline=None)
+    @given(
+        views,
+        st.integers(1, 3),
+        st.sampled_from([None, 1, 3]),
+        st.sampled_from([0.05, 0.25, 0.5]),
+    )
+    def test_same_tree_as_recursive_pruning(self, spec, min_leaf, max_depth, cf):
+        X, y, attrs, classes = view(**spec)
+        params = C45Params(min_leaf=min_leaf, max_depth=max_depth, confidence_factor=cf, pruning=False)
+        grown = grow(X, y, attrs, classes, params)
+        assert prune_ebp(grown).to_dict() == oracle_prune(oracle_grow(X, y, attrs, classes, params))
+        assert grown.to_dict() == oracle_grow(X, y, attrs, classes, params)  # the input is left as it was
 
 
 class TestEntropyKernel:
@@ -144,5 +161,5 @@ class TestThresholdMatchesOracle:
         found = best_numeric_threshold(X, y, 2, 0, min_leaf)
         assert found == oracle_c45.best_numeric_threshold(X, y, 2, 0, min_leaf)
         assert (found and found.threshold) == expected
-        tied = oracle_c45.gain_ratio(X, y, 2, tree_module.SplitTest(0, threshold=4.5))
-        assert tied.gain == oracle_c45.gain_ratio(X, y, 2, tree_module.SplitTest(0, threshold=2.5)).gain
+        tied = oracle_c45.gain_ratio(X, y, 2, SplitTest(0, threshold=4.5))
+        assert tied.gain == oracle_c45.gain_ratio(X, y, 2, SplitTest(0, threshold=2.5)).gain
