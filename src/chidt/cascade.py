@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import AttributeMeta, Dataset, _distinct_labelsets
+from .data import AttributeMeta, Dataset, _distinct_labelsets, label_indicator
 from .errors import SchemaMismatchError, ValidationError
 from .jsondoc import Fields, code_sets, fields, flag, items, number, one_of, strings
 from .ontology import REASON_OK, ExclusionGroup, ValidCombinationRegistry, _read_registry, combo_key, is_valid
@@ -43,14 +43,10 @@ def _feature_matrix(attributes: Sequence[AttributeMeta], X) -> np.ndarray:
 
 
 def _one_row(model, x):
-    """``model.predict_batch`` on the single feature vector ``x``, unpacked."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or len(x) != len(model.attributes):
-        raise SchemaMismatchError(
-            f"feature vector has {x.size} slots, model schema defines {len(model.attributes)}"
-        )
-    labels, scores, traces = model.predict_batch(x[None, :])
-    return labels[0], scores[0], None if traces is None else traces[0]
+    """``model.predict_batch`` on the single feature vector ``x``, unpacked; the row's labels as a frozenset."""
+    Y, scores, traces = model.predict_batch(np.asarray(x, dtype=np.float64)[None])
+    labels = frozenset(code for code, on in zip(model.codes, Y[0]) if on)
+    return labels, scores[0], None if traces is None else traces[0]
 
 
 @dataclass
@@ -66,21 +62,12 @@ class BRModel:
     params: C45Params = field(default_factory=C45Params)
     constant_codes: Mapping = field(default_factory=dict)
 
-    def predict_indicator(self, X):
-        """(n x codes label indicator, n x codes positive-class scores)."""
+    def predict_batch(self, X):
         X = _feature_matrix(self.attributes, X)
         scores = np.empty((len(X), len(self.trees)))
         for j, tree in enumerate(self.trees):
             scores[:, j] = leaf_distributions(tree, X)[:, 1]
-        return scores >= self.threshold, scores
-
-    def predict_batch(self, X):
-        indicator, scores = self.predict_indicator(X)
-        distinct, inverse = _distinct_labelsets(indicator, self.codes)
-        return [distinct[k] for k in inverse], scores, None
-
-    def positive_scores(self, x) -> np.ndarray:
-        return _one_row(self, x)[1]
+        return scores >= self.threshold, scores, None
 
     def predict_labels(self, x) -> frozenset:
         return _one_row(self, x)[0]
@@ -119,20 +106,21 @@ class LPModel:
             raise ValidationError("label-powerset model needs at least one combination class")
         if any(not c for c in self.combos):
             raise ValidationError("label-powerset classes must decode to non-empty LabelSets")
+        unknown = sorted(frozenset().union(*self.combos).difference(self.codes))
+        if unknown:
+            raise ValidationError(f"label-powerset combinations name codes outside the code alphabet: {unknown}")
 
     def predict_batch(self, X):
         """Majority combination per row plus per-code marginals: each
         combination's probability mass goes to its codes."""
         dist = leaf_distributions(self.tree, _feature_matrix(self.attributes, X))
+        members = label_indicator(self.combos, self.codes)
         scores = np.zeros((len(dist), len(self.codes)))
-        index = {c: i for i, c in enumerate(self.codes)}
-        # column by column in combination order, so each marginal is summed
-        # in the same order as a one-row loop over the combinations would
-        for k, combo in enumerate(self.combos):
-            for code in combo:
-                if code in index:
-                    scores[:, index[code]] += dist[:, k]
-        return [self.combos[k] for k in np.argmax(dist, axis=1)], scores, None
+        # one combination at a time, so each marginal is summed in the same
+        # order as a one-row loop over the combinations would
+        for k, member in enumerate(members):
+            scores[:, member] += dist[:, k, None]
+        return members[np.argmax(dist, axis=1)], scores, None
 
     def predict_labels(self, x) -> frozenset:
         return _one_row(self, x)[0]
@@ -229,9 +217,10 @@ class ChiDTModel:
     """Cascade of two same-data classifiers with registry-triggered fallback.
 
     Both stages, and the cascade itself, follow one predictor protocol:
-    ``codes`` plus ``predict_batch(X) -> (label set per row, n x codes scores,
-    trace per row | None)``. ``predict_with_scores(x)`` and
-    ``predict_labels(x)`` are one-row views over it.
+    ``codes`` plus ``predict_batch(X) -> (n x codes bool label indicator,
+    n x codes scores, trace per row | None)``. ``predict_with_scores(x)``
+    and ``predict_labels(x)`` are one-row views over it that return the
+    row's labels as a frozenset.
     """
 
     stage1: BRModel
@@ -271,33 +260,32 @@ class ChiDTModel:
         return _one_row(self, x)
 
     def predict_batch(self, X):
-        """(final labels, scores, traces) per row of ``X``.
+        """(final label indicator, scores, traces) per row of ``X``.
 
         Stage 1 scores the whole batch; the validity check runs once per
         distinct stage-1 combination; stage 2 runs once, on the triggered
-        rows only, and its output replaces theirs.
+        rows only, and writes its rows of the indicator and the scores.
         """
         X = _feature_matrix(self.attributes, X)
-        indicator, scores = self.stage1.predict_indicator(X)
-        distinct, inverse = _distinct_labelsets(indicator, self.codes)
+        Y, scores, _ = self.stage1.predict_batch(X)
+        distinct, inverse = _distinct_labelsets(Y, self.codes)
         checks = [is_valid(self.registry, self.exclusions, s1) for s1 in distinct]
         passed = [CascadeTrace(False, REASON_OK, s1, s1) if ok else None for s1, (ok, _) in zip(distinct, checks)]
-        labels = [distinct[k] for k in inverse]
         traces = [passed[k] for k in inverse]
         triggered = np.flatnonzero(~np.array([ok for ok, _ in checks], dtype=bool)[inverse])
         if not triggered.size:
-            return labels, scores, traces
-        final, stage2_scores, _ = self.stage2.predict_batch(X[triggered])
-        scores[triggered] = stage2_scores
-        for row, out, row_scores in zip(triggered, final, stage2_scores):
-            fallback = False
-            if self.single_label_fallback and not is_valid(self.registry, self.exclusions, out)[0]:
-                out = frozenset({self.codes[int(np.argmax(row_scores))]})
-                fallback = True
-            k = inverse[row]
-            labels[row] = out
-            traces[row] = CascadeTrace(True, checks[k][1], distinct[k], out, fallback)
-        return labels, scores, traces
+            return Y, scores, traces
+        Y2, scores2, _ = self.stage2.predict_batch(X[triggered])
+        finals, which = _distinct_labelsets(Y2, self.codes)
+        invalid = [self.single_label_fallback and not is_valid(self.registry, self.exclusions, f)[0] for f in finals]
+        fallback = np.array(invalid, dtype=bool)[which]
+        top = np.argmax(scores2, axis=1)
+        Y2[fallback] = np.eye(len(self.codes), dtype=bool)[top[fallback]]
+        Y[triggered], scores[triggered] = Y2, scores2
+        for row, k, f, fell, j in zip(triggered, inverse[triggered], which, fallback.tolist(), top):
+            out = frozenset({self.codes[j]}) if fell else finals[f]
+            traces[row] = CascadeTrace(True, checks[k][1], distinct[k], out, fell)
+        return Y, scores, traces
 
 
 def train_chidt(

@@ -22,7 +22,8 @@ import numpy as np
 from . import __version__
 from .cascade import STRATEGIES, STRATEGY_LABEL_POWERSET, ChiDTModel, model_from_dict, model_to_dict, train_chidt
 from .config import RunConfig
-from .data import Dataset, SplitSpec, cover_all_labels_split, export_csv, generate_synthetic, load_csv
+from .data import Dataset, SplitSpec, _distinct_labelsets, cover_all_labels_split, export_csv, generate_synthetic
+from .data import load_csv
 from .errors import ValidationError
 from .evaluation import MODES, evaluate_holdout, evaluate_kfold, evaluate_resubstitution, format_report
 from .jsondoc import Fields, array, code_sets, loads, read, strings, text
@@ -160,7 +161,9 @@ def cmd_predict(cfg: RunConfig, input_path: Path | None, terms: bool = False) ->
     else:
         ds = _load_dataset(cfg, source, attributes=model.attributes)
         ids, X, ignored = ds.ids, ds.X, None
-    labels, _, traces = model.predict_batch(X)
+    Y, _, traces = model.predict_batch(X)
+    distinct, inverse = _distinct_labelsets(Y, model.codes)
+    keys = [combo_key(labels) for labels in distinct]
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -168,8 +171,8 @@ def cmd_predict(cfg: RunConfig, input_path: Path | None, terms: bool = False) ->
     if terms:
         header.append("ignored_terms")
     writer.writerow(header)
-    for i, (rid, final, trace) in enumerate(zip(ids, labels, traces)):
-        row = [rid, combo_key(final), str(trace.triggered).lower(), trace.reason]
+    for i, (rid, k, trace) in enumerate(zip(ids, inverse, traces)):
+        row = [rid, keys[k], str(trace.triggered).lower(), trace.reason]
         if terms:
             row.append(ignored[i])
         writer.writerow(row)
@@ -182,20 +185,19 @@ def cmd_predict(cfg: RunConfig, input_path: Path | None, terms: bool = False) ->
 
 
 def _build_trainer(cfg: RunConfig):
-    """Training-set -> cascade, merging the declared registry when configured."""
+    """Training-set -> cascade, merging the declared registry when configured; each file is read once."""
     registry_path = cfg.path("registry", "registry.json")
     exclusions = _load_exclusion_groups(cfg)
+    declared = _load_registry(registry_path) if cfg.training.use_declared_registry and registry_path.exists() else None
 
     def trainer(train_ds: Dataset):
-        registry = observed_registry(train_ds)
-        if cfg.training.use_declared_registry and registry_path.exists():
-            registry = registry.merged(_load_registry(registry_path))
+        observed = observed_registry(train_ds)
         return train_chidt(
             train_ds,
             stage1_params=cfg.training.stage1_params,
             stage2_params=cfg.training.stage2_params,
             strategy=cfg.training.strategy,
-            registry=registry,
+            registry=observed if declared is None else observed.merged(declared),
             exclusions=exclusions,
             threshold=cfg.training.threshold,
             single_label_fallback=cfg.training.single_label_fallback,
@@ -305,9 +307,9 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
         cfg.seed = args.seed
     if args.out is not None:
         cfg.out_dir = Path(args.out)
-    if getattr(args, "mode", None):
+    if args.mode:
         cfg.evaluation.mode = args.mode
-    if getattr(args, "strategy", None):
+    if args.strategy:
         cfg.training.strategy = args.strategy
     return cfg
 

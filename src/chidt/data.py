@@ -369,10 +369,17 @@ def load_csv(
     cells against the declared kinds and domains instead. Missing feature
     cells are rejected; an empty label cell yields an empty LabelSet.
     """
+    reader = csv.reader(io.StringIO(content))
+    rows, lines, end = [], [], 0  # the non-blank records and the physical line each starts on
     try:
-        rows = [r for r in csv.reader(io.StringIO(content)) if r]
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(end + 1)
+            end = reader.line_num
     except csv.Error as exc:
         raise ValidationError(f"CSV input is malformed: {exc}") from None
+    del reader  # its StringIO holds a copy of the whole text
     if not rows:
         raise ValidationError("CSV input has no header row")
     header = [h.strip() for h in rows[0]]
@@ -391,8 +398,8 @@ def load_csv(
         if id_idx == label_idx:
             raise ValidationError("id column and label column must differ")
 
-    body = rows[1:]
-    for n, row in enumerate(body, start=2):
+    body, lines = rows[1:], lines[1:]
+    for n, row in zip(lines, body):
         if len(row) != len(header):
             raise ValidationError(f"line {n}: expected {len(header)} cells, found {len(row)}")
 
@@ -416,9 +423,9 @@ def load_csv(
         metas = tuple(inferred)
     read_row = _row_reader(metas)
     ids, rows, labelsets, roles = [], [], [], []
-    for n, row in enumerate(body, start=2):
+    for i, (n, row) in enumerate(zip(lines, body)):
         labels, tags = _parse_label_cell(row[label_idx], label_separator, f"line {n}")
-        rid = row[id_idx].strip() if id_idx is not None else f"r{n - 2}"
+        rid = row[id_idx].strip() if id_idx is not None else f"r{i}"
         if not rid:
             raise ValidationError(f"line {n}: empty id in column {id_column!r}")
         ids.append(rid)

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .data import Dataset, SplitSpec, _distinct_labelsets, _principal_columns, label_indicator
+from .data import Dataset, SplitSpec, _distinct_labelsets, _principal_columns
 from .errors import ValidationError
 from .ontology import combo_key
 
@@ -238,7 +238,7 @@ def evaluate_predictions(
 ) -> EvalResult:
     """Evaluate ``model`` over the records of ``eval_ds`` with priors from those of ``train_ds``.
 
-    ``model`` has ``codes`` and ``predict_batch(X) -> (labels, scores, traces | None)``;
+    ``model`` has ``codes`` and ``predict_batch(X) -> (label indicator, scores, traces | None)``;
     it is called once, on ``eval_ds.X``.
     """
     if mode not in MODES:
@@ -255,8 +255,7 @@ def evaluate_predictions(
         raise ValidationError("training and evaluation records differ in their label alphabet")
     if tuple(model.codes) != alphabet:
         raise ValidationError("model code alphabet differs from the dataset's")
-    predictions, scores, traces = model.predict_batch(eval_ds.X)
-    predicted = label_indicator(predictions, alphabet)
+    predicted, scores, traces = model.predict_batch(eval_ds.X)
 
     # truth and guess: each row's class, as an index into ``classes``
     if mode == MODE_PRINCIPAL:
@@ -331,13 +330,11 @@ def _multilabel_report(alphabet, t: np.ndarray, p: np.ndarray, traces) -> MultiL
         code: PerLabelStats(tp=int(tp[j]), fp=int(fp[j]), fn=int(fn[j]), tn=int(tn[j]))
         for j, code in enumerate(alphabet)
     }
-    seen = [] if traces is None else [tr for tr in traces if tr is not None]
-    rate = sum(tr.triggered for tr in seen) / n if len(seen) == n else None
     return MultiLabelReport(
         subset_accuracy_pct=100.0 * exact / n,
         hamming_loss=int(fp.sum() + fn.sum()) / (n * len(alphabet)),
         per_label=per_label,
-        trigger_rate=rate,
+        trigger_rate=None if traces is None else sum(tr.triggered for tr in traces) / n,
     )
 
 
@@ -348,8 +345,7 @@ def _multilabel_report(alphabet, t: np.ndarray, p: np.ndarray, traces) -> MultiL
 
 def _check_model_split(model, ds: Dataset, split: SplitSpec) -> None:
     split.validate_against(ds)
-    trained_on = getattr(model, "training_ids", None)
-    if trained_on is not None and frozenset(trained_on) != split.train_ids:
+    if model.training_ids != split.train_ids:
         raise ValidationError("model was not trained on the split's training ids")
 
 

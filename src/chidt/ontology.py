@@ -262,22 +262,24 @@ class TermLexicon:
 def map_terms(lexicon: TermLexicon, terms: Iterable[str], schema: Sequence[AttributeMeta]):
     """Binary presence vector for a bag of terms.
 
-    A feature is set to 1 iff some normalized input term maps to it; terms
-    with no lexicon entry are ignored and counted. Every lexicon target must
-    be a binary {0,1} feature of the schema.
+    A feature is set to 1 iff some normalized input term maps to it, and
+    to the index of its value ``"0"`` otherwise; terms with no lexicon
+    entry are ignored and counted. Every lexicon target must be a binary
+    {0,1} feature of the schema, and every feature must be nominal with a
+    value ``"0"``: a bag of terms says nothing about a lab value.
 
     Returns:
         (feature tuple aligned with the schema, ignored-term count)
     """
-    positions = {}
-    for i, attr in enumerate(schema):
-        if attr.is_binary:
-            positions[attr.name] = i
+    positions = {attr.name: i for i, attr in enumerate(schema) if attr.is_binary}
     missing = sorted(lexicon.targets() - set(positions))
     if missing:
         raise ValidationError(f"lexicon targets features absent from the schema: {missing}")
+    unset = next((a.name for a in schema if a.is_numeric or "0" not in a.values), None)
+    if unset is not None:
+        raise ValidationError(f"term bags cannot set attribute {unset!r}: it is not nominal with a value '0'")
 
-    vector = [0.0 if a.kind == "numeric" else 0 for a in schema]
+    vector = [a.values.index("0") for a in schema]
     ignored = 0
     for term in terms:
         key = normalize_term(term)

@@ -3,8 +3,8 @@
 The oracles below are the scalar paths as they stood before prediction was
 batched: a per-record tree walk, now down the tree's ``to_dict()``
 document, per-record BR and label-powerset scoring, and the per-record
-cascade. ``predict_batch`` must
-reproduce their scores bit for bit and their labels and traces exactly, and
+cascade. ``predict_batch`` must reproduce their scores bit for bit, their
+traces exactly and their label sets as rows of a bool label indicator, and
 the cascade must call stage 2 once, on exactly the triggered rows.
 """
 
@@ -24,7 +24,7 @@ from chidt.cascade import (
     STRATEGY_LABEL_POWERSET,
     train_chidt,
 )
-from chidt.data import NOMINAL, Dataset, Record
+from chidt.data import NOMINAL, Dataset, Record, label_indicator
 from chidt.errors import SchemaMismatchError, ValidationError
 from chidt.ontology import (
     REASON_OK,
@@ -150,6 +150,12 @@ def random_cascade(rng, strategy: str, fallback: bool):
     return model, Q
 
 
+def assert_indicator(Y, labelsets, codes) -> None:
+    """``Y`` is the n x len(codes) bool label indicator of the per-record label sets."""
+    assert Y.dtype == bool and Y.shape == (len(labelsets), len(codes))
+    assert np.array_equal(Y, label_indicator(labelsets, codes))
+
+
 # ---------------------------------------------------------------------------
 # Properties
 # ---------------------------------------------------------------------------
@@ -204,9 +210,9 @@ def test_cascade_batch_equals_per_record_cascade(seed, strategy, fallback):
         return inner(X)
 
     model.stage2.predict_batch = spy
-    labels, scores, traces = model.predict_batch(Q)
+    Y, scores, traces = model.predict_batch(Q)
 
-    assert labels == [w[0] for w in want]
+    assert_indicator(Y, [w[0] for w in want], model.codes)
     assert np.array_equal(scores, np.vstack([w[1] for w in want]))
     assert traces == [w[2] for w in want]
     triggered = [i for i, w in enumerate(want) if w[2].triggered]
@@ -221,10 +227,10 @@ def test_cascade_batch_equals_per_record_cascade(seed, strategy, fallback):
 def test_stage_batches_equal_per_record_stages(strategy):
     model, Q = random_cascade(random.Random(11), strategy, False)
     for stage in (model.stage1, model.stage2):
-        labels, scores, traces = stage.predict_batch(Q)
+        Y, scores, traces = stage.predict_batch(Q)
         want = [oracle_stage(stage, q) for q in Q]
         assert traces is None
-        assert labels == [w[0] for w in want]
+        assert_indicator(Y, [w[0] for w in want], stage.codes)
         assert np.array_equal(scores, np.vstack([w[1] for w in want]))
 
 
@@ -242,16 +248,17 @@ def test_lp_marginals_add_in_combination_order():
     model = LPModel(tree=tree, combos=tuple(combos), codes=CODES, attributes=attrs)
     want = oracle_stage(model, (0,))
     for n in (1, 2, 17):
-        labels, scores, _ = model.predict_batch(np.zeros((n, 1)))
-        assert labels == [want[0]] * n
+        Y, scores, _ = model.predict_batch(np.zeros((n, 1)))
+        assert_indicator(Y, [want[0]] * n, CODES)
         assert np.array_equal(scores, np.vstack([want[1]] * n))
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_empty_batch_and_wrong_width(strategy):
     model, Q = random_cascade(random.Random(5), strategy, True)
-    labels, scores, traces = model.predict_batch(Q[:0])
-    assert labels == [] and traces == [] and scores.shape == (0, len(model.codes))
+    Y, scores, traces = model.predict_batch(Q[:0])
+    assert traces == [] and scores.shape == (0, len(model.codes))
+    assert_indicator(Y, [], model.codes)
     for predictor in (model, model.stage1, model.stage2):
         with pytest.raises(SchemaMismatchError):
             predictor.predict_batch(np.zeros((3, Q.shape[1] + 1)))

@@ -123,7 +123,7 @@ class TestPredictBr:
         attrs = binary_attrs(1)
         tree = leaf_tree([1.0, 3.0], attrs, BINARY_CLASSES)
         model = BRModel(codes=("a",), trees=(tree,), attributes=attrs, threshold=0.5)
-        assert model.positive_scores((0,))[0] == pytest.approx(0.75)
+        assert model.predict_with_scores((0,))[1][0] == pytest.approx(0.75)
         assert model.predict_labels((0,)) == frozenset({"a"})
 
     def test_agrees_with_per_tree_oracle_on_500_vectors(self):
@@ -299,11 +299,12 @@ class TestPredictChidt:
     def test_triggered_output_is_stage2_verbatim_even_if_invalid(self):
         attrs = binary_attrs(4)
         # stage 2 constantly predicts an unregistered combination
-        stage2 = constant_lp(attrs, (frozenset({"zzz"}),), 0)
+        stage2 = constant_lp(attrs, (frozenset({"b", "c"}),), 0)
         model = self._toy_model(stage2=stage2)
         final, _, trace = model.predict_with_scores((0, 0, 0, 0))
         assert trace.triggered
-        assert final == frozenset({"zzz"})
+        assert final == frozenset({"b", "c"})
+        assert final not in model.registry
         assert not trace.fallback_applied
 
     def test_optional_single_label_fallback(self):
@@ -416,6 +417,12 @@ class TestConstructionInvariants:
             stage2 = BRModel(codes=codes, trees=(indicator_tree(attrs, 1),) * len(codes), attributes=attrs)
             with pytest.raises(ValidationError, match="one code alphabet"):
                 ChiDTModel(stage1=stage1, stage2=stage2, registry=ValidCombinationRegistry([{"a"}]))
+
+    def test_lp_model_rejects_codes_outside_its_alphabet(self):
+        attrs = binary_attrs(1)
+        message = r"^label-powerset combinations name codes outside the code alphabet: \['zzz'\]$"
+        with pytest.raises(ValidationError, match=message):
+            constant_lp(attrs, (frozenset({"a"}), frozenset({"a", "zzz"})))
 
     def test_lp_model_rejects_empty_combination_classes(self):
         attrs = binary_attrs(2)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from chidt import cli
 from chidt.cli import main
 from chidt.data import Record
 
@@ -103,6 +104,11 @@ class TestTrainEvalPredict:
         assert row[2] in ("true", "false")
         assert row[3] in ("ok", "empty", "unregistered", "exclusion-violated")
 
+        header_only = tmp_path / "header.csv"
+        header_only.write_text((tmp_path / "out" / "corpus.csv").read_text().splitlines()[0] + "\n")
+        assert run(["predict", "--config", cfg, "--input", header_only]) == 0
+        assert (tmp_path / "out" / "predictions.csv").read_text() == "id,codes,triggered,reason\n"
+
     def test_bom_prefixed_corpus_trains_to_the_same_model(self, tmp_path):
         # spreadsheet exports start with a UTF-8 byte-order mark, here in front of a feature column's name
         assert run(["gen", "--config", write_config(tmp_path)]) == 0
@@ -177,6 +183,22 @@ class TestTrainEvalPredict:
         assert note1[0] == "note1"
         assert note1[4] == "1"
 
+    def test_terms_cannot_fill_a_numeric_column(self, tmp_path, capsys):
+        corpus = tmp_path / "lab.csv"
+        rows = [f"r{i},{i % 2},{i * 1.5},{'I20.9' if i % 3 else 'I21.0'}\n" for i in range(30)]
+        corpus.write_text("id,f0,trop,codes\n" + "".join(rows))
+        paths = {"dataset": str(corpus), "model": str(tmp_path / "out" / "model.json")}
+        paths["lexicon"] = str(tmp_path / "lex.json")
+        (tmp_path / "lex.json").write_text(json.dumps({"chest pain": ["f0"]}))
+        (tmp_path / "terms.json").write_text(json.dumps([{"id": "n1", "terms": ["chest pain"]}]))
+        cfg = write_config(tmp_path, paths=paths)
+        assert run(["train", "--config", cfg]) == 0
+        capsys.readouterr()
+        assert run(["predict", "--config", cfg, "--input", tmp_path / "terms.json", "--terms"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: term bags cannot set attribute 'trop': it is not nominal with a value '0'\n"
+        assert not (tmp_path / "out" / "predictions.csv").exists()
+
     @pytest.mark.parametrize(
         "doc, message",
         [
@@ -230,6 +252,15 @@ class TestTrainEvalPredict:
         doc = json.loads((tmp_path / "out" / "report.json").read_text())
         assert len(doc["folds"]) == 3
         assert doc["fold_sizes"] == [20, 20, 20]
+
+    def test_kfold_reads_the_declared_registry_once(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, evaluation={"mode": "multilabel", "protocol": "kfold", "k": 3})
+        run(["gen", "--config", cfg])
+        loads = []
+        inner = cli._load_registry
+        monkeypatch.setattr(cli, "_load_registry", lambda path: loads.append(path) or inner(path))
+        assert run(["eval", "--config", cfg]) == 0
+        assert loads == [tmp_path / "out" / "registry.json"]
 
     def test_principal_mode_on_single_label_data_matches_subset_accuracy(self, tmp_path):
         single = {

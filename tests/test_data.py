@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -93,6 +94,21 @@ class TestLoadCsv:
         schema = (AttributeMeta("f", NOMINAL, values=("0", "1"), index=0), AttributeMeta("g", NUMERIC, index=1))
         with pytest.raises(ValidationError, match=r"^line 3: value '7' outside declared domain of 'f'$"):
             load_csv("f,g,codes\n0,1.5,a\n7,2.5,b\n", label_column="codes", attributes=schema)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a,b,codes\n1,2,x\n\n1,,x\n", "line 4: missing value in column 'b' (unsupported)"),
+            ("a,codes\n\n\n1,I21.0:XX\n", "line 4: unknown role tag 'XX' in label cell"),
+            ('a,codes\n1,"x\ny"\n2,I21.0:XX\n', "line 4: unknown role tag 'XX' in label cell"),
+        ],
+    )
+    def test_line_numbers_count_blank_lines_and_quoted_newlines(self, text, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_csv(text, label_column="codes")
+
+    def test_blank_lines_do_not_shift_generated_ids(self):
+        assert load_csv("a,codes\n\n1,x\n\n\n2,y\n", label_column="codes").ids == ("r0", "r1")
 
     @pytest.mark.parametrize("text", ["a,codes\n1\r2,x\n", "a,codes\n1," + "x" * 200_000 + "\n"])
     def test_unparseable_csv_is_a_validation_error(self, text):

@@ -114,6 +114,7 @@ PROBES = [
     ("model", ("training_ids",), 7, "predict"),
     # model.json: silently accepted
     ("model", ("split", "kind"), "bogus", "predict"),
+    ("model", ("stage2", "combos", 0), ["ZZZ"], "predict"),
     # config: tracebacks
     ("config", ("seed",), "abc", "train"),
     ("config", ("training", "threshold"), "hi", "train"),

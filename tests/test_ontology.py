@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from chidt.data import GeneratorConfig, GeneratorProfile, generate_synthetic
+from chidt.data import NOMINAL, NUMERIC, AttributeMeta, GeneratorConfig, GeneratorProfile, generate_synthetic
 from chidt.errors import ValidationError
 from chidt.ontology import (
     ExclusionGroup,
@@ -220,6 +220,21 @@ class TestLexicon:
             v1, _ = map_terms(lex, base, schema)
             v2, _ = map_terms(lex, extra, schema)
             assert all(b <= e for b, e in zip(v1, v2))
+
+    def test_unset_feature_takes_the_index_of_its_value_0(self):
+        lex = TermLexicon({"chest pain": ["f0"]})
+        schema = binary_attrs(1) + (AttributeMeta("grade", NOMINAL, values=("-1", "0", "1"), index=1),)
+        assert map_terms(lex, ["chest pain"], schema) == ((1, 1), 0)
+
+    @pytest.mark.parametrize(
+        "attr",
+        [AttributeMeta("trop", NUMERIC, index=1), AttributeMeta("grade", NOMINAL, values=("high", "low"), index=1)],
+    )
+    def test_feature_without_an_absent_value_rejected(self, attr):
+        lex = TermLexicon({"chest pain": ["f0"]})
+        message = f"^term bags cannot set attribute '{attr.name}': it is not nominal with a value '0'$"
+        with pytest.raises(ValidationError, match=message):
+            map_terms(lex, ["chest pain"], binary_attrs(1) + (attr,))
 
     def test_missing_target_feature_rejected(self):
         lex = TermLexicon({"chest pain": ["not_there"]})

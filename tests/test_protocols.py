@@ -46,15 +46,16 @@ def small_corpus(seed=5, n=60, noise=0.05):
 class SpyModel:
     """Constant predictor remembering every feature vector it was shown."""
 
-    def __init__(self, labels=frozenset({"a"}), codes=("a", "b", "c")):
+    def __init__(self, labels=frozenset({"a"}), codes=("a", "b", "c"), training_ids=frozenset()):
         self.labels = frozenset(labels)
         self.codes = tuple(codes)
+        self.training_ids = frozenset(training_ids)
         self.seen = []
 
     def predict_batch(self, X):
         self.seen.extend(tuple(row) for row in X)
-        scores = np.array([[1.0 if c in self.labels else 0.0 for c in self.codes]] * len(X))
-        return [self.labels] * len(X), scores, None
+        Y = np.array([[c in self.labels for c in self.codes]] * len(X), dtype=bool).reshape(len(X), len(self.codes))
+        return Y, Y.astype(np.float64), None
 
 
 class TestResubstitution:
@@ -110,7 +111,7 @@ class TestHoldout:
     def test_only_test_records_are_read(self):
         ds = small_corpus()
         split = cover_all_labels_split(ds, 20, seed=4)
-        spy = SpyModel()
+        spy = SpyModel(training_ids=split.train_ids)
         evaluate_holdout(spy, ds, split)
         test_features = {tuple(r.features) for r in ds.records if r.id in split.test_ids}
         assert set(spy.seen) <= test_features

@@ -31,7 +31,6 @@ SRC = Path(chidt.__file__).resolve().parent
 # module.qualname: why the function stays although no command enters it
 ALLOWED = {
     "cascade._one_row": "per-row view over predict_batch, the per-record API",
-    "cascade.BRModel.positive_scores": "per-row view over predict_batch",
     "cascade.BRModel.predict_labels": "per-row view over predict_batch",
     "cascade.BRModel.predict_with_scores": "per-row view over predict_batch",
     "cascade.LPModel.predict_labels": "per-row view over predict_batch",
