@@ -11,7 +11,7 @@ observed combinations, is available as an alternative strategy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -60,7 +60,13 @@ class BRModel:
     threshold: float = 0.5
     training_ids: frozenset = frozenset()
     params: C45Params = field(default_factory=C45Params)
-    constant_codes: Mapping = field(default_factory=dict)
+
+    @property
+    def constant_codes(self) -> dict:
+        """``negative`` for each code whose tree saw no positive training row, ``positive`` for one that saw
+        no negative: a function of the root counts."""
+        roots = zip(self.codes, (tree.counts[0].tolist() for tree in self.trees))
+        return {code: "negative" if pos == 0 else "positive" for code, (neg, pos) in roots if 0 in (neg, pos)}
 
     def predict_batch(self, X):
         X = _feature_matrix(self.attributes, X)
@@ -81,7 +87,7 @@ class BRModel:
             "codes": list(self.codes),
             "threshold": self.threshold,
             "params": self.params.to_dict(),
-            "constant_codes": {c: v for c, v in sorted(self.constant_codes.items())},
+            "constant_codes": dict(sorted(self.constant_codes.items())),
             "trees": [t.to_dict(embed_schema=False) for t in self.trees],
         }
 
@@ -141,8 +147,8 @@ def train_br(ds: Dataset, params: C45Params | None = None, threshold: float = 0.
     """Train one binary C4.5 problem per code of the dataset's alphabet.
 
     Codes with no positive (or no negative) training example yield constant
-    leaf trees and are listed in the model's ``constant_codes`` metadata so
-    the model's alphabet always equals the dataset's.
+    leaf trees, which the model's ``constant_codes`` lists, so the model's
+    alphabet always equals the dataset's.
     """
     if not len(ds):
         raise ValidationError("cannot train on an empty dataset")
@@ -150,16 +156,7 @@ def train_br(ds: Dataset, params: C45Params | None = None, threshold: float = 0.
         raise ValidationError("cannot train with an empty label alphabet")
     params = params or C45Params()
     X = ds.feature_matrix()
-    trees = []
-    constant = {}
-    for code, column in zip(ds.label_alphabet, ds.Y.T):
-        y = column.astype(np.int64)
-        positives = int(y.sum())
-        if positives == 0:
-            constant[code] = "negative"
-        elif positives == len(y):
-            constant[code] = "positive"
-        trees.append(build_tree(X, y, ds.attributes, BINARY_CLASSES, params))
+    trees = [build_tree(X, y.astype(np.int64), ds.attributes, BINARY_CLASSES, params) for y in ds.Y.T]
     return BRModel(
         codes=ds.label_alphabet,
         trees=tuple(trees),
@@ -167,7 +164,6 @@ def train_br(ds: Dataset, params: C45Params | None = None, threshold: float = 0.
         threshold=threshold,
         training_ids=ds.record_ids(),
         params=params,
-        constant_codes=constant,
     )
 
 
@@ -355,17 +351,17 @@ def _read_stage(doc, where: str, kinds, attributes, training_ids: frozenset, alp
     trees = f.get("trees", items, entry=_read_tree, attributes=attributes, class_names=BINARY_CLASSES)
     if len(trees) != len(codes):
         raise ValidationError(f"{f.path('trees')} has {len(trees)} trees for {len(codes)} codes")
-    constant = Fields(doc.get("constant_codes", {}), f.path("constant_codes"), codes)
-    constant = {code: constant.get(code, one_of, choices=("negative", "positive")) for code in constant.doc}
-    return BRModel(
+    model = BRModel(
         codes=codes,
         trees=tuple(trees),
         attributes=tuple(attributes),
         threshold=f.get("threshold", number, 0.5, low=0.0, high=1.0, open_low=True),
         training_ids=training_ids,
         params=f.get("params", _read_params, C45Params()),
-        constant_codes=constant,
     )
+    if doc.get("constant_codes", model.constant_codes) != model.constant_codes:
+        raise ValidationError(f"{f.path('constant_codes')} contradicts the trees' root counts: {model.constant_codes}")
+    return model
 
 
 def model_from_dict(doc) -> ChiDTModel:

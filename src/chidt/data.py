@@ -14,7 +14,6 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -28,6 +27,9 @@ NOMINAL = "nominal"
 ROLE_TAGS = ("PDx", "SDx", "PROC")
 
 BINARY_DOMAIN = ("0", "1")
+
+# the class evaluation gives an empty label set; no code may take this name, nor contain the ';' of ``combo_key``
+NONE_CLASS = "(none)"
 
 
 @dataclass(frozen=True)
@@ -119,6 +121,9 @@ class Dataset:
                 raise ValidationError(f"attribute {attr.name!r} has index {attr.index}, expected {i}")
         if list(alphabet) != sorted(set(alphabet)):
             raise ValidationError("label alphabet must be sorted and free of duplicates")
+        reserved = [code for code in alphabet if code == NONE_CLASS or ";" in code]
+        if reserved:
+            raise ValidationError(f"code {reserved[0]!r} is reserved: {NONE_CLASS!r} means no code, ';' joins codes")
         if len(set(ids)) != len(ids):
             raise ValidationError(f"duplicate record id {next(i for i, c in Counter(ids).items() if c > 1)!r}")
         if "" in ids:
@@ -184,11 +189,6 @@ class Dataset:
         return isinstance(other, Dataset) and all(getattr(self, k) == getattr(other, k) for k in plain) and all(
             np.array_equal(getattr(self, k), getattr(other, k)) for k in arrays
         )
-
-    @cached_property
-    def records(self) -> tuple:
-        """Every row as a ``Record``: a view for per-record callers and the exporters."""
-        return tuple(self)
 
     def record_ids(self) -> frozenset:
         return frozenset(self.ids)
@@ -294,62 +294,69 @@ class SplitSpec:
 # ---------------------------------------------------------------------------
 
 
-def _parses_numeric(cell: str) -> bool:
+def _read_cell(attr: AttributeMeta, domain: Mapping | None, cell: str) -> float:
+    """The value of one stripped feature cell of ``attr``: a finite float, or its index in the nominal ``domain``."""
+    if not cell:
+        raise ValidationError(f"missing value in column {attr.name!r} (unsupported)")
+    if domain is not None:
+        if cell not in domain:
+            raise ValidationError(f"value {cell!r} outside declared domain of {attr.name!r}")
+        return domain[cell]
     try:
-        return math.isfinite(float(cell))
+        value = float(cell)
     except ValueError:
-        return False
+        raise ValidationError(f"unparseable numeric cell {cell!r} in {attr.name!r}") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"non-finite value {cell!r} in {attr.name!r}")
+    return value
 
 
-def _row_reader(attributes: Sequence[AttributeMeta]):
-    """``read_row(cells, n)``: the values of the text cells of line ``n``, a
-    finite float per numeric cell and the value index per nominal one; any
-    other cell fails as ``line n: ...``."""
-    domains = [None if a.is_numeric else {v: i for i, v in enumerate(a.values)} for a in attributes]
-
-    def read_row(cells, n: int) -> tuple:
-        out = []
-        for attr, index, cell in zip(attributes, domains, cells):
-            if not cell:
-                raise ValidationError(f"line {n}: missing value in column {attr.name!r} (unsupported)")
-            if index is None:
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ValidationError(f"line {n}: unparseable numeric cell {cell!r} in {attr.name!r}") from None
-                if not math.isfinite(value):
-                    raise ValidationError(f"line {n}: non-finite value {cell!r} in {attr.name!r}")
-            elif cell in index:
-                value = index[cell]
-            else:
-                raise ValidationError(f"line {n}: value {cell!r} outside declared domain of {attr.name!r}")
-            out.append(value)
-        return tuple(out)
-
-    return read_row
-
-
-def _parse_label_cell(raw: str, separator: str, where: str):
-    codes = set()
-    roles = {}
-    for token in raw.split(separator):
-        token = token.strip()
-        if not token:
-            continue
-        if ":" in token:
-            code, _, role = token.partition(":")
-            code, role = code.strip(), role.strip()
+def _parse_label_cell(raw: str, separator: str):
+    """(codes, {code: role tag}) of one label cell."""
+    codes, roles = set(), {}
+    for token in filter(None, (token.strip() for token in raw.split(separator))):
+        code, tagged, role = (part.strip() for part in token.partition(":"))
+        if tagged:
             if role not in ROLE_TAGS:
-                raise ValidationError(f"{where}: unknown role tag {role!r} in label cell")
-            if roles.get(code, role) != role:
-                raise ValidationError(f"{where}: conflicting role tags for code {code!r}")
-            roles[code] = role
-        else:
-            code = token
+                raise ValidationError(f"unknown role tag {role!r} in label cell")
+            if roles.setdefault(code, role) != role:
+                raise ValidationError(f"conflicting role tags for code {code!r}")
         if not code:
-            raise ValidationError(f"{where}: empty code in label cell")
+            raise ValidationError("empty code in label cell")
         codes.add(code)
     return frozenset(codes), roles
+
+
+def _read_id(cell: str, id_column: str) -> str:
+    rid = cell.strip()
+    if not rid:
+        raise ValidationError(f"empty id in column {id_column!r}")
+    return rid
+
+
+def _distinct(column: Sequence[str]):
+    """(the distinct cells of ``column`` in first-seen order, each row's index into them)."""
+    index = {}
+    inverse = np.fromiter((index.setdefault(c, len(index)) for c in column), dtype=np.intp, count=len(column))
+    return list(index), inverse
+
+
+def _read_each(read, cells: Sequence[str], inverse: np.ndarray):
+    """(values, ``inverse``, {cell index: message}): ``read`` of each distinct cell, None where it fails."""
+    values, bad = [], {}
+    for k, cell in enumerate(cells):
+        try:
+            values.append(read(cell))
+        except ValidationError as exc:
+            values.append(None)
+            bad[k] = str(exc)
+    return values, inverse, bad
+
+
+def _read_feature(attr: AttributeMeta, cells: Sequence[str], inverse: np.ndarray):
+    """``_read_each`` of the distinct cells of ``attr``'s column."""
+    domain = None if attr.is_numeric else {v: i for i, v in enumerate(attr.values)}
+    return _read_each(lambda cell: _read_cell(attr, domain, cell.strip()), cells, inverse)
 
 
 def load_csv(
@@ -360,14 +367,15 @@ def load_csv(
     name: str = "dataset",
     attributes: Sequence[AttributeMeta] | None = None,
 ) -> Dataset:
-    """Parse a header-first CSV corpus into a Dataset.
+    """Parse a header-first CSV corpus into a Dataset, a column at a time.
 
     Attribute kinds are inferred per column: numeric iff every cell parses
     as a finite decimal number and more than two distinct values occur,
     nominal otherwise (domain = lexicographically sorted distinct values).
     Passing an explicit ``attributes`` schema skips inference and parses
     cells against the declared kinds and domains instead. Missing feature
-    cells are rejected; an empty label cell yields an empty LabelSet.
+    cells are rejected; an empty label cell yields an empty LabelSet. Each
+    distinct cell of a column is read once.
     """
     reader = csv.reader(io.StringIO(content))
     rows, lines, end = [], [], 0  # the non-blank records and the physical line each starts on
@@ -398,58 +406,50 @@ def load_csv(
         if id_idx == label_idx:
             raise ValidationError("id column and label column must differ")
 
-    body, lines = rows[1:], lines[1:]
-    for n, row in zip(lines, body):
+    lines = lines[1:]
+    for n, row in zip(lines, rows[1:]):
         if len(row) != len(header):
             raise ValidationError(f"line {n}: expected {len(header)} cells, found {len(row)}")
+    columns = list(zip(*rows[1:])) or [()] * len(header)
+    del rows
 
     feature_cols = [i for i in range(len(header)) if i != label_idx and i != id_idx]
+    if attributes is not None and [a.name for a in attributes] != [header[c] for c in feature_cols]:
+        raise ValidationError(
+            f"CSV feature columns {[header[c] for c in feature_cols]} do not match "
+            f"the declared schema {[a.name for a in attributes]}"
+        )
+    # every column's _read_each, in the order errors take within a record: label cell, id, features
+    read = [_read_each(lambda cell: _parse_label_cell(cell, label_separator), *_distinct(columns[label_idx]))]
+    if id_idx is not None:
+        read.append(_read_each(lambda cell: _read_id(cell, id_column), *_distinct(columns[id_idx])))
+    metas, X = [], np.empty((len(lines), len(feature_cols)))
+    for pos, col in enumerate(feature_cols):
+        cells, inverse = _distinct(columns[col])
+        attr = AttributeMeta(header[col], NUMERIC, index=pos) if attributes is None else attributes[pos]
+        column = _read_feature(attr, cells, inverse)
+        if attributes is None:  # numeric iff more than two distinct values, every one a finite number
+            distinct = sorted({cell.strip() for cell in cells})
+            if len(distinct) <= 2 or column[2]:
+                attr = AttributeMeta(header[col], NOMINAL, distinct, pos)
+                column = _read_feature(attr, cells, inverse)
+        read.append(column)
+        X[:, pos] = np.array(column[0], dtype=np.float64)[inverse]  # a refused cell reads as NaN
+        metas.append(attr)
+    del columns
+    failing = [(inverse, bad) for _, inverse, bad in read if bad]
+    if failing:  # the first record holding a bad cell, and its first bad cell in column order
+        row = min(int(np.flatnonzero(np.isin(inverse, list(bad)))[0]) for inverse, bad in failing)
+        message = next(bad[inverse[row]] for inverse, bad in failing if inverse[row] in bad)
+        raise ValidationError(f"line {lines[row]}: {message}")
 
-    if attributes is not None:
-        metas = tuple(attributes)
-        if [a.name for a in metas] != [header[c] for c in feature_cols]:
-            raise ValidationError(
-                f"CSV feature columns {[header[c] for c in feature_cols]} do not match "
-                f"the declared schema {[a.name for a in metas]}"
-            )
-    else:
-        inferred = []
-        for pos, col in enumerate(feature_cols):
-            distinct = sorted({row[col].strip() for row in body})
-            if len(distinct) > 2 and all(_parses_numeric(c) for c in distinct):
-                inferred.append(AttributeMeta(header[col], NUMERIC, index=pos))
-            else:
-                inferred.append(AttributeMeta(header[col], NOMINAL, values=tuple(distinct), index=pos))
-        metas = tuple(inferred)
-    read_row = _row_reader(metas)
-    ids, rows, labelsets, roles = [], [], [], []
-    for i, (n, row) in enumerate(zip(lines, body)):
-        labels, tags = _parse_label_cell(row[label_idx], label_separator, f"line {n}")
-        rid = row[id_idx].strip() if id_idx is not None else f"r{i}"
-        if not rid:
-            raise ValidationError(f"line {n}: empty id in column {id_column!r}")
-        ids.append(rid)
-        rows.append(read_row([row[c].strip() for c in feature_cols], n))
-        labelsets.append(labels)
-        roles.append(tags)
-    alphabet = sorted(set().union(*labelsets))
-    X = np.array(rows, dtype=np.float64).reshape(len(rows), len(metas))
-    Y = label_indicator(labelsets, alphabet)
-    return Dataset(metas, tuple(alphabet), ids, X, Y, _role_matrix(ids, roles, alphabet), name)
-
-
-def _render_feature(attr: AttributeMeta, value) -> str:
-    if attr.kind == NUMERIC:
-        return repr(float(value))
-    return attr.values[int(value)]
-
-
-def _render_label_cell(rec: Record, separator: str) -> str:
-    parts = []
-    for code in sorted(rec.labels):
-        role = rec.roles.get(code)
-        parts.append(f"{code}:{role}" if role else code)
-    return separator.join(parts)
+    parsed, rows, _ = read[0]
+    ids = [f"r{i}" for i in range(len(rows))] if id_idx is None else [read[1][0][k] for k in read[1][1]]
+    alphabet = sorted(set().union(*(codes for codes, _ in parsed)))
+    first = np.unique(rows, return_index=True)[1]  # the first row holding each distinct label cell
+    roles = _role_matrix([ids[i] for i in first], [tags for _, tags in parsed], alphabet)
+    Y = label_indicator([codes for codes, _ in parsed], alphabet)
+    return Dataset(tuple(metas), tuple(alphabet), ids, X, Y[rows], roles[rows], name)
 
 
 def export_csv(
@@ -459,15 +459,14 @@ def export_csv(
     id_column: str | None = "id",
 ) -> str:
     """Inverse of load_csv: re-loading the output reproduces the dataset."""
+    columns = [[id_column, *ds.ids]] if id_column else []  # each column under its header
+    for attr, x in zip(ds.attributes, ds.X.T.tolist()):
+        columns.append([attr.name, *(map(repr, x) if attr.is_numeric else (attr.values[int(v)] for v in x))])
+    suffixes = np.asarray(("",) + tuple(f":{tag}" for tag in ROLE_TAGS), dtype=object)
+    tagged = np.asarray(ds.label_alphabet, dtype=object) + suffixes[ds.roles]  # cell (i, j): code j with row i's role
+    columns.append([label_column, *(label_separator.join(codes[y]) for codes, y in zip(tagged, ds.Y))])
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    header = ([id_column] if id_column else []) + [a.name for a in ds.attributes] + [label_column]
-    writer.writerow(header)
-    for rec in ds.records:
-        row = [rec.id] if id_column else []
-        row += [_render_feature(a, v) for a, v in zip(ds.attributes, rec.features)]
-        row.append(_render_label_cell(rec, label_separator))
-        writer.writerow(row)
+    csv.writer(buf, lineterminator="\n").writerows(zip(*columns))
     return buf.getvalue()
 
 

@@ -24,16 +24,13 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .data import Dataset, SplitSpec, _distinct_labelsets, _principal_columns
+from .data import NONE_CLASS, Dataset, SplitSpec, _distinct_labelsets, _principal_columns
 from .errors import ValidationError
 from .ontology import combo_key
 
 MODE_PRINCIPAL = "principal"
 MODE_MULTILABEL = "multilabel"
 MODES = (MODE_PRINCIPAL, MODE_MULTILABEL)
-
-# reserved class name for records/predictions with no code at all
-NONE_CLASS = "(none)"
 
 
 class ConfusionMatrix:

@@ -229,7 +229,7 @@ def test_criterion_6_validity_semantics():
             labelsets.append(set(rng.sample(codes, rng.randrange(0, 4))))
         ds = make_dataset([(0,)] * len(labelsets), labelsets, alphabet=codes)
         registry = observed_registry(ds)
-        for rec in ds.records:
+        for rec in list(ds):
             if rec.labels:
                 assert is_valid(registry, (), rec.labels) == (True, "ok")
     elapsed = time.monotonic() - start

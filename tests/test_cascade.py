@@ -102,6 +102,12 @@ class TestTrainBr:
         model = train_br(ds)
         assert model.constant_codes["zz"] == "negative"
 
+    def test_constant_codes_follow_the_root_counts(self):
+        attrs = binary_attrs(1)
+        trees = [leaf_tree(counts, attrs, BINARY_CLASSES) for counts in ([2.0, 0.0], [0.0, 3.0], [1.0, 1.0])]
+        model = BRModel(codes=("a", "b", "c"), trees=tuple(trees), attributes=attrs)
+        assert model.constant_codes == {"a": "negative", "b": "positive"}
+
     def test_empty_dataset_rejected(self):
         ds = make_dataset([(0,)], [{"a"}])
         empty = ds.subset([])
@@ -374,7 +380,7 @@ class TestTriggerRate:
             GeneratorConfig(profiles=profiles, n_records=40, noise_rate=0.2, seed=11)
         )
         model = train_chidt(ds, strategy="label-powerset")
-        traces = [model.predict_with_scores(r.features)[2] for r in ds.records]
+        traces = [model.predict_with_scores(r.features)[2] for r in list(ds)]
         expected = sum(t.triggered for t in traces) / len(traces)
         assert evaluated_trigger_rate(model, ds) == pytest.approx(expected, abs=1e-12)
 
@@ -393,7 +399,7 @@ class TestPersistence:
             doc = json.loads(json.dumps(model_to_dict(model)))
             again = model_from_dict(doc)
             assert model_to_dict(again) == model_to_dict(model)
-            for rec in ds.records:
+            for rec in list(ds):
                 assert again.predict_with_scores(rec.features)[0] == model.predict_with_scores(rec.features)[0]
 
     def test_rejects_foreign_documents(self):

@@ -68,6 +68,12 @@ class TestGen:
         assert run(["gen", "--config", cfg]) == 1
         assert "requires a seed" in capsys.readouterr().err
 
+    def test_export_builds_no_record(self, tmp_path, monkeypatch):
+        built = []
+        monkeypatch.setattr(Record, "__post_init__", lambda rec: built.append(rec.id))
+        assert run(["gen", "--config", write_config(tmp_path)]) == 0
+        assert built == []
+
     def test_same_seed_twice_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path)
         assert run(["gen", "--config", cfg]) == 0
@@ -310,6 +316,17 @@ class TestInspectValidate:
         assert lines[2] == "(empty)\tinvalid\tempty"
 
 
+class TestReservedCodes:
+    @pytest.mark.parametrize("cell, separator", [("(none)", ";"), ("a;b", "|")])
+    def test_train_refuses_a_code_that_reports_reserve(self, tmp_path, capsys, cell, separator):
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text(f"id,f0,codes\nr0,0,{cell}\nr1,1,I20.0\n")
+        paths = {"dataset": str(corpus), "model": str(tmp_path / "out" / "model.json")}
+        assert run(["train", "--config", write_config(tmp_path, paths=paths, label_separator=separator)]) == 1
+        assert_one_line_error(capsys, f"code {cell!r} is reserved")
+        assert not (tmp_path / "out" / "model.json").exists()
+
+
 class TestExitCodes:
     def test_unknown_config_key_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -362,6 +379,15 @@ class TestTamperedModel:
         model_path.write_text(json.dumps(doc))
         assert run(["eval", "--config", cfg]) == 1
         assert_one_line_error(capsys, "code alphabet")
+
+    @pytest.mark.parametrize("stage, stored", [("stage1", {"I20.0": "positive"}), ("stage2", {"I21.0": "negative"})])
+    def test_constant_codes_contradicting_the_trees_rejected(self, tmp_path, capsys, stage, stored):
+        cfg, model_path, doc = trained_model(tmp_path, "diverse-br")
+        assert doc[stage]["constant_codes"] == {}
+        doc[stage]["constant_codes"] = stored
+        model_path.write_text(json.dumps(doc))
+        assert run(["inspect", "--config", cfg]) == 1
+        assert_one_line_error(capsys, f"model {stage}.constant_codes contradicts the trees' root counts: {{}}")
 
     @pytest.mark.parametrize(
         "trained, stored", [("label-powerset", "diverse-br"), ("diverse-br", "label-powerset")]

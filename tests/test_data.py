@@ -35,7 +35,7 @@ p3,1,140.75,
 
 def record(ds: Dataset, rid: str) -> Record:
     """The record of ``ds`` whose id is ``rid``."""
-    return ds.records[ds.ids.index(rid)]
+    return list(ds)[ds.ids.index(rid)]
 
 
 class TestLoadCsv:
@@ -115,10 +115,53 @@ class TestLoadCsv:
         with pytest.raises(ValidationError, match="CSV input is malformed"):
             load_csv(text, label_column="codes")
 
+    SCHEMA = (AttributeMeta("f", NOMINAL, values=("0", "1"), index=0), AttributeMeta("g", NUMERIC, index=1))
+
+    def test_faults_in_two_records_name_the_earlier_one(self):
+        # the later record's bad cell is in the earlier column
+        text = "f,g,codes\n0,1.5,a\n0,oops,b\n7,1.5,c\n"
+        with pytest.raises(ValidationError, match=r"^line 3: unparseable numeric cell 'oops' in 'g'$"):
+            load_csv(text, label_column="codes", attributes=self.SCHEMA)
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            (",7,a:XX,oops", "unknown role tag 'XX' in label cell"),
+            (",7,a,oops", "empty id in column 'id'"),
+            ("p2,7,a,oops", "value '7' outside declared domain of 'f'"),
+            ("p2,0,a,oops", "unparseable numeric cell 'oops' in 'g'"),
+        ],
+    )
+    def test_faults_in_one_record_report_label_then_id_then_features(self, record, message):
+        text = f"id,f,codes,g\np1,0,a,1.5\n{record}\n"
+        with pytest.raises(ValidationError, match=f"^line 3: {re.escape(message)}$"):
+            load_csv(text, label_column="codes", id_column="id", attributes=self.SCHEMA)
+
+    def test_a_bad_value_on_many_lines_names_the_first(self):
+        text = "f,g,codes\n0,1.5,a\n" + "7,2.5,b\n" * 50
+        with pytest.raises(ValidationError, match=r"^line 3: value '7' outside declared domain of 'f'$"):
+            load_csv(text, label_column="codes", attributes=self.SCHEMA)
+        with pytest.raises(ValidationError, match=r"^line 4: missing value in column 'a' \(unsupported\)$"):
+            load_csv("a,codes\n1,x\n2,x\n" + ",x\n" * 50, label_column="codes")
+
+    def test_header_only_corpus(self):
+        ds = load_csv("f,g,codes\n", label_column="codes", attributes=self.SCHEMA)
+        assert (len(ds), ds.attributes, ds.label_alphabet, ds.X.shape) == (0, self.SCHEMA, (), (0, 2))
+        ds = load_csv("id,codes\n", label_column="codes", id_column="id")
+        assert (len(ds), ds.attributes, ds.X.shape) == (0, (), (0, 0))
+        # an inferred feature column without cells has no domain
+        with pytest.raises(ValidationError, match="^nominal attribute 'f' needs a non-empty value list$"):
+            load_csv("f,codes\n", label_column="codes")
+
+    @pytest.mark.parametrize("cell, separator, code", [("x;(none)", ";", "(none)"), ("a;b|x", "|", "a;b")])
+    def test_codes_reserved_by_the_reports_rejected(self, cell, separator, code):
+        with pytest.raises(ValidationError, match=f"^code {re.escape(repr(code))} is reserved: "):
+            load_csv(f"f,codes\n0,{cell}\n", label_column="codes", label_separator=separator)
+
     def test_role_tags_parsed(self):
         text = "a,codes\n1,I21.0:PDx;I25.1:SDx\n1,I21.0\n"
         ds = load_csv(text, label_column="codes")
-        assert ds.records[0].roles == {"I21.0": "PDx", "I25.1": "SDx"}
+        assert list(ds)[0].roles == {"I21.0": "PDx", "I25.1": "SDx"}
         assert ds.label_alphabet[_principal_columns(ds.Y, ds.roles)[0]] == "I21.0"
 
     def test_two_pdx_tags_rejected(self):
@@ -171,8 +214,8 @@ class TestColumnChecks:
     def test_valid_columns_are_stored_read_only(self):
         ds = self.columns(roles=[[1, 2], [0, 0]])
         assert not (ds.X.flags.writeable or ds.Y.flags.writeable or ds.roles.flags.writeable)
-        assert ds.records[0] == Record("r0", (0, 1.5), {"a", "b"}, {"a": "PDx", "b": "SDx"})
-        assert ds == self.records(*ds.records)
+        assert list(ds)[0] == Record("r0", (0, 1.5), {"a", "b"}, {"a": "PDx", "b": "SDx"})
+        assert ds == self.records(*ds)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_numeric_value(self, value):
@@ -206,6 +249,11 @@ class TestColumnChecks:
     def test_code_outside_the_alphabet(self):
         with pytest.raises(ValidationError, match=r"record 'r0' carries codes outside the label alphabet: \['z'\]"):
             self.records(Record("r0", (0, 1.5), {"a", "z"}))
+
+    @pytest.mark.parametrize("code", ["(none)", "a;b"])
+    def test_code_reserved_by_the_reports(self, code):
+        with pytest.raises(ValidationError, match=f"^code {re.escape(repr(code))} is reserved: "):
+            Dataset(self.ATTRS, (code,), ("r0",), np.array([[0, 1.5]]), np.array([[True]]))
 
     def test_two_pdx_tags(self):
         with pytest.raises(ValidationError, match="^record 'r0' tags more than one code as PDx$"):
@@ -245,7 +293,7 @@ class TestCoverAllLabelsSplit:
 
     def test_full_train_leaves_empty_test(self):
         ds = self._corpus_196()
-        split = cover_all_labels_split(ds, len(ds.records), seed=1)
+        split = cover_all_labels_split(ds, len(ds), seed=1)
         assert split.test_ids == frozenset()
 
     def test_two_seeds_both_satisfy_coverage(self):
@@ -278,7 +326,7 @@ class TestGenerateSynthetic:
         )
         ds, combos = generate_synthetic(cfg)
         assert combos == [frozenset({"a"})]
-        assert all(r.labels == frozenset({"a"}) for r in ds.records)
+        assert all(r.labels == frozenset({"a"}) for r in list(ds))
 
     def test_degenerate_rates_reproduce_template(self):
         cfg = GeneratorConfig(
@@ -288,7 +336,7 @@ class TestGenerateSynthetic:
             seed=9,
         )
         ds, _ = generate_synthetic(cfg)
-        assert all(r.features == (1, 0, 1) for r in ds.records)
+        assert all(r.features == (1, 0, 1) for r in list(ds))
 
     def test_profile_counts_within_three_sigma(self):
         # multinomial oracle: n=300, p=1/3 per profile, sigma = sqrt(n*p*(1-p))
@@ -299,7 +347,7 @@ class TestGenerateSynthetic:
         ds, _ = generate_synthetic(cfg)
         sigma = math.sqrt(300 * (1 / 3) * (2 / 3))
         for code in ("a", "b", "c"):
-            count = sum(1 for r in ds.records if r.labels == frozenset({code}))
+            count = sum(1 for r in list(ds) if r.labels == frozenset({code}))
             assert abs(count - 100) <= 3 * sigma
 
     def test_bit_reproducible(self):
@@ -329,7 +377,7 @@ class TestGenerateSynthetic:
         )
         ds, combos = generate_synthetic(cfg)
         allowed = set(combos)
-        assert all(r.labels in allowed for r in ds.records)
+        assert all(r.labels in allowed for r in list(ds))
 
     def test_validation_errors(self):
         with pytest.raises(ValidationError, match="at least one profile"):

@@ -161,7 +161,7 @@ class TestIsValid:
                 labelsets.append(set(rng.sample(codes, k)))
             ds = make_dataset([(0,)] * len(labelsets), labelsets, alphabet=codes)
             reg = observed_registry(ds)
-            for rec in ds.records:
+            for rec in list(ds):
                 if rec.labels:
                     assert is_valid(reg, [], rec.labels) == (True, "ok")
 

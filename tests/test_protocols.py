@@ -113,7 +113,7 @@ class TestHoldout:
         split = cover_all_labels_split(ds, 20, seed=4)
         spy = SpyModel(training_ids=split.train_ids)
         evaluate_holdout(spy, ds, split)
-        test_features = {tuple(r.features) for r in ds.records if r.id in split.test_ids}
+        test_features = {tuple(r.features) for r in list(ds) if r.id in split.test_ids}
         assert set(spy.seen) <= test_features
         assert len(spy.seen) == len(split.test_ids)
 
@@ -159,7 +159,7 @@ class TestKFold:
     def test_stratification_spreads_first_labels(self):
         ds = small_corpus(n=60, noise=0.0)
         folds = kfold_assignments(ds, 3, seed=8)
-        first = {rec.id: min(rec.labels) for rec in ds.records}
+        first = {rec.id: min(rec.labels) for rec in list(ds)}
         totals = {c: sum(1 for v in first.values() if v == c) for c in set(first.values())}
         for fold in folds:
             for code, total in totals.items():
@@ -202,7 +202,7 @@ class TestModes:
         # BR can emit empty/multi-code sets; restrict the claim to the spec's
         # reduction consistency: subset accuracy equals multi-class accuracy
         assert ml.multilabel.subset_accuracy_pct == pytest.approx(ml.metrics.accuracy_pct)
-        if all(len(model.predict_labels(r.features)) == 1 for r in ds.records):
+        if all(len(model.predict_labels(r.features)) == 1 for r in list(ds)):
             assert ml.metrics.correct == pr.metrics.correct
 
     def test_pdx_tag_drives_principal_reduction(self):
@@ -224,7 +224,7 @@ class TestModes:
         result = evaluate_predictions(model, ds, ds, mode="principal")
         assert "(none)" in result.matrix.classes
         none_col = result.matrix.classes.index("(none)")
-        assert result.matrix.counts[:, none_col].sum() == len(ds.records)
+        assert result.matrix.counts[:, none_col].sum() == len(ds)
         assert result.metrics.correct == 0
         assert result.metrics.kappa <= 0.0
 

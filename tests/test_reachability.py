@@ -44,6 +44,8 @@ ALLOWED = {
     "tree._read_nodes.<locals>.path": "names a tree node only in the message of a failed check",
     "data.Dataset.from_records": "builds a Dataset from Record views in tests and the Python API",
     "data.Dataset.__eq__": "compares datasets in round-trip tests",
+    "data.Dataset.__iter__": "per-row Record view over the columns, for tests and the Python API",
+    "data.Record.__post_init__": "per-row view: builds the Records that Dataset.__iter__ yields",
     "tree.C45Tree.from_dict": "reads one tree document in round-trip tests",
     "data.GeneratorConfig.from_dict": "reads a standalone generator section in the Python API",
 }
