@@ -20,8 +20,8 @@ from .errors import SchemaMismatchError, ValidationError
 from .jsondoc import Fields, code_sets, fields, flag, items, number, one_of, strings
 from .ontology import REASON_OK, ExclusionGroup, ValidCombinationRegistry, _read_registry, combo_key, is_valid
 from .ontology import observed_registry
-from .tree import C45Params, C45Tree, _read_params, _read_schema, _read_tree, build_tree, leaf_distributions
-from .tree import schema_fingerprint
+from .tree import C45Params, C45Tree, _read_params, _read_schema, _read_tree, build_tree, grow_bank, leaf_distributions
+from .tree import prune_ebp, schema_fingerprint
 
 BINARY_CLASSES = ("absent", "present")
 
@@ -155,8 +155,9 @@ def train_br(ds: Dataset, params: C45Params | None = None, threshold: float = 0.
     if not ds.label_alphabet:
         raise ValidationError("cannot train with an empty label alphabet")
     params = params or C45Params()
-    X = ds.feature_matrix()
-    trees = [build_tree(X, y.astype(np.int64), ds.attributes, BINARY_CLASSES, params) for y in ds.Y.T]
+    trees = grow_bank(ds.feature_matrix(), ds.Y, ds.attributes, BINARY_CLASSES, params)
+    if params.pruning:
+        trees = [prune_ebp(tree, params) for tree in trees]
     return BRModel(
         codes=ds.label_alphabet,
         trees=tuple(trees),

@@ -45,7 +45,48 @@ EXIT_IO = 2
 
 
 def _dump_json(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(doc, indent=2, sort_keys=True)`` and a newline, byte for byte, from the C encoder.
+
+    ``indent`` selects Python's pure-Python encoder, so the C encoder writes
+    the compact text and numpy indents it. The text is ASCII, and inside a
+    string a quote or backslash appears only escaped; with ``\\\\`` and
+    ``\\"`` hidden, the quotes left toggle in and out of strings. Outside
+    them, a line break and two spaces per level of nesting go after each
+    comma and each opening bracket and before each closing bracket, except
+    inside an empty ``[]`` or ``{}``. Temporaries are one byte per byte of
+    text where they can be, so writing a large model costs little memory.
+    """
+    text = json.dumps(doc, sort_keys=True, separators=(",", ": "))
+    hidden = np.frombuffer(text.replace("\\\\", "\0\0").replace('\\"', "\1\1").encode("ascii"), np.uint8)
+    outside = ~np.logical_xor.accumulate(hidden == ord('"'))
+    opens = ((hidden == ord("[")) | (hidden == ord("{"))) & outside
+    closes = ((hidden == ord("]")) | (hidden == ord("}"))) & outside
+    breaks = (hidden == ord(",")) & outside  # the bytes a break follows
+    del hidden, outside
+    depth = np.cumsum(opens.view(np.int8) - closes.view(np.int8), dtype=np.int16)  # nesting after each byte
+    empty = opens[:-1] & closes[1:]  # the opening bracket of a ``[]`` or ``{}``
+    breaks |= opens
+    breaks[:-1] &= ~empty
+    closes[1:] &= ~empty  # where a break goes before the byte
+    del opens, empty
+    where = np.flatnonzero(np.concatenate(([False], breaks[:-1])) | closes)  # the byte each break precedes
+    del breaks
+    width = 1 + 2 * (depth[where - 1] - closes[where]).astype(np.int32)
+    del depth, closes
+    source = np.frombuffer(text.encode("ascii"), np.uint8)
+    del text
+    start = where + np.cumsum(width) - width  # of each break in the output
+    del where
+    n = len(source) + int(width.sum())
+    step = np.zeros(n, np.int8)  # +1 where a break starts, -1 where it ends
+    step[start] = 1
+    step[start + width] = -1
+    kept = np.equal(np.cumsum(step, dtype=np.int8, out=step), 0, out=step.view(bool))  # the source bytes
+    out = np.full(n + 1, ord(" "), np.uint8)  # the last byte is the closing newline
+    out[:-1][kept] = source
+    del kept, step, source
+    out[start] = out[-1] = ord("\n")
+    return str(out.data, "ascii")
 
 
 def _write(path: Path, text: str) -> None:
@@ -120,7 +161,7 @@ def cmd_train(cfg: RunConfig) -> int:
     model_path = cfg.path("model", "model.json")
     try:
         text = _dump_json(model_to_dict(model))
-    except RecursionError:  # the encoder recurses twice per tree level: about 495 levels fit
+    except RecursionError:  # the C encoder recurses twice per tree level, as Python's did: about 495 levels fit
         raise ValidationError(f"cannot write {model_path}: a tree has more levels than JSON output can nest") from None
     _write(model_path, text)
     _log(cfg, f"train strategy={model.strategy} records={len(train_ds)} -> {model_path}")

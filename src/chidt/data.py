@@ -419,6 +419,8 @@ def load_csv(
             f"CSV feature columns {[header[c] for c in feature_cols]} do not match "
             f"the declared schema {[a.name for a in attributes]}"
         )
+    if attributes is None and feature_cols and not lines:
+        raise ValidationError(f"CSV input has no records to infer column {header[feature_cols[0]]!r} from")
     # every column's _read_each, in the order errors take within a record: label cell, id, features
     read = [_read_each(lambda cell: _parse_label_cell(cell, label_separator), *_distinct(columns[label_idx]))]
     if id_idx is not None:

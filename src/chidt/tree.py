@@ -7,17 +7,24 @@ is bottom-up subtree replacement driven by the normal-approximation upper
 confidence bound on leaf error. All ties break toward the lowest index
 (attribute, class, threshold) so induction is deterministic.
 
-Growth is level-wise and table-driven: each tree level counts the classes
-of all its open nodes, and of every branch of every nominal test at those
-nodes, with one ``np.bincount`` each, and scores all candidates at once;
-numeric thresholds are scored as arrays over cumulative class counts.
-Every score goes through one entropy kernel, ``_entropy_rows``, that
-keeps the summation order of the scalar ``entropy``: terms subtracted
-class by class, branch terms accumulated branch by branch, an exact 0.0
-for each empty class or branch, and rows with 8 or more nonzero classes
-(where numpy's ``sum`` turns pairwise) handed to ``entropy`` itself. So
-the trees are bit for bit those of the scalar, one-node-at-a-time
-induction, which ``tests/oracle_c45.py`` keeps as the test oracle.
+Growth is level-wise and table-driven, and a bank of trees over one
+feature matrix (one tree per code) grows together: the open nodes of all
+its trees are numbered as one level. Each bank level counts the classes of
+all its open nodes, and of every branch of every nominal test at those
+nodes, with one ``np.bincount`` each, and scores all candidates at once.
+Each numeric attribute is searched once per bank level: the level's rows
+are sorted by (node, value), and every midpoint of every node is scored
+from one cumulative class count, less the count before the node's first
+row; each node keeps its first best midpoint. No choice looks across
+nodes, so a tree grown in a bank is the tree grown alone. Every score goes
+through one entropy kernel, ``_entropy_rows``, that keeps the summation
+order of the scalar ``entropy``: terms subtracted class by class, branch
+terms accumulated branch by branch, an exact 0.0 for each empty class or
+branch, and rows with 8 or more nonzero classes (where numpy's ``sum``
+turns pairwise) handed to ``entropy`` itself. Counts are integers held in
+floats, so they add exactly in any grouping. So the trees are bit for bit
+those of the scalar, one-node-at-a-time induction, which
+``tests/oracle_c45.py`` keeps as the test oracle.
 
 A tree is one set of flat arrays in breadth-first order (``C45Tree``):
 growth appends each level's nodes, pruning is one pass in reverse order,
@@ -33,7 +40,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -76,12 +83,6 @@ def _read_params(doc, where: str) -> C45Params:
     )
 
 
-class NumericSplit(NamedTuple):
-    threshold: float
-    gain: float
-    ratio: float
-
-
 def entropy(weights) -> float:
     """Shannon entropy, in bits, of a nonnegative weight vector."""
     w = np.asarray(weights, dtype=np.float64)
@@ -105,7 +106,10 @@ def _entropy_rows(C: np.ndarray) -> np.ndarray:
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         p = C / C.sum(axis=1, keepdims=True)
-        terms = np.where(C > 0, p * np.log2(p), 0.0)
+        terms = np.log2(p)
+        terms *= p
+    del p
+    terms[C <= 0] = 0.0
     h = np.zeros(len(C))
     for j in range(C.shape[1]):
         h -= terms[:, j]
@@ -135,81 +139,88 @@ def _split_scores(parent_h, table: np.ndarray) -> tuple:
         return gain, split_info, gain / split_info, sizes
 
 
-def best_numeric_threshold(
-    X: np.ndarray,
-    y: np.ndarray,
-    n_classes: int,
-    attr_index: int,
-    min_leaf: int = 1,
-    rows: np.ndarray | None = None,
-) -> NumericSplit | None:
-    """Best midpoint threshold for a numeric attribute, by information gain.
+def best_numeric_threshold(values, y, node, counts: np.ndarray, min_leaf: int = 1) -> tuple:
+    """(threshold, gain, gain ratio) arrays of the best midpoint threshold of one numeric attribute at every
+    node, by information gain. Row i has attribute value ``values[i]``, class ``y[i]`` and node ``node[i]``;
+    ``counts`` holds each node's class counts, (nodes, classes).
 
-    Every midpoint between consecutive distinct sorted values is scored at
-    once from cumulative class counts over the sorted rows; candidates
-    leaving either side below ``min_leaf`` are skipped. Ties in gain go to
-    the smallest threshold. Returns None when no candidate exists.
+    The rows are sorted once by (node, value). Every midpoint between
+    consecutive distinct values of one node is scored at once, from one
+    cumulative class count less the count before the node's first row;
+    candidates leaving either side below ``min_leaf`` are skipped. Ties in
+    gain go to the smallest threshold. A node with no candidate has a NaN
+    threshold and zero gain and ratio.
     """
-    if rows is None:
-        rows = np.arange(len(y))
-    values = X[rows, attr_index]
-    order = np.argsort(values, kind="stable")
-    sv = values[order]
-    n = len(rows)
-    n_left = np.arange(1, n)
+    n_nodes, k = counts.shape
+    threshold, gain, ratio = np.full(n_nodes, np.nan), np.zeros(n_nodes), np.zeros(n_nodes)
+    order = np.lexsort((values, node))
+    sv, sn = values[order], node[order]
+    starts = np.searchsorted(sn, np.arange(n_nodes + 1))
+    n_left = np.arange(1, len(sv)) - starts[sn[:-1]]  # rows of its node up to each row but the last
+    n_right = np.diff(starts)[sn[:-1]] - n_left
     with np.errstate(invalid="ignore", over="ignore"):
         mid = (sv[:-1] + sv[1:]) / 2.0
-        # a midpoint strictly inside: distinct neighbours whose midpoint did not collapse onto either
-        cut = np.flatnonzero((sv[:-1] < mid) & (mid < sv[1:]) & (n_left >= min_leaf) & (n - n_left >= min_leaf))
+        # a midpoint strictly inside one node: distinct neighbours whose midpoint did not collapse onto either
+        inside = (sn[:-1] == sn[1:]) & (sv[:-1] < mid) & (mid < sv[1:])
+    cut = np.flatnonzero(inside & (n_left >= min_leaf) & (n_right >= min_leaf))
     if not cut.size:
-        return None
-    seen = np.zeros((n, n_classes))
-    seen[np.arange(n), y[rows][order]] = 1.0
-    left = np.cumsum(seen, axis=0)
-    table = np.stack([left[cut], left[-1] - left[cut]], axis=1)
-    gain, _, ratio, _ = _split_scores(_entropy_rows(left[-1:]), table)
-    best = int(np.argmax(gain))
-    return NumericSplit(threshold=float(mid[cut[best]]), gain=float(gain[best]), ratio=float(ratio[best]))
+        return threshold, gain, ratio
+    mid, at = mid[cut], sn[cut]
+    del sv, n_left, n_right, inside
+    counted = np.zeros((len(sn) + 1, k))
+    counted[np.arange(1, len(sn) + 1), y[order]] = 1.0
+    np.cumsum(counted, axis=0, out=counted)  # class counts of the sorted rows before each row; exact integers
+    left = counted[cut + 1] - counted[starts[at]]
+    del counted
+    g, _, q, _ = _split_scores(_entropy_rows(counts)[at], np.stack([left, counts[at] - left], axis=1))
+    # each node's first candidate in (largest gain, smallest threshold) order
+    best = np.lexsort((-g, at))[np.flatnonzero(np.diff(at, prepend=-1))]
+    threshold[at[best]], gain[at[best]], ratio[at[best]] = mid[best], g[best], q[best]
+    return threshold, gain, ratio
 
 
-# cells of the nominal count table built at once; a tree level with more is counted in node chunks
+# cells of nominal count table and of row keys built at once; a bank level with more is counted in node chunks
 _TABLE_CELLS = 1 << 18
 
 
-def _candidates(X, y, k, codes, widths, rows, node, counts, min_leaf) -> tuple:
-    """(gain, gain ratio, threshold, candidacy) of every attribute at every open node of a level, as
-    (nodes, attributes) arrays. ``rows`` are the rows at the open nodes, grouped by ``node``.
+def _candidates(X, keys, widths, y, rows, n, node, counts, min_leaf) -> tuple:
+    """(gain, gain ratio, threshold, candidacy) of every attribute at every open node of a bank level, as
+    (nodes, attributes) arrays. ``rows`` are the bank rows at the open nodes, grouped by ``node``: bank row
+    r is feature row ``r % n`` of class ``y[r]``. ``keys`` holds each feature row's (nominal attribute,
+    value) cells of one node's count table (see ``grow_bank``).
 
     The class counts of every branch of every nominal test of a chunk of
     nodes come from one ``np.bincount`` over (node, attribute, value, class)
     and are scored at once; each numeric attribute goes through
-    ``best_numeric_threshold`` once per node.
+    ``best_numeric_threshold`` once for all the nodes.
     """
-    m, d = len(counts), len(widths)
+    (m, k), d = counts.shape, len(widths)
+    sample, y = rows % n, y[rows]
     gain, ratio, threshold = np.zeros((m, d)), np.zeros((m, d)), np.full((m, d), np.nan)
     ok = np.zeros((m, d), dtype=bool)
-    starts = np.searchsorted(node, np.arange(m + 1))
     nominal = np.flatnonzero(widths)
     if nominal.size:
+        starts = np.searchsorted(node, np.arange(m + 1))
         w = int(widths.max())
         per_node = nominal.size * w * k
         parent_h = _entropy_rows(counts)
-        step = max(1, _TABLE_CELLS // per_node)
-        for lo in range(0, m, step):
-            hi = min(m, lo + step)
+        # the cells of row keys and tables of the nodes before each node
+        before = np.concatenate(([0], np.cumsum(np.diff(starts) * nominal.size + per_node)))
+        lo = 0
+        while lo < m:
+            hi = max(lo + 1, int(np.searchsorted(before, before[lo] + _TABLE_CELLS, "right")) - 1)
             at = slice(starts[lo], starts[hi])
-            r = rows[at]
-            cells = (((node[at, None] - lo) * nominal.size + np.arange(nominal.size)) * w + codes[r]) * k + y[r, None]
+            cells = keys[sample[at]]
+            cells += ((node[at] - lo) * per_node + y[at])[:, None]
             table = np.bincount(cells.ravel(), minlength=(hi - lo) * per_node).reshape(hi - lo, nominal.size, w, k)
+            del cells
             g, _, q, sizes = _split_scores(parent_h[lo:hi, None], table.astype(np.float64))
             gain[lo:hi, nominal], ratio[lo:hi, nominal] = g, q
             ok[lo:hi, nominal] = np.count_nonzero(sizes >= min_leaf, axis=-1) >= 2
+            lo = hi
     for a in np.flatnonzero(widths == 0).tolist():
-        for i in range(m):
-            found = best_numeric_threshold(X, y, k, a, min_leaf, rows[starts[i] : starts[i + 1]])
-            if found is not None:
-                threshold[i, a], gain[i, a], ratio[i, a] = found
-                ok[i, a] = True
+        threshold[:, a], gain[:, a], ratio[:, a] = best_numeric_threshold(X[sample, a], y, node, counts, min_leaf)
+        ok[:, a] = ~np.isnan(threshold[:, a])
     return gain, ratio, threshold, ok
 
 
@@ -437,69 +448,82 @@ def _read_nodes(root, where: str, attributes: tuple, n_classes: int) -> tuple:
     return tuple(zip(*nodes))
 
 
-def grow(
+def grow_bank(
     X: np.ndarray,
-    y,
+    Y,
     attributes: Sequence[AttributeMeta],
     class_names: Sequence[str],
     params: C45Params | None = None,
-) -> C45Tree:
-    """Top-down C4.5 induction, one tree level at a time (no pruning; see prune_ebp / build_tree).
+) -> list:
+    """Top-down C4.5 induction of one tree per column of ``Y``, one level of the whole bank at a time (no
+    pruning; see prune_ebp / build_tree).
 
-    Each level counts the classes at all its open nodes with one
-    ``np.bincount`` and scores every candidate test of every open node at
-    once (see ``_candidates``); the rows then move to their children. A
-    level's nodes, virtual leaves included, are appended to the arrays in
-    (parent, branch) order, which is breadth-first order.
+    The open nodes of all the trees are numbered together. Row r of the
+    bank is the pair (tree ``r // n``, feature row ``r % n``) with class
+    ``Y[r % n, r // n]``, so ``X`` is shared, not copied per tree. Each
+    level counts the classes at all its open nodes with one ``np.bincount``
+    and scores every candidate test of every open node at once (see
+    ``_candidates``); the rows then move to their children. A level's
+    nodes, virtual leaves included, are appended in (parent, branch) order,
+    so each tree's own nodes, taken in that order, are in breadth-first
+    order. No choice looks across trees, so each tree is the one its column
+    would grow alone.
 
     Args:
         X: (n, d) float matrix; nominal columns hold value indices.
-        y: integer class per row, indices into class_names.
+        Y: (n, trees) integer classes, indices into class_names.
         attributes: schema describing the d columns.
-        class_names: ordered class list.
+        class_names: ordered class list, shared by the trees.
         params: induction parameters (defaults used when None).
 
-    Raises ValidationError, as prediction does, on a value no branch can
-    take: a NaN numeric value or a nominal value that is not an index into
-    its attribute's values.
+    Returns the trees in column order. Raises ValidationError, as
+    prediction does, on a value no branch can take: a NaN numeric value or
+    a nominal value that is not an index into its attribute's values.
     """
     params = params or C45Params()
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    Y = np.asarray(Y, dtype=np.int64)
     if X.ndim != 2 or X.shape[1] != len(attributes):
         raise ValidationError("feature matrix shape does not match the attribute schema")
-    if len(y) != X.shape[0]:
+    if Y.ndim != 2 or len(Y) != X.shape[0]:
         raise ValidationError("feature matrix and class vector lengths differ")
-    if len(y) == 0:
+    n, n_trees = Y.shape
+    if n == 0:
         raise ValidationError("cannot grow a tree from an empty view")
     k = len(class_names)
-    if k < 1 or y.min() < 0 or y.max() >= k:
+    if k < 1 or Y.min(initial=0) < 0 or Y.max(initial=0) >= k:
         raise ValidationError("class indices fall outside the class list")
+    if not n_trees:
+        return []
     numeric = np.array([a.is_numeric for a in attributes], dtype=bool)
     widths = np.array([0 if a.is_numeric else len(a.values) for a in attributes], dtype=np.intp)
     bad = _unroutable(X, numeric, widths)
     if bad.any():
         i, j = divmod(int(np.argmax(bad)), X.shape[1])
         _refuse(X[i, j], numeric[j], attributes[j].name)
-    codes = X[:, widths > 0].astype(np.intp)
     width = max(2, int(widths.max(initial=0)))  # branches of the widest test
+    nominal = widths > 0
+    # each row's (nominal attribute, value) cell of a node's (attribute, value, class) count table
+    keys = (X[:, nominal].astype(np.intp) + np.arange(np.count_nonzero(nominal)) * widths.max(initial=0)) * k
+    y = Y.T.ravel()  # the class of bank row r
 
-    levels = []  # (attribute, threshold, branch count, class counts, virtual) of each level's nodes
-    rows = np.arange(len(y))  # the rows at the level's reached nodes, grouped by node, ascending within one
-    node = np.zeros(len(y), dtype=np.intp)  # the reached node of each, numbered among the reached nodes
-    reached = np.ones(1, dtype=bool)  # the level's nodes that rows reach; the others are virtual
-    counts = np.zeros((1, k))  # the level's class counts: a virtual node keeps its parent's
+    levels = []  # (tree, attribute, threshold, branch count, class counts, virtual) of each level's nodes
+    rows = np.arange(n * n_trees)  # the bank rows at the level's reached nodes, grouped by node, ascending in one
+    node = rows // n  # the reached node of each, numbered among the reached nodes
+    reached = np.ones(n_trees, dtype=bool)  # the level's nodes that rows reach; the others are virtual
+    owner = np.arange(n_trees)  # the tree of each of the level's nodes
+    counts = np.zeros((n_trees, k))  # the level's class counts: a virtual node keeps its parent's
     depth = 0
     while True:
         counts[reached] = np.bincount(node * k + y[rows], minlength=np.count_nonzero(reached) * k).reshape(-1, k)
         attr, thr, n_branches = np.full(len(reached), -1), np.full(len(reached), np.nan), np.zeros(len(reached), int)
-        levels.append((attr, thr, n_branches, counts, ~reached))  # the splits below fill in attr, thr, n_branches
+        levels.append((owner, attr, thr, n_branches, counts, ~reached))  # the splits below fill in attr, thr, nb
         if params.max_depth is not None and depth >= params.max_depth:
             break
         impure = np.count_nonzero(counts[reached], axis=1) > 1
         rows, node = _keep(rows, node, impure)
         at = np.flatnonzero(reached)[impure]
-        gain, ratio, threshold, ok = _candidates(X, y, k, codes, widths, rows, node, counts[at], params.min_leaf)
+        gain, ratio, threshold, ok = _candidates(X, keys, widths, y, rows, n, node, counts[at], params.min_leaf)
         split = ok.any(axis=1)
         if not split.any():
             break
@@ -509,16 +533,34 @@ def grow(
         attr[at], thr[at], n_branches[at] = a, t, nb
         rows, node = _keep(rows, node, split)
 
-        values = X[rows, a[node]]
+        values = X[rows % n, a[node]]
         key = node * width + np.where(numeric[a[node]], values > t[node], values).astype(np.intp)
         seen = np.bincount(key, minlength=len(at) * width).reshape(-1, width) > 0
         node = (np.cumsum(seen) - 1)[key]
         order = np.argsort(node, kind="stable")
         rows, node = rows[order], node[order]
         reached = seen[np.arange(width) < nb[:, None]]
+        owner = np.repeat(owner[at], nb)
         counts = np.repeat(counts[at], nb, axis=0)
         depth += 1
-    return _tree(*(np.concatenate(column) for column in zip(*levels)), attributes, class_names, params)
+    owner, *columns = (np.concatenate(column) for column in zip(*levels))
+    by_tree = np.argsort(owner, kind="stable")  # each tree's nodes, in level order
+    ends = np.cumsum(np.bincount(owner, minlength=n_trees))[:-1]
+    return [
+        _tree(*node_columns, attributes, class_names, params)
+        for node_columns in zip(*(np.split(column[by_tree], ends) for column in columns))
+    ]
+
+
+def grow(
+    X: np.ndarray,
+    y,
+    attributes: Sequence[AttributeMeta],
+    class_names: Sequence[str],
+    params: C45Params | None = None,
+) -> C45Tree:
+    """One tree grown from the integer classes ``y``: the one-tree bank of ``grow_bank``."""
+    return grow_bank(X, np.asarray(y)[:, None], attributes, class_names, params)[0]
 
 
 # ---------------------------------------------------------------------------

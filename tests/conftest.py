@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import settings
 
 from chidt.data import AttributeMeta, Dataset, NOMINAL, NUMERIC, Record
-from chidt.tree import C45Tree
+from chidt.tree import C45Tree, best_numeric_threshold
 
 # a deeper, reproducible run of the property suites: pytest --hypothesis-profile=oracle-deep
 settings.register_profile("oracle-deep", max_examples=1500, derandomize=True, deadline=None)
@@ -110,3 +111,13 @@ def random_view(rng, n, n_attrs, k, numeric_share=0.5, widths=(2, 4)):
     y = np.array([rng.randrange(k) for _ in range(n)], dtype=np.int64)
     classes = tuple(f"c{j}" for j in range(k))
     return X, y, tuple(attrs), classes
+
+
+def node_thresholds(values, y, node, k, min_leaf=1) -> list:
+    """``best_numeric_threshold`` at the nodes 0 .. max(node) of the rows (``values``, ``y``, ``node``), as one
+    (threshold, gain, gain ratio) tuple per node, or None at a node without a candidate."""
+    y, node = np.asarray(y, dtype=np.int64), np.asarray(node, dtype=np.intp)
+    counts = np.zeros((int(node.max()) + 1, k))
+    np.add.at(counts, (node, y), 1.0)
+    found = best_numeric_threshold(np.asarray(values, dtype=np.float64), y, node, counts, min_leaf)
+    return [None if math.isnan(t) else (t, g, q) for t, g, q in zip(*(a.tolist() for a in found))]

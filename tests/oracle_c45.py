@@ -19,7 +19,7 @@ import numpy as np
 
 from chidt.data import AttributeMeta, NUMERIC
 from chidt.errors import ValidationError
-from chidt.tree import GAIN_EPS, C45Params, NumericSplit, pessimistic_errors, schema_fingerprint
+from chidt.tree import GAIN_EPS, C45Params, pessimistic_errors, schema_fingerprint
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,12 @@ class SplitTest:
     @property
     def is_numeric(self) -> bool:
         return self.threshold is not None
+
+
+class NumericSplit(NamedTuple):
+    threshold: float
+    gain: float
+    ratio: float
 
 
 class GainStats(NamedTuple):

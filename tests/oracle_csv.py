@@ -140,6 +140,8 @@ def oracle_load_csv(
                 f"the declared schema {[a.name for a in metas]}"
             )
     else:
+        if feature_cols and not body:
+            raise ValidationError(f"CSV input has no records to infer column {header[feature_cols[0]]!r} from")
         inferred = []
         for pos, col in enumerate(feature_cols):
             distinct = sorted({row[col].strip() for row in body})

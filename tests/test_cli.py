@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from chidt import cli
 from chidt.cli import main
@@ -408,6 +409,28 @@ class TestTamperedModel:
         model_path.write_text(json.dumps(doc))
         assert run(["predict", "--config", cfg]) == 1
         assert_one_line_error(capsys, f"no '{key}' key")
+
+
+# text that can trip the writer: quotes, backslashes and brackets inside strings, escaped controls, non-ASCII
+json_text = st.text(
+    st.one_of(
+        st.sampled_from('"\\[]{},: '),
+        st.characters(max_codepoint=0x1F),
+        st.characters(min_codepoint=0x80),
+    ),
+    max_size=8,
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | json_text,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_text, inner, max_size=4),
+    max_leaves=40,
+)
+
+
+class TestDumpJson:
+    @given(json_values)
+    def test_same_bytes_as_the_indenting_encoder(self, value):
+        assert cli._dump_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
 class TestDeterminism:

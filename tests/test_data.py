@@ -149,8 +149,8 @@ class TestLoadCsv:
         assert (len(ds), ds.attributes, ds.label_alphabet, ds.X.shape) == (0, self.SCHEMA, (), (0, 2))
         ds = load_csv("id,codes\n", label_column="codes", id_column="id")
         assert (len(ds), ds.attributes, ds.X.shape) == (0, (), (0, 0))
-        # an inferred feature column without cells has no domain
-        with pytest.raises(ValidationError, match="^nominal attribute 'f' needs a non-empty value list$"):
+        # an inferred feature column without cells has no kind or domain
+        with pytest.raises(ValidationError, match="^CSV input has no records to infer column 'f' from$"):
             load_csv("f,codes\n", label_column="codes")
 
     @pytest.mark.parametrize("cell, separator, code", [("x;(none)", ";", "(none)"), ("a;b|x", "|", "a;b")])

@@ -27,7 +27,7 @@ from chidt.tree import (
     render,
 )
 
-from conftest import binary_attrs, random_view
+from conftest import binary_attrs, node_thresholds, random_view
 from oracle_c45 import SplitTest
 
 
@@ -163,48 +163,52 @@ class TestEntropy:
 
 
 class TestBestNumericThreshold:
+    # each node's result against the exhaustive oracle on that node's rows alone
+
     def test_single_midpoint(self):
-        X = np.array([[1.0], [2.0]])
-        y = np.array([0, 1])
-        found = best_numeric_threshold(X, y, 2, 0, min_leaf=1)
-        assert found.threshold == pytest.approx(1.5)
+        # node 0 alone, then beside a second node whose rows interleave with its own
+        assert node_thresholds([1.0, 2.0], [0, 1], [0, 0], 2)[0][0] == pytest.approx(1.5)
+        found = node_thresholds([1.0, 7.0, 2.0, 5.0], [0, 0, 1, 1], [0, 1, 0, 1], 2)
+        assert [f[0] for f in found] == pytest.approx([1.5, 6.0])
 
     def test_constant_column_has_no_candidate(self):
-        X = np.ones((5, 1))
-        y = np.array([0, 1, 0, 1, 0])
-        assert best_numeric_threshold(X, y, 2, 0, min_leaf=1) is None
+        found = node_thresholds([1.0] * 5 + [1.0, 2.0], [0, 1, 0, 1, 0, 0, 1], [0] * 5 + [1, 1], 2)
+        assert found[0] is None and found[1][0] == pytest.approx(1.5)
+        assert best_numeric_threshold(np.ones(5), np.zeros(5, int), np.zeros(5, int), np.array([[5.0, 0.0]]))[1][0] == 0
 
     def test_matches_exhaustive_oracle_on_random_views(self):
         rng = random.Random(31)
         for _ in range(30):
-            n = 20
+            n = 60
             X = np.array([[rng.randrange(0, 8) + 0.25 * rng.randrange(4)] for _ in range(n)])
             y = np.array([rng.randrange(2) for _ in range(n)])
+            node = np.array([rng.randrange(3) for _ in range(n)])
             for min_leaf in (1, 2, 3):
-                mine = best_numeric_threshold(X, y, 2, 0, min_leaf=min_leaf)
-                expected = oracle_best_threshold(X, y, 2, 0, min_leaf, range(n))
-                if expected is None:
-                    assert mine is None
-                else:
-                    assert mine.threshold == pytest.approx(expected[0], abs=1e-12)
-                    assert mine.gain == pytest.approx(expected[1], abs=1e-12)
-                    assert mine.ratio == pytest.approx(expected[2], abs=1e-12)
+                found = node_thresholds(X[:, 0], y, node, 2, min_leaf)
+                for i, mine in enumerate(found):
+                    expected = oracle_best_threshold(X, y, 2, 0, min_leaf, np.flatnonzero(node == i))
+                    if expected is None:
+                        assert mine is None
+                    else:
+                        assert mine == pytest.approx(expected, abs=1e-12)
 
     def test_gain_ties_take_smallest_threshold(self):
-        # symmetric arrangement: both boundaries give identical gain
-        X = np.array([[1.0], [2.0], [3.0], [4.0]])
-        y = np.array([0, 1, 0, 1])
-        found = best_numeric_threshold(X, y, 2, 0, min_leaf=1)
-        expected = oracle_best_threshold(X, y, 2, 0, 1, range(4))
-        assert found.gain == pytest.approx(expected[1], abs=1e-12)
-        candidates = [1.5, 2.5, 3.5]
-        tied = [
-            t
-            for t in candidates
-            if oracle_gain_stats(X, y, 2, None, SplitTest(0, threshold=t), range(4))[0]
-            == pytest.approx(found.gain, abs=1e-12)
-        ]
-        assert found.threshold == min(tied)
+        # symmetric arrangement: both boundaries give identical gain, at node 1 and shifted by 10 at node 0
+        X = np.array([[11.0], [12.0], [13.0], [14.0], [1.0], [2.0], [3.0], [4.0]])
+        y = np.array([0, 1, 0, 1] * 2)
+        node = np.array([0, 0, 0, 0, 1, 1, 1, 1])
+        for i, found in enumerate(node_thresholds(X[:, 0], y, node, 2)):
+            rows = np.flatnonzero(node == i)
+            expected = oracle_best_threshold(X, y, 2, 0, 1, rows)
+            assert found[1] == pytest.approx(expected[1], abs=1e-12)
+            candidates = (X[rows[:-1], 0] + 0.5).tolist()
+            tied = [
+                t
+                for t in candidates
+                if oracle_gain_stats(X, y, 2, None, SplitTest(0, threshold=t), rows)[0]
+                == pytest.approx(found[1], abs=1e-12)
+            ]
+            assert found[0] == min(tied)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 import chidt.tree as tree_module
 import oracle_c45
-from chidt.tree import C45Params, _entropy_rows, best_numeric_threshold, entropy, grow, prune_ebp
-from conftest import random_view
+from chidt.tree import C45Params, _entropy_rows, entropy, grow, grow_bank, prune_ebp
+from conftest import node_thresholds, random_view
 from oracle_c45 import SplitTest, oracle_grow, oracle_prune
 
 views = st.fixed_dictionaries(
@@ -139,27 +139,94 @@ class TestEntropyKernel:
 
 
 class TestThresholdMatchesOracle:
+    # every node's result equals the loop's on that node's rows alone
+
     @given(
-        st.lists(st.tuples(st.integers(0, 6), st.integers(0, 9)), min_size=1, max_size=60),
+        st.lists(st.tuples(st.integers(0, 6), st.integers(0, 9), st.integers(0, 3)), min_size=1, max_size=80),
         st.integers(2, 10),
         st.data(),
     )
-    def test_same_split_as_the_loop(self, pairs, k, data):
-        X = np.array([[v / 2.0] for v, _ in pairs])
-        y = np.array([c % k for _, c in pairs])
-        min_leaf = data.draw(st.integers(1, len(pairs)))
-        rows = np.arange(len(pairs))
-        assert best_numeric_threshold(X, y, k, 0, min_leaf, rows) == oracle_c45.best_numeric_threshold(
-            X, y, k, 0, min_leaf, rows
-        )
+    def test_same_split_as_the_loop(self, triples, k, data):
+        X = np.array([[v / 2.0] for v, _, _ in triples])
+        y = np.array([c % k for _, c, _ in triples])
+        node = np.array([i for _, _, i in triples])
+        min_leaf = data.draw(st.integers(0, len(triples)))  # 0 as 1: no side of a cut is ever empty
+        for i, found in enumerate(node_thresholds(X[:, 0], y, node, k, min_leaf)):
+            rows = np.flatnonzero(node == i)  # a node without rows has no candidate
+            assert found == (oracle_c45.best_numeric_threshold(X, y, k, 0, min_leaf, rows) if rows.size else None)
 
     @pytest.mark.parametrize("min_leaf, expected", [(1, 2.5), (2, 2.5), (3, 3.5), (4, None)])
     def test_tied_gains_take_the_smallest_threshold(self, min_leaf, expected):
-        # mirror image: the cuts at 2.5 and 4.5 give the same gain to the last bit
-        X = np.arange(1.0, 7.0)[:, None]
-        y = np.array([0, 0, 1, 1, 0, 0])
-        found = best_numeric_threshold(X, y, 2, 0, min_leaf)
-        assert found == oracle_c45.best_numeric_threshold(X, y, 2, 0, min_leaf)
-        assert (found and found.threshold) == expected
-        tied = oracle_c45.gain_ratio(X, y, 2, SplitTest(0, threshold=4.5))
-        assert tied.gain == oracle_c45.gain_ratio(X, y, 2, SplitTest(0, threshold=2.5)).gain
+        # mirror image: the cuts at 2.5 and 4.5 give the same gain to the last bit; node 1 holds the same
+        # rows shifted by 10 and interleaved with node 0's
+        X = np.concatenate([np.arange(1.0, 7.0), np.arange(11.0, 17.0)])[[0, 6, 1, 7, 2, 8, 3, 9, 4, 10, 5, 11], None]
+        y = np.repeat([0, 0, 1, 1, 0, 0], 2)
+        node = np.tile([0, 1], 6)
+        found = node_thresholds(X[:, 0], y, node, 2, min_leaf)
+        for i in range(2):
+            assert found[i] == oracle_c45.best_numeric_threshold(X, y, 2, 0, min_leaf, np.flatnonzero(node == i))
+        assert [f and f[0] for f in found] == [expected, expected and expected + 10]
+        tied = oracle_c45.gain_ratio(X[node == 0], y[node == 0], 2, SplitTest(0, threshold=4.5))
+        assert tied.gain == oracle_c45.gain_ratio(X[node == 0], y[node == 0], 2, SplitTest(0, threshold=2.5)).gain
+
+
+def bank(seed, n, n_attrs, k, numeric_share, n_trees):
+    """(X, Y, attributes, class_names) of a random view with ``n_trees`` class columns in shuffled order:
+    a constant one, which grows a single node, and the rest cycling through a function of one attribute
+    (a shallow tree), that function with a tenth of the classes redrawn, and random classes (deep trees)."""
+    rng = random.Random(seed)
+    X, y, attrs, classes = random_view(rng, n, n_attrs, k, numeric_share)
+    columns = [np.full(n, rng.randrange(k))]
+    for j in range(n_trees - 1):
+        shallow = (X[:, rng.randrange(n_attrs)] * 2).astype(np.int64) % k
+        noisy = np.where([rng.random() < 0.1 for _ in range(n)], [rng.randrange(k) for _ in range(n)], shallow)
+        columns.append((shallow, noisy, np.array([rng.randrange(k) for _ in range(n)]))[j % 3])
+    rng.shuffle(columns)
+    return X, np.column_stack(columns), attrs, classes
+
+
+banks = st.fixed_dictionaries(
+    {
+        "seed": st.integers(0, 2**32 - 1),
+        "n": st.integers(1, 150),
+        "n_attrs": st.integers(1, 4),
+        "k": st.integers(2, 9),
+        "numeric_share": st.sampled_from([0.0, 0.5, 1.0]),
+        "n_trees": st.integers(1, 5),
+    }
+)
+
+
+class TestBankMatchesOracle:
+    # each tree of a bank is the tree that its own class column grows alone
+
+    @settings(deadline=None)
+    @given(banks, st.sampled_from([1, 2, 5]), st.sampled_from([None, 1, 3]), st.sampled_from([0.05, 0.25]))
+    def test_every_tree_is_the_scalar_one(self, spec, min_leaf, max_depth, cf):
+        X, Y, attrs, classes = bank(**spec)
+        params = C45Params(min_leaf=min_leaf, max_depth=max_depth, confidence_factor=cf, pruning=False)
+        trees = grow_bank(X, Y, attrs, classes, params)
+        assert len(trees) == Y.shape[1]
+        for tree, y in zip(trees, Y.T):
+            expected = oracle_grow(X, y, attrs, classes, params)
+            assert tree.to_dict() == expected
+            assert prune_ebp(tree).to_dict() == oracle_prune(expected)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_levels_counted_in_several_chunks(self, monkeypatch, seed):
+        # a cell budget far below one bank level: each level is counted in chunks of a node or a few
+        monkeypatch.setattr(tree_module, "_TABLE_CELLS", 64)
+        X, Y, attrs, classes = bank(seed, n=120, n_attrs=4, k=3, numeric_share=0.5, n_trees=5)
+        params = C45Params(min_leaf=1, pruning=False)
+        for tree, y in zip(grow_bank(X, Y, attrs, classes, params), Y.T):
+            assert tree.to_dict() == oracle_grow(X, y, attrs, classes, params)
+
+    def test_trees_stop_at_different_depths(self):
+        # a one-node tree, a one-split tree and a deep tree grown side by side, at every depth limit
+        X, Y, attrs, classes = bank(7, n=200, n_attrs=3, k=2, numeric_share=0.5, n_trees=3)
+        for max_depth in (None, 0, 1, 2):
+            params = C45Params(min_leaf=2, max_depth=max_depth, pruning=False)
+            trees = grow_bank(X, Y, attrs, classes, params)
+            for tree, y in zip(trees, Y.T):
+                assert tree.to_dict() == oracle_grow(X, y, attrs, classes, params)
+        assert len({tree.n_nodes for tree in grow_bank(X, Y, attrs, classes, C45Params(pruning=False))}) == 3
