@@ -44,8 +44,8 @@ EXIT_VALIDATION = 1
 EXIT_IO = 2
 
 
-def _dump_json(doc) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)`` and a newline, byte for byte, from the C encoder.
+def _dump_json(doc) -> memoryview:
+    """The bytes of ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline, from the C encoder.
 
     ``indent`` selects Python's pure-Python encoder, so the C encoder writes
     the compact text and numpy indents it. The text is ASCII, and inside a
@@ -54,7 +54,8 @@ def _dump_json(doc) -> str:
     them, a line break and two spaces per level of nesting go after each
     comma and each opening bracket and before each closing bracket, except
     inside an empty ``[]`` or ``{}``. Temporaries are one byte per byte of
-    text where they can be, so writing a large model costs little memory.
+    text where they can be, and the bytes are handed over without a copy,
+    so writing a large model costs little memory.
     """
     text = json.dumps(doc, sort_keys=True, separators=(",", ": "))
     hidden = np.frombuffer(text.replace("\\\\", "\0\0").replace('\\"', "\1\1").encode("ascii"), np.uint8)
@@ -86,12 +87,16 @@ def _dump_json(doc) -> str:
     out[:-1][kept] = source
     del kept, step, source
     out[start] = out[-1] = ord("\n")
-    return str(out.data, "ascii")
+    return out.data
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, content: str | memoryview) -> None:
+    """Write text as UTF-8, or bytes as they are."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    if isinstance(content, str):
+        path.write_text(content, encoding="utf-8")
+    else:
+        path.write_bytes(content)
 
 
 def _log(cfg: RunConfig, message: str) -> None:
@@ -160,10 +165,10 @@ def cmd_train(cfg: RunConfig) -> int:
     model = _build_trainer(cfg)(train_ds)
     model_path = cfg.path("model", "model.json")
     try:
-        text = _dump_json(model_to_dict(model))
+        content = _dump_json(model_to_dict(model))
     except RecursionError:  # the C encoder recurses twice per tree level, as Python's did: about 495 levels fit
         raise ValidationError(f"cannot write {model_path}: a tree has more levels than JSON output can nest") from None
-    _write(model_path, text)
+    _write(model_path, content)
     _log(cfg, f"train strategy={model.strategy} records={len(train_ds)} -> {model_path}")
     print(
         f"trained {model.strategy} cascade on {len(train_ds)} records, "

@@ -180,7 +180,7 @@ def best_numeric_threshold(values, y, node, counts: np.ndarray, min_leaf: int = 
 
 
 # cells of nominal count table and of row keys built at once; a bank level with more is counted in node chunks
-_TABLE_CELLS = 1 << 18
+_TABLE_CELLS = 1 << 16
 
 
 def _candidates(X, keys, widths, y, rows, n, node, counts, min_leaf) -> tuple:

@@ -430,7 +430,7 @@ json_values = st.recursive(
 class TestDumpJson:
     @given(json_values)
     def test_same_bytes_as_the_indenting_encoder(self, value):
-        assert cli._dump_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+        assert bytes(cli._dump_json(value)) == (json.dumps(value, indent=2, sort_keys=True) + "\n").encode("ascii")
 
 
 class TestDeterminism:
