@@ -174,7 +174,10 @@ class TestBestNumericThreshold:
     def test_constant_column_has_no_candidate(self):
         found = node_thresholds([1.0] * 5 + [1.0, 2.0], [0, 1, 0, 1, 0, 0, 1], [0] * 5 + [1, 1], 2)
         assert found[0] is None and found[1][0] == pytest.approx(1.5)
-        assert best_numeric_threshold(np.ones(5), np.zeros(5, int), np.zeros(5, int), np.array([[5.0, 0.0]]))[1][0] == 0
+        # the raw arrays: a NaN threshold and zero gain and ratio where a node has no candidate
+        zeros = np.zeros(5, dtype=int)
+        threshold, gain, ratio = best_numeric_threshold(np.ones(5), zeros, zeros, np.array([[5.0, 0.0]]))
+        assert np.isnan(threshold[0]) and gain[0] == ratio[0] == 0.0
 
     def test_matches_exhaustive_oracle_on_random_views(self):
         rng = random.Random(31)
