@@ -17,8 +17,8 @@ import numpy as np
 
 from .data import AttributeMeta, Dataset, _distinct_labelsets, label_indicator
 from .errors import SchemaMismatchError, ValidationError
-from .jsondoc import Fields, code_sets, fields, flag, items, number, one_of, strings
-from .ontology import REASON_OK, ExclusionGroup, ValidCombinationRegistry, _read_registry, combo_key, is_valid
+from .jsondoc import Fields, code_sets, distinct, fields, flag, items, number, one_of, strings
+from .ontology import REASONS, ExclusionGroup, ValidCombinationRegistry, _read_registry, combo_key, is_valid
 from .ontology import observed_registry
 from .tree import C45Params, C45Tree, _read_params, _read_schema, _read_tree, build_tree, grow_bank, leaf_distributions
 from .tree import prune_ebp, schema_fingerprint
@@ -43,10 +43,11 @@ def _feature_matrix(attributes: Sequence[AttributeMeta], X) -> np.ndarray:
 
 
 def _one_row(model, x):
-    """``model.predict_batch`` on the single feature vector ``x``, unpacked; the row's labels as a frozenset."""
-    Y, scores, traces = model.predict_batch(np.asarray(x, dtype=np.float64)[None])
+    """``model.predict_batch`` on the single feature vector ``x``, unpacked: the row's labels as a frozenset,
+    its scores and its reason string (None for a single stage)."""
+    Y, scores, reasons = model.predict_batch(np.asarray(x, dtype=np.float64)[None])
     labels = frozenset(code for code, on in zip(model.codes, Y[0]) if on)
-    return labels, scores[0], None if traces is None else traces[0]
+    return labels, scores[0], None if reasons is None else REASONS[reasons[0]]
 
 
 @dataclass
@@ -110,6 +111,7 @@ class LPModel:
         object.__setattr__(self, "combos", tuple(frozenset(c) for c in self.combos))
         if not self.combos:
             raise ValidationError("label-powerset model needs at least one combination class")
+        distinct(self.combos, "label-powerset combos", "combination", sorted)
         if any(not c for c in self.combos):
             raise ValidationError("label-powerset classes must decode to non-empty LabelSets")
         unknown = sorted(frozenset().union(*self.combos).difference(self.codes))
@@ -192,30 +194,14 @@ def train_label_powerset(ds: Dataset, params: C45Params | None = None) -> LPMode
     )
 
 
-@dataclass(frozen=True)
-class CascadeTrace:
-    """Audit record of one cascade prediction."""
-
-    triggered: bool
-    reason: str
-    stage1_output: frozenset
-    final_output: frozenset
-    fallback_applied: bool = False
-
-    def __post_init__(self) -> None:
-        if self.triggered == (self.reason == REASON_OK):
-            raise ValidationError("trace triggered flag must mirror a non-ok reason")
-        if not self.triggered and self.final_output != self.stage1_output:
-            raise ValidationError("an untriggered trace must pass stage 1 through unchanged")
-
-
 @dataclass
 class ChiDTModel:
     """Cascade of two same-data classifiers with registry-triggered fallback.
 
     Both stages, and the cascade itself, follow one predictor protocol:
     ``codes`` plus ``predict_batch(X) -> (n x codes bool label indicator,
-    n x codes scores, trace per row | None)``. ``predict_with_scores(x)``
+    n x codes scores, uint8 reason per row | None)``; a reason indexes
+    ``REASONS``, 0 meaning the row passed the check. ``predict_with_scores(x)``
     and ``predict_labels(x)`` are one-row views over it that return the
     row's labels as a frozenset.
     """
@@ -253,36 +239,32 @@ class ChiDTModel:
         return _one_row(self, x)[0]
 
     def predict_with_scores(self, x):
-        """(final labels, per-code scores from the stage that produced them, trace)."""
+        """(final labels, per-code scores from the stage that produced them, reason string)."""
         return _one_row(self, x)
 
     def predict_batch(self, X):
-        """(final label indicator, scores, traces) per row of ``X``.
+        """(final label indicator, scores, reasons) per row of ``X``.
 
         Stage 1 scores the whole batch; the validity check runs once per
         distinct stage-1 combination; stage 2 runs once, on the triggered
-        rows only, and writes its rows of the indicator and the scores.
+        rows (a nonzero reason) only, and overwrites just their rows of the
+        indicator and the scores.
         """
         X = _feature_matrix(self.attributes, X)
         Y, scores, _ = self.stage1.predict_batch(X)
-        distinct, inverse = _distinct_labelsets(Y, self.codes)
-        checks = [is_valid(self.registry, self.exclusions, s1) for s1 in distinct]
-        passed = [CascadeTrace(False, REASON_OK, s1, s1) if ok else None for s1, (ok, _) in zip(distinct, checks)]
-        traces = [passed[k] for k in inverse]
-        triggered = np.flatnonzero(~np.array([ok for ok, _ in checks], dtype=bool)[inverse])
+        stage1_sets, inverse = _distinct_labelsets(Y, self.codes)
+        checks = [REASONS.index(is_valid(self.registry, self.exclusions, s1)[1]) for s1 in stage1_sets]
+        reasons = np.array(checks, dtype=np.uint8)[inverse]
+        triggered = np.flatnonzero(reasons)
         if not triggered.size:
-            return Y, scores, traces
+            return Y, scores, reasons
         Y2, scores2, _ = self.stage2.predict_batch(X[triggered])
-        finals, which = _distinct_labelsets(Y2, self.codes)
-        invalid = [self.single_label_fallback and not is_valid(self.registry, self.exclusions, f)[0] for f in finals]
-        fallback = np.array(invalid, dtype=bool)[which]
-        top = np.argmax(scores2, axis=1)
-        Y2[fallback] = np.eye(len(self.codes), dtype=bool)[top[fallback]]
+        if self.single_label_fallback:
+            finals, which = _distinct_labelsets(Y2, self.codes)
+            invalid = np.array([not is_valid(self.registry, self.exclusions, f)[0] for f in finals])[which]
+            Y2[invalid] = np.eye(len(self.codes), dtype=bool)[np.argmax(scores2[invalid], axis=1)]
         Y[triggered], scores[triggered] = Y2, scores2
-        for row, k, f, fell, j in zip(triggered, inverse[triggered], which, fallback.tolist(), top):
-            out = frozenset({self.codes[j]}) if fell else finals[f]
-            traces[row] = CascadeTrace(True, checks[k][1], distinct[k], out, fell)
-        return Y, scores, traces
+        return Y, scores, reasons
 
 
 def train_chidt(
@@ -343,7 +325,7 @@ def _read_stage(doc, where: str, kinds, attributes, training_ids: frozenset, alp
     """A model stage: a BR bank or, where ``kinds`` allows, a label-powerset tree over ``alphabet``."""
     if one_of(fields(doc, where).get("kind"), f"{where}.kind", kinds) == "lp":
         f = Fields(doc, where, ("kind", "combos", "params", "tree"), ("combos", "tree"))
-        combos = f.get("combos", code_sets)
+        combos = distinct(f.get("combos", code_sets), f.path("combos"), "combination", sorted)
         tree = f.get("tree", _read_tree, attributes=attributes, class_names=[combo_key(c) for c in combos])
         params = f.get("params", _read_params, C45Params())
         return LPModel(tree, combos, tuple(alphabet), tuple(attributes), training_ids, params)

@@ -28,6 +28,7 @@ from .errors import ValidationError
 from .evaluation import MODES, evaluate_holdout, evaluate_kfold, evaluate_resubstitution, format_report
 from .jsondoc import Fields, array, code_sets, loads, read, strings, text
 from .ontology import (
+    REASONS,
     TermLexicon,
     ValidCombinationRegistry,
     combo_key,
@@ -207,25 +208,22 @@ def cmd_predict(cfg: RunConfig, input_path: Path | None, terms: bool = False) ->
     else:
         ds = _load_dataset(cfg, source, attributes=model.attributes)
         ids, X, ignored = ds.ids, ds.X, None
-    Y, _, traces = model.predict_batch(X)
+    Y, _, reasons = model.predict_batch(X)
     distinct, inverse = _distinct_labelsets(Y, model.codes)
-    keys = [combo_key(labels) for labels in distinct]
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    header = ["id", "codes", "triggered", "reason"]
+    columns = [  # each column under its header
+        ["id", *ids],
+        ["codes", *np.array([combo_key(labels) for labels in distinct], dtype=object)[inverse]],
+        ["triggered", *np.where(reasons > 0, "true", "false")],
+        ["reason", *np.asarray(REASONS, dtype=object)[reasons]],
+    ]
     if terms:
-        header.append("ignored_terms")
-    writer.writerow(header)
-    for i, (rid, k, trace) in enumerate(zip(ids, inverse, traces)):
-        row = [rid, keys[k], str(trace.triggered).lower(), trace.reason]
-        if terms:
-            row.append(ignored[i])
-        writer.writerow(row)
+        columns.append(["ignored_terms", *ignored])
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(zip(*columns))
     out_path = cfg.out_dir / "predictions.csv"
     _write(out_path, buf.getvalue())
     _log(cfg, f"predict {source} -> {out_path}")
-    print(f"predicted {len(ids)} records, {sum(t.triggered for t in traces)} triggered the cascade")
+    print(f"predicted {len(ids)} records, {np.count_nonzero(reasons)} triggered the cascade")
     print(f"predictions: {out_path}")
     return EXIT_OK
 
@@ -331,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add_common(sub.add_parser("gen", help="generate a synthetic corpus and its registry"))
     add_common(sub.add_parser("train", help="train the cascade model"))
-    p = sub.add_parser("predict", help="predict codes and cascade traces for records")
+    p = sub.add_parser("predict", help="predict codes and cascade trigger reasons for records")
     add_common(p)
     p.add_argument("--input", help="records CSV to predict (defaults to paths.dataset)")
     p.add_argument(

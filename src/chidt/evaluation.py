@@ -235,7 +235,7 @@ def evaluate_predictions(
 ) -> EvalResult:
     """Evaluate ``model`` over the records of ``eval_ds`` with priors from those of ``train_ds``.
 
-    ``model`` has ``codes`` and ``predict_batch(X) -> (label indicator, scores, traces | None)``;
+    ``model`` has ``codes`` and ``predict_batch(X) -> (label indicator, scores, reasons | None)``;
     it is called once, on ``eval_ds.X``.
     """
     if mode not in MODES:
@@ -252,7 +252,7 @@ def evaluate_predictions(
         raise ValidationError("training and evaluation records differ in their label alphabet")
     if tuple(model.codes) != alphabet:
         raise ValidationError("model code alphabet differs from the dataset's")
-    predicted, scores, traces = model.predict_batch(eval_ds.X)
+    predicted, scores, reasons = model.predict_batch(eval_ds.X)
 
     # truth and guess: each row's class, as an index into ``classes``
     if mode == MODE_PRINCIPAL:
@@ -287,7 +287,7 @@ def evaluate_predictions(
         rrse_pct=errors.rrse_pct,
         contaminated=contaminated,
     )
-    ml = _multilabel_report(alphabet, eval_ds.Y, predicted, traces)
+    ml = _multilabel_report(alphabet, eval_ds.Y, predicted, reasons)
     return EvalResult(metrics=metrics, multilabel=ml, matrix=cm)
 
 
@@ -315,7 +315,7 @@ def _binary_averaged_errors(truth_indicator, scores, train_indicator) -> ErrorSt
     )
 
 
-def _multilabel_report(alphabet, t: np.ndarray, p: np.ndarray, traces) -> MultiLabelReport:
+def _multilabel_report(alphabet, t: np.ndarray, p: np.ndarray, reasons) -> MultiLabelReport:
     """Exact matches, Hamming loss and per-code counts of truth ``t`` against prediction ``p``."""
     n = len(t)
     exact = int((t == p).all(axis=1).sum())
@@ -331,7 +331,7 @@ def _multilabel_report(alphabet, t: np.ndarray, p: np.ndarray, traces) -> MultiL
         subset_accuracy_pct=100.0 * exact / n,
         hamming_loss=int(fp.sum() + fn.sum()) / (n * len(alphabet)),
         per_label=per_label,
-        trigger_rate=None if traces is None else sum(tr.triggered for tr in traces) / n,
+        trigger_rate=None if reasons is None else np.count_nonzero(reasons) / n,
     )
 
 

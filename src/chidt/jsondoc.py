@@ -111,9 +111,24 @@ def items(value, where: str, entry, **limits) -> list:
     return [entry(v, f"{where}[{i}]", **limits) for i, v in enumerate(array(value, where))]
 
 
+def distinct(values, where: str, what: str, shown=repr):
+    """``values``, refused when an entry equals an earlier one: ``{where}[i] repeats the {what} ...``."""
+    seen = set()
+    for i, value in enumerate(values):
+        if value in seen:
+            raise ValidationError(f"{where}[{i}] repeats the {what} {shown(value)}")
+        seen.add(value)
+    return values
+
+
+def code_set(value, where: str) -> frozenset:
+    """A list of distinct strings, as a frozenset: a code combination or an exclusion group."""
+    return frozenset(distinct(strings(value, where), where, "code"))
+
+
 def code_sets(value, where: str) -> list:
-    """A list of lists of strings, each as a frozenset: code combinations or exclusion groups."""
-    return [frozenset(codes) for codes in items(value, where, strings)]
+    """A list of code lists, each as a frozenset: code combinations or exclusion groups."""
+    return items(value, where, code_set)
 
 
 class Fields:

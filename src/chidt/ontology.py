@@ -12,7 +12,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .data import AttributeMeta, Dataset, BINARY_DOMAIN
 from .errors import ValidationError
-from .jsondoc import Fields, code_sets, fields, items, loads, one_of, strings, text
+from .jsondoc import Fields, code_set, code_sets, distinct, fields, items, loads, one_of, strings, text
 
 LEVELS = ("concept", "major", "minor")
 
@@ -20,6 +20,8 @@ REASON_OK = "ok"
 REASON_EMPTY = "empty"
 REASON_UNREGISTERED = "unregistered"
 REASON_EXCLUSION = "exclusion-violated"
+# a cascade row's reason code is its index here; 0 means the row passed the check
+REASONS = (REASON_OK, REASON_EMPTY, REASON_EXCLUSION, REASON_UNREGISTERED)
 
 
 @dataclass(frozen=True)
@@ -160,12 +162,12 @@ class ValidCombinationRegistry:
 
 
 def _read_registry(doc, where: str) -> ValidCombinationRegistry:
-    entries = Fields(doc, where, ("combinations",)).get(
-        "combinations", items, [], entry=Fields, keys=("codes", "provenance"), required=("codes",)
-    )
+    f = Fields(doc, where, ("combinations",))
+    entries = f.get("combinations", items, [], entry=Fields, keys=("codes", "provenance"), required=("codes",))
+    combos = distinct([e.get("codes", code_set) for e in entries], f.path("combinations"), "combination", sorted)
     prov = {
-        frozenset(e.get("codes", strings)): e.get("provenance", one_of, PROVENANCE_DECLARED, choices=PROVENANCES)
-        for e in entries
+        combo: e.get("provenance", one_of, PROVENANCE_DECLARED, choices=PROVENANCES)
+        for combo, e in zip(combos, entries)
     }
     return ValidCombinationRegistry(frozenset(prov), prov)
 

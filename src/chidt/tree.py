@@ -139,10 +139,10 @@ def _split_scores(parent_h, table: np.ndarray) -> tuple:
         return gain, split_info, gain / split_info, sizes
 
 
-def best_numeric_threshold(values, y, node, counts: np.ndarray, min_leaf: int = 1) -> tuple:
+def best_numeric_threshold(values, y, node, counts: np.ndarray, parent_h: np.ndarray, min_leaf: int = 1) -> tuple:
     """(threshold, gain, gain ratio) arrays of the best midpoint threshold of one numeric attribute at every
     node, by information gain. Row i has attribute value ``values[i]``, class ``y[i]`` and node ``node[i]``;
-    ``counts`` holds each node's class counts, (nodes, classes).
+    ``counts`` holds each node's class counts, (nodes, classes), and ``parent_h`` their entropies.
 
     The rows are sorted once by (node, value). Every midpoint between
     consecutive distinct values of one node is scored at once, from one
@@ -172,7 +172,7 @@ def best_numeric_threshold(values, y, node, counts: np.ndarray, min_leaf: int = 
     np.cumsum(counted, axis=0, out=counted)  # class counts of the sorted rows before each row; exact integers
     left = counted[cut + 1] - counted[starts[at]]
     del counted
-    g, _, q, _ = _split_scores(_entropy_rows(counts)[at], np.stack([left, counts[at] - left], axis=1))
+    g, _, q, _ = _split_scores(parent_h[at], np.stack([left, counts[at] - left], axis=1))
     # each node's first candidate in (largest gain, smallest threshold) order
     best = np.lexsort((-g, at))[np.flatnonzero(np.diff(at, prepend=-1))]
     threshold[at[best]], gain[at[best]], ratio[at[best]] = mid[best], g[best], q[best]
@@ -183,11 +183,12 @@ def best_numeric_threshold(values, y, node, counts: np.ndarray, min_leaf: int = 
 _TABLE_CELLS = 1 << 16
 
 
-def _candidates(X, keys, widths, y, rows, n, node, counts, min_leaf) -> tuple:
+def _candidates(X, keys, widths, y, rows, n, node, counts, parent_h, min_leaf) -> tuple:
     """(gain, gain ratio, threshold, candidacy) of every attribute at every open node of a bank level, as
     (nodes, attributes) arrays. ``rows`` are the bank rows at the open nodes, grouped by ``node``: bank row
-    r is feature row ``r % n`` of class ``y[r]``. ``keys`` holds each feature row's (nominal attribute,
-    value) cells of one node's count table (see ``grow_bank``).
+    r is feature row ``r % n`` of class ``y[r]``; ``counts`` and ``parent_h`` hold each open node's class
+    counts and entropy. ``keys`` holds each feature row's (nominal attribute, value) cells of one node's
+    count table (see ``grow_bank``).
 
     The class counts of every branch of every nominal test of a chunk of
     nodes come from one ``np.bincount`` over (node, attribute, value, class)
@@ -203,7 +204,6 @@ def _candidates(X, keys, widths, y, rows, n, node, counts, min_leaf) -> tuple:
         starts = np.searchsorted(node, np.arange(m + 1))
         w = int(widths.max())
         per_node = nominal.size * w * k
-        parent_h = _entropy_rows(counts)
         # the cells of row keys and tables of the nodes before each node
         before = np.concatenate(([0], np.cumsum(np.diff(starts) * nominal.size + per_node)))
         lo = 0
@@ -219,7 +219,8 @@ def _candidates(X, keys, widths, y, rows, n, node, counts, min_leaf) -> tuple:
             ok[lo:hi, nominal] = np.count_nonzero(sizes >= min_leaf, axis=-1) >= 2
             lo = hi
     for a in np.flatnonzero(widths == 0).tolist():
-        threshold[:, a], gain[:, a], ratio[:, a] = best_numeric_threshold(X[sample, a], y, node, counts, min_leaf)
+        found = best_numeric_threshold(X[sample, a], y, node, counts, parent_h, min_leaf)
+        threshold[:, a], gain[:, a], ratio[:, a] = found
         ok[:, a] = ~np.isnan(threshold[:, a])
     return gain, ratio, threshold, ok
 
@@ -523,7 +524,8 @@ def grow_bank(
         impure = np.count_nonzero(counts[reached], axis=1) > 1
         rows, node = _keep(rows, node, impure)
         at = np.flatnonzero(reached)[impure]
-        gain, ratio, threshold, ok = _candidates(X, keys, widths, y, rows, n, node, counts[at], params.min_leaf)
+        h = _entropy_rows(counts[at])  # the open nodes' entropies, once for the nominal and the numeric scores
+        gain, ratio, threshold, ok = _candidates(X, keys, widths, y, rows, n, node, counts[at], h, params.min_leaf)
         split = ok.any(axis=1)
         if not split.any():
             break

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import settings
 
 from chidt.data import AttributeMeta, Dataset, NOMINAL, NUMERIC, Record
-from chidt.tree import C45Tree, best_numeric_threshold
+from chidt.tree import C45Tree, _entropy_rows, best_numeric_threshold
 
 # a deeper, reproducible run of the property suites: pytest --hypothesis-profile=oracle-deep
 settings.register_profile("oracle-deep", max_examples=1500, derandomize=True, deadline=None)
@@ -119,5 +119,6 @@ def node_thresholds(values, y, node, k, min_leaf=1) -> list:
     y, node = np.asarray(y, dtype=np.int64), np.asarray(node, dtype=np.intp)
     counts = np.zeros((int(node.max()) + 1, k))
     np.add.at(counts, (node, y), 1.0)
-    found = best_numeric_threshold(np.asarray(values, dtype=np.float64), y, node, counts, min_leaf)
+    values = np.asarray(values, dtype=np.float64)
+    found = best_numeric_threshold(values, y, node, counts, _entropy_rows(counts), min_leaf)
     return [None if math.isnan(t) else (t, g, q) for t, g, q in zip(*(a.tolist() for a in found))]

@@ -141,14 +141,14 @@ def test_criterion_4_cascade_contract_exhaustive():
     stage2_calls = spy_batch_rows(stage2)
 
     for x in valid_inputs:
-        final, _, trace = model.predict_with_scores(x)
-        assert not trace.triggered
-        assert final == trace.stage1_output == stage1.predict_labels(x)
+        final, _, reason = model.predict_with_scores(x)
+        assert reason == "ok"
+        assert final == stage1.predict_labels(x)
     assert stage2_calls == []
 
     for x in invalid_inputs:
-        final, _, trace = model.predict_with_scores(x)
-        assert trace.triggered
+        final, _, reason = model.predict_with_scores(x)
+        assert reason != "ok"
         assert final == stage2_alone[x]
         assert final in registry
     assert len(stage2_calls) == len(invalid_inputs)

@@ -272,25 +272,22 @@ class TestPredictChidt:
 
     def test_empty_prediction_triggers(self):
         model = self._toy_model()
-        final, _, trace = model.predict_with_scores((0, 0, 0, 0))
-        assert trace.triggered
-        assert trace.reason == "empty"
-        assert trace.stage1_output == frozenset()
+        final, _, reason = model.predict_with_scores((0, 0, 0, 0))
+        assert reason == "empty"
+        assert model.stage1.predict_labels((0, 0, 0, 0)) == frozenset()
         assert final == frozenset({"a"})
 
     def test_registered_prediction_passes_through(self):
         model = self._toy_model()
-        final, _, trace = model.predict_with_scores((1, 1, 0, 0))
-        assert not trace.triggered
-        assert trace.reason == "ok"
-        assert final == trace.stage1_output == frozenset({"a", "b"})
+        final, _, reason = model.predict_with_scores((1, 1, 0, 0))
+        assert reason == "ok"
+        assert final == model.stage1.predict_labels((1, 1, 0, 0)) == frozenset({"a", "b"})
 
     def test_unregistered_combination_triggers(self):
         model = self._toy_model()
-        final, _, trace = model.predict_with_scores((1, 0, 1, 0))
-        assert trace.triggered
-        assert trace.reason == "unregistered"
-        assert trace.stage1_output == frozenset({"a", "c"})
+        final, _, reason = model.predict_with_scores((1, 0, 1, 0))
+        assert reason == "unregistered"
+        assert model.stage1.predict_labels((1, 0, 1, 0)) == frozenset({"a", "c"})
         assert final == frozenset({"a"})
 
     def test_stage2_not_evaluated_when_valid(self):
@@ -307,11 +304,11 @@ class TestPredictChidt:
         # stage 2 constantly predicts an unregistered combination
         stage2 = constant_lp(attrs, (frozenset({"b", "c"}),), 0)
         model = self._toy_model(stage2=stage2)
-        final, _, trace = model.predict_with_scores((0, 0, 0, 0))
-        assert trace.triggered
+        final, _, reason = model.predict_with_scores((0, 0, 0, 0))
+        assert reason != "ok"
         assert final == frozenset({"b", "c"})
         assert final not in model.registry
-        assert not trace.fallback_applied
+        assert final == model.stage2.predict_labels((0, 0, 0, 0))
 
     def test_optional_single_label_fallback(self):
         attrs = binary_attrs(4)
@@ -321,8 +318,9 @@ class TestPredictChidt:
             attributes=attrs,
         )
         model = self._toy_model(stage2=stage2, single_label_fallback=True)
-        final, _, trace = model.predict_with_scores((0, 0, 0, 0))
-        assert trace.fallback_applied
+        final, _, reason = model.predict_with_scores((0, 0, 0, 0))
+        assert reason == "empty"
+        assert final != model.stage2.predict_labels((0, 0, 0, 0))
         assert len(final) == 1
 
     def test_cascade_fidelity_on_trained_models(self):
@@ -335,12 +333,12 @@ class TestPredictChidt:
         )
         model = train_chidt(ds, strategy="diverse-br")
         for x in itertools.product((0, 1), repeat=3):
-            final, _, trace = model.predict_with_scores(x)
+            final, _, reason = model.predict_with_scores(x)
             stage2_raw = model.stage2.predict_labels(x)
-            if trace.triggered:
+            if reason != "ok":
                 assert final == stage2_raw
             else:
-                assert final == trace.stage1_output
+                assert final == model.stage1.predict_labels(x)
 
 
 def evaluated_trigger_rate(model, ds) -> float:
@@ -380,8 +378,8 @@ class TestTriggerRate:
             GeneratorConfig(profiles=profiles, n_records=40, noise_rate=0.2, seed=11)
         )
         model = train_chidt(ds, strategy="label-powerset")
-        traces = [model.predict_with_scores(r.features)[2] for r in list(ds)]
-        expected = sum(t.triggered for t in traces) / len(traces)
+        reasons = [model.predict_with_scores(r.features)[2] for r in list(ds)]
+        expected = sum(reason != "ok" for reason in reasons) / len(reasons)
         assert evaluated_trigger_rate(model, ds) == pytest.approx(expected, abs=1e-12)
 
 
@@ -408,14 +406,6 @@ class TestPersistence:
 
 
 class TestConstructionInvariants:
-    def test_trace_flag_must_mirror_reason(self):
-        from chidt.cascade import CascadeTrace
-
-        with pytest.raises(ValidationError, match="mirror"):
-            CascadeTrace(True, "ok", frozenset(), frozenset())
-        with pytest.raises(ValidationError, match="unchanged"):
-            CascadeTrace(False, "ok", frozenset({"a"}), frozenset({"b"}))
-
     def test_cascade_stages_must_share_one_alphabet(self):
         attrs = binary_attrs(4)
         stage1 = BRModel(codes=("a", "b"), trees=(indicator_tree(attrs, 0),) * 2, attributes=attrs)

@@ -328,6 +328,57 @@ class TestReservedCodes:
         assert not (tmp_path / "out" / "model.json").exists()
 
 
+class TestRepeatedCodes:
+    """A code listed twice in one code list, or a combination listed twice, is refused, never merged."""
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            (
+                [{"codes": ["I21.0", "I25.1"], "provenance": "observed"}, {"codes": ["I25.1", "I21.0"]}],
+                "registry combinations[1] repeats the combination ['I21.0', 'I25.1']",
+            ),
+            ([{"codes": ["I20.0", "I20.0"]}], "registry combinations[0].codes[1] repeats the code 'I20.0'"),
+        ],
+    )
+    def test_registry(self, tmp_path, capsys, entries, message):
+        cfg = write_config(tmp_path)
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "registry.json").write_text(json.dumps({"combinations": entries}))
+        sets_path = tmp_path / "sets.json"
+        sets_path.write_text(json.dumps([["I20.0"]]))
+        assert run(["validate", "--config", cfg, sets_path]) == 1
+        assert_one_line_error(capsys, message)
+
+    def test_exclusion_group(self, tmp_path, capsys):
+        paths = {"registry": str(tmp_path / "out" / "registry.json"), "exclusions": str(tmp_path / "excl.json")}
+        cfg = write_config(tmp_path, paths=paths)
+        assert run(["gen", "--config", cfg]) == 0
+        (tmp_path / "excl.json").write_text(json.dumps([["I20.0", "I20.0", "I21.0"]]))
+        sets_path = tmp_path / "sets.json"
+        sets_path.write_text(json.dumps([["I20.0"]]))
+        capsys.readouterr()
+        assert run(["validate", "--config", cfg, sets_path]) == 1
+        assert_one_line_error(capsys, "exclusions[0][1] repeats the code 'I20.0'")
+
+    def test_label_powerset_classes(self, tmp_path, capsys):
+        cfg, model_path, doc = trained_model(tmp_path, "label-powerset")
+        doc["stage2"]["combos"][1] = doc["stage2"]["combos"][0]
+        model_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["predict", "--config", cfg]) == 1
+        assert_one_line_error(capsys, f"model stage2.combos[1] repeats the combination {doc['stage2']['combos'][0]}")
+
+    def test_label_set_to_validate(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert run(["gen", "--config", cfg]) == 0
+        sets_path = tmp_path / "sets.json"
+        sets_path.write_text(json.dumps([["I20.0"], ["I21.0", "I25.1", "I21.0"]]))
+        capsys.readouterr()
+        assert run(["validate", "--config", cfg, sets_path]) == 1
+        assert_one_line_error(capsys, "labelsets[1][2] repeats the code 'I21.0'")
+
+
 class TestExitCodes:
     def test_unknown_config_key_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -144,6 +144,14 @@ PROBES = [
     ("model", ("stage1", "trees", 0, "root", "majority"), 1, "predict"),
     # silently accepted: a constant-code map that the trees' root counts contradict
     ("model", ("stage1", "constant_codes"), {"I20.0": "positive"}, "predict"),
+    # silently merged: a code repeated in one code list, a combination listed twice
+    ("registry", ("combinations", 0, "codes"), ["I20.0", "I20.0"], "validate"),
+    ("registry", ("combinations", 4, "codes"), ["I23.0", "I21.0"], "validate"),
+    ("exclusions", (0,), ["I20.0", "I20.0", "I20.9"], "validate"),
+    ("labelsets", (1,), ["I21.0", "I21.1", "I21.0"], "validate"),
+    ("model", ("registry", "combinations", 4, "codes"), ["I23.0", "I21.0"], "predict"),
+    ("model", ("exclusions",), [["I20.0", "I20.0", "I20.9"]], "predict"),
+    ("model", ("stage2", "combos", 1), ["I20.0"], "predict"),
 ]
 
 
