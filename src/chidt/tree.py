@@ -18,13 +18,16 @@ from one cumulative class count, less the count before the node's first
 row; each node keeps its first best midpoint. No choice looks across
 nodes, so a tree grown in a bank is the tree grown alone. Every score goes
 through one entropy kernel, ``_entropy_rows``, that keeps the summation
-order of the scalar ``entropy``: terms subtracted class by class, branch
-terms accumulated branch by branch, an exact 0.0 for each empty class or
-branch, and rows with 8 or more nonzero classes (where numpy's ``sum``
-turns pairwise) handed to ``entropy`` itself. Counts are integers held in
-floats, so they add exactly in any grouping. So the trees are bit for bit
-those of the scalar, one-node-at-a-time induction, which
-``tests/oracle_c45.py`` keeps as the test oracle.
+order of the scalar formula, ``-(p * log2(p)).sum()`` over the nonzero
+classes: with fewer than 8 nonzero classes the terms are subtracted class
+by class, an empty class adding an exact 0.0; with 8 or more, where
+numpy's ``sum`` turns pairwise, the compacted terms are added in numpy's
+order of 8 lanes in blocks of at most 128 terms (``_pairwise_sum``).
+Branch terms are accumulated branch by branch, an empty branch adding an
+exact 0.0. Counts are integers held in floats, so they add exactly in any
+grouping. So the trees are bit for bit those of the scalar,
+one-node-at-a-time induction, which ``tests/oracle_c45.py`` keeps as the
+test oracle.
 
 A tree is one set of flat arrays in breadth-first order (``C45Tree``):
 growth appends each level's nodes, pruning is one pass in reverse order,
@@ -84,38 +87,74 @@ def _read_params(doc, where: str) -> C45Params:
 
 
 def entropy(weights) -> float:
-    """Shannon entropy, in bits, of a nonnegative weight vector."""
+    """Shannon entropy, in bits, of a nonnegative weight vector: the one-row view of ``_entropy_rows``."""
     w = np.asarray(weights, dtype=np.float64)
+    if w.ndim != 1:
+        raise ValidationError(f"class weights must be one vector, got {w.ndim} dimensions")
     if np.any(w < 0):
         raise ValidationError("class weights must be nonnegative")
-    total = w.sum()
+    with np.errstate(over="ignore"):
+        total = w.sum()
+    if not np.isfinite(total):
+        raise ValidationError("class weights and their total must be finite")
     if total <= 0:
         raise ValidationError("entropy undefined for zero total weight")
-    p = w[w > 0] / total
-    return float(-(p * np.log2(p)).sum())
+    return float(_entropy_rows(w[None])[0])
 
 
 def _entropy_rows(C: np.ndarray) -> np.ndarray:
-    """``entropy`` of every row of a (rows, classes) count matrix, bit for bit; an all-zero row reads 0.0.
+    """Entropy, in bits, of every row of a (rows, classes) count matrix; an all-zero row reads 0.0.
 
-    ``entropy`` adds its nonzero terms with numpy's 1-D ``sum``, which adds
-    fewer than 8 terms one after another from 0.0, so the terms are
-    subtracted here in class order, an empty class adding an exact 0.0. With
-    8 or more terms that ``sum`` switches to 8-lane pairwise summation, so a
-    row with 8 or more nonzero counts goes through ``entropy`` itself.
+    Each row is ``-sum(p * log2(p))`` over its nonzero classes, added in
+    the order of numpy's 1-D float64 ``sum`` of those terms, so a row reads
+    bit for bit what that ``sum`` gives. Fewer than 8 terms are added one
+    after another from 0.0, so such rows subtract their terms class by
+    class, an empty class adding an exact 0.0. Rows with 8 or more nonzero
+    classes are grouped by that count, their terms compacted in class
+    order, and summed by ``_pairwise_sum``.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         p = C / C.sum(axis=1, keepdims=True)
         terms = np.log2(p)
         terms *= p
     del p
-    terms[C <= 0] = 0.0
+    nonzero = C > 0
+    terms[~nonzero] = 0.0
     h = np.zeros(len(C))
     for j in range(C.shape[1]):
         h -= terms[:, j]
-    for i in np.flatnonzero(np.count_nonzero(C, axis=1) >= 8):
-        h[i] = entropy(C[i])
+    m = np.count_nonzero(nonzero, axis=1)
+    wide = np.flatnonzero(m >= 8)
+    if wide.size:
+        m = m[wide]
+        # bincount, not unique: unique on an index array imports numpy.ma
+        for width in np.flatnonzero(np.bincount(m)[8:]) + 8:
+            rows = wide[m == width]
+            h[rows] = -_pairwise_sum(terms[rows][nonzero[rows]].reshape(-1, width))
     return h
+
+
+def _pairwise_sum(T: np.ndarray) -> np.ndarray:
+    """The sum of each row of ``T`` (rows, at least 8 terms), in the order of numpy's float64 pairwise ``sum``.
+
+    Up to 128 terms, 8 lanes start from the first 8 terms and each adds
+    every 8th term after it; the lanes are added as
+    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))`` and the last
+    ``n % 8`` terms one after another. A longer row is split after
+    ``n // 2`` terms rounded down to a multiple of 8, and the sums of the
+    two parts are added.
+    """
+    n = T.shape[1]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(T[:, :half]) + _pairwise_sum(T[:, half:])
+    r = T[:, :8].copy()
+    for i in range(8, n - n % 8, 8):
+        r += T[:, i : i + 8]
+    s = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7]))
+    for j in range(n - n % 8, n):
+        s += T[:, j]
+    return s
 
 
 def _split_scores(parent_h, table: np.ndarray) -> tuple:

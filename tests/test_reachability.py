@@ -37,6 +37,7 @@ ALLOWED = {
     "cascade.LPModel.predict_with_scores": "per-row view over predict_batch",
     "cascade.ChiDTModel.predict_labels": "per-row view over predict_batch",
     "cascade.ChiDTModel.predict_with_scores": "per-row view over predict_batch; the benchmark tracer wraps it",
+    "tree.entropy": "per-row view over _entropy_rows, public API",
     "tree.predict": "per-row view over leaf_distributions",
     "tree.predict_distribution": "per-row view over leaf_distributions",
     "jsondoc.fail": "raises on malformed input only",

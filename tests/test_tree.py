@@ -148,6 +148,15 @@ class TestEntropy:
         with pytest.raises(ValidationError):
             entropy([0, 0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            entropy([bad, 1])
+
+    def test_matrix_rejected(self):
+        with pytest.raises(ValidationError, match="one vector"):
+            entropy([[1, 2], [3, 4]])
+
     @given(st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=6).filter(sum))
     def test_bounds_and_purity(self, counts):
         h = entropy(counts)

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import chidt.tree as tree_module
 import oracle_c45
-from chidt.tree import C45Params, _entropy_rows, entropy, grow, grow_bank, prune_ebp
+from chidt.tree import C45Params, _entropy_rows, grow, grow_bank, prune_ebp
 from conftest import node_thresholds, random_view
 from oracle_c45 import SplitTest, oracle_grow, oracle_prune
 
@@ -64,19 +64,20 @@ class TestGrowMatchesOracle:
         params = C45Params(min_leaf=1, max_depth=2, pruning=False)
         assert grow(X, y, attrs, classes, params).to_dict() == oracle_grow(X, y, attrs, classes, params)
 
-    def test_wide_views_reach_the_scalar_fallback(self, monkeypatch):
+    def test_wide_views_reach_the_pairwise_path(self, monkeypatch):
         # 12 classes and 10-value attributes: nodes and splits with 8 or more nonzero terms
-        calls = []
+        widths = []
 
-        def counted(weights):
-            calls.append(np.count_nonzero(weights))
-            return entropy(weights)
+        def counted(T):
+            widths.append(T.shape[1])
+            return pairwise_sum(T)
 
-        monkeypatch.setattr(tree_module, "entropy", counted)
+        pairwise_sum = tree_module._pairwise_sum
+        monkeypatch.setattr(tree_module, "_pairwise_sum", counted)
         X, y, attrs, classes = view(seed=3, n=300, n_attrs=4, k=12, numeric_share=0.5, max_width=10)
         params = C45Params(min_leaf=1, pruning=False)
         assert grow(X, y, attrs, classes, params).to_dict() == oracle_grow(X, y, attrs, classes, params)
-        assert calls and min(calls) >= 8
+        assert widths and min(widths) >= 8
 
     def test_level_counted_one_node_at_a_time(self, monkeypatch):
         # a level whose count table would exceed the cell budget is counted in node chunks
@@ -112,7 +113,9 @@ class TestPruneMatchesOracle:
 
 
 class TestEntropyKernel:
-    @pytest.mark.parametrize("nonzero", range(1, 21))
+    # nonzero counts on both sides of every branch of numpy's pairwise sum: under 8 terms, one block of
+    # 8 lanes with 0-7 left over, and rows split once, twice and more past 128 terms
+    @pytest.mark.parametrize("nonzero", [*range(1, 21), 63, 64, 127, 128, 129, 136, 255, 256, 257, 1000])
     def test_rows_equal_scalar_entropy_exactly(self, nonzero):
         rng = np.random.default_rng(nonzero)
         width = nonzero + 4
@@ -121,18 +124,28 @@ class TestEntropyKernel:
             cols = rng.choice(width, size=nonzero, replace=False)
             C[i, cols] = rng.integers(1, scale + 1, size=nonzero)
         h = _entropy_rows(C)
-        assert all(h[i] == entropy(C[i]) for i in range(len(C)))
+        assert all(h[i] == oracle_c45.entropy(C[i]) for i in range(len(C)))
 
     @given(
-        st.lists(
-            st.lists(st.one_of(st.just(0), st.integers(1, 10**6)), min_size=24, max_size=24).filter(any),
-            min_size=1,
-            max_size=8,
-        )
+        st.integers(1, 300),
+        st.integers(1, 8),
+        st.sampled_from([0.1, 0.5, 0.9, 1.0]),
+        st.sampled_from([1, 10, 1000, 10**6]),
+        st.integers(0, 2**32 - 1),
     )
-    def test_any_rows_equal_scalar_entropy_exactly(self, rows):
-        C = np.array(rows, dtype=np.float64)
-        assert _entropy_rows(C).tolist() == [entropy(row) for row in C]
+    def test_any_rows_equal_scalar_entropy_exactly(self, width, n_rows, density, scale, seed):
+        # drawn from a seed: hypothesis cannot draw up to 2,400 cells one by one fast enough
+        rng = np.random.default_rng(seed)
+        C = np.where(rng.random((n_rows, width)) < density, rng.integers(1, scale + 1, (n_rows, width)), 0)
+        C[~C.any(axis=1), 0] = 1
+        C = C.astype(np.float64)
+        assert _entropy_rows(C).tolist() == [oracle_c45.entropy(row) for row in C]
+
+    def test_very_wide_rows_equal_scalar_entropy_exactly(self):
+        rng = np.random.default_rng(8193)
+        for width in (8193, 20000):
+            C = rng.integers(0, 10**6, size=(3, width)).astype(np.float64)
+            assert _entropy_rows(C).tolist() == [oracle_c45.entropy(row) for row in C]
 
     def test_empty_row_reads_zero(self):
         assert _entropy_rows(np.array([[0.0, 0.0], [3.0, 1.0]]))[0] == 0.0
