@@ -59,7 +59,6 @@ class BRModel:
     trees: tuple
     attributes: tuple
     threshold: float = 0.5
-    training_ids: frozenset = frozenset()
     params: C45Params = field(default_factory=C45Params)
 
     @property
@@ -104,7 +103,6 @@ class LPModel:
     combos: tuple
     codes: tuple
     attributes: tuple
-    training_ids: frozenset = frozenset()
     params: C45Params = field(default_factory=C45Params)
 
     def __post_init__(self) -> None:
@@ -165,7 +163,6 @@ def train_br(ds: Dataset, params: C45Params | None = None, threshold: float = 0.
         trees=tuple(trees),
         attributes=ds.attributes,
         threshold=threshold,
-        training_ids=ds.record_ids(),
         params=params,
     )
 
@@ -189,7 +186,6 @@ def train_label_powerset(ds: Dataset, params: C45Params | None = None) -> LPMode
         combos=tuple(combos),
         codes=ds.label_alphabet,
         attributes=ds.attributes,
-        training_ids=ds.record_ids(),
         params=params,
     )
 
@@ -203,7 +199,8 @@ class ChiDTModel:
     n x codes scores, uint8 reason per row | None)``; a reason indexes
     ``REASONS``, 0 meaning the row passed the check. ``predict_with_scores(x)``
     and ``predict_labels(x)`` are one-row views over it that return the
-    row's labels as a frozenset.
+    row's labels as a frozenset. ``training_ids`` are the records both
+    stages were trained on.
     """
 
     stage1: BRModel
@@ -211,13 +208,13 @@ class ChiDTModel:
     registry: ValidCombinationRegistry
     exclusions: tuple = ()
     single_label_fallback: bool = False
+    training_ids: frozenset = frozenset()
 
     def __post_init__(self) -> None:
-        if self.stage1.training_ids != self.stage2.training_ids:
-            raise ValidationError("cascade stages must be trained on the same records")
         if tuple(self.stage1.codes) != tuple(self.stage2.codes):
             raise ValidationError("cascade stages must share one code alphabet")
         object.__setattr__(self, "exclusions", tuple(self.exclusions))
+        object.__setattr__(self, "training_ids", frozenset(self.training_ids))
 
     @property
     def strategy(self) -> str:
@@ -230,10 +227,6 @@ class ChiDTModel:
     @property
     def codes(self) -> tuple:
         return self.stage1.codes
-
-    @property
-    def training_ids(self) -> frozenset:
-        return self.stage1.training_ids
 
     def predict_labels(self, x) -> frozenset:
         return _one_row(self, x)[0]
@@ -299,6 +292,7 @@ def train_chidt(
         registry=registry,
         exclusions=tuple(exclusions),
         single_label_fallback=single_label_fallback,
+        training_ids=ds.record_ids(),
     )
 
 
@@ -321,14 +315,14 @@ def model_to_dict(model: ChiDTModel) -> dict:
     }
 
 
-def _read_stage(doc, where: str, kinds, attributes, training_ids: frozenset, alphabet):
+def _read_stage(doc, where: str, kinds, attributes, alphabet):
     """A model stage: a BR bank or, where ``kinds`` allows, a label-powerset tree over ``alphabet``."""
     if one_of(fields(doc, where).get("kind"), f"{where}.kind", kinds) == "lp":
         f = Fields(doc, where, ("kind", "combos", "params", "tree"), ("combos", "tree"))
         combos = distinct(f.get("combos", code_sets), f.path("combos"), "combination", sorted)
         tree = f.get("tree", _read_tree, attributes=attributes, class_names=[combo_key(c) for c in combos])
         params = f.get("params", _read_params, C45Params())
-        return LPModel(tree, combos, tuple(alphabet), tuple(attributes), training_ids, params)
+        return LPModel(tree, combos, tuple(alphabet), tuple(attributes), params)
     f = Fields(doc, where, ("kind", "codes", "threshold", "params", "constant_codes", "trees"), ("codes", "trees"))
     codes = f.get("codes", strings)
     trees = f.get("trees", items, entry=_read_tree, attributes=attributes, class_names=BINARY_CLASSES)
@@ -339,7 +333,6 @@ def _read_stage(doc, where: str, kinds, attributes, training_ids: frozenset, alp
         trees=tuple(trees),
         attributes=tuple(attributes),
         threshold=f.get("threshold", number, 0.5, low=0.0, high=1.0, open_low=True),
-        training_ids=training_ids,
         params=f.get("params", _read_params, C45Params()),
     )
     if doc.get("constant_codes", model.constant_codes) != model.constant_codes:
@@ -353,7 +346,7 @@ def model_from_dict(doc) -> ChiDTModel:
     keys = ("format", "strategy", "schema", "training_ids", "registry", "exclusions", "stage1", "stage2")
     f = Fields(doc, "model", keys + ("single_label_fallback",), keys)
     attributes, classes = f.get("schema", _read_schema)
-    stage = dict(attributes=attributes, training_ids=frozenset(f.get("training_ids", strings)), alphabet=classes)
+    stage = dict(attributes=attributes, alphabet=classes)
     stage1 = f.get("stage1", _read_stage, kinds=("br",), **stage)
     if stage1.codes != classes:
         raise SchemaMismatchError("stage-1 code list does not match the model schema")
@@ -363,6 +356,7 @@ def model_from_dict(doc) -> ChiDTModel:
         registry=f.get("registry", _read_registry),
         exclusions=tuple(map(ExclusionGroup, f.get("exclusions", code_sets))),
         single_label_fallback=f.get("single_label_fallback", flag, False),
+        training_ids=distinct(f.get("training_ids", strings), f.path("training_ids"), "record id"),
     )
     strategy = f.get("strategy", one_of, choices=STRATEGIES)
     if strategy != model.strategy:

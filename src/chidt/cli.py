@@ -22,8 +22,7 @@ import numpy as np
 from . import __version__
 from .cascade import STRATEGIES, STRATEGY_LABEL_POWERSET, ChiDTModel, model_from_dict, model_to_dict, train_chidt
 from .config import RunConfig
-from .data import Dataset, SplitSpec, _distinct_labelsets, cover_all_labels_split, export_csv, generate_synthetic
-from .data import load_csv
+from .data import Dataset, _distinct_labelsets, cover_all_labels_split, export_csv, generate_synthetic, load_csv
 from .errors import ValidationError
 from .evaluation import MODES, evaluate_holdout, evaluate_kfold, evaluate_resubstitution, format_report
 from .jsondoc import Fields, array, code_sets, loads, read, strings, text
@@ -108,7 +107,7 @@ def _log(cfg: RunConfig, message: str) -> None:
 
 def _load_dataset(cfg: RunConfig, path: Path, attributes=None) -> Dataset:
     columns = dict(label_column=cfg.label_column, label_separator=cfg.label_separator, id_column=cfg.id_column)
-    return read(path, lambda content: load_csv(content, name=path.stem, attributes=attributes, **columns))
+    return read(path, lambda content: load_csv(content, attributes=attributes, **columns))
 
 
 def _load_model(path: Path) -> ChiDTModel:
@@ -152,17 +151,17 @@ def cmd_gen(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _resolve_split(cfg: RunConfig, ds: Dataset) -> SplitSpec:
+def _resolve_split(cfg: RunConfig, ds: Dataset) -> frozenset:
+    """The ids of the records to train on: all of them, or a cover-all-labels split of ``train_size``."""
     if cfg.training.train_size is None:
-        return SplitSpec(train_ids=ds.record_ids(), test_ids=frozenset())
+        return ds.record_ids()
     seed = cfg.require_seed("the cover-all-labels split")
     return cover_all_labels_split(ds, cfg.training.train_size, seed)
 
 
 def cmd_train(cfg: RunConfig) -> int:
     ds = _load_dataset(cfg, cfg.path("dataset", "corpus.csv"))
-    split = _resolve_split(cfg, ds)
-    train_ds = ds.subset(split.train_ids, name=f"{ds.name}-train")
+    train_ds = ds.subset(_resolve_split(cfg, ds))
     model = _build_trainer(cfg)(train_ds)
     model_path = cfg.path("model", "model.json")
     try:
@@ -262,11 +261,8 @@ def cmd_eval(cfg: RunConfig) -> int:
     else:
         model = _load_model(cfg.path("model", "model.json"))
         ds = _load_dataset(cfg, cfg.path("dataset", "corpus.csv"), attributes=model.attributes)
-        split = SplitSpec(train_ids=model.training_ids, test_ids=ds.record_ids() - model.training_ids)
-        if protocol == "resubstitution":
-            result = evaluate_resubstitution(model, ds, split, mode=mode)
-        else:
-            result = evaluate_holdout(model, ds, split, mode=mode)
+        evaluate = evaluate_resubstitution if protocol == "resubstitution" else evaluate_holdout
+        result = evaluate(model, ds, mode=mode)
         text = format_report(result.metrics)
         doc = result.to_dict()
 

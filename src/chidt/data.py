@@ -109,7 +109,6 @@ class Dataset:
     X: np.ndarray
     Y: np.ndarray
     roles: np.ndarray | None = None
-    name: str = "dataset"
 
     def __post_init__(self) -> None:
         attrs, alphabet, ids = tuple(self.attributes), tuple(self.label_alphabet), tuple(self.ids)
@@ -156,7 +155,7 @@ class Dataset:
             object.__setattr__(self, key, value)
 
     @classmethod
-    def from_records(cls, attributes, label_alphabet, records: Iterable[Record], name: str = "dataset") -> "Dataset":
+    def from_records(cls, attributes, label_alphabet, records: Iterable[Record]) -> "Dataset":
         """The columns of ``records``; a code outside ``label_alphabet`` is refused."""
         records, alphabet = tuple(records), sorted(label_alphabet)
         for rec in records:
@@ -170,7 +169,7 @@ class Dataset:
             raise ValidationError(f"record features are not numbers or value indices (read as {X.dtype})")
         ids = [rec.id for rec in records]
         Y = label_indicator([rec.labels for rec in records], alphabet)
-        return cls(attributes, alphabet, ids, X, Y, _role_matrix(ids, [r.roles for r in records], alphabet), name)
+        return cls(attributes, alphabet, ids, X, Y, _role_matrix(ids, [r.roles for r in records], alphabet))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -185,7 +184,7 @@ class Dataset:
             yield Record(rid, features, frozenset(codes[y]), tags)
 
     def __eq__(self, other) -> bool:
-        plain, arrays = ("attributes", "label_alphabet", "ids", "name"), ("X", "Y", "roles")
+        plain, arrays = ("attributes", "label_alphabet", "ids"), ("X", "Y", "roles")
         return isinstance(other, Dataset) and all(getattr(self, k) == getattr(other, k) for k in plain) and all(
             np.array_equal(getattr(self, k), getattr(other, k)) for k in arrays
         )
@@ -196,7 +195,7 @@ class Dataset:
     def distinct_labelsets(self) -> set:
         return {labels for labels in _distinct_labelsets(self.Y, self.label_alphabet)[0] if labels}
 
-    def subset(self, ids: Iterable[str], name: str | None = None) -> "Dataset":
+    def subset(self, ids: Iterable[str]) -> "Dataset":
         """Records whose id is in ``ids``, original order, schema and alphabet kept."""
         wanted = set(ids)
         missing = wanted - self.record_ids()
@@ -204,9 +203,7 @@ class Dataset:
             raise ValidationError(f"unknown record ids: {sorted(missing)}")
         rows = np.fromiter((rid in wanted for rid in self.ids), dtype=bool, count=len(self.ids))
         kept = [rid for rid in self.ids if rid in wanted]
-        return Dataset(
-            self.attributes, self.label_alphabet, kept, self.X[rows], self.Y[rows], self.roles[rows], name or self.name
-        )
+        return Dataset(self.attributes, self.label_alphabet, kept, self.X[rows], self.Y[rows], self.roles[rows])
 
     def feature_matrix(self) -> np.ndarray:
         """Features as float64 (nominal slots hold their value index); ``X``."""
@@ -264,29 +261,6 @@ def label_indicator(labelsets: Sequence, alphabet: Sequence[str]) -> np.ndarray:
     out = np.zeros((len(labelsets), len(alphabet)), dtype=bool)
     out[rows, cols] = True
     return out
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """Disjoint train/test partition over record ids."""
-
-    train_ids: frozenset
-    test_ids: frozenset
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "train_ids", frozenset(self.train_ids))
-        object.__setattr__(self, "test_ids", frozenset(self.test_ids))
-        overlap = self.train_ids & self.test_ids
-        if overlap:
-            raise ValidationError(f"train and test overlap: {sorted(overlap)[:5]}")
-
-    def validate_against(self, ds: Dataset) -> None:
-        union = self.train_ids | self.test_ids
-        ids = ds.record_ids()
-        if union != ids:
-            extra = sorted(union - ids)[:5]
-            missing = sorted(ids - union)[:5]
-            raise ValidationError(f"split does not cover the dataset exactly (extra={extra}, missing={missing})")
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +338,6 @@ def load_csv(
     label_column: str,
     label_separator: str = ";",
     id_column: str | None = None,
-    name: str = "dataset",
     attributes: Sequence[AttributeMeta] | None = None,
 ) -> Dataset:
     """Parse a header-first CSV corpus into a Dataset, a column at a time.
@@ -451,7 +424,7 @@ def load_csv(
     first = np.unique(rows, return_index=True)[1]  # the first row holding each distinct label cell
     roles = _role_matrix([ids[i] for i in first], [tags for _, tags in parsed], alphabet)
     Y = label_indicator([codes for codes, _ in parsed], alphabet)
-    return Dataset(tuple(metas), tuple(alphabet), ids, X, Y[rows], roles[rows], name)
+    return Dataset(tuple(metas), tuple(alphabet), ids, X, Y[rows], roles[rows])
 
 
 def export_csv(
@@ -477,13 +450,15 @@ def export_csv(
 # ---------------------------------------------------------------------------
 
 
-def cover_all_labels_split(ds: Dataset, train_size: int, seed: int) -> SplitSpec:
-    """Seeded split whose training side carries every label present in ``ds``.
+def cover_all_labels_split(ds: Dataset, train_size: int, seed: int) -> frozenset:
+    """The ids of a seeded training set that carries every label present in ``ds``.
 
     Labels are covered greedily from rarest to most common (one seeded pick
     among the records bearing each still-uncovered label); remaining train
     slots are filled by uniform sampling. Deterministic for a fixed seed.
     """
+    if train_size < 1:
+        raise ValidationError(f"train size {train_size} must be at least 1")
     support = {j: n for j, n in enumerate(ds.Y.sum(axis=0).tolist()) if n > 0}  # per alphabet column
     if train_size < len(support):
         raise ValidationError(
@@ -503,8 +478,7 @@ def cover_all_labels_split(ds: Dataset, train_size: int, seed: int) -> SplitSpec
         covered |= ds.Y[pick]
     remaining = sorted(ds.record_ids() - chosen)
     fill = rng.sample(remaining, train_size - len(chosen))
-    train = chosen | set(fill)
-    return SplitSpec(train_ids=frozenset(train), test_ids=ds.record_ids() - train)
+    return frozenset(chosen.union(fill))
 
 
 # ---------------------------------------------------------------------------
@@ -614,4 +588,4 @@ def generate_synthetic(cfg: GeneratorConfig):
     pad = len(str(cfg.n_records - 1))
     ids = [f"r{i:0{pad}d}" for i in range(cfg.n_records)]
     Y = label_indicator(combos, alphabet)[picks]
-    return Dataset(attributes, tuple(alphabet), ids, np.array(features), Y, name="synthetic"), combos
+    return Dataset(attributes, tuple(alphabet), ids, np.array(features), Y), combos

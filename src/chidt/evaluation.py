@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .data import NONE_CLASS, Dataset, SplitSpec, _distinct_labelsets, _principal_columns
+from .data import NONE_CLASS, Dataset, _distinct_labelsets, _principal_columns
 from .errors import ValidationError
 from .ontology import combo_key
 
@@ -340,28 +340,28 @@ def _multilabel_report(alphabet, t: np.ndarray, p: np.ndarray, reasons) -> Multi
 # ---------------------------------------------------------------------------
 
 
-def _check_model_split(model, ds: Dataset, split: SplitSpec) -> None:
-    split.validate_against(ds)
-    if model.training_ids != split.train_ids:
-        raise ValidationError("model was not trained on the split's training ids")
+def _training_records(model, ds: Dataset) -> Dataset:
+    """The records of ``ds`` that ``model`` was trained on; every one of its ``training_ids`` must be in ``ds``."""
+    missing = model.training_ids - ds.record_ids()
+    if missing:
+        raise ValidationError(f"dataset lacks {len(missing)} of the model's training records: {sorted(missing)[:5]}")
+    return ds.subset(model.training_ids)
 
 
-def evaluate_resubstitution(model, ds: Dataset, split: SplitSpec, mode: str = MODE_MULTILABEL) -> EvalResult:
-    """Evaluate over ALL records, training ones included.
+def evaluate_resubstitution(model, ds: Dataset, mode: str = MODE_MULTILABEL) -> EvalResult:
+    """Evaluate over ALL records of ``ds``, the model's training records included.
 
     This reproduces the recombine-training-with-the-rest protocol; the
     report is flagged resubstitution-contaminated because training records
     leak into the evaluation set.
     """
-    _check_model_split(model, ds, split)
-    train = ds.subset(split.train_ids)
+    train = _training_records(model, ds)
     return evaluate_predictions(model, ds, train, mode=mode, protocol="resubstitution", contaminated=True)
 
 
-def evaluate_holdout(model, ds: Dataset, split: SplitSpec, mode: str = MODE_MULTILABEL) -> EvalResult:
-    """Evaluate on the test side only."""
-    _check_model_split(model, ds, split)
-    test, train = ds.subset(split.test_ids), ds.subset(split.train_ids)
+def evaluate_holdout(model, ds: Dataset, mode: str = MODE_MULTILABEL) -> EvalResult:
+    """Evaluate on the records of ``ds`` that the model was not trained on."""
+    train, test = _training_records(model, ds), ds.subset(ds.record_ids() - model.training_ids)
     return evaluate_predictions(model, test, train, mode=mode, protocol="holdout")
 
 
@@ -421,7 +421,7 @@ def evaluate_kfold(
     assignments = kfold_assignments(ds, k, seed)
     results = []
     for fold_ids in assignments:
-        train = ds.subset(ds.record_ids() - fold_ids, name=f"{ds.name}-train")
+        train = ds.subset(ds.record_ids() - fold_ids)
         model = trainer(train)
         results.append(evaluate_predictions(model, ds.subset(fold_ids), train, mode=mode, protocol="kfold-fold"))
     correct = sum(r.metrics.correct for r in results)

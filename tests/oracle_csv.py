@@ -84,7 +84,6 @@ def oracle_load_csv(
     label_column: str,
     label_separator: str = ";",
     id_column: str | None = None,
-    name: str = "dataset",
     attributes: Sequence[AttributeMeta] | None = None,
 ) -> Dataset:
     """Parse a header-first CSV corpus into a Dataset.
@@ -164,4 +163,4 @@ def oracle_load_csv(
     alphabet = sorted(set().union(*labelsets))
     X = np.array(rows, dtype=np.float64).reshape(len(rows), len(metas))
     Y = label_indicator(labelsets, alphabet)
-    return Dataset(metas, tuple(alphabet), ids, X, Y, _role_matrix(ids, roles, alphabet), name)
+    return Dataset(metas, tuple(alphabet), ids, X, Y, _role_matrix(ids, roles, alphabet))

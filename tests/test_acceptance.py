@@ -173,16 +173,15 @@ def test_criterion_5_paper_protocol_rehearsal():
             cfg = GeneratorConfig.from_dict({**gen, "seed": 1000 + seed})
             ds, _ = generate_synthetic(cfg)
             assert len(ds.label_alphabet) == 11
-            split = cover_all_labels_split(ds, 53, seed=1000 + seed)
-            train_ds = ds.subset(split.train_ids)
+            train_ds = ds.subset(cover_all_labels_split(ds, 53, seed=1000 + seed))
             model = train_chidt(
                 train_ds, strategy=strategy, registry=observed_registry(train_ds)
             )
-            cascade = evaluate_resubstitution(model, ds, split)
+            cascade = evaluate_resubstitution(model, ds)
             stage1_only = evaluate_predictions(
                 model.stage1,
                 ds,
-                ds.subset(split.train_ids),
+                train_ds,
                 protocol="resubstitution",
                 contaminated=True,
             )

@@ -54,7 +54,7 @@ def constant_lp(attrs, combos, predicted_index: int = 0, codes=("a", "b", "c")) 
     counts = np.zeros(len(combos))
     counts[predicted_index] = 1.0
     tree = leaf_tree(counts, attrs, tuple(combo_key(c) for c in combos))
-    return LPModel(tree=tree, combos=tuple(combos), codes=codes, attributes=attrs, training_ids=frozenset())
+    return LPModel(tree=tree, combos=tuple(combos), codes=codes, attributes=attrs)
 
 
 def spy_batch_rows(obj) -> list:
@@ -236,14 +236,7 @@ class TestTrainChidt:
         ds = self._corpus()
         for strategy in ("diverse-br", "label-powerset"):
             model = train_chidt(ds, strategy=strategy)
-            assert model.stage1.training_ids == model.stage2.training_ids == ds.record_ids()
-
-    def test_mismatched_training_ids_rejected(self):
-        ds = self._corpus()
-        stage1 = train_br(ds)
-        stage2 = train_br(ds.subset(sorted(ds.record_ids())[:30]))
-        with pytest.raises(ValidationError, match="same records"):
-            ChiDTModel(stage1=stage1, stage2=stage2, registry=observed_registry(ds))
+            assert model.training_ids == ds.record_ids()
 
     def test_training_is_deterministic(self):
         ds = self._corpus()
@@ -403,6 +396,14 @@ class TestPersistence:
     def test_rejects_foreign_documents(self):
         with pytest.raises(ValidationError, match="not a cascade model"):
             model_from_dict({"format": "something-else"})
+
+    def test_rejects_a_repeated_training_id(self):
+        ds = make_dataset([(0, 1), (1, 0), (1, 1)], [{"a"}, {"b"}, {"a", "b"}], alphabet=["a", "b"])
+        doc = json.loads(json.dumps(model_to_dict(train_chidt(ds))))
+        assert model_from_dict(doc).training_ids == ds.record_ids()
+        doc["training_ids"] = ["r0", "r1", "r0"]
+        with pytest.raises(ValidationError, match=r"^model training_ids\[2\] repeats the record id 'r0'$"):
+            model_from_dict(doc)
 
 
 class TestConstructionInvariants:

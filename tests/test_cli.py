@@ -293,6 +293,22 @@ class TestTrainEvalPredict:
         )
 
 
+class TestMissingTrainingRecords:
+    @pytest.mark.parametrize("protocol", ["resubstitution", "holdout"])
+    def test_eval_refuses_a_corpus_without_them(self, tmp_path, capsys, protocol):
+        cfg = write_config(tmp_path, evaluation={"mode": "multilabel", "protocol": protocol})
+        assert run(["gen", "--config", cfg]) == 0
+        assert run(["train", "--config", cfg]) == 0
+        dropped = json.loads((tmp_path / "out" / "model.json").read_text())["training_ids"][:3]
+        corpus = tmp_path / "out" / "corpus.csv"
+        lines = corpus.read_text().splitlines(keepends=True)
+        corpus.write_text("".join(line for line in lines if line.split(",")[0] not in dropped))
+        capsys.readouterr()
+        assert run(["eval", "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"error: dataset lacks 3 of the model's training records: {dropped}\n"
+        assert not (tmp_path / "out" / "report.json").exists()
+
+
 class TestInspectValidate:
     def test_inspect_renders_trees(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

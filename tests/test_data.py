@@ -17,7 +17,6 @@ from chidt.data import (
     NOMINAL,
     NUMERIC,
     Record,
-    SplitSpec,
     cover_all_labels_split,
     export_csv,
     generate_synthetic,
@@ -182,13 +181,13 @@ class TestLoadCsv:
 
     def test_csv_round_trip(self):
         ds = load_csv(CSV_BASIC, label_column="codes", id_column="id")
-        again = load_csv(export_csv(ds), label_column="codes", id_column="id", name=ds.name)
+        again = load_csv(export_csv(ds), label_column="codes", id_column="id")
         assert again == ds
 
     def test_csv_round_trip_with_roles_and_numerics(self):
         text = "x,y,codes\n0.5,a,I21.0:PDx\n1.5,b,I21.0;I25.1\n2.5,a,\n"
         ds = load_csv(text, label_column="codes")
-        again = load_csv(export_csv(ds), label_column="codes", id_column="id", name=ds.name)
+        again = load_csv(export_csv(ds), label_column="codes", id_column="id")
         assert again == ds
 
     def test_quoted_cells_round_trip(self):
@@ -196,7 +195,7 @@ class TestLoadCsv:
         text = 'sym,codes\n"angina, unstable",I20.0\n"said ""stable""",I20.9\n'
         ds = load_csv(text, label_column="codes")
         assert ds.attributes[0].values == ('angina, unstable', 'said "stable"')
-        again = load_csv(export_csv(ds), label_column="codes", id_column="id", name=ds.name)
+        again = load_csv(export_csv(ds), label_column="codes", id_column="id")
         assert again == ds
 
 
@@ -284,25 +283,25 @@ class TestCoverAllLabelsSplit:
 
     def test_53_of_196_covers_all_labels(self):
         ds = self._corpus_196()
-        split = cover_all_labels_split(ds, 53, seed=11)
-        assert len(split.train_ids) == 53
-        assert len(split.test_ids) == 143
-        split.validate_against(ds)
-        train_labels = set().union(*(record(ds, r).labels for r in split.train_ids))
+        train_ids = cover_all_labels_split(ds, 53, seed=11)
+        assert len(train_ids) == 53
+        assert len(ds.record_ids() - train_ids) == 143
+        assert train_ids <= ds.record_ids()
+        train_labels = set().union(*(record(ds, r).labels for r in train_ids))
         assert train_labels == set(ds.label_alphabet)
 
     def test_full_train_leaves_empty_test(self):
         ds = self._corpus_196()
-        split = cover_all_labels_split(ds, len(ds), seed=1)
-        assert split.test_ids == frozenset()
+        train_ids = cover_all_labels_split(ds, len(ds), seed=1)
+        assert ds.record_ids() - train_ids == frozenset()
 
     def test_two_seeds_both_satisfy_coverage(self):
         ds = self._corpus_196()
         for seed in (3, 4):
-            split = cover_all_labels_split(ds, 53, seed=seed)
-            covered = set().union(*(record(ds, r).labels for r in split.train_ids))
+            train_ids = cover_all_labels_split(ds, 53, seed=seed)
+            covered = set().union(*(record(ds, r).labels for r in train_ids))
             assert covered == set(ds.label_alphabet)
-            split.validate_against(ds)
+            assert train_ids <= ds.record_ids()
 
     def test_deterministic_for_fixed_seed(self):
         ds = self._corpus_196()
@@ -314,6 +313,12 @@ class TestCoverAllLabelsSplit:
             cover_all_labels_split(ds, 5, seed=0)
         with pytest.raises(ValidationError, match="exceeds record count"):
             cover_all_labels_split(ds, 500, seed=0)
+
+    @pytest.mark.parametrize("train_size", [0, -3])
+    def test_train_size_below_one_rejected(self, train_size):
+        ds = self._corpus_196()
+        with pytest.raises(ValidationError, match=f"^train size {train_size} must be at least 1$"):
+            cover_all_labels_split(ds, train_size, seed=0)
 
 
 class TestGenerateSynthetic:
@@ -402,20 +407,8 @@ class TestGenerateSynthetic:
             seed=8,
         )
         ds, _ = generate_synthetic(cfg)
-        again = load_csv(export_csv(ds), label_column="codes", id_column="id", name=ds.name)
+        again = load_csv(export_csv(ds), label_column="codes", id_column="id")
         assert again == ds
-
-
-class TestSplitSpec:
-    def test_overlap_rejected(self):
-        with pytest.raises(ValidationError, match="overlap"):
-            SplitSpec(train_ids=frozenset({"a"}), test_ids=frozenset({"a"}))
-
-    def test_partition_enforced(self):
-        ds = load_csv(CSV_BASIC, label_column="codes", id_column="id")
-        split = SplitSpec(train_ids=frozenset({"p1"}), test_ids=frozenset({"p2"}))
-        with pytest.raises(ValidationError, match="does not cover"):
-            split.validate_against(ds)
 
 
 def _is_number(cell: str) -> bool:

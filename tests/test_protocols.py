@@ -12,7 +12,6 @@ from chidt.cascade import train_br, train_chidt
 from chidt.data import (
     GeneratorConfig,
     GeneratorProfile,
-    SplitSpec,
     cover_all_labels_split,
     generate_synthetic,
     load_csv,
@@ -66,63 +65,62 @@ class TestResubstitution:
         combos = [{"a"}, {"b"}, {"a", "c"}]
         labelsets = [rng.choice(combos) for _ in rows]
         ds = make_dataset(rows, labelsets, alphabet=list("abc"))
-        split = cover_all_labels_split(ds, 10, seed=1)
-        train_ds = ds.subset(split.train_ids)
+        train_ids = cover_all_labels_split(ds, 10, seed=1)
+        train_ds = ds.subset(train_ids)
         model = train_chidt(
             train_ds,
             stage1_params=C45Params(min_leaf=1, pruning=False),
             strategy="label-powerset",
             registry=observed_registry(train_ds),
         )
-        result = evaluate_resubstitution(model, ds, split)
+        result = evaluate_resubstitution(model, ds)
         assert result.metrics.total == len(rows)
-        assert result.metrics.correct >= len(split.train_ids)
+        assert result.metrics.correct >= len(train_ids)
         assert result.metrics.contaminated
         assert "resubstitution-contaminated" in result.metrics.to_dict()["flags"]
 
     def test_empty_test_side_equals_training_set_evaluation(self):
         ds = small_corpus()
-        split = SplitSpec(train_ids=ds.record_ids(), test_ids=frozenset())
         model = train_chidt(ds, strategy="label-powerset")
-        resub = evaluate_resubstitution(model, ds, split)
+        resub = evaluate_resubstitution(model, ds)
         direct = evaluate_predictions(model, ds, ds, protocol="resubstitution")
         assert resub.metrics.correct == direct.metrics.correct
         assert resub.metrics.mae == pytest.approx(direct.metrics.mae, abs=1e-12)
 
     def test_total_instances_on_196_record_corpus(self):
         ds = small_corpus(n=196)
-        split = cover_all_labels_split(ds, 53, seed=2)
-        model = train_chidt(
-            ds.subset(split.train_ids), registry=observed_registry(ds.subset(split.train_ids))
-        )
-        result = evaluate_resubstitution(model, ds, split)
+        train_ds = ds.subset(cover_all_labels_split(ds, 53, seed=2))
+        model = train_chidt(train_ds, registry=observed_registry(train_ds))
+        result = evaluate_resubstitution(model, ds)
         assert result.metrics.total == 196
         assert "Total Number of Instances\t196" in __import__("chidt").format_report(result.metrics)
 
     def test_wrong_training_ids_rejected(self):
+        # under either protocol, a dataset that lacks some of the model's training records is refused
         ds = small_corpus()
-        split = cover_all_labels_split(ds, 10, seed=3)
-        model = train_chidt(ds)  # trained on everything
-        with pytest.raises(ValidationError, match="not trained on the split"):
-            evaluate_resubstitution(model, ds, split)
+        model = train_chidt(ds)  # trained on r00 to r59
+        rest = ds.subset(sorted(ds.record_ids())[7:])
+        message = r"^dataset lacks 7 of the model's training records: \['r00', 'r01', 'r02', 'r03', 'r04'\]$"
+        for evaluate in (evaluate_resubstitution, evaluate_holdout):
+            with pytest.raises(ValidationError, match=message):
+                evaluate(model, rest)
 
 
 class TestHoldout:
     def test_only_test_records_are_read(self):
         ds = small_corpus()
-        split = cover_all_labels_split(ds, 20, seed=4)
-        spy = SpyModel(training_ids=split.train_ids)
-        evaluate_holdout(spy, ds, split)
-        test_features = {tuple(r.features) for r in list(ds) if r.id in split.test_ids}
+        spy = SpyModel(training_ids=cover_all_labels_split(ds, 20, seed=4))
+        evaluate_holdout(spy, ds)
+        test_ids = ds.record_ids() - spy.training_ids
+        test_features = {tuple(r.features) for r in list(ds) if r.id in test_ids}
         assert set(spy.seen) <= test_features
-        assert len(spy.seen) == len(split.test_ids)
+        assert len(spy.seen) == len(test_ids)
 
     def test_reports_test_side_total(self):
         ds = small_corpus()
-        split = cover_all_labels_split(ds, 20, seed=4)
-        model = train_chidt(ds.subset(split.train_ids))
-        result = evaluate_holdout(model, ds, split)
-        assert result.metrics.total == len(split.test_ids)
+        model = train_chidt(ds.subset(cover_all_labels_split(ds, 20, seed=4)))
+        result = evaluate_holdout(model, ds)
+        assert result.metrics.total == len(ds) - 20
         assert result.metrics.protocol == "holdout"
 
 
