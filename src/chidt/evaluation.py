@@ -130,7 +130,11 @@ class MetricsReport:
     rmse: float
     rae_pct: float | None
     rrse_pct: float | None
-    contaminated: bool = False
+
+    @property
+    def contaminated(self) -> bool:
+        """A resubstitution report: the model's training records are among those it scores."""
+        return self.protocol == "resubstitution"
 
     def __post_init__(self) -> None:
         if self.total <= 0 or not 0 <= self.correct <= self.total:
@@ -231,7 +235,6 @@ def evaluate_predictions(
     train_ds: Dataset,
     mode: str = MODE_MULTILABEL,
     protocol: str = "custom",
-    contaminated: bool = False,
 ) -> EvalResult:
     """Evaluate ``model`` over the records of ``eval_ds`` with priors from those of ``train_ds``.
 
@@ -285,7 +288,6 @@ def evaluate_predictions(
         rmse=errors.rmse,
         rae_pct=errors.rae_pct,
         rrse_pct=errors.rrse_pct,
-        contaminated=contaminated,
     )
     ml = _multilabel_report(alphabet, eval_ds.Y, predicted, reasons)
     return EvalResult(metrics=metrics, multilabel=ml, matrix=cm)
@@ -356,12 +358,14 @@ def evaluate_resubstitution(model, ds: Dataset, mode: str = MODE_MULTILABEL) -> 
     leak into the evaluation set.
     """
     train = _training_records(model, ds)
-    return evaluate_predictions(model, ds, train, mode=mode, protocol="resubstitution", contaminated=True)
+    return evaluate_predictions(model, ds, train, mode=mode, protocol="resubstitution")
 
 
 def evaluate_holdout(model, ds: Dataset, mode: str = MODE_MULTILABEL) -> EvalResult:
     """Evaluate on the records of ``ds`` that the model was not trained on."""
     train, test = _training_records(model, ds), ds.subset(ds.record_ids() - model.training_ids)
+    if not len(test):
+        raise ValidationError(f"all {len(ds)} records of the dataset are the model's training records; none is held out")
     return evaluate_predictions(model, test, train, mode=mode, protocol="holdout")
 
 

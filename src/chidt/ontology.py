@@ -24,80 +24,49 @@ REASON_EXCLUSION = "exclusion-violated"
 REASONS = (REASON_OK, REASON_EMPTY, REASON_EXCLUSION, REASON_UNREGISTERED)
 
 
-@dataclass(frozen=True)
-class CodeNode:
-    """One node of the three-level code tree."""
-
-    code: str
-    title: str
-    level: str
-    children: tuple = ()
-
-    def __post_init__(self) -> None:
-        if self.level not in LEVELS:
-            raise ValidationError(f"unknown hierarchy level {self.level!r} for {self.code!r}")
-        object.__setattr__(self, "children", tuple(self.children))
-
-
-class CodeHierarchy:
-    """Concept / major / minor code tree.
-
-    Every minor code must start with its parent major code followed by '.'
-    (the prefix rule), matching ICD-10 notation (I21.0 under I21).
-    """
-
-    def __init__(self, roots: Sequence[CodeNode]):
-        self.roots = tuple(roots)
-        self._nodes: dict = {}
-        for root in self.roots:
-            self._register(root, None)
-
-    def _register(self, node: CodeNode, parent: CodeNode | None) -> None:
-        if node.code in self._nodes:
-            raise ValidationError(f"duplicate code {node.code!r} in hierarchy")
-        if parent is None:
-            pass
-        elif parent.level == "concept" and node.level != "major":
-            raise ValidationError(f"concept {parent.code!r} may only have major children, got {node.code!r}")
-        elif parent.level == "major" and node.level != "minor":
-            raise ValidationError(f"major {parent.code!r} may only have minor children, got {node.code!r}")
-        elif parent.level == "minor":
-            raise ValidationError(f"minor {parent.code!r} must be a leaf, found child {node.code!r}")
-        if node.level == "minor" and node.children:
-            raise ValidationError(f"minor {node.code!r} must be a leaf")
-        if parent is not None and node.level == "minor" and not node.code.startswith(parent.code + "."):
-            raise ValidationError(f"minor {node.code!r} does not extend its major {parent.code!r} (prefix rule)")
-        self._nodes[node.code] = node
-        for child in node.children:
-            self._register(child, node)
-
-    def __contains__(self, code: str) -> bool:
-        return code in self._nodes
-
-
-def _read_code_node(doc, where: str, parent_level: str | None) -> CodeNode:
+def _read_code_node(doc, where: str, parent_level: str | None) -> tuple:
+    """``(code, level, children)`` of one node, its title checked and dropped."""
     f = Fields(doc, where, ("code", "title", "children", "level"), ("code",))
     if parent_level == "minor":
         raise ValidationError(f"{where}: node nested deeper than the minor level")
     default = "concept" if parent_level is None else LEVELS[LEVELS.index(parent_level) + 1]
     level = f.get("level", one_of, default, choices=LEVELS)
     children = f.get("children", items, [], entry=_read_code_node, parent_level=level)
-    return CodeNode(f.get("code", text), f.get("title", text, "", empty=True), level, children)
+    code = f.get("code", text)
+    f.get("title", text, "", empty=True)
+    return code, level, children
 
 
-def load_hierarchy(content: str) -> CodeHierarchy:
-    """Build a CodeHierarchy from JSON (a node object or a list of roots).
+def load_hierarchy(content: str) -> frozenset:
+    """The codes of a concept / major / minor code tree in JSON (a node object or a list of roots).
 
     Node objects carry ``code``, ``title`` and ``children``; level defaults
     to the node's depth (roots are concepts) and may be overridden with an
-    explicit ``level`` field.
+    explicit ``level`` field. Every field is read first. Then, depth first
+    in document order: no code repeats, a concept's children are majors and
+    a major's are minors, and every minor code starts with its major code
+    followed by '.' (the prefix rule, as in ICD-10: I21.0 under I21).
     """
     doc = loads(content, "hierarchy")
     if type(doc) is list:
         roots = items(doc, "hierarchy", _read_code_node, parent_level=None)
     else:
         roots = [_read_code_node(doc, "hierarchy", None)]
-    return CodeHierarchy(roots)
+    codes: set = set()
+    stack = [(root, None, None) for root in reversed(roots)]
+    while stack:
+        (code, level, children), parent, parent_level = stack.pop()
+        if code in codes:
+            raise ValidationError(f"duplicate code {code!r} in hierarchy")
+        if parent is not None:
+            expected = LEVELS[LEVELS.index(parent_level) + 1]
+            if level != expected:
+                raise ValidationError(f"{parent_level} {parent!r} may only have {expected} children, got {code!r}")
+            if level == "minor" and not code.startswith(parent + "."):
+                raise ValidationError(f"minor {code!r} does not extend its major {parent!r} (prefix rule)")
+        codes.add(code)
+        stack.extend((child, code, level) for child in reversed(children))
+    return frozenset(codes)
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +161,11 @@ class ExclusionGroup:
             raise ValidationError("an exclusion group needs at least two codes")
 
 
-def load_exclusions(content: str, hierarchy: CodeHierarchy | None = None) -> tuple:
-    """Parse a JSON array of code arrays; codes checked against ``hierarchy`` if given."""
+def load_exclusions(content: str, codes: frozenset | None = None) -> tuple:
+    """Parse a JSON array of code arrays; each code must be in ``codes`` (a hierarchy's) if given."""
     groups = tuple(map(ExclusionGroup, code_sets(loads(content, "exclusions"), "exclusions")))
-    for group in groups if hierarchy is not None else ():
-        unknown = [c for c in sorted(group.codes) if c not in hierarchy]
+    for group in groups if codes is not None else ():
+        unknown = [c for c in sorted(group.codes) if c not in codes]
         if unknown:
             raise ValidationError(f"exclusion group references unknown codes: {unknown}")
     return groups

@@ -183,7 +183,6 @@ def test_criterion_5_paper_protocol_rehearsal():
                 ds,
                 train_ds,
                 protocol="resubstitution",
-                contaminated=True,
             )
             assert cascade.metrics.total == 196
             text = __import__("chidt").format_report(cascade.metrics)

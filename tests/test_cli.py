@@ -308,6 +308,20 @@ class TestMissingTrainingRecords:
         assert capsys.readouterr().err == f"error: dataset lacks 3 of the model's training records: {dropped}\n"
         assert not (tmp_path / "out" / "report.json").exists()
 
+    def test_holdout_refuses_a_model_trained_on_the_whole_corpus(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            training={"strategy": "label-powerset"},
+            evaluation={"mode": "multilabel", "protocol": "holdout"},
+        )
+        assert run(["gen", "--config", cfg]) == 0
+        assert run(["train", "--config", cfg]) == 0
+        capsys.readouterr()
+        assert run(["eval", "--config", cfg]) == 1
+        message = "all 60 records of the dataset are the model's training records; none is held out"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out" / "report.json").exists()
+
 
 class TestInspectValidate:
     def test_inspect_renders_trees(self, tmp_path, capsys):

@@ -197,7 +197,7 @@ class TestProbabilisticErrors:
 
 
 def report_for(correct, total, kappa_v, mae, rmse, rae, rrse, mode="multilabel",
-               protocol="resubstitution", contaminated=True):
+               protocol="resubstitution"):
     return MetricsReport(
         mode=mode,
         protocol=protocol,
@@ -209,7 +209,6 @@ def report_for(correct, total, kappa_v, mae, rmse, rae, rrse, mode="multilabel",
         rmse=rmse,
         rae_pct=rae,
         rrse_pct=rrse,
-        contaminated=contaminated,
     )
 
 

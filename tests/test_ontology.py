@@ -41,20 +41,11 @@ SMALL_HIERARCHY = json.dumps(
 )
 
 
-def levels(h) -> dict:
-    """{code: level} of every node of ``h``, found by walking its roots."""
-    out, stack = {}, list(h.roots)
-    while stack:
-        node = stack.pop()
-        out[node.code] = node.level
-        stack.extend(node.children)
-    return out
-
-
 class TestHierarchy:
     def test_small_tree_loads(self):
         h = load_hierarchy(SMALL_HIERARCHY)
-        assert levels(h) == {"CHD": "concept", "I21": "major", "I21.0": "minor", "I21.9": "minor"}
+        assert type(h) is frozenset
+        assert h == {"CHD", "I21", "I21.0", "I21.9"}
 
     def test_prefix_violation(self):
         doc = json.loads(SMALL_HIERARCHY)
@@ -76,16 +67,16 @@ class TestHierarchy:
 
     def test_shipped_fixture_has_six_majors(self):
         h = load_hierarchy((DATA_DIR / "hierarchy_chd.json").read_text())
-        majors = sorted(code for code, level in levels(h).items() if level == "major")
+        assert len(h) == 34
+        majors = sorted(code for code in h if code != "CHD" and "." not in code)
         assert majors == ["I20", "I21", "I22", "I23", "I24", "I25"]
 
     def test_level_override(self):
-        doc = json.dumps(
-            {"code": "I21", "title": "major root", "level": "major",
-             "children": [{"code": "I21.0", "title": "m"}]}
-        )
-        # depth-based default shifts accordingly: children become minors
-        assert levels(load_hierarchy(doc)) == {"I21": "major", "I21.0": "minor"}
+        root = {"code": "I21", "title": "major root", "children": [{"code": "X9", "title": "m"}]}
+        assert load_hierarchy(json.dumps(root)) == {"I21", "X9"}
+        # depth-based default shifts accordingly: under a major root, children become minors and obey the prefix rule
+        with pytest.raises(ValidationError, match=r"^minor 'X9' does not extend its major 'I21' \(prefix rule\)$"):
+            load_hierarchy(json.dumps({**root, "level": "major"}))
 
 
 class TestRegistry:

@@ -123,6 +123,13 @@ class TestHoldout:
         assert result.metrics.total == len(ds) - 20
         assert result.metrics.protocol == "holdout"
 
+    def test_nothing_held_out_rejected(self):
+        ds = small_corpus()
+        model = train_chidt(ds)
+        message = r"^all 60 records of the dataset are the model's training records; none is held out$"
+        with pytest.raises(ValidationError, match=message):
+            evaluate_holdout(model, ds)
+
 
 class TestKFold:
     def test_leave_one_out_runs_n_trainings(self):
