@@ -6,11 +6,16 @@ excluded, or unregistered combination) triggers stage 2, whose output is
 returned verbatim. By default stage 2 is a deliberately diversified BR
 bank (unpruned, min-leaf 1); a label-powerset stage 2, which can only emit
 observed combinations, is available as an alternative strategy.
+
+Training has one path, ``train_cascades``: one cascade per set of training
+records (the k training sets of a k-fold run, say), with all the sets'
+trees of a stage grown by one ``grow_bank`` call. ``train_chidt`` is its
+one-set view.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -20,7 +25,7 @@ from .errors import SchemaMismatchError, ValidationError
 from .jsondoc import Fields, code_sets, distinct, fields, flag, items, number, one_of, strings
 from .ontology import REASONS, ExclusionGroup, ValidCombinationRegistry, _read_registry, combo_key, is_valid
 from .ontology import observed_registry
-from .tree import C45Params, C45Tree, _read_params, _read_schema, _read_tree, build_tree, grow_bank, leaf_distributions
+from .tree import C45Params, C45Tree, _read_params, _read_schema, _read_tree, grow_bank, leaf_distributions
 from .tree import prune_ebp, schema_fingerprint
 
 BINARY_CLASSES = ("absent", "present")
@@ -143,6 +148,71 @@ class LPModel:
         }
 
 
+def _training_rows(ds: Dataset, training_sets: list) -> np.ndarray:
+    """(records, sets) bool: cell (i, s) is set iff record ``ds.ids[i]`` is in ``training_sets[s]``."""
+    if not training_sets:
+        raise ValidationError("no training sets to train on")
+    columns, known = [], ds.record_ids()
+    for ids in training_sets:
+        if not ids:
+            raise ValidationError("cannot train on an empty dataset")
+        if ids - known:
+            raise ValidationError(f"unknown record ids: {sorted(ids - known)}")
+        columns.append(np.fromiter((rid in ids for rid in ds.ids), dtype=bool, count=len(ds)))
+    return np.column_stack(columns)
+
+
+def _refuse_empty_labelsets(ds: Dataset, training: np.ndarray) -> None:
+    """Label-powerset classes are combinations: refuse the first training set that has a record without codes."""
+    for rows in (training & ~ds.Y.any(axis=1)[:, None]).T:
+        if rows.any():
+            empties = [ds.ids[i] for i in np.flatnonzero(rows)]
+            raise ValidationError(f"label-powerset training requires non-empty LabelSets: {empties[:5]}")
+
+
+def _br_banks(ds: Dataset, training: np.ndarray, params: C45Params, threshold: float) -> list:
+    """One BR model per column of ``training``: the banks of all the sets grow together, with one ``grow_bank``
+    call over ``np.tile(ds.Y, sets)`` (tree ``s * codes + j`` is code j of set s)."""
+    n_codes, n_sets = len(ds.label_alphabet), training.shape[1]
+    Y, rows = np.tile(ds.Y, n_sets), np.repeat(training, n_codes, axis=1)
+    trees = grow_bank(ds.feature_matrix(), Y, ds.attributes, BINARY_CLASSES, params, rows)
+    if params.pruning:
+        trees = [prune_ebp(tree, params) for tree in trees]
+    return [
+        BRModel(ds.label_alphabet, tuple(trees[s * n_codes : (s + 1) * n_codes]), ds.attributes, threshold, params)
+        for s in range(n_sets)
+    ]
+
+
+def _lp_trees(ds: Dataset, training: np.ndarray, params: C45Params) -> list:
+    """One label-powerset model per column of ``training``, the trees grown by one ``grow_bank`` call.
+
+    The trees share one class list: the union of the sets' combinations, in
+    ``combo_key`` order. Each tree's counts are then cut to its own set's
+    combinations, and only then is the tree pruned, so it is the tree that
+    its set grows alone.
+    """
+    used = np.flatnonzero(training.any(axis=1))
+    distinct, inverse = _distinct_labelsets(ds.Y[used], ds.label_alphabet)
+    order = sorted(range(len(distinct)), key=lambda c: combo_key(distinct[c]))
+    combos = [distinct[c] for c in order]
+    names = [combo_key(c) for c in combos]
+    y = np.zeros(len(ds), dtype=np.int64)
+    y[used] = np.argsort(order)[inverse]  # each record's rank of its combination
+    present = np.zeros((len(combos), training.shape[1]), dtype=bool)  # the combinations of each set
+    rows, sets = np.nonzero(training)
+    present[y[rows], sets] = True
+    Y = np.repeat(y[:, None], training.shape[1], axis=1)
+    models = []
+    for tree, own in zip(grow_bank(ds.feature_matrix(), Y, ds.attributes, names, params, training), present.T):
+        own = np.flatnonzero(own)
+        tree = replace(tree, counts=tree.counts[:, own], class_names=tuple(names[c] for c in own))
+        if params.pruning:
+            tree = prune_ebp(tree, params)
+        models.append(LPModel(tree, tuple(combos[c] for c in own), ds.label_alphabet, ds.attributes, params))
+    return models
+
+
 def train_br(ds: Dataset, params: C45Params | None = None, threshold: float = 0.5) -> BRModel:
     """Train one binary C4.5 problem per code of the dataset's alphabet.
 
@@ -154,40 +224,16 @@ def train_br(ds: Dataset, params: C45Params | None = None, threshold: float = 0.
         raise ValidationError("cannot train on an empty dataset")
     if not ds.label_alphabet:
         raise ValidationError("cannot train with an empty label alphabet")
-    params = params or C45Params()
-    trees = grow_bank(ds.feature_matrix(), ds.Y, ds.attributes, BINARY_CLASSES, params)
-    if params.pruning:
-        trees = [prune_ebp(tree, params) for tree in trees]
-    return BRModel(
-        codes=ds.label_alphabet,
-        trees=tuple(trees),
-        attributes=ds.attributes,
-        threshold=threshold,
-        params=params,
-    )
+    return _br_banks(ds, np.ones((len(ds), 1), dtype=bool), params or C45Params(), threshold)[0]
 
 
 def train_label_powerset(ds: Dataset, params: C45Params | None = None) -> LPModel:
     """Train one multi-class tree whose classes are the observed combinations."""
     if not len(ds):
         raise ValidationError("cannot train on an empty dataset")
-    empties = [ds.ids[i] for i in np.flatnonzero(~ds.Y.any(axis=1))]
-    if empties:
-        raise ValidationError(f"label-powerset training requires non-empty LabelSets: {empties[:5]}")
-    params = params or C45Params()
-    distinct, inverse = _distinct_labelsets(ds.Y, ds.label_alphabet)
-    order = sorted(range(len(distinct)), key=lambda k: combo_key(distinct[k]))
-    combos = [distinct[k] for k in order]
-    X = ds.feature_matrix()
-    y = np.argsort(order)[inverse]  # each row's rank of its combination
-    tree = build_tree(X, y, ds.attributes, tuple(combo_key(c) for c in combos), params)
-    return LPModel(
-        tree=tree,
-        combos=tuple(combos),
-        codes=ds.label_alphabet,
-        attributes=ds.attributes,
-        params=params,
-    )
+    training = np.ones((len(ds), 1), dtype=bool)
+    _refuse_empty_labelsets(ds, training)
+    return _lp_trees(ds, training, params or C45Params())[0]
 
 
 @dataclass
@@ -260,8 +306,9 @@ class ChiDTModel:
         return Y, scores, reasons
 
 
-def train_chidt(
+def train_cascades(
     ds: Dataset,
+    training_sets: Sequence,
     stage1_params: C45Params | None = None,
     stage2_params: C45Params | None = None,
     strategy: str = STRATEGY_DIVERSE_BR,
@@ -269,31 +316,47 @@ def train_chidt(
     exclusions: Sequence[ExclusionGroup] = (),
     threshold: float = 0.5,
     single_label_fallback: bool = False,
-) -> ChiDTModel:
-    """Train both cascade stages on the same records.
+) -> list:
+    """One cascade per set of record ids of ``ds`` in ``training_sets``, each trained on those records alone.
 
-    The registry defaults to the combinations observed in ``ds`` itself.
-    Stage-2 parameters default to the diversified unpruned/min-leaf-1
-    profile for the diverse-br strategy and to stage-1 defaults otherwise.
+    The sets' trees grow together, with one ``grow_bank`` call per stage
+    (see ``_br_banks`` and ``_lp_trees``), and each equals the tree that its
+    set grows alone. Each cascade's registry is ``registry``, or else the
+    combinations observed in its own records. Stage-2 parameters default
+    to the diversified unpruned/min-leaf-1 profile for the diverse-br
+    strategy and to stage-1 defaults otherwise. Every set is checked before
+    any tree grows, and an error names the first set that fails.
     """
     if strategy not in STRATEGIES:
         raise ValidationError(f"unknown cascade strategy {strategy!r}")
-    stage1_params = stage1_params or C45Params()
-    if registry is None:
-        registry = observed_registry(ds)
-    stage1 = train_br(ds, stage1_params, threshold)
+    training_sets = [frozenset(ids) for ids in training_sets]
+    training = _training_rows(ds, training_sets)
+    if not ds.label_alphabet:
+        raise ValidationError("cannot train with an empty label alphabet")
+    if strategy == STRATEGY_LABEL_POWERSET:
+        _refuse_empty_labelsets(ds, training)
+    stage1 = _br_banks(ds, training, stage1_params or C45Params(), threshold)
     if strategy == STRATEGY_DIVERSE_BR:
-        stage2 = train_br(ds, stage2_params or DIVERSE_STAGE2_PARAMS, threshold)
+        stage2 = _br_banks(ds, training, stage2_params or DIVERSE_STAGE2_PARAMS, threshold)
     else:
-        stage2 = train_label_powerset(ds, stage2_params or C45Params())
-    return ChiDTModel(
-        stage1=stage1,
-        stage2=stage2,
-        registry=registry,
-        exclusions=tuple(exclusions),
-        single_label_fallback=single_label_fallback,
-        training_ids=ds.record_ids(),
-    )
+        stage2 = _lp_trees(ds, training, stage2_params or C45Params())
+    return [
+        ChiDTModel(
+            stage1=s1,
+            stage2=s2,
+            registry=observed_registry(ds.subset(ids)) if registry is None else registry,
+            exclusions=tuple(exclusions),
+            single_label_fallback=single_label_fallback,
+            training_ids=ids,
+        )
+        for s1, s2, ids in zip(stage1, stage2, training_sets)
+    ]
+
+
+def train_chidt(ds: Dataset, **kwargs) -> ChiDTModel:
+    """Train both cascade stages on all the records of ``ds``: the one-set view of ``train_cascades``, whose
+    keyword arguments it takes. The registry defaults to the combinations observed in ``ds``."""
+    return train_cascades(ds, [ds.record_ids()], **kwargs)[0]
 
 
 # ---------------------------------------------------------------------------

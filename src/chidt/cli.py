@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cascade import STRATEGIES, STRATEGY_LABEL_POWERSET, ChiDTModel, model_from_dict, model_to_dict, train_chidt
+from .cascade import STRATEGIES, STRATEGY_LABEL_POWERSET, ChiDTModel, model_from_dict, model_to_dict, train_cascades
 from .config import RunConfig
 from .data import Dataset, _distinct_labelsets, cover_all_labels_split, export_csv, generate_synthetic, load_csv
 from .errors import ValidationError
@@ -35,7 +35,6 @@ from .ontology import (
     load_exclusions,
     load_hierarchy,
     map_terms,
-    observed_registry,
 )
 from .tree import render
 
@@ -161,8 +160,8 @@ def _resolve_split(cfg: RunConfig, ds: Dataset) -> frozenset:
 
 def cmd_train(cfg: RunConfig) -> int:
     ds = _load_dataset(cfg, cfg.path("dataset", "corpus.csv"))
-    train_ds = ds.subset(_resolve_split(cfg, ds))
-    model = _build_trainer(cfg)(train_ds)
+    train_ds = ds.subset(_resolve_split(cfg, ds))  # the bank's arrays then have a row per training record only
+    (model,) = _build_trainer(cfg)(train_ds, [train_ds.record_ids()])
     model_path = cfg.path("model", "model.json")
     try:
         content = _dump_json(model_to_dict(model))
@@ -228,23 +227,26 @@ def cmd_predict(cfg: RunConfig, input_path: Path | None, terms: bool = False) ->
 
 
 def _build_trainer(cfg: RunConfig):
-    """Training-set -> cascade, merging the declared registry when configured; each file is read once."""
+    """(dataset, training sets of record ids) -> one cascade per set, each registry merged with the declared
+    one when configured; each file is read once."""
     registry_path = cfg.path("registry", "registry.json")
     exclusions = _load_exclusion_groups(cfg)
     declared = _load_registry(registry_path) if cfg.training.use_declared_registry and registry_path.exists() else None
 
-    def trainer(train_ds: Dataset):
-        observed = observed_registry(train_ds)
-        return train_chidt(
-            train_ds,
+    def trainer(ds: Dataset, training_sets) -> list:
+        models = train_cascades(
+            ds,
+            training_sets,
             stage1_params=cfg.training.stage1_params,
             stage2_params=cfg.training.stage2_params,
             strategy=cfg.training.strategy,
-            registry=observed if declared is None else observed.merged(declared),
             exclusions=exclusions,
             threshold=cfg.training.threshold,
             single_label_fallback=cfg.training.single_label_fallback,
         )
+        if declared is None:
+            return models
+        return [replace(model, registry=model.registry.merged(declared)) for model in models]
 
     return trainer
 

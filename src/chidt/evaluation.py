@@ -413,21 +413,27 @@ def evaluate_kfold(
     ds: Dataset,
     k: int,
     seed: int,
-    trainer: Callable[[Dataset], object],
+    trainer: Callable[[Dataset, list], Sequence],
     mode: str = MODE_MULTILABEL,
 ) -> KFoldResult:
     """Stratified k-fold cross-validation with per-fold detail.
 
-    ``trainer`` maps a training Dataset to a model. The aggregate report
-    sums correct/total across folds and averages the remaining metrics
-    (undefined relative errors are skipped).
+    ``trainer(ds, training_sets)`` maps the k training sets, each the
+    frozenset of the ids of the records of ``ds`` outside one fold, in fold
+    order, to the k models, in the same order; ``cascade.train_cascades``
+    (with its keyword arguments bound) is one. Each model is then scored on
+    its fold. The aggregate report sums correct/total across folds and
+    averages the remaining metrics (undefined relative errors are skipped).
     """
     assignments = kfold_assignments(ds, k, seed)
-    results = []
-    for fold_ids in assignments:
-        train = ds.subset(ds.record_ids() - fold_ids)
-        model = trainer(train)
-        results.append(evaluate_predictions(model, ds.subset(fold_ids), train, mode=mode, protocol="kfold-fold"))
+    training_sets = [ds.record_ids() - fold_ids for fold_ids in assignments]
+    models = trainer(ds, training_sets)
+    if len(models) != k:
+        raise ValidationError(f"the trainer returned {len(models)} models for {k} folds")
+    results = [
+        evaluate_predictions(model, ds.subset(fold_ids), ds.subset(train_ids), mode=mode, protocol="kfold-fold")
+        for model, fold_ids, train_ids in zip(models, assignments, training_sets)
+    ]
     correct = sum(r.metrics.correct for r in results)
     total = sum(r.metrics.total for r in results)
     raes = [r.metrics.rae_pct for r in results if r.metrics.rae_pct is not None]

@@ -8,15 +8,20 @@ confidence bound on leaf error. All ties break toward the lowest index
 (attribute, class, threshold) so induction is deterministic.
 
 Growth is level-wise and table-driven, and a bank of trees over one
-feature matrix (one tree per code) grows together: the open nodes of all
-its trees are numbered as one level. Each bank level counts the classes of
-all its open nodes, and of every branch of every nominal test at those
-nodes, with one ``np.bincount`` each, and scores all candidates at once.
-Each numeric attribute is searched once per bank level: the level's rows
-are sorted by (node, value), and every midpoint of every node is scored
-from one cumulative class count, less the count before the node's first
-row; each node keeps its first best midpoint. No choice looks across
-nodes, so a tree grown in a bank is the tree grown alone. Every score goes
+feature matrix grows together: the open nodes of all its trees are
+numbered as one level. Each tree has its own set of training rows of that
+matrix (one tree per code and per k-fold training set, say), and a row may
+train several trees. The class list is shared, so it may be a superset of
+a tree's classes; a class that a tree lacks is a column of zero counts,
+and it changes no score. Each bank level counts the classes of its open
+nodes with one ``np.bincount``, and scores them in chunks of nodes of
+bounded size: one more ``np.bincount`` per chunk counts every branch of
+every nominal test, and each numeric attribute is searched once per
+chunk. That search sorts the chunk's rows by (node, value) and scores
+every midpoint of every node from one cumulative class count, less the
+count before the node's first row; each node keeps its first best
+midpoint. No choice looks across nodes, so a tree grown in a bank is the
+tree grown alone from its rows and its own classes. Every score goes
 through one entropy kernel, ``_entropy_rows``, that keeps the summation
 order of the scalar formula, ``-(p * log2(p)).sum()`` over the nonzero
 classes: with fewer than 8 nonzero classes the terms are subtracted class
@@ -183,16 +188,20 @@ def best_numeric_threshold(values, y, node, counts: np.ndarray, parent_h: np.nda
     node, by information gain. Row i has attribute value ``values[i]``, class ``y[i]`` and node ``node[i]``;
     ``counts`` holds each node's class counts, (nodes, classes), and ``parent_h`` their entropies.
 
-    The rows are sorted once by (node, value). Every midpoint between
-    consecutive distinct values of one node is scored at once, from one
-    cumulative class count less the count before the node's first row;
-    candidates leaving either side below ``min_leaf`` are skipped. Ties in
-    gain go to the smallest threshold. A node with no candidate has a NaN
-    threshold and zero gain and ratio.
+    The rows are sorted once by (node, value), as one integer key: node
+    times the row count plus the row's rank by value. Rows of equal value
+    may come in any order, since a midpoint lies only between distinct
+    values. Every midpoint between consecutive distinct values of one node
+    is scored at once, from one cumulative class count less the count
+    before the node's first row; candidates leaving either side below
+    ``min_leaf`` are skipped. Ties in gain go to the smallest threshold. A
+    node with no candidate has a NaN threshold and zero gain and ratio.
     """
     n_nodes, k = counts.shape
     threshold, gain, ratio = np.full(n_nodes, np.nan), np.zeros(n_nodes), np.zeros(n_nodes)
-    order = np.lexsort((values, node))
+    rank = np.empty(len(values), dtype=np.intp)
+    rank[np.argsort(values)] = np.arange(len(values))
+    order = np.argsort(node * len(values) + rank)  # distinct keys: the order is the one (node, value) order
     sv, sn = values[order], node[order]
     starts = np.searchsorted(sn, np.arange(n_nodes + 1))
     n_left = np.arange(1, len(sv)) - starts[sn[:-1]]  # rows of its node up to each row but the last
@@ -212,13 +221,16 @@ def best_numeric_threshold(values, y, node, counts: np.ndarray, parent_h: np.nda
     left = counted[cut + 1] - counted[starts[at]]
     del counted
     g, _, q, _ = _split_scores(parent_h[at], np.stack([left, counts[at] - left], axis=1))
-    # each node's first candidate in (largest gain, smallest threshold) order
-    best = np.lexsort((-g, at))[np.flatnonzero(np.diff(at, prepend=-1))]
+    # each node's first candidate of its largest gain, so of the smallest threshold among equal gains
+    first = np.flatnonzero(np.diff(at, prepend=-1))
+    top = np.maximum.reduceat(g, first)
+    best = np.flatnonzero(g == np.repeat(top, np.diff(first, append=len(at))))
+    best = best[np.flatnonzero(np.diff(at[best], prepend=-1))]
     threshold[at[best]], gain[at[best]], ratio[at[best]] = mid[best], g[best], q[best]
     return threshold, gain, ratio
 
 
-# cells of nominal count table and of row keys built at once; a bank level with more is counted in node chunks
+# cells of nominal count table and of row keys built at once; a bank level with more is scored in node chunks
 _TABLE_CELLS = 1 << 16
 
 
@@ -229,38 +241,43 @@ def _candidates(X, keys, widths, y, rows, n, node, counts, parent_h, min_leaf) -
     counts and entropy. ``keys`` holds each feature row's (nominal attribute, value) cells of one node's
     count table (see ``grow_bank``).
 
-    The class counts of every branch of every nominal test of a chunk of
-    nodes come from one ``np.bincount`` over (node, attribute, value, class)
-    and are scored at once; each numeric attribute goes through
-    ``best_numeric_threshold`` once for all the nodes.
+    The level is scored in chunks of consecutive nodes whose row keys and
+    count tables hold at most ``_TABLE_CELLS`` cells, each row counting as
+    one cell at least, so that a numeric-only schema is chunked too; a
+    node that alone holds more is a chunk of its own. In each chunk, the
+    class counts of every branch of every nominal test come from one
+    ``np.bincount`` over (node, attribute, value, class) and are scored at
+    once, and each numeric attribute goes through ``best_numeric_threshold``
+    once for all the chunk's nodes. No score looks across nodes, so the
+    chunking changes no result.
     """
     (m, k), d = counts.shape, len(widths)
-    sample, y = rows % n, y[rows]
     gain, ratio, threshold = np.zeros((m, d)), np.zeros((m, d)), np.full((m, d), np.nan)
     ok = np.zeros((m, d), dtype=bool)
-    nominal = np.flatnonzero(widths)
-    if nominal.size:
-        starts = np.searchsorted(node, np.arange(m + 1))
-        w = int(widths.max())
-        per_node = nominal.size * w * k
-        # the cells of row keys and tables of the nodes before each node
-        before = np.concatenate(([0], np.cumsum(np.diff(starts) * nominal.size + per_node)))
-        lo = 0
-        while lo < m:
-            hi = max(lo + 1, int(np.searchsorted(before, before[lo] + _TABLE_CELLS, "right")) - 1)
-            at = slice(starts[lo], starts[hi])
-            cells = keys[sample[at]]
-            cells += ((node[at] - lo) * per_node + y[at])[:, None]
+    nominal, numeric = np.flatnonzero(widths), np.flatnonzero(widths == 0).tolist()
+    w = int(widths.max(initial=0))
+    per_node = nominal.size * w * k
+    starts = np.searchsorted(node, np.arange(m + 1))
+    # the cells of row keys and tables of the nodes before each node
+    before = np.concatenate(([0], np.cumsum(np.diff(starts) * max(nominal.size, 1) + per_node)))
+    lo = 0
+    while lo < m:
+        hi = max(lo + 1, int(np.searchsorted(before, before[lo] + _TABLE_CELLS, "right")) - 1)
+        at = rows[starts[lo] : starts[hi]]
+        sample, cls, local = at % n, y[at], node[starts[lo] : starts[hi]] - lo
+        if nominal.size:
+            cells = keys[sample]
+            cells += (local * per_node + cls)[:, None]
             table = np.bincount(cells.ravel(), minlength=(hi - lo) * per_node).reshape(hi - lo, nominal.size, w, k)
             del cells
             g, _, q, sizes = _split_scores(parent_h[lo:hi, None], table.astype(np.float64))
             gain[lo:hi, nominal], ratio[lo:hi, nominal] = g, q
             ok[lo:hi, nominal] = np.count_nonzero(sizes >= min_leaf, axis=-1) >= 2
-            lo = hi
-    for a in np.flatnonzero(widths == 0).tolist():
-        found = best_numeric_threshold(X[sample, a], y, node, counts, parent_h, min_leaf)
-        threshold[:, a], gain[:, a], ratio[:, a] = found
-        ok[:, a] = ~np.isnan(threshold[:, a])
+        for a in numeric:
+            found = best_numeric_threshold(X[sample, a], cls, local, counts[lo:hi], parent_h[lo:hi], min_leaf)
+            threshold[lo:hi, a], gain[lo:hi, a], ratio[lo:hi, a] = found
+            ok[lo:hi, a] = ~np.isnan(threshold[lo:hi, a])
+        lo = hi
     return gain, ratio, threshold, ok
 
 
@@ -494,20 +511,30 @@ def grow_bank(
     attributes: Sequence[AttributeMeta],
     class_names: Sequence[str],
     params: C45Params | None = None,
+    training=None,
 ) -> list:
     """Top-down C4.5 induction of one tree per column of ``Y``, one level of the whole bank at a time (no
-    pruning; see prune_ebp / build_tree).
+    pruning; see prune_ebp).
 
-    The open nodes of all the trees are numbered together. Row r of the
-    bank is the pair (tree ``r // n``, feature row ``r % n``) with class
-    ``Y[r % n, r // n]``, so ``X`` is shared, not copied per tree. Each
-    level counts the classes at all its open nodes with one ``np.bincount``
-    and scores every candidate test of every open node at once (see
-    ``_candidates``); the rows then move to their children. A level's
-    nodes, virtual leaves included, are appended in (parent, branch) order,
-    so each tree's own nodes, taken in that order, are in breadth-first
-    order. No choice looks across trees, so each tree is the one its column
-    would grow alone.
+    Each tree has its own set of training rows, all from the one shared
+    ``X``: row r of the bank is the pair (tree ``r // n``, feature row
+    ``r % n``) with class ``Y[r % n, r // n]``, and it exists iff feature
+    row ``r % n`` trains tree ``r // n``. So ``X`` is not copied per tree,
+    and a row may train any number of trees. The open nodes of all the
+    trees are numbered together. Each level counts the classes at all its
+    open nodes with one ``np.bincount`` and scores every candidate test of
+    every open node at once (see ``_candidates``); the rows then move to
+    their children. A level's nodes, virtual leaves included, are appended
+    in (parent, branch) order, so each tree's own nodes, taken in that
+    order, are in breadth-first order. No choice looks across trees, so
+    each tree is the one its column would grow alone from its rows.
+
+    The class list may be a superset of a tree's classes. A class that
+    none of a tree's rows has is a column of zeros in each of its nodes'
+    counts, and it changes no score: the entropy kernel adds an exact 0.0
+    for it, and cumulative counts add it as an exact 0. So taking the
+    counts of the classes the tree has (``counts[:, present]``) gives the
+    tree grown over that class list alone, node for node.
 
     Args:
         X: (n, d) float matrix; nominal columns hold value indices.
@@ -515,10 +542,13 @@ def grow_bank(
         attributes: schema describing the d columns.
         class_names: ordered class list, shared by the trees.
         params: induction parameters (defaults used when None).
+        training: (n, trees) bool, set where feature row i trains tree t;
+            every row trains every tree when None.
 
     Returns the trees in column order. Raises ValidationError, as
-    prediction does, on a value no branch can take: a NaN numeric value or
-    a nominal value that is not an index into its attribute's values.
+    prediction does, on a value of ``X`` that no branch can take: a NaN
+    numeric value or a nominal value that is not an index into its
+    attribute's values.
     """
     params = params or C45Params()
     X = np.asarray(X, dtype=np.float64)
@@ -527,8 +557,11 @@ def grow_bank(
         raise ValidationError("feature matrix shape does not match the attribute schema")
     if Y.ndim != 2 or len(Y) != X.shape[0]:
         raise ValidationError("feature matrix and class vector lengths differ")
+    training = np.ones(Y.shape, dtype=bool) if training is None else np.asarray(training, dtype=bool)
+    if training.shape != Y.shape:
+        raise ValidationError(f"training rows of shape {training.shape} do not match the classes' {Y.shape}")
     n, n_trees = Y.shape
-    if n == 0:
+    if n == 0 or not training.any(axis=0).all():
         raise ValidationError("cannot grow a tree from an empty view")
     k = len(class_names)
     if k < 1 or Y.min(initial=0) < 0 or Y.max(initial=0) >= k:
@@ -548,7 +581,7 @@ def grow_bank(
     y = Y.T.ravel()  # the class of bank row r
 
     levels = []  # (tree, attribute, threshold, branch count, class counts, virtual) of each level's nodes
-    rows = np.arange(n * n_trees)  # the bank rows at the level's reached nodes, grouped by node, ascending in one
+    rows = np.flatnonzero(training.T)  # the bank rows at the level's reached nodes, grouped by node, ascending in one
     node = rows // n  # the reached node of each, numbered among the reached nodes
     reached = np.ones(n_trees, dtype=bool)  # the level's nodes that rows reach; the others are virtual
     owner = np.arange(n_trees)  # the tree of each of the level's nodes
@@ -665,21 +698,6 @@ def prune_ebp(tree: C45Tree, params: C45Params | None = None) -> C45Tree:
         tree.class_names,
         params,
     )
-
-
-def build_tree(
-    X: np.ndarray,
-    y,
-    attributes: Sequence[AttributeMeta],
-    class_names: Sequence[str],
-    params: C45Params | None = None,
-) -> C45Tree:
-    """grow() followed by prune_ebp() when pruning is enabled."""
-    params = params or C45Params()
-    tree = grow(X, y, attributes, class_names, params)
-    if params.pruning:
-        tree = prune_ebp(tree, params)
-    return tree
 
 
 # ---------------------------------------------------------------------------

@@ -323,6 +323,29 @@ class TestMissingTrainingRecords:
         assert not (tmp_path / "out" / "report.json").exists()
 
 
+class TestKFoldRefusals:
+    # every fold's training set is checked before any tree grows; the message names the first failing one
+    def config(self, tmp_path, k: int) -> Path:
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text("id,f0,codes\n" + "".join(f"r{i},{i % 2},{'' if i == 3 else 'I20.0'}\n" for i in range(6)))
+        return write_config(
+            tmp_path,
+            paths={"dataset": str(corpus)},
+            training={"strategy": "label-powerset"},
+            evaluation={"mode": "multilabel", "protocol": "kfold", "k": k},
+        )
+
+    def test_label_powerset_needs_codes_on_every_training_record(self, tmp_path, capsys):
+        assert run(["eval", "--config", self.config(tmp_path, 3)]) == 1
+        assert capsys.readouterr().err == "error: label-powerset training requires non-empty LabelSets: ['r3']\n"
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_more_folds_than_records(self, tmp_path, capsys):
+        assert run(["eval", "--config", self.config(tmp_path, 7)]) == 1
+        assert capsys.readouterr().err == "error: k=7 would leave folds with zero instances\n"
+        assert not (tmp_path / "out" / "report.json").exists()
+
+
 class TestInspectValidate:
     def test_inspect_renders_trees(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

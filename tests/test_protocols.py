@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from chidt.cascade import train_br, train_chidt
+from chidt.cascade import train_br, train_cascades, train_chidt
 from chidt.data import (
     GeneratorConfig,
     GeneratorProfile,
@@ -136,13 +136,12 @@ class TestKFold:
         ds = small_corpus(n=12)
         calls = []
 
-        def trainer(train_ds):
-            calls.append(len(train_ds))
-            return train_chidt(train_ds, strategy="label-powerset")
+        def trainer(ds, training_sets):
+            calls.append([len(ids) for ids in training_sets])
+            return train_cascades(ds, training_sets, strategy="label-powerset")
 
         result = evaluate_kfold(ds, k=12, seed=5, trainer=trainer)
-        assert len(calls) == 12
-        assert all(c == 11 for c in calls)
+        assert calls == [[11] * 12]
         assert result.aggregate.total == 12
 
     def test_fold_sizes_differ_by_at_most_one(self):
@@ -185,8 +184,8 @@ class TestKFold:
     def test_aggregate_pools_counts_and_averages_metrics(self):
         ds = small_corpus(n=30)
 
-        def trainer(train_ds):
-            return train_chidt(train_ds, strategy="label-powerset")
+        def trainer(ds, training_sets):
+            return train_cascades(ds, training_sets, strategy="label-powerset")
 
         result = evaluate_kfold(ds, k=3, seed=9, trainer=trainer)
         assert result.aggregate.correct == sum(f.metrics.correct for f in result.folds)

@@ -40,6 +40,10 @@ ALLOWED = {
     "tree.entropy": "per-row view over _entropy_rows, public API",
     "tree.predict": "per-row view over leaf_distributions",
     "tree.predict_distribution": "per-row view over leaf_distributions",
+    "tree.grow": "one-tree view over grow_bank; the oracle tests grow single trees through it",
+    "cascade.train_chidt": "one-set view over train_cascades, the Python API",
+    "cascade.train_br": "one-set view over the stage banks of train_cascades, the Python API",
+    "cascade.train_label_powerset": "one-set view over the label-powerset trees of train_cascades, the Python API",
     "jsondoc.fail": "raises on malformed input only",
     "tree._refuse": "raises on an unroutable value only",
     "tree._read_nodes.<locals>.path": "names a tree node only in the message of a failed check",

@@ -17,7 +17,6 @@ from chidt.tree import (
     C45Params,
     C45Tree,
     best_numeric_threshold,
-    build_tree,
     entropy,
     grow,
     leaf_distributions,
@@ -404,7 +403,7 @@ class TestPredict:
 
     def test_distributions_sum_to_one(self, weather):
         X, y, attrs, classes = weather
-        tree = build_tree(X, y, attrs, classes, C45Params())
+        tree = prune_ebp(grow(X, y, attrs, classes, C45Params()))
         for i in range(len(y)):
             assert predict_distribution(tree, X[i]).sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -432,7 +431,7 @@ class TestPredict:
 
     def test_agrees_with_argmax_oracle_on_1000_vectors(self, weather):
         X, y, attrs, classes = weather
-        tree = build_tree(X, y, attrs, classes)
+        tree = prune_ebp(grow(X, y, attrs, classes))
         rng = random.Random(6)
         for _ in range(1000):
             x = [
@@ -454,7 +453,7 @@ class TestPredict:
 
     def test_arity_mismatch(self, weather):
         X, y, attrs, classes = weather
-        tree = build_tree(X, y, attrs, classes)
+        tree = prune_ebp(grow(X, y, attrs, classes))
         with pytest.raises(ValidationError, match="slots"):
             predict(tree, [0, 70.0])
         with pytest.raises(ValidationError, match="4-attribute schema"):
@@ -504,7 +503,7 @@ class TestPredict:
 class TestPersistence:
     def test_json_round_trip(self, weather):
         X, y, attrs, classes = weather
-        tree = build_tree(X, y, attrs, classes)
+        tree = prune_ebp(grow(X, y, attrs, classes))
         doc = json.loads(json.dumps(tree.to_dict()))
         again = C45Tree.from_dict(doc)
         assert again.to_dict() == tree.to_dict()
@@ -513,7 +512,7 @@ class TestPersistence:
 
     def test_schema_mismatch_refused(self, weather):
         X, y, attrs, classes = weather
-        tree = build_tree(X, y, attrs, classes)
+        tree = prune_ebp(grow(X, y, attrs, classes))
         doc = tree.to_dict()
         other = binary_attrs(4)
         with pytest.raises(SchemaMismatchError):

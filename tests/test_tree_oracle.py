@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import chidt.tree as tree_module
 import oracle_c45
+from chidt.errors import ValidationError
 from chidt.tree import C45Params, _entropy_rows, grow, grow_bank, prune_ebp
 from conftest import node_thresholds, random_view
 from oracle_c45 import SplitTest, oracle_grow, oracle_prune
@@ -225,6 +226,41 @@ class TestBankMatchesOracle:
             assert tree.to_dict() == expected
             assert prune_ebp(tree).to_dict() == oracle_prune(expected)
 
+    @settings(deadline=None)
+    @given(
+        banks,
+        st.sampled_from([1, 2, 5]),
+        st.sampled_from([None, 1, 3]),
+        st.sampled_from([0.2, 0.6, 1.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_per_tree_rows_grow_each_tree_alone(self, spec, min_leaf, max_depth, share, seed):
+        # each tree trains on its own random rows, which other trees reuse; the shared class list is a
+        # superset of a tree's classes, so the bank tree's counts are cut to the classes its rows have
+        X, Y, attrs, classes = bank(**spec)
+        rng = np.random.default_rng(seed)
+        training = rng.random(Y.shape) < share
+        training[rng.integers(len(Y), size=Y.shape[1]), np.arange(Y.shape[1])] = True  # no tree without rows
+        params = C45Params(min_leaf=min_leaf, max_depth=max_depth, pruning=False)
+        trees = grow_bank(X, Y, attrs, classes, params, training)
+        assert len(trees) == Y.shape[1]
+        for tree, y, rows in zip(trees, Y.T, training.T):
+            own = np.unique(y[rows])
+            names = tuple(classes[c] for c in own)
+            expected = oracle_grow(X[rows], np.searchsorted(own, y[rows]), attrs, names, params)
+            projected = dataclasses.replace(tree, counts=tree.counts[:, own], class_names=names)
+            assert projected.to_dict() == expected
+            assert prune_ebp(projected).to_dict() == oracle_prune(expected)
+
+    def test_a_tree_without_rows_is_refused(self):
+        X, Y, attrs, classes = bank(1, n=20, n_attrs=2, k=3, numeric_share=0.5, n_trees=2)
+        training = np.ones(Y.shape, dtype=bool)
+        training[:, 1] = False
+        with pytest.raises(ValidationError, match="empty view"):
+            grow_bank(X, Y, attrs, classes, C45Params(), training)
+        with pytest.raises(ValidationError, match="do not match"):
+            grow_bank(X, Y, attrs, classes, C45Params(), training[:, :1])
+
     @pytest.mark.parametrize("seed", range(4))
     def test_levels_counted_in_several_chunks(self, monkeypatch, seed):
         # a cell budget far below one bank level: each level is counted in chunks of a node or a few
@@ -233,6 +269,25 @@ class TestBankMatchesOracle:
         params = C45Params(min_leaf=1, pruning=False)
         for tree, y in zip(grow_bank(X, Y, attrs, classes, params), Y.T):
             assert tree.to_dict() == oracle_grow(X, y, attrs, classes, params)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_numeric_only_levels_searched_in_chunks(self, monkeypatch, seed):
+        # with no nominal attribute each row counts one cell: every search sees one node or at most 64 rows
+        monkeypatch.setattr(tree_module, "_TABLE_CELLS", 64)
+        searched = []
+
+        def counted(values, y, node, counts, parent_h, min_leaf):
+            searched.append((len(counts), len(values)))
+            return search(values, y, node, counts, parent_h, min_leaf)
+
+        search = tree_module.best_numeric_threshold
+        monkeypatch.setattr(tree_module, "best_numeric_threshold", counted)
+        X, Y, attrs, classes = bank(seed, n=120, n_attrs=3, k=3, numeric_share=1.0, n_trees=4)
+        params = C45Params(min_leaf=1, pruning=False)
+        for tree, y in zip(grow_bank(X, Y, attrs, classes, params), Y.T):
+            assert tree.to_dict() == oracle_grow(X, y, attrs, classes, params)
+        assert all(nodes == 1 or rows <= 64 for nodes, rows in searched)
+        assert max(rows for _, rows in searched) > 64  # a node of its own may hold more
 
     def test_trees_stop_at_different_depths(self):
         # a one-node tree, a one-split tree and a deep tree grown side by side, at every depth limit
