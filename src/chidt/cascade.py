@@ -26,7 +26,7 @@ from .jsondoc import Fields, code_sets, distinct, fields, flag, items, number, o
 from .ontology import REASONS, ExclusionGroup, ValidCombinationRegistry, _read_registry, combo_key, is_valid
 from .ontology import observed_registry
 from .tree import C45Params, C45Tree, _read_params, _read_schema, _read_tree, grow_bank, leaf_distributions
-from .tree import prune_ebp, schema_fingerprint
+from .tree import prune_ebp, route_bank, schema_fingerprint
 
 BINARY_CLASSES = ("absent", "present")
 
@@ -76,8 +76,8 @@ class BRModel:
     def predict_batch(self, X):
         X = _feature_matrix(self.attributes, X)
         scores = np.empty((len(X), len(self.trees)))
-        for j, tree in enumerate(self.trees):
-            scores[:, j] = leaf_distributions(tree, X)[:, 1]
+        for j, (tree, leaf) in enumerate(zip(self.trees, route_bank(self.trees, X))):
+            scores[:, j] = (tree.counts[:, 1] / tree.counts.sum(axis=1))[leaf]
         return scores >= self.threshold, scores, None
 
     def predict_labels(self, x) -> frozenset:

@@ -227,16 +227,27 @@ def _role_matrix(ids: Sequence[str], roles: Sequence[Mapping], alphabet: Sequenc
 def _distinct_labelsets(indicator: np.ndarray, codes: Sequence[str]):
     """(distinct label sets, per-row index into them) of a label-indicator matrix.
 
-    Rows are bit-packed into byte keys so ``np.unique`` finds the distinct
-    combinations without a Python pass over the rows.
+    The sets come in the byte order of the bit-packed rows, each found at
+    its first row. Rows are bit-packed, padded to whole 8-byte words (one
+    word at least, so no codes is one all-zero key) and read as big-endian
+    ``uint64``, whose numeric order is the byte order: one ``np.lexsort``
+    over the words and one comparison of neighbours find the sets, with
+    no Python pass over the rows.
     """
-    if not len(indicator):
-        return [], np.zeros(0, dtype=np.intp)
-    packed = np.packbits(indicator, axis=1)
-    _, first, inverse = np.unique(packed, axis=0, return_index=True, return_inverse=True)
+    n, width = indicator.shape
+    words = max(1, -(-width // 64))
+    packed = np.zeros((n, 8 * words), dtype=np.uint8)
+    packed[:, : -(-width // 8)] = np.packbits(indicator, axis=1)
+    keys = packed.view(">u8")
+    order = np.lexsort(keys.T[::-1])  # stable, the first word the primary key
+    keys = keys[order]
+    new = np.ones(n, dtype=bool)
+    new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
     names = np.asarray(codes, dtype=object)
-    distinct = [frozenset(names[indicator[i]]) for i in first]
-    return distinct, inverse.reshape(-1)
+    distinct = [frozenset(names[indicator[i]]) for i in order[new]]
+    return distinct, inverse
 
 
 def _principal_columns(indicator: np.ndarray, roles: np.ndarray | None = None) -> np.ndarray:

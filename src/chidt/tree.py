@@ -36,8 +36,9 @@ test oracle.
 
 A tree is one set of flat arrays in breadth-first order (``C45Tree``):
 growth appends each level's nodes, pruning is one pass in reverse order,
-prediction indexes the child table, and writing, reading and rendering
-walk the arrays or an explicit queue or stack. Nothing recurses, so any
+prediction routes a bank's trees as one forest over their concatenated
+child tables (``route_bank``), and writing, reading and rendering walk
+the arrays or an explicit queue or stack. Nothing recurses, so any
 depth that JSON can nest works. The oracle module also keeps the
 recursive pruning that the reverse pass replaced.
 """
@@ -568,8 +569,7 @@ def grow_bank(
         raise ValidationError("class indices fall outside the class list")
     if not n_trees:
         return []
-    numeric = np.array([a.is_numeric for a in attributes], dtype=bool)
-    widths = np.array([0 if a.is_numeric else len(a.values) for a in attributes], dtype=np.intp)
+    numeric, widths = _schema_kinds(attributes)
     bad = _unroutable(X, numeric, widths)
     if bad.any():
         i, j = divmod(int(np.argmax(bad)), X.shape[1])
@@ -724,38 +724,95 @@ def _refuse(value: float, numeric: bool, name: str):
     raise ValidationError(f"value index {value:g} outside the domain of {name!r}")
 
 
-def _branches(tree: C45Tree, n_branches: np.ndarray, at: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Branch taken at nodes ``at`` by ``values``; fails closed on values no branch can take."""
-    threshold = tree.threshold[at]
+def _schema_kinds(attributes: Sequence[AttributeMeta]) -> tuple:
+    """(numeric flag, value count, 0 at a numeric attribute) arrays of a schema's attributes."""
+    numeric = np.array([a.is_numeric for a in attributes], dtype=bool)
+    widths = np.array([0 if a.is_numeric else len(a.values) for a in attributes], dtype=np.intp)
+    return numeric, widths
+
+
+def route_bank(trees: Sequence[C45Tree], X) -> np.ndarray:
+    """(trees, n) array: the leaf that each row of ``X`` reaches in each of ``trees``, which share one
+    schema, as a node index of that tree.
+
+    The trees are routed as one forest: their node arrays are concatenated,
+    with each tree's child indices offset by the nodes before it, and every
+    (tree, row) pair moves down one level at a time.
+    Each step gathers the tested value of every pair still at a split
+    node, from a column-major copy of the rows, and indexes the child
+    table; the pairs that reached a leaf drop out. Rows go in blocks whose
+    pairs and column copy hold at most ``_TABLE_CELLS`` cells together, one
+    per pair and one per value, so the arrays of a step stay small. The
+    forest is built anew on each call from the trees.
+
+    A value that no branch can take (see ``_unroutable``) is refused where
+    a reached test reads it; a value that no reached test reads is never
+    looked at. The refusal is the one that routing tree by tree, each tree
+    a level at a time over all rows, would meet first: that of the first
+    tree, then the shallowest level, then the first row.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if not trees:
+        return np.zeros((0, len(X)), dtype=np.intp)
+    attributes = trees[0].attributes
+    if X.ndim != 2 or X.shape[1] != len(attributes):
+        raise ValidationError(
+            f"feature matrix of shape {X.shape} does not match the {len(attributes)}-attribute schema"
+        )
+    sizes = [tree.n_nodes for tree in trees]
+    offsets = np.cumsum([0] + sizes[:-1])
+    width = max(tree.children.shape[1] for tree in trees)
+    children = np.full((sum(sizes), width), -1, dtype=np.intp)
+    for tree, offset in zip(trees, offsets.tolist()):
+        local = tree.children
+        children[offset : offset + tree.n_nodes, : local.shape[1]] = np.where(local >= 0, local + offset, -1)
+    children = children.ravel()
+    attr = np.concatenate([tree.attr for tree in trees])
+    threshold = np.concatenate([tree.threshold for tree in trees])
     numeric = ~np.isnan(threshold)
-    bad = _unroutable(values, numeric, n_branches[at])
-    if bad.any():
-        i = int(np.argmax(bad))
-        _refuse(values[i], numeric[i], tree.attributes[tree.attr[at[i]]].name)
-    return np.where(numeric, values > threshold, values).astype(np.intp)
+    is_numeric, widths = _schema_kinds(attributes)
+    owner = np.repeat(np.arange(len(trees)), sizes)  # the tree of each node
+    refusal = None  # (tree, level, row, attribute) of the first refusal met so far
+
+    n, n_trees = len(X), len(trees)
+    leaves = np.empty((n_trees, n), dtype=np.intp)
+    step = max(1, _TABLE_CELLS // (n_trees + len(attributes)))  # rows whose pairs and column copy fit the cells
+    for lo in range(0, n, step):
+        b = min(step, n - lo)
+        columns = X[lo : lo + b].T.ravel()  # column-major: value (row r, attribute a) at a * b + r
+        bad = _unroutable(columns.reshape(-1, b), is_numeric[:, None], widths[:, None]).ravel()
+        bad = bad if bad.any() else None
+        # pair p is (tree p // b, row p % b): at a split node of its tree, it reads cell p + shift of ``columns``
+        shift = (attr - owner) * b
+        node = np.repeat(offsets, b)
+        pair = np.flatnonzero(attr[node] >= 0)  # the pairs at a split node, with their nodes
+        at = node[pair]
+        level = 0
+        while pair.size:
+            cell = shift[at] + pair
+            hit = None if bad is None else bad[cell]
+            if hit is not None and hit.any():  # refuse the first, route the others on
+                i = int(np.argmax(hit))
+                first = (int(pair[i]) // b, level, lo + int(pair[i]) % b, int(attr[at[i]]))
+                refusal = first if refusal is None else min(refusal, first)
+                pair, at, cell = pair[~hit], at[~hit], cell[~hit]
+            values = columns[cell]
+            at = children[at * width + np.where(numeric[at], values > threshold[at], values).astype(np.intp)]
+            node[pair] = at
+            split = np.flatnonzero(attr[at] >= 0)
+            pair, at = pair[split], at[split]
+            level += 1
+        leaves[:, lo : lo + b] = node.reshape(n_trees, b) - offsets[:, None]
+    if refusal is not None:
+        _, _, row, a = refusal
+        _refuse(X[row, a], attributes[a].is_numeric, attributes[a].name)
+    return leaves
 
 
 def leaf_distributions(tree: C45Tree, X) -> np.ndarray:
-    """(n, classes) distributions of the leaves the rows of ``X`` reach, each count row normalized to sum 1.
-
-    All rows move down one level at a time: each step gathers the tested
-    value of every row still at a split node and indexes the child table.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != len(tree.attributes):
-        raise ValidationError(
-            f"feature matrix of shape {X.shape} does not match the {len(tree.attributes)}-attribute schema"
-        )
-    n_branches = tree.n_branches
-    node = np.zeros(len(X), dtype=np.intp)
-    rows = np.arange(len(X)) if tree.attr[0] >= 0 else np.zeros(0, dtype=np.intp)
-    while rows.size:
-        at = node[rows]
-        step = tree.children[at, _branches(tree, n_branches, at, X[rows, tree.attr[at]])]
-        node[rows] = step
-        rows = rows[tree.attr[step] >= 0]
-    counts = tree.counts[node]
-    return counts / counts.sum(axis=1, keepdims=True)
+    """(n, classes) distributions of the leaves the rows of ``X`` reach, each count row normalized to sum 1:
+    the one-tree view of ``route_bank``."""
+    return (tree.counts / tree.counts.sum(axis=1, keepdims=True))[route_bank([tree], X)[0]]
 
 
 def predict_distribution(tree: C45Tree, x) -> np.ndarray:

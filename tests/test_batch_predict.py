@@ -6,6 +6,12 @@ document, per-record BR and label-powerset scoring, and the per-record
 cascade. ``predict_batch`` must reproduce their scores bit for bit, their
 reasons exactly and their label sets as rows of a bool label indicator, and
 the cascade must call stage 2 once, on exactly the triggered rows.
+
+A bank is routed as one forest (``route_bank``). Besides the per-record
+walk, its oracle is the routing it replaced: each tree on its own, all rows
+a level at a time, refusing an unroutable value where a reached test reads
+it. The forest must reach the same leaves, or refuse with the same message,
+whatever the block size.
 """
 
 from __future__ import annotations
@@ -16,7 +22,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import chidt.tree
 from chidt.cascade import (
+    BINARY_CLASSES,
     BRModel,
     LPModel,
     STRATEGIES,
@@ -34,7 +42,7 @@ from chidt.ontology import (
     is_valid,
     observed_registry,
 )
-from chidt.tree import C45Params, grow, leaf_distributions, prune_ebp
+from chidt.tree import C45Params, _refuse, _unroutable, grow, grow_bank, leaf_distributions, prune_ebp, route_bank
 
 from conftest import binary_attrs, leaf_tree
 from test_tree import random_view
@@ -63,6 +71,31 @@ def oracle_route(tree, x) -> dict:
                 raise ValidationError(f"value index {value!r} outside the domain of {attr.name!r}")
             node = node["children"][idx]
     return node
+
+
+def oracle_tree_walk(tree, X) -> np.ndarray:
+    """The leaf each row of ``X`` reaches: one tree on its own, all rows a level at a time, a value no branch
+    can take refused at the first level where a reached test reads it, at the first such row."""
+    n_branches = tree.n_branches
+    node = np.zeros(len(X), dtype=np.intp)
+    rows = np.arange(len(X)) if tree.attr[0] >= 0 else np.zeros(0, dtype=np.intp)
+    while rows.size:
+        at = node[rows]
+        values, threshold = X[rows, tree.attr[at]], tree.threshold[at]
+        numeric = ~np.isnan(threshold)
+        bad = _unroutable(values, numeric, n_branches[at])
+        if bad.any():
+            i = int(np.argmax(bad))
+            _refuse(values[i], numeric[i], tree.attributes[tree.attr[at[i]]].name)
+        step = tree.children[at, np.where(numeric, values > threshold, values).astype(np.intp)]
+        node[rows] = step
+        rows = rows[tree.attr[step] >= 0]
+    return node
+
+
+def oracle_bank_walk(trees, X) -> np.ndarray:
+    """(trees, n) leaves of a bank, routed tree by tree: the first tree that meets a refusal raises it."""
+    return np.array([oracle_tree_walk(tree, X) for tree in trees], dtype=np.intp).reshape(len(trees), len(X))
 
 
 def oracle_distribution(tree, x) -> np.ndarray:
@@ -147,6 +180,37 @@ def random_cascade(rng, strategy: str, fallback: bool):
     return model, Q
 
 
+def random_bank(rng, n_trees: int):
+    """A BR model of ``n_trees`` trees grown together over mixed nominal (2 to 5 values) and numeric
+    attributes, one of them a leaf-only (constant-code) tree, about half of them pruned, plus its rows."""
+    n = rng.randrange(4, 40)
+    X, _, attributes, _ = random_view(rng, n, rng.randrange(1, 5), 2, widths=(2, 6))
+    Y = np.array([[rng.randrange(2) for _ in range(n_trees)] for _ in range(n)], dtype=np.int64)
+    Y[:, rng.randrange(n_trees)] = rng.randrange(2)
+    trees = grow_bank(X, Y, attributes, BINARY_CLASSES, C45Params(min_leaf=rng.randrange(1, 3)))
+    trees = tuple(prune_ebp(tree) if rng.random() < 0.5 else tree for tree in trees)
+    codes = tuple(f"k{j}" for j in range(n_trees))
+    return BRModel(codes=codes, trees=trees, attributes=attributes, threshold=rng.choice((0.3, 0.5))), X
+
+
+def spoil(rng, attributes, Q, share: float) -> np.ndarray:
+    """A copy of ``Q`` with about ``share`` of its cells set to values no branch can take."""
+    Q = Q.copy()
+    for i, j in np.ndindex(*Q.shape):
+        if rng.random() < share:
+            a = attributes[j]
+            Q[i, j] = np.nan if a.kind != NOMINAL else rng.choice((np.nan, np.inf, -1.0, 0.5, len(a.values)))
+    return Q
+
+
+def outcome(route, *args):
+    """What ``route`` returns, or the message of the ValidationError it raises."""
+    try:
+        return route(*args)
+    except ValidationError as e:
+        return str(e)
+
+
 def assert_indicator(Y, labelsets, codes) -> None:
     """``Y`` is the n x len(codes) bool label indicator of the per-record label sets."""
     assert Y.dtype == bool and Y.shape == (len(labelsets), len(codes))
@@ -188,6 +252,99 @@ def test_tree_generator_reaches_virtual_leaves_and_numeric_splits():
         virtual += bool(tree.virtual.any())
         numeric += bool((~np.isnan(tree.threshold)).any())
     assert virtual and numeric
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_trees=st.integers(1, 6),
+    cells=st.sampled_from((1, 2, 7, 24, 1 << 16)),
+)
+def test_bank_scores_equal_per_record_walk(seed, n_trees, cells):
+    """BR scores from one forest per bank, routed in blocks of at most ``cells`` (tree, row) pairs, equal the
+    per-record walk down each tree bit for bit, and the forest reaches the leaves of the per-tree walk."""
+    rng = random.Random(seed)
+    model, X = random_bank(rng, n_trees)
+    Q = np.vstack([X, random_queries(rng, model.attributes, rng.randrange(0, 40))])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chidt.tree, "_TABLE_CELLS", cells)
+        Y, scores, _ = model.predict_batch(Q)
+        leaves = route_bank(model.trees, Q)
+    want = [oracle_stage(model, q) for q in Q]
+    assert np.array_equal(scores, np.vstack([w[1] for w in want]))
+    assert_indicator(Y, [w[0] for w in want], model.codes)
+    assert leaves.dtype == np.intp and np.array_equal(leaves, oracle_bank_walk(model.trees, Q))
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_trees=st.integers(1, 6),
+    cells=st.sampled_from((1, 3, 16, 1 << 16)),
+    share=st.sampled_from((0.02, 0.1, 0.3)),
+)
+def test_bank_refuses_what_the_per_tree_walk_refuses_first(seed, n_trees, cells, share):
+    """With unroutable values scattered over the rows, the forest either reaches the per-tree walk's leaves
+    or refuses with its message: that of the first tree, shallowest level and first row, in any blocks."""
+    rng = random.Random(seed)
+    model, X = random_bank(rng, n_trees)
+    Q = spoil(rng, model.attributes, np.vstack([X, random_queries(rng, model.attributes, 20)]), share)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chidt.tree, "_TABLE_CELLS", cells)
+        got = outcome(route_bank, model.trees, Q)
+    want = outcome(oracle_bank_walk, model.trees, Q)
+    assert type(got) is type(want)
+    assert got == want if isinstance(want, str) else np.array_equal(got, want)
+
+
+def test_bank_generator_reaches_every_kind_of_tree():
+    rng = random.Random(5)
+    leaf_only = numeric = wide = 0
+    for _ in range(30):
+        model, _ = random_bank(rng, rng.randrange(1, 6))
+        for tree in model.trees:
+            leaf_only += bool(tree.attr[0] < 0)
+            numeric += bool((~np.isnan(tree.threshold)).any())
+            wide += bool((tree.n_branches > 2).any())
+    assert leaf_only and numeric and wide
+
+
+@pytest.mark.parametrize("extra", (-1, 0, 1, 6))
+def test_bank_rows_on_both_sides_of_a_block_boundary(monkeypatch, extra):
+    model, X = random_bank(random.Random(8), 4)
+    monkeypatch.setattr(chidt.tree, "_TABLE_CELLS", 4 * 6)  # blocks of 6 rows
+    Q = random_queries(random.Random(9), model.attributes, 12 + extra)
+    _, scores, _ = model.predict_batch(Q)
+    assert np.array_equal(scores, np.vstack([oracle_stage(model, q)[1] for q in Q]))
+    assert np.array_equal(route_bank(model.trees, Q), oracle_bank_walk(model.trees, Q))
+
+
+def one_test_bank(n_trees: int):
+    """A BR model over binary f0..f{n-1}: tree j tests f{j} at its root and predicts it."""
+    attributes = binary_attrs(n_trees)
+    X = np.array(list(np.ndindex(*(2,) * n_trees)), dtype=np.float64)
+    trees = tuple(grow(X, X[:, j].astype(np.int64), attributes, BINARY_CLASSES) for j in range(n_trees))
+    assert [int(tree.attr[0]) for tree in trees] == list(range(n_trees))
+    return BRModel(codes=tuple(f"k{j}" for j in range(n_trees)), trees=trees, attributes=attributes), X
+
+
+def test_unroutable_value_in_the_third_trees_test_is_refused_as_before():
+    model, X = one_test_bank(4)
+    Q = X.copy()
+    Q[5, 2] = 3.0
+    message = "value index 3 outside the domain of 'f2'"
+    with pytest.raises(ValidationError) as raised:
+        model.predict_batch(Q)
+    assert str(raised.value) == message == outcome(oracle_bank_walk, model.trees, Q)
+
+
+def test_unroutable_value_no_reached_test_reads_still_routes():
+    model, X = one_test_bank(3)
+    trees = model.trees[:2]  # no tree tests f2
+    Q = X.copy()
+    Q[:4, 2] = (np.nan, np.inf, 1.5, 7.0)
+    assert np.array_equal(route_bank(trees, Q), route_bank(trees, X))
+    assert np.array_equal(route_bank(trees, Q), oracle_bank_walk(trees, X))
 
 
 @settings(deadline=None)

@@ -38,8 +38,8 @@ ALLOWED = {
     "cascade.ChiDTModel.predict_labels": "per-row view over predict_batch",
     "cascade.ChiDTModel.predict_with_scores": "per-row view over predict_batch; the benchmark tracer wraps it",
     "tree.entropy": "per-row view over _entropy_rows, public API",
-    "tree.predict": "per-row view over leaf_distributions",
-    "tree.predict_distribution": "per-row view over leaf_distributions",
+    "tree.predict": "per-row view over leaf_distributions, the one-tree view of route_bank",
+    "tree.predict_distribution": "per-row view over leaf_distributions, the one-tree view of route_bank",
     "tree.grow": "one-tree view over grow_bank; the oracle tests grow single trees through it",
     "cascade.train_chidt": "one-set view over train_cascades, the Python API",
     "cascade.train_br": "one-set view over the stage banks of train_cascades, the Python API",
