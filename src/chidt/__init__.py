@@ -14,10 +14,8 @@ from .cascade import (
     LPModel,
     model_from_dict,
     model_to_dict,
-    train_br,
     train_cascades,
     train_chidt,
-    train_label_powerset,
 )
 from .data import (
     AttributeMeta,
@@ -63,11 +61,7 @@ from .tree import (
     C45Params,
     C45Tree,
     best_numeric_threshold,
-    entropy,
-    grow,
     grow_bank,
-    predict,
-    predict_distribution,
     prune_ebp,
 )
 
@@ -96,7 +90,6 @@ __all__ = [
     "best_numeric_threshold",
     "combo_key",
     "cover_all_labels_split",
-    "entropy",
     "evaluate_holdout",
     "evaluate_kfold",
     "evaluate_predictions",
@@ -104,7 +97,6 @@ __all__ = [
     "export_csv",
     "format_report",
     "generate_synthetic",
-    "grow",
     "grow_bank",
     "is_valid",
     "kappa",
@@ -117,12 +109,8 @@ __all__ = [
     "model_to_dict",
     "normalize_term",
     "observed_registry",
-    "predict",
-    "predict_distribution",
     "probabilistic_errors",
     "prune_ebp",
-    "train_br",
     "train_cascades",
     "train_chidt",
-    "train_label_powerset",
 ]

@@ -47,14 +47,6 @@ def _feature_matrix(attributes: Sequence[AttributeMeta], X) -> np.ndarray:
     return X
 
 
-def _one_row(model, x):
-    """``model.predict_batch`` on the single feature vector ``x``, unpacked: the row's labels as a frozenset,
-    its scores and its reason string (None for a single stage)."""
-    Y, scores, reasons = model.predict_batch(np.asarray(x, dtype=np.float64)[None])
-    labels = frozenset(code for code, on in zip(model.codes, Y[0]) if on)
-    return labels, scores[0], None if reasons is None else REASONS[reasons[0]]
-
-
 @dataclass
 class BRModel:
     """One binary tree per code; a code is predicted present when its
@@ -80,12 +72,6 @@ class BRModel:
             scores[:, j] = (tree.counts[:, 1] / tree.counts.sum(axis=1))[leaf]
         return scores >= self.threshold, scores, None
 
-    def predict_labels(self, x) -> frozenset:
-        return _one_row(self, x)[0]
-
-    def predict_with_scores(self, x):
-        return _one_row(self, x)
-
     def to_dict(self) -> dict:
         return {
             "kind": "br",
@@ -93,7 +79,7 @@ class BRModel:
             "threshold": self.threshold,
             "params": self.params.to_dict(),
             "constant_codes": dict(sorted(self.constant_codes.items())),
-            "trees": [t.to_dict(embed_schema=False) for t in self.trees],
+            "trees": [t.to_dict() for t in self.trees],
         }
 
 
@@ -133,18 +119,12 @@ class LPModel:
             scores[:, member] += dist[:, k, None]
         return members[np.argmax(dist, axis=1)], scores, None
 
-    def predict_labels(self, x) -> frozenset:
-        return _one_row(self, x)[0]
-
-    def predict_with_scores(self, x):
-        return _one_row(self, x)
-
     def to_dict(self) -> dict:
         return {
             "kind": "lp",
             "combos": [sorted(c) for c in self.combos],
             "params": self.params.to_dict(),
-            "tree": self.tree.to_dict(embed_schema=False),
+            "tree": self.tree.to_dict(),
         }
 
 
@@ -177,7 +157,7 @@ def _br_banks(ds: Dataset, training: np.ndarray, params: C45Params, threshold: f
     Y, rows = np.tile(ds.Y, n_sets), np.repeat(training, n_codes, axis=1)
     trees = grow_bank(ds.feature_matrix(), Y, ds.attributes, BINARY_CLASSES, params, rows)
     if params.pruning:
-        trees = [prune_ebp(tree, params) for tree in trees]
+        trees = [prune_ebp(tree) for tree in trees]
     return [
         BRModel(ds.label_alphabet, tuple(trees[s * n_codes : (s + 1) * n_codes]), ds.attributes, threshold, params)
         for s in range(n_sets)
@@ -208,32 +188,9 @@ def _lp_trees(ds: Dataset, training: np.ndarray, params: C45Params) -> list:
         own = np.flatnonzero(own)
         tree = replace(tree, counts=tree.counts[:, own], class_names=tuple(names[c] for c in own))
         if params.pruning:
-            tree = prune_ebp(tree, params)
+            tree = prune_ebp(tree)
         models.append(LPModel(tree, tuple(combos[c] for c in own), ds.label_alphabet, ds.attributes, params))
     return models
-
-
-def train_br(ds: Dataset, params: C45Params | None = None, threshold: float = 0.5) -> BRModel:
-    """Train one binary C4.5 problem per code of the dataset's alphabet.
-
-    Codes with no positive (or no negative) training example yield constant
-    leaf trees, which the model's ``constant_codes`` lists, so the model's
-    alphabet always equals the dataset's.
-    """
-    if not len(ds):
-        raise ValidationError("cannot train on an empty dataset")
-    if not ds.label_alphabet:
-        raise ValidationError("cannot train with an empty label alphabet")
-    return _br_banks(ds, np.ones((len(ds), 1), dtype=bool), params or C45Params(), threshold)[0]
-
-
-def train_label_powerset(ds: Dataset, params: C45Params | None = None) -> LPModel:
-    """Train one multi-class tree whose classes are the observed combinations."""
-    if not len(ds):
-        raise ValidationError("cannot train on an empty dataset")
-    training = np.ones((len(ds), 1), dtype=bool)
-    _refuse_empty_labelsets(ds, training)
-    return _lp_trees(ds, training, params or C45Params())[0]
 
 
 @dataclass
@@ -244,9 +201,8 @@ class ChiDTModel:
     ``codes`` plus ``predict_batch(X) -> (n x codes bool label indicator,
     n x codes scores, uint8 reason per row | None)``; a reason indexes
     ``REASONS``, 0 meaning the row passed the check. ``predict_with_scores(x)``
-    and ``predict_labels(x)`` are one-row views over it that return the
-    row's labels as a frozenset. ``training_ids`` are the records both
-    stages were trained on.
+    is the one per-record view over it. ``training_ids`` are the records
+    both stages were trained on.
     """
 
     stage1: BRModel
@@ -274,12 +230,11 @@ class ChiDTModel:
     def codes(self) -> tuple:
         return self.stage1.codes
 
-    def predict_labels(self, x) -> frozenset:
-        return _one_row(self, x)[0]
-
     def predict_with_scores(self, x):
-        """(final labels, per-code scores from the stage that produced them, reason string)."""
-        return _one_row(self, x)
+        """(final labels as a frozenset, per-code scores from the stage that produced them, reason string) of
+        the single feature vector ``x``: row 0 of ``predict_batch``."""
+        Y, scores, reasons = self.predict_batch(np.asarray(x, dtype=np.float64)[None])
+        return frozenset(code for code, on in zip(self.codes, Y[0]) if on), scores[0], REASONS[reasons[0]]
 
     def predict_batch(self, X):
         """(final label indicator, scores, reasons) per row of ``X``.

@@ -54,7 +54,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import AttributeMeta, NOMINAL, NUMERIC
-from .errors import SchemaMismatchError, ValidationError
+from .errors import ValidationError
 from .jsondoc import MAX, Fields, fail, field_names, fields, flag, integer, items, number, one_of, strings, text
 
 # gains at or below this are treated as zero when ranking candidates
@@ -90,22 +90,6 @@ def _read_params(doc, where: str) -> C45Params:
         pruning=f.get("pruning", flag, True),
         max_depth=f.optional("max_depth", integer),
     )
-
-
-def entropy(weights) -> float:
-    """Shannon entropy, in bits, of a nonnegative weight vector: the one-row view of ``_entropy_rows``."""
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1:
-        raise ValidationError(f"class weights must be one vector, got {w.ndim} dimensions")
-    if np.any(w < 0):
-        raise ValidationError("class weights must be nonnegative")
-    with np.errstate(over="ignore"):
-        total = w.sum()
-    if not np.isfinite(total):
-        raise ValidationError("class weights and their total must be finite")
-    if total <= 0:
-        raise ValidationError("entropy undefined for zero total weight")
-    return float(_entropy_rows(w[None])[0])
 
 
 def _entropy_rows(C: np.ndarray) -> np.ndarray:
@@ -343,7 +327,7 @@ class C45Tree:
         """Each node's branch count, 0 at a leaf."""
         return np.count_nonzero(self.children >= 0, axis=1)
 
-    def to_dict(self, embed_schema: bool = True) -> dict:
+    def to_dict(self) -> dict:
         """The tree as nested node documents, built children first, so that no depth recurses."""
         attr, threshold, children = self.attr.tolist(), self.threshold.tolist(), self.children.tolist()
         counts, majority, virtual = self.counts.tolist(), self.majority.tolist(), self.virtual.tolist()
@@ -362,15 +346,7 @@ class C45Tree:
                 test["threshold"] = threshold[i]
             nodes[i] = {"kind": "split", "test": test, "counts": counts[i], "majority": majority[i]}
             nodes[i]["children"] = branches
-        doc = {"root": nodes[0], "params": self.params.to_dict()}
-        if embed_schema:
-            doc["schema"] = schema_fingerprint(self.attributes, self.class_names)
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc, attributes=None, class_names=None) -> "C45Tree":
-        """Read ``to_dict`` output; ``attributes`` and ``class_names`` stand in for an unembedded schema."""
-        return _read_tree(doc, "tree", attributes, class_names)
+        return {"root": nodes[0], "params": self.params.to_dict()}
 
 
 def _tree(attr, threshold, n_branches, counts, virtual, attributes, class_names, params) -> C45Tree:
@@ -391,14 +367,8 @@ def _tree(attr, threshold, n_branches, counts, virtual, attributes, class_names,
 
 
 def _read_tree(doc, where: str, attributes, class_names) -> C45Tree:
-    f = Fields(doc, where, ("root", "params", "schema"), ("root",))
-    stored = f.optional("schema", _read_schema)
-    if attributes is None or class_names is None:
-        if stored is None:
-            raise ValidationError(f"{where} has no schema and none was supplied")
-        attributes, class_names = stored
-    elif stored is not None and schema_fingerprint(*stored) != schema_fingerprint(attributes, class_names):
-        raise SchemaMismatchError("stored tree was built against a different schema")
+    """A ``C45Tree.to_dict`` document, read against the model's schema: its ``attributes`` and ``class_names``."""
+    f = Fields(doc, where, ("root", "params"), ("root",))
     nodes = _read_nodes(doc["root"], f.path("root"), tuple(attributes), len(class_names))
     return _tree(*nodes, attributes, class_names, f.get("params", _read_params, C45Params()))
 
@@ -462,7 +432,7 @@ def _read_nodes(root, where: str, attributes: tuple, n_classes: int) -> tuple:
             fields(doc, path(), *_NODE_KEYS[kind])
         c = doc["counts"]
         valid = type(c) is list and len(c) == n_classes
-        if not (valid and all(type(v) in (int, float) and 0 <= v <= MAX for v in c) and sum(c) > 0):
+        if not (valid and all(type(v) in (int, float) and 0 <= v <= MAX for v in c) and 0 < sum(c) <= MAX):
             expected = f"{n_classes} finite non-negative counts with a positive sum"
             fail(f"{path()}.counts", expected, c)
         m = doc["majority"]
@@ -626,17 +596,6 @@ def grow_bank(
     ]
 
 
-def grow(
-    X: np.ndarray,
-    y,
-    attributes: Sequence[AttributeMeta],
-    class_names: Sequence[str],
-    params: C45Params | None = None,
-) -> C45Tree:
-    """One tree grown from the integer classes ``y``: the one-tree bank of ``grow_bank``."""
-    return grow_bank(X, np.asarray(y)[:, None], attributes, class_names, params)[0]
-
-
 # ---------------------------------------------------------------------------
 # Error-based pruning
 # ---------------------------------------------------------------------------
@@ -657,8 +616,9 @@ def pessimistic_errors(n: float, e: float, cf: float) -> float:
     return n * u
 
 
-def prune_ebp(tree: C45Tree, params: C45Params | None = None) -> C45Tree:
-    """Bottom-up subtree replacement using the pessimistic error bound; ``tree`` itself is unchanged.
+def prune_ebp(tree: C45Tree) -> C45Tree:
+    """Bottom-up subtree replacement using the pessimistic error bound at the confidence factor of
+    ``tree.params``, the parameters it was grown with; ``tree`` itself is unchanged.
 
     A subtree collapses to a majority leaf whenever the leaf's pessimistic
     error is no worse than the sum over the subtree's leaves, so node count
@@ -667,13 +627,12 @@ def prune_ebp(tree: C45Tree, params: C45Params | None = None) -> C45Tree:
     subtree's error is summed over its children in branch order. The nodes
     below a collapsed one are then dropped, the rest keeping their order.
     """
-    params = params or tree.params
     n = tree.counts.sum(axis=1)
     n, e, virtual = n.tolist(), (n - tree.counts.max(axis=1)).tolist(), tree.virtual.tolist()
     attr, children = tree.attr.tolist(), tree.children.tolist()
     error = [0.0] * tree.n_nodes  # of each subtree, as pruned
     for i in reversed(range(tree.n_nodes)):
-        error[i] = 0.0 if virtual[i] else pessimistic_errors(n[i], e[i], params.confidence_factor)
+        error[i] = 0.0 if virtual[i] else pessimistic_errors(n[i], e[i], tree.params.confidence_factor)
         if attr[i] >= 0:
             as_subtree = sum(error[c] for c in children[i] if c >= 0)
             if error[i] <= as_subtree:
@@ -696,7 +655,7 @@ def prune_ebp(tree: C45Tree, params: C45Params | None = None) -> C45Tree:
         tree.virtual[keep],
         tree.attributes,
         tree.class_names,
-        params,
+        tree.params,
     )
 
 
@@ -813,21 +772,6 @@ def leaf_distributions(tree: C45Tree, X) -> np.ndarray:
     """(n, classes) distributions of the leaves the rows of ``X`` reach, each count row normalized to sum 1:
     the one-tree view of ``route_bank``."""
     return (tree.counts / tree.counts.sum(axis=1, keepdims=True))[route_bank([tree], X)[0]]
-
-
-def predict_distribution(tree: C45Tree, x) -> np.ndarray:
-    """Class distribution at the leaf reached by ``x``, normalized to sum 1."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or len(x) != len(tree.attributes):
-        raise ValidationError(
-            f"feature vector has {x.size} slots, schema defines {len(tree.attributes)}"
-        )
-    return leaf_distributions(tree, x[None, :])[0]
-
-
-def predict(tree: C45Tree, x) -> int:
-    """Majority class index at the leaf reached by ``x`` (lowest index on ties)."""
-    return int(np.argmax(predict_distribution(tree, x)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import settings
 
 from chidt.data import AttributeMeta, Dataset, NOMINAL, NUMERIC, Record
-from chidt.tree import C45Tree, _entropy_rows, best_numeric_threshold
+from chidt.ontology import REASONS
+from chidt.tree import C45Tree, _entropy_rows, _read_tree, best_numeric_threshold
 
 # a deeper, reproducible run of the property suites: pytest --hypothesis-profile=oracle-deep
 settings.register_profile("oracle-deep", max_examples=1500, derandomize=True, deadline=None)
@@ -70,7 +71,15 @@ def binary_attrs(n: int):
 def leaf_tree(counts, attributes, class_names) -> C45Tree:
     """A tree that is one leaf with the given class counts."""
     root = {"kind": "leaf", "counts": [float(c) for c in counts], "majority": int(np.argmax(counts))}
-    return C45Tree.from_dict({"root": root}, attributes=attributes, class_names=class_names)
+    return _read_tree({"root": root}, "tree", attributes, class_names)
+
+
+def batch_rows(model, X) -> tuple:
+    """``model.predict_batch(X)`` read row by row: (each row's labels as a frozenset, the scores, each row's
+    reason string, or None for a single stage)."""
+    Y, scores, reasons = model.predict_batch(np.asarray(X, dtype=np.float64))
+    labels = [frozenset(code for code, on in zip(model.codes, row) if on) for row in Y]
+    return labels, scores, None if reasons is None else [REASONS[r] for r in reasons]
 
 
 def make_dataset(feature_rows, labelsets, alphabet=None, roles=None):

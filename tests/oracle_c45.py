@@ -4,8 +4,9 @@ One node at a time and one attribute at a time: every nominal candidate
 splits the node's rows into branches and scores them with scalar
 ``entropy`` calls, and every numeric candidate walks the sorted rows in a
 Python loop. ``oracle_grow(...)`` builds the nested node documents of
-``C45Tree.to_dict`` directly and must equal ``grow(...).to_dict()`` for
-every input, so the table-driven induction is checked tree for tree.
+``C45Tree.to_dict`` directly and must equal the ``to_dict()`` of the tree
+that ``grow_bank`` grows from the same class column, for every input, so
+the table-driven induction is checked tree for tree.
 ``oracle_prune`` prunes such a document by recursive subtree replacement
 and must equal what ``prune_ebp`` makes of the flat tree.
 """
@@ -19,7 +20,7 @@ import numpy as np
 
 from chidt.data import AttributeMeta, NUMERIC
 from chidt.errors import ValidationError
-from chidt.tree import GAIN_EPS, C45Params, pessimistic_errors, schema_fingerprint
+from chidt.tree import GAIN_EPS, C45Params, pessimistic_errors
 
 
 @dataclass(frozen=True)
@@ -213,7 +214,7 @@ def oracle_grow(
         return {"kind": "split", "test": test, "counts": counts.tolist(), "majority": majority, "children": children}
 
     root = build(np.arange(len(y)), 0)
-    return {"root": root, "params": params.to_dict(), "schema": schema_fingerprint(attributes, class_names)}
+    return {"root": root, "params": params.to_dict()}
 
 
 def _subtree_error(node: dict, cf: float) -> float:

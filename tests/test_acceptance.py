@@ -29,9 +29,9 @@ from chidt.evaluation import (
     probabilistic_errors,
 )
 from chidt.ontology import ValidCombinationRegistry, is_valid, observed_registry
-from chidt.tree import C45Params, entropy, grow, predict, prune_ebp
+from chidt.tree import C45Params, _entropy_rows, grow_bank, prune_ebp
 
-from conftest import DATA_DIR, binary_attrs, make_dataset
+from conftest import DATA_DIR, batch_rows, binary_attrs, make_dataset
 from test_cascade import BRModel, ChiDTModel, constant_lp, indicator_tree, spy_batch_rows
 from test_metrics import oracle_errors, oracle_kappa, random_distribution
 from test_tree import random_view, resubstitution_accuracy
@@ -90,7 +90,7 @@ def test_criterion_2_metric_oracles_on_200_fixtures():
 def test_criterion_3_c45_core():
     """Entropy value, perfect memorization, and induction determinism."""
     start = time.monotonic()
-    assert entropy([9, 5]) == pytest.approx(0.940286, abs=1e-6)
+    assert _entropy_rows(np.array([[9.0, 5.0]]))[0] == pytest.approx(0.940286, abs=1e-6)
 
     rng = random.Random(99)
     params = C45Params(min_leaf=1, pruning=False)
@@ -100,18 +100,18 @@ def test_criterion_3_c45_core():
         for i in range(len(y)):  # force conflict-freeness
             key = tuple(X[i])
             y[i] = seen.setdefault(key, y[i])
-        tree = grow(X, y, attrs, classes, params)
+        tree = grow_bank(X, y[:, None], attrs, classes, params)[0]
         assert resubstitution_accuracy(tree, X, y) == 1.0
     # XOR-style fixture: zero single-attribute gain everywhere, still separable
     X = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=float)
     y = np.array([0, 1, 1, 0])
-    xor_tree = grow(X, y, binary_attrs(2), ("a", "b"), params)
+    xor_tree = grow_bank(X, y[:, None], binary_attrs(2), ("a", "b"), params)[0]
     assert resubstitution_accuracy(xor_tree, X, y) == 1.0
 
     for _ in range(8):
         X, y, attrs, classes = random_view(rng, 30, 4, 3)
-        g1 = grow(X, y, attrs, classes, C45Params(min_leaf=2, pruning=False))
-        g2 = grow(X, y, attrs, classes, C45Params(min_leaf=2, pruning=False))
+        g1 = grow_bank(X, y[:, None], attrs, classes, C45Params(min_leaf=2, pruning=False))[0]
+        g2 = grow_bank(X, y[:, None], attrs, classes, C45Params(min_leaf=2, pruning=False))[0]
         assert g1.to_dict() == g2.to_dict()
         p1, p2 = prune_ebp(g1), prune_ebp(g2)
         assert p1.to_dict() == p2.to_dict()
@@ -133,25 +133,24 @@ def test_criterion_4_cascade_contract_exhaustive():
     stage2 = constant_lp(attrs, (frozenset({"a"}), frozenset({"a", "b"}), frozenset({"c"})), 2)
     model = ChiDTModel(stage1=stage1, stage2=stage2, registry=registry)
 
-    universe = list(itertools.product((0, 1), repeat=4))
-    valid_inputs = [x for x in universe if is_valid(registry, (), stage1.predict_labels(x))[0]]
-    invalid_inputs = [x for x in universe if x not in valid_inputs]
-    assert valid_inputs and invalid_inputs, "toy universe must exercise both paths"
-    stage2_alone = {x: stage2.predict_labels(x) for x in invalid_inputs}
+    universe = np.array(list(itertools.product((0, 1), repeat=4)), dtype=np.float64)
+    stage1_alone = batch_rows(stage1, universe)[0]
+    valid = np.array([is_valid(registry, (), labels)[0] for labels in stage1_alone])
+    assert valid.any() and not valid.all(), "toy universe must exercise both paths"
+    stage2_alone = dict(zip(np.flatnonzero(~valid), batch_rows(stage2, universe[~valid])[0]))
     stage2_calls = spy_batch_rows(stage2)
 
-    for x in valid_inputs:
-        final, _, reason = model.predict_with_scores(x)
-        assert reason == "ok"
-        assert final == stage1.predict_labels(x)
-    assert stage2_calls == []
+    finals, _, reasons = batch_rows(model, universe)
+    for i in np.flatnonzero(valid):
+        assert reasons[i] == "ok"
+        assert finals[i] == stage1_alone[i]
 
-    for x in invalid_inputs:
-        final, _, reason = model.predict_with_scores(x)
-        assert reason != "ok"
-        assert final == stage2_alone[x]
-        assert final in registry
-    assert len(stage2_calls) == len(invalid_inputs)
+    for i in np.flatnonzero(~valid):
+        assert reasons[i] != "ok"
+        assert finals[i] == stage2_alone[i]
+        assert finals[i] in registry
+    # stage 2 runs once, on exactly the invalid inputs
+    assert stage2_calls == [tuple(map(tuple, universe[~valid]))]
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
     report(4, f"cascade bypass/fidelity/registry-membership over all 16 inputs ({elapsed:.2f}s)")

@@ -42,7 +42,7 @@ from chidt.ontology import (
     is_valid,
     observed_registry,
 )
-from chidt.tree import C45Params, _refuse, _unroutable, grow, grow_bank, leaf_distributions, prune_ebp, route_bank
+from chidt.tree import C45Params, _refuse, _unroutable, grow_bank, leaf_distributions, prune_ebp, route_bank
 
 from conftest import binary_attrs, leaf_tree
 from test_tree import random_view
@@ -234,7 +234,7 @@ def assert_indicator(Y, labelsets, codes) -> None:
 def test_tree_batch_equals_per_record_walk(seed, n, n_attrs, k, min_leaf, pruned):
     rng = random.Random(seed)
     X, y, attrs, classes = random_view(rng, n, n_attrs, k)
-    tree = grow(X, y, attrs, classes, C45Params(min_leaf=min_leaf, pruning=False))
+    tree = grow_bank(X, y[:, None], attrs, classes, C45Params(min_leaf=min_leaf, pruning=False))[0]
     if pruned:
         tree = prune_ebp(tree)
     Q = np.vstack([X, random_queries(rng, attrs, 30)])
@@ -248,7 +248,7 @@ def test_tree_generator_reaches_virtual_leaves_and_numeric_splits():
     virtual = numeric = 0
     for _ in range(40):
         X, y, attrs, classes = random_view(rng, rng.randrange(2, 40), rng.randrange(1, 5), 3)
-        tree = grow(X, y, attrs, classes, C45Params(min_leaf=1, pruning=False))
+        tree = grow_bank(X, y[:, None], attrs, classes, C45Params(min_leaf=1, pruning=False))[0]
         virtual += bool(tree.virtual.any())
         numeric += bool((~np.isnan(tree.threshold)).any())
     assert virtual and numeric
@@ -323,7 +323,7 @@ def one_test_bank(n_trees: int):
     """A BR model over binary f0..f{n-1}: tree j tests f{j} at its root and predicts it."""
     attributes = binary_attrs(n_trees)
     X = np.array(list(np.ndindex(*(2,) * n_trees)), dtype=np.float64)
-    trees = tuple(grow(X, X[:, j].astype(np.int64), attributes, BINARY_CLASSES) for j in range(n_trees))
+    trees = tuple(grow_bank(X, X.astype(np.int64), attributes, BINARY_CLASSES))
     assert [int(tree.attr[0]) for tree in trees] == list(range(n_trees))
     return BRModel(codes=tuple(f"k{j}" for j in range(n_trees)), trees=trees, attributes=attributes), X
 
@@ -395,6 +395,26 @@ def test_untriggered_rows_are_stage1_and_triggered_rows_stage2(seed, strategy, f
     if not fallback:
         Y2, scores2, _ = model.stage2.predict_batch(Q[~ok])
         assert np.array_equal(Y[~ok], Y2) and np.array_equal(scores[~ok], scores2)
+
+
+@pytest.mark.parametrize("fallback", (False, True))
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_per_record_view_is_its_row_of_the_batch(strategy, fallback):
+    """``ChiDTModel.predict_with_scores(x)`` is row i of ``predict_batch``: the labels as a frozenset, the
+    scores bit for bit and the reason as its string."""
+    triggered = fell_back = 0
+    for seed in range(8):
+        model, Q = random_cascade(random.Random(seed), strategy, fallback)
+        Y, scores, reasons = model.predict_batch(Q)
+        stage2 = model.stage2.predict_batch(Q)[0]
+        for i, x in enumerate(Q):
+            labels, row_scores, reason = model.predict_with_scores(x)
+            assert type(labels) is frozenset and labels == {c for c, on in zip(model.codes, Y[i]) if on}
+            assert row_scores.shape == scores[i].shape and np.array_equal(row_scores, scores[i])
+            assert type(reason) is str and reason == REASONS[reasons[i]]
+            triggered += reason != REASON_OK
+            fell_back += reason != REASON_OK and not np.array_equal(Y[i], stage2[i])
+    assert triggered and bool(fell_back) == fallback
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)

@@ -16,17 +16,15 @@ from chidt.cascade import (
     LPModel,
     model_from_dict,
     model_to_dict,
-    train_br,
     train_chidt,
-    train_label_powerset,
 )
 from chidt.data import GeneratorConfig, GeneratorProfile, generate_synthetic
 from chidt.errors import SchemaMismatchError, ValidationError
 from chidt.evaluation import evaluate_predictions
 from chidt.ontology import ValidCombinationRegistry, observed_registry
-from chidt.tree import C45Params, C45Tree, predict, predict_distribution
+from chidt.tree import C45Params, C45Tree, _read_tree, leaf_distributions
 
-from conftest import binary_attrs, leaf_tree, make_dataset
+from conftest import batch_rows, binary_attrs, leaf_tree, make_dataset
 
 
 def indicator_tree(attrs, feat_idx: int) -> C45Tree:
@@ -41,7 +39,7 @@ def indicator_tree(attrs, feat_idx: int) -> C45Tree:
             {"kind": "leaf", "counts": [0.0, 1.0], "majority": 1},
         ],
     }
-    return C45Tree.from_dict({"root": root}, attributes=attrs, class_names=BINARY_CLASSES)
+    return _read_tree({"root": root}, "tree", attrs, BINARY_CLASSES)
 
 
 def constant_tree(attrs, positive: bool) -> C45Tree:
@@ -74,32 +72,31 @@ def spy_batch_rows(obj) -> list:
 class TestTrainBr:
     def test_single_code_alphabet_is_one_binary_problem(self):
         ds = make_dataset([(0,), (0,), (1,), (1,)], [set(), set(), {"a"}, {"a"}])
-        model = train_br(ds, C45Params(min_leaf=1, pruning=False))
+        model = train_chidt(ds, stage1_params=C45Params(min_leaf=1, pruning=False)).stage1
         assert model.codes == ("a",)
         assert len(model.trees) == 1
-        assert model.predict_labels((1,)) == frozenset({"a"})
-        assert model.predict_labels((0,)) == frozenset()
+        assert batch_rows(model, [(1,), (0,)])[0] == [frozenset({"a"}), frozenset()]
 
     def test_eleven_code_corpus_grows_eleven_trees(self):
         profiles = tuple(
             GeneratorProfile(labels={f"C{i:02d}"}, rates=tuple([0.1] * 11)) for i in range(11)
         )
         ds, _ = generate_synthetic(GeneratorConfig(profiles=profiles, n_records=60, seed=1))
-        model = train_br(ds)
+        model = train_chidt(ds).stage1
         assert len(model.trees) == 11
         assert model.codes == ds.label_alphabet
 
     def test_label_in_every_record_yields_constant_positive(self):
         ds = make_dataset([(0,), (1,)], [{"a"}, {"a", "b"}])
-        model = train_br(ds, C45Params(min_leaf=1, pruning=False))
+        model = train_chidt(ds, stage1_params=C45Params(min_leaf=1, pruning=False)).stage1
         assert model.constant_codes["a"] == "positive"
         tree_a = model.trees[model.codes.index("a")]
         assert tree_a.n_nodes == 1
-        assert model.predict_labels((0,)) >= {"a"}
+        assert batch_rows(model, [(0,)])[0][0] >= {"a"}
 
     def test_absent_label_yields_constant_negative(self):
         ds = make_dataset([(0,), (1,)], [{"a"}, {"a"}], alphabet=["a", "zz"])
-        model = train_br(ds)
+        model = train_chidt(ds).stage1
         assert model.constant_codes["zz"] == "negative"
 
     def test_constant_codes_follow_the_root_counts(self):
@@ -112,7 +109,7 @@ class TestTrainBr:
         ds = make_dataset([(0,)], [{"a"}])
         empty = ds.subset([])
         with pytest.raises(ValidationError):
-            train_br(empty)
+            train_chidt(empty)
 
 
 class TestPredictBr:
@@ -123,14 +120,15 @@ class TestPredictBr:
             trees=(constant_tree(attrs, False), constant_tree(attrs, False)),
             attributes=attrs,
         )
-        assert model.predict_labels((0, 1)) == frozenset()
+        assert batch_rows(model, [(0, 1)])[0] == [frozenset()]
 
     def test_probability_at_threshold_included(self):
         attrs = binary_attrs(1)
         tree = leaf_tree([1.0, 3.0], attrs, BINARY_CLASSES)
         model = BRModel(codes=("a",), trees=(tree,), attributes=attrs, threshold=0.5)
-        assert model.predict_with_scores((0,))[1][0] == pytest.approx(0.75)
-        assert model.predict_labels((0,)) == frozenset({"a"})
+        labels, scores, _ = batch_rows(model, [(0,)])
+        assert scores[0, 0] == pytest.approx(0.75)
+        assert labels == [frozenset({"a"})]
 
     def test_agrees_with_per_tree_oracle_on_500_vectors(self):
         rng = random.Random(44)
@@ -140,15 +138,12 @@ class TestPredictBr:
             for row in rows
         ]
         ds = make_dataset(rows, labelsets, alphabet=list("abc"))
-        model = train_br(ds, C45Params(min_leaf=1, pruning=False))
-        for _ in range(500):
-            x = tuple(rng.randrange(2) for _ in range(4))
-            expected = {
-                code
-                for code, tree in zip(model.codes, model.trees)
-                if predict_distribution(tree, x)[1] >= 0.5
-            }
-            assert model.predict_labels(x) == frozenset(expected)
+        model = train_chidt(ds, stage1_params=C45Params(min_leaf=1, pruning=False)).stage1
+        X = [tuple(rng.randrange(2) for _ in range(4)) for _ in range(500)]
+        positive = [leaf_distributions(tree, X)[:, 1] for tree in model.trees]
+        for i, labels in enumerate(batch_rows(model, X)[0]):
+            expected = {code for code, p in zip(model.codes, positive) if p[i] >= 0.5}
+            assert labels == frozenset(expected)
 
     def test_threshold_half_equals_argmax_composition(self):
         # pure-leaf model: probabilities are 0/1, so >= 0.5 is exactly argmax
@@ -156,28 +151,25 @@ class TestPredictBr:
         rows = list(itertools.product((0, 1), repeat=3))
         labelsets = [{c for j, c in enumerate("ab") if row[j] == 1} for row in rows]
         ds = make_dataset(rows, labelsets, alphabet=list("ab"))
-        model = train_br(ds, C45Params(min_leaf=1, pruning=False))
-        for x in rows:
-            argmax_set = {
-                code
-                for code, tree in zip(model.codes, model.trees)
-                if predict(tree, x) == 1
-            }
-            assert model.predict_labels(x) == frozenset(argmax_set)
+        model = train_chidt(ds, stage1_params=C45Params(min_leaf=1, pruning=False)).stage1
+        argmax = [np.argmax(leaf_distributions(tree, rows), axis=1) for tree in model.trees]
+        for i, labels in enumerate(batch_rows(model, rows)[0]):
+            argmax_set = {code for code, predicted in zip(model.codes, argmax) if predicted[i] == 1}
+            assert labels == frozenset(argmax_set)
 
     def test_schema_mismatch(self):
         ds = make_dataset([(0, 1)], [{"a"}])
-        model = train_br(ds)
+        model = train_chidt(ds).stage1
         with pytest.raises(SchemaMismatchError):
-            model.predict_labels((0,))
+            model.predict_batch([(0,)])
 
 
 class TestLabelPowerset:
     def test_single_combo_constant_model(self):
         ds = make_dataset([(0,), (1,)], [{"a", "b"}, {"a", "b"}])
-        model = train_label_powerset(ds)
+        model = train_chidt(ds, strategy="label-powerset").stage2
         assert model.combos == (frozenset({"a", "b"}),)
-        assert model.predict_labels((0,)) == frozenset({"a", "b"})
+        assert batch_rows(model, [(0,)])[0] == [frozenset({"a", "b"})]
 
     def test_three_profiles_make_three_classes(self):
         profiles = (
@@ -186,13 +178,13 @@ class TestLabelPowerset:
             GeneratorProfile(labels={"a", "c"}, rates=(0.9, 0.9)),
         )
         ds, _ = generate_synthetic(GeneratorConfig(profiles=profiles, n_records=90, seed=2))
-        model = train_label_powerset(ds)
+        model = train_chidt(ds, strategy="label-powerset").stage2
         assert len(model.combos) == 3
 
     def test_empty_labelset_rejected(self):
         ds = make_dataset([(0,), (1,)], [{"a"}, set()])
         with pytest.raises(ValidationError, match="non-empty"):
-            train_label_powerset(ds)
+            train_chidt(ds, strategy="label-powerset")
 
     def test_predictions_always_observed_over_4bit_lattice(self):
         rng = random.Random(3)
@@ -200,10 +192,10 @@ class TestLabelPowerset:
         combos = [{"a"}, {"a", "b"}, {"c"}]
         labelsets = [rng.choice(combos) for _ in rows]
         ds = make_dataset(rows, labelsets, alphabet=list("abc"))
-        model = train_label_powerset(ds, C45Params(min_leaf=1, pruning=False))
+        model = train_chidt(ds, strategy="label-powerset", stage2_params=C45Params(min_leaf=1, pruning=False)).stage2
         registry = observed_registry(ds)
-        for x in itertools.product((0, 1), repeat=4):
-            assert model.predict_labels(x) in registry
+        for labels in batch_rows(model, list(itertools.product((0, 1), repeat=4)))[0]:
+            assert labels in registry
 
 
 class TestTrainChidt:
@@ -265,31 +257,30 @@ class TestPredictChidt:
 
     def test_empty_prediction_triggers(self):
         model = self._toy_model()
-        final, _, reason = model.predict_with_scores((0, 0, 0, 0))
+        (final,), _, (reason,) = batch_rows(model, [(0, 0, 0, 0)])
         assert reason == "empty"
-        assert model.stage1.predict_labels((0, 0, 0, 0)) == frozenset()
+        assert batch_rows(model.stage1, [(0, 0, 0, 0)])[0] == [frozenset()]
         assert final == frozenset({"a"})
 
     def test_registered_prediction_passes_through(self):
         model = self._toy_model()
-        final, _, reason = model.predict_with_scores((1, 1, 0, 0))
+        (final,), _, (reason,) = batch_rows(model, [(1, 1, 0, 0)])
         assert reason == "ok"
-        assert final == model.stage1.predict_labels((1, 1, 0, 0)) == frozenset({"a", "b"})
+        assert [final] == batch_rows(model.stage1, [(1, 1, 0, 0)])[0] == [frozenset({"a", "b"})]
 
     def test_unregistered_combination_triggers(self):
         model = self._toy_model()
-        final, _, reason = model.predict_with_scores((1, 0, 1, 0))
+        (final,), _, (reason,) = batch_rows(model, [(1, 0, 1, 0)])
         assert reason == "unregistered"
-        assert model.stage1.predict_labels((1, 0, 1, 0)) == frozenset({"a", "c"})
+        assert batch_rows(model.stage1, [(1, 0, 1, 0)])[0] == [frozenset({"a", "c"})]
         assert final == frozenset({"a"})
 
     def test_stage2_not_evaluated_when_valid(self):
         model = self._toy_model()
         calls = spy_batch_rows(model.stage2)
-        model.predict_with_scores((1, 0, 0, 0))
-        model.predict_with_scores((1, 1, 0, 0))
+        model.predict_batch([(1, 0, 0, 0), (1, 1, 0, 0)])
         assert calls == []
-        model.predict_with_scores((0, 0, 0, 0))
+        model.predict_batch([(1, 0, 0, 0), (0, 0, 0, 0), (1, 1, 0, 0)])
         assert calls == [((0, 0, 0, 0),)]
 
     def test_triggered_output_is_stage2_verbatim_even_if_invalid(self):
@@ -297,11 +288,11 @@ class TestPredictChidt:
         # stage 2 constantly predicts an unregistered combination
         stage2 = constant_lp(attrs, (frozenset({"b", "c"}),), 0)
         model = self._toy_model(stage2=stage2)
-        final, _, reason = model.predict_with_scores((0, 0, 0, 0))
+        (final,), _, (reason,) = batch_rows(model, [(0, 0, 0, 0)])
         assert reason != "ok"
         assert final == frozenset({"b", "c"})
         assert final not in model.registry
-        assert final == model.stage2.predict_labels((0, 0, 0, 0))
+        assert [final] == batch_rows(model.stage2, [(0, 0, 0, 0)])[0]
 
     def test_optional_single_label_fallback(self):
         attrs = binary_attrs(4)
@@ -311,9 +302,9 @@ class TestPredictChidt:
             attributes=attrs,
         )
         model = self._toy_model(stage2=stage2, single_label_fallback=True)
-        final, _, reason = model.predict_with_scores((0, 0, 0, 0))
+        (final,), _, (reason,) = batch_rows(model, [(0, 0, 0, 0)])
         assert reason == "empty"
-        assert final != model.stage2.predict_labels((0, 0, 0, 0))
+        assert [final] != batch_rows(model.stage2, [(0, 0, 0, 0)])[0]
         assert len(final) == 1
 
     def test_cascade_fidelity_on_trained_models(self):
@@ -325,13 +316,14 @@ class TestPredictChidt:
             GeneratorConfig(profiles=profiles, n_records=50, noise_rate=0.1, seed=7)
         )
         model = train_chidt(ds, strategy="diverse-br")
-        for x in itertools.product((0, 1), repeat=3):
-            final, _, reason = model.predict_with_scores(x)
-            stage2_raw = model.stage2.predict_labels(x)
+        X = list(itertools.product((0, 1), repeat=3))
+        finals, _, reasons = batch_rows(model, X)
+        stage1_raw, stage2_raw = batch_rows(model.stage1, X)[0], batch_rows(model.stage2, X)[0]
+        for final, reason, s1, s2 in zip(finals, reasons, stage1_raw, stage2_raw):
             if reason != "ok":
-                assert final == stage2_raw
+                assert final == s2
             else:
-                assert final == model.stage1.predict_labels(x)
+                assert final == s1
 
 
 def evaluated_trigger_rate(model, ds) -> float:
@@ -371,7 +363,7 @@ class TestTriggerRate:
             GeneratorConfig(profiles=profiles, n_records=40, noise_rate=0.2, seed=11)
         )
         model = train_chidt(ds, strategy="label-powerset")
-        reasons = [model.predict_with_scores(r.features)[2] for r in list(ds)]
+        reasons = batch_rows(model, ds.X)[2]
         expected = sum(reason != "ok" for reason in reasons) / len(reasons)
         assert evaluated_trigger_rate(model, ds) == pytest.approx(expected, abs=1e-12)
 
@@ -390,8 +382,7 @@ class TestPersistence:
             doc = json.loads(json.dumps(model_to_dict(model)))
             again = model_from_dict(doc)
             assert model_to_dict(again) == model_to_dict(model)
-            for rec in list(ds):
-                assert again.predict_with_scores(rec.features)[0] == model.predict_with_scores(rec.features)[0]
+            assert batch_rows(again, ds.X)[0] == batch_rows(model, ds.X)[0]
 
     def test_rejects_foreign_documents(self):
         with pytest.raises(ValidationError, match="not a cascade model"):

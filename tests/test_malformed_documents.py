@@ -142,6 +142,8 @@ PROBES = [
     ("config", (), Replace('{"seed": ', '{"seed": 1, "seed": '), "train"),
     ("model", (("schema", "classes", 1), ("stage1", "codes", 1)), "I20.0", "predict"),
     ("model", ("stage1", "trees", 0, "root", "majority"), 1, "predict"),
+    # silently misread: a leaf whose counts are each finite but whose total overflows to inf
+    ("model", ("stage1", "trees", 0, "root", "children", 1, "counts"), [1e308, 1e308], "predict"),
     # silently accepted: a constant-code map that the trees' root counts contradict
     ("model", ("stage1", "constant_codes"), {"I20.0": "positive"}, "predict"),
     # silently merged: a code repeated in one code list, a combination or a training record listed twice

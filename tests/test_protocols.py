@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from chidt.cascade import train_br, train_cascades, train_chidt
+from chidt.cascade import train_cascades, train_chidt
 from chidt.data import (
     GeneratorConfig,
     GeneratorProfile,
@@ -27,7 +27,7 @@ from chidt.evaluation import (
 from chidt.ontology import observed_registry
 from chidt.tree import C45Params
 
-from conftest import make_dataset
+from conftest import batch_rows, make_dataset
 
 
 def small_corpus(seed=5, n=60, noise=0.05):
@@ -200,13 +200,13 @@ class TestModes:
         rng = random.Random(11)
         labelsets = [{rng.choice("abc")} for _ in rows]
         ds = make_dataset(rows, labelsets, alphabet=list("abc"))
-        model = train_br(ds, C45Params(min_leaf=1, pruning=False))
+        model = train_chidt(ds, stage1_params=C45Params(min_leaf=1, pruning=False)).stage1
         ml = evaluate_predictions(model, ds, ds, mode="multilabel")
         pr = evaluate_predictions(model, ds, ds, mode="principal")
         # BR can emit empty/multi-code sets; restrict the claim to the spec's
         # reduction consistency: subset accuracy equals multi-class accuracy
         assert ml.multilabel.subset_accuracy_pct == pytest.approx(ml.metrics.accuracy_pct)
-        if all(len(model.predict_labels(r.features)) == 1 for r in list(ds)):
+        if all(len(labels) == 1 for labels in batch_rows(model, ds.X)[0]):
             assert ml.metrics.correct == pr.metrics.correct
 
     def test_pdx_tag_drives_principal_reduction(self):
@@ -235,7 +235,7 @@ class TestModes:
     def test_trigger_rate_appears_for_cascades_only(self):
         ds = small_corpus()
         cascade = train_chidt(ds, strategy="label-powerset")
-        br = train_br(ds)
+        br = train_chidt(ds).stage1
         with_cascade = evaluate_predictions(cascade, ds, ds)
         plain = evaluate_predictions(br, ds, ds)
         assert with_cascade.multilabel.trigger_rate is not None

@@ -30,20 +30,8 @@ SRC = Path(chidt.__file__).resolve().parent
 
 # module.qualname: why the function stays although no command enters it
 ALLOWED = {
-    "cascade._one_row": "per-row view over predict_batch, the per-record API",
-    "cascade.BRModel.predict_labels": "per-row view over predict_batch",
-    "cascade.BRModel.predict_with_scores": "per-row view over predict_batch",
-    "cascade.LPModel.predict_labels": "per-row view over predict_batch",
-    "cascade.LPModel.predict_with_scores": "per-row view over predict_batch",
-    "cascade.ChiDTModel.predict_labels": "per-row view over predict_batch",
-    "cascade.ChiDTModel.predict_with_scores": "per-row view over predict_batch; the benchmark tracer wraps it",
-    "tree.entropy": "per-row view over _entropy_rows, public API",
-    "tree.predict": "per-row view over leaf_distributions, the one-tree view of route_bank",
-    "tree.predict_distribution": "per-row view over leaf_distributions, the one-tree view of route_bank",
-    "tree.grow": "one-tree view over grow_bank; the oracle tests grow single trees through it",
+    "cascade.ChiDTModel.predict_with_scores": "the per-record view over predict_batch; the benchmark tracer wraps it",
     "cascade.train_chidt": "one-set view over train_cascades, the Python API",
-    "cascade.train_br": "one-set view over the stage banks of train_cascades, the Python API",
-    "cascade.train_label_powerset": "one-set view over the label-powerset trees of train_cascades, the Python API",
     "jsondoc.fail": "raises on malformed input only",
     "tree._refuse": "raises on an unroutable value only",
     "tree._read_nodes.<locals>.path": "names a tree node only in the message of a failed check",
@@ -51,7 +39,6 @@ ALLOWED = {
     "data.Dataset.__eq__": "compares datasets in round-trip tests",
     "data.Dataset.__iter__": "per-row Record view over the columns, for tests and the Python API",
     "data.Record.__post_init__": "per-row view: builds the Records that Dataset.__iter__ yields",
-    "tree.C45Tree.from_dict": "reads one tree document in round-trip tests",
     "data.GeneratorConfig.from_dict": "reads a standalone generator section in the Python API",
 }
 

@@ -12,16 +12,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chidt.data import AttributeMeta, NOMINAL, NUMERIC
-from chidt.errors import SchemaMismatchError, ValidationError
+from chidt.errors import ValidationError
 from chidt.tree import (
     C45Params,
     C45Tree,
+    _entropy_rows,
+    _read_tree,
     best_numeric_threshold,
-    entropy,
-    grow,
+    grow_bank,
     leaf_distributions,
-    predict,
-    predict_distribution,
     prune_ebp,
     render,
 )
@@ -133,32 +132,21 @@ def oracle_root_selection(X, y, k, attributes, min_leaf):
 
 
 class TestEntropy:
+    # each row of _entropy_rows, the one entropy kernel
     def test_uniform_binary(self):
-        assert entropy([8, 8]) == pytest.approx(1.0, abs=1e-12)
+        assert _entropy_rows(np.array([[8.0, 8.0]]))[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_pure(self):
-        assert entropy([14, 0]) == 0.0
+        assert _entropy_rows(np.array([[14.0, 0.0]]))[0] == 0.0
 
     def test_nine_five(self):
-        assert entropy([9, 5]) == pytest.approx(0.940286, abs=1e-6)
-        assert entropy([9, 5]) == pytest.approx(oracle_entropy([9, 5]), abs=1e-12)
-
-    def test_zero_total_rejected(self):
-        with pytest.raises(ValidationError):
-            entropy([0, 0])
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_weight_rejected(self, bad):
-        with pytest.raises(ValidationError, match="finite"):
-            entropy([bad, 1])
-
-    def test_matrix_rejected(self):
-        with pytest.raises(ValidationError, match="one vector"):
-            entropy([[1, 2], [3, 4]])
+        h = _entropy_rows(np.array([[9.0, 5.0]]))[0]
+        assert h == pytest.approx(0.940286, abs=1e-6)
+        assert h == pytest.approx(oracle_entropy([9, 5]), abs=1e-12)
 
     @given(st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=6).filter(sum))
     def test_bounds_and_purity(self, counts):
-        h = entropy(counts)
+        h = _entropy_rows(np.array([counts], dtype=np.float64))[0]
         k = len(counts)
         assert -1e-12 <= h <= math.log2(k) + 1e-12
         pure = sum(1 for c in counts if c > 0) == 1
@@ -239,47 +227,46 @@ def depth(tree: C45Tree) -> int:
 
 
 def resubstitution_accuracy(tree: C45Tree, X, y) -> float:
-    hits = sum(1 for i in range(len(y)) if predict(tree, X[i]) == y[i])
-    return hits / len(y)
+    return float(np.mean(np.argmax(leaf_distributions(tree, X), axis=1) == y))
 
 
 class TestGrow:
     def test_pure_view_is_single_leaf(self):
         X = np.array([[0], [1], [0]], dtype=float)
         y = np.array([1, 1, 1])
-        tree = grow(X, y, binary_attrs(1), ("a", "b"))
+        tree = grow_bank(X, y[:, None], binary_attrs(1), ("a", "b"))[0]
         assert tree.n_nodes == 1
         assert tree.majority[0] == 1
 
     def test_single_separating_attribute(self):
         X = np.array([[0], [0], [1], [1]], dtype=float)
         y = np.array([0, 0, 1, 1])
-        tree = grow(X, y, binary_attrs(1), ("a", "b"), C45Params(min_leaf=1, pruning=False))
+        tree = grow_bank(X, y[:, None], binary_attrs(1), ("a", "b"), C45Params(min_leaf=1, pruning=False))[0]
         assert depth(tree) == 1
         assert resubstitution_accuracy(tree, X, y) == 1.0
 
     def test_weather_unpruned_is_perfect_and_root_matches_oracle(self, weather):
         X, y, attrs, classes = weather
         params = C45Params(min_leaf=2, pruning=False)
-        tree = grow(X, y, attrs, classes, params)
+        tree = grow_bank(X, y[:, None], attrs, classes, params)[0]
         assert resubstitution_accuracy(tree, X, y) == 1.0
         expected_root = oracle_root_selection(X, y, len(classes), attrs, params.min_leaf)
         assert tree.attr[0] == expected_root
 
     def test_empty_view_rejected(self):
         with pytest.raises(ValidationError):
-            grow(np.zeros((0, 1)), np.zeros(0, dtype=int), binary_attrs(1), ("a", "b"))
+            grow_bank(np.zeros((0, 1)), np.zeros((0, 1), dtype=int), binary_attrs(1), ("a", "b"))
 
     def test_max_depth_stops_growth(self, weather):
         X, y, attrs, classes = weather
-        tree = grow(X, y, attrs, classes, C45Params(min_leaf=1, pruning=False, max_depth=1))
+        tree = grow_bank(X, y[:, None], attrs, classes, C45Params(min_leaf=1, pruning=False, max_depth=1))[0]
         assert depth(tree) <= 1
 
     def test_deterministic_across_runs(self, weather):
         X, y, attrs, classes = weather
         params = C45Params(min_leaf=2, pruning=False)
-        t1 = grow(X, y, attrs, classes, params)
-        t2 = grow(X, y, attrs, classes, params)
+        t1 = grow_bank(X, y[:, None], attrs, classes, params)[0]
+        t2 = grow_bank(X, y[:, None], attrs, classes, params)[0]
         assert t1.to_dict() == t2.to_dict()
 
     def test_deterministic_on_random_views(self):
@@ -287,8 +274,8 @@ class TestGrow:
         for _ in range(10):
             X, y, attrs, classes = random_view(rng, 30, 4, 3)
             params = C45Params(min_leaf=1, pruning=False)
-            first = grow(X, y, attrs, classes, params).to_dict()
-            again = grow(X, y, attrs, classes, params).to_dict()
+            first = grow_bank(X, y[:, None], attrs, classes, params)[0].to_dict()
+            again = grow_bank(X, y[:, None], attrs, classes, params)[0].to_dict()
             assert first == again
 
     def test_min_leaf_one_unpruned_memorizes_conflict_free_data(self):
@@ -303,14 +290,14 @@ class TestGrow:
                     y[i] = seen[key]
                 else:
                     seen[key] = y[i]
-            tree = grow(X, y, attrs, classes, C45Params(min_leaf=1, pruning=False))
+            tree = grow_bank(X, y[:, None], attrs, classes, C45Params(min_leaf=1, pruning=False))[0]
             assert resubstitution_accuracy(tree, X, y) == 1.0
 
     def test_xor_is_memorized(self):
         # every single attribute has zero gain here; growth must still separate
         X = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=float)
         y = np.array([0, 1, 1, 0])
-        tree = grow(X, y, binary_attrs(2), ("a", "b"), C45Params(min_leaf=1, pruning=False))
+        tree = grow_bank(X, y[:, None], binary_attrs(2), ("a", "b"), C45Params(min_leaf=1, pruning=False))[0]
         assert resubstitution_accuracy(tree, X, y) == 1.0
 
     # before grow checked its input, these views lost the bad row (the root's children held 4 rows) or misread it
@@ -330,16 +317,16 @@ class TestGrow:
         y = np.array([0, 0, 1, 1, 0])
         X[3, column] = value
         with pytest.raises(ValidationError, match=re.escape(message)):
-            grow(X, y, attrs, ("no", "yes"), C45Params(min_leaf=1))
+            grow_bank(X, y[:, None], attrs, ("no", "yes"), C45Params(min_leaf=1))
 
     def test_unobserved_nominal_value_routes_to_parent_majority(self):
         attrs = (AttributeMeta("color", NOMINAL, values=("r", "g", "b"), index=0),)
         X = np.array([[0], [0], [1], [1], [1]], dtype=float)
         y = np.array([0, 0, 1, 1, 1])
-        tree = grow(X, y, attrs, ("no", "yes"), C45Params(min_leaf=1, pruning=False))
+        tree = grow_bank(X, y[:, None], attrs, ("no", "yes"), C45Params(min_leaf=1, pruning=False))[0]
         # value "b" never occurs; its virtual leaf predicts the root majority
-        assert predict(tree, [2]) == 1
-        dist = predict_distribution(tree, [2])
+        dist = leaf_distributions(tree, [[2]])[0]
+        assert np.argmax(dist) == 1
         assert dist.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -352,15 +339,15 @@ class TestPrune:
     def test_pure_leaf_unchanged(self):
         X = np.array([[0], [1]], dtype=float)
         y = np.array([0, 0])
-        tree = grow(X, y, binary_attrs(1), ("a", "b"))
+        tree = grow_bank(X, y[:, None], binary_attrs(1), ("a", "b"))[0]
         assert prune_ebp(tree).to_dict() == tree.to_dict()
 
     def test_children_with_parent_majority_collapse(self):
         # split where both sides keep the same majority: pruning removes it
         X = np.array([[0], [0], [0], [0], [1], [1], [1], [1]], dtype=float)
         y = np.array([0, 0, 0, 1, 0, 0, 0, 1])
-        grown = grow(X, y, binary_attrs(1), ("a", "b"), C45Params(min_leaf=1, pruning=False))
-        pruned = prune_ebp(grown, C45Params(min_leaf=1, pruning=True))
+        grown = grow_bank(X, y[:, None], binary_attrs(1), ("a", "b"), C45Params(min_leaf=1, pruning=True))[0]
+        pruned = prune_ebp(grown)
         assert pruned.n_nodes == 1
         assert pruned.majority[0] == 0
 
@@ -372,7 +359,7 @@ class TestPrune:
         rng = random.Random(2024)
         for _ in range(50):
             X, y, attrs, classes = random_view(rng, rng.randrange(6, 40), 4, 3)
-            grown = grow(X, y, attrs, classes, C45Params(min_leaf=1, pruning=False))
+            grown = grow_bank(X, y[:, None], attrs, classes, C45Params(min_leaf=1, pruning=False))[0]
             pruned = prune_ebp(grown)
             assert pruned.n_nodes <= grown.n_nodes
             assert pruned.attributes == grown.attributes
@@ -383,7 +370,7 @@ class TestPrune:
     def test_useful_split_survives(self):
         X = np.repeat(np.array([[0], [1]], dtype=float), 20, axis=0)
         y = np.repeat(np.array([0, 1]), 20)
-        grown = grow(X, y, binary_attrs(1), ("a", "b"), C45Params(min_leaf=1, pruning=False))
+        grown = grow_bank(X, y[:, None], binary_attrs(1), ("a", "b"), C45Params(min_leaf=1, pruning=False))[0]
         assert prune_ebp(grown).attr[0] >= 0
 
 
@@ -396,20 +383,20 @@ class TestPredict:
     def test_leaf_distribution_normalized(self):
         X = np.array([[0], [0], [0], [1]], dtype=float)
         y = np.array([0, 0, 0, 1])
-        tree = grow(X, y, binary_attrs(1), ("a", "b"), C45Params(min_leaf=4))
+        tree = grow_bank(X, y[:, None], binary_attrs(1), ("a", "b"), C45Params(min_leaf=4))[0]
         assert tree.n_nodes == 1
-        dist = predict_distribution(tree, [0])
+        dist = leaf_distributions(tree, [[0]])[0]
         assert dist == pytest.approx([0.75, 0.25], abs=1e-12)
 
     def test_distributions_sum_to_one(self, weather):
         X, y, attrs, classes = weather
-        tree = prune_ebp(grow(X, y, attrs, classes, C45Params()))
-        for i in range(len(y)):
-            assert predict_distribution(tree, X[i]).sum() == pytest.approx(1.0, abs=1e-12)
+        tree = prune_ebp(grow_bank(X, y[:, None], attrs, classes, C45Params())[0])
+        for dist in leaf_distributions(tree, X):
+            assert dist.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_fixture_probabilities_match_hand_routing(self, weather):
         X, y, attrs, classes = weather
-        tree = grow(X, y, attrs, classes, C45Params(min_leaf=2, pruning=False))
+        tree = grow_bank(X, y[:, None], attrs, classes, C45Params(min_leaf=2, pruning=False))[0]
 
         def hand_route(x):
             i = 0
@@ -418,44 +405,40 @@ class TestPredict:
                 i = tree.children[i, int(value) if np.isnan(threshold) else int(value > threshold)]
             return tree.counts[i] / tree.counts[i].sum()
 
-        for i in range(len(y)):
-            assert predict_distribution(tree, X[i]) == pytest.approx(hand_route(X[i]), abs=1e-15)
+        for x, dist in zip(X, leaf_distributions(tree, X)):
+            assert dist == pytest.approx(hand_route(x), abs=1e-15)
 
     def test_tie_breaks_to_lowest_class_index(self):
         X = np.array([[0], [1]], dtype=float)
         y = np.array([1, 0])
-        tree = grow(X, y, binary_attrs(1), ("a", "b"), C45Params(min_leaf=2))
+        tree = grow_bank(X, y[:, None], binary_attrs(1), ("a", "b"), C45Params(min_leaf=2))[0]
         assert tree.n_nodes == 1
-        assert predict_distribution(tree, [0]) == pytest.approx([0.5, 0.5])
-        assert predict(tree, [0]) == 0
+        dist = leaf_distributions(tree, [[0]])[0]
+        assert dist == pytest.approx([0.5, 0.5])
+        assert np.argmax(dist) == 0
 
     def test_agrees_with_argmax_oracle_on_1000_vectors(self, weather):
         X, y, attrs, classes = weather
-        tree = prune_ebp(grow(X, y, attrs, classes))
+        tree = prune_ebp(grow_bank(X, y[:, None], attrs, classes)[0])
         rng = random.Random(6)
-        for _ in range(1000):
-            x = [
-                rng.randrange(3),
-                rng.uniform(60, 90),
-                rng.uniform(60, 100),
-                rng.randrange(2),
-            ]
-            dist = predict_distribution(tree, x)
+        Q = [[rng.randrange(3), rng.uniform(60, 90), rng.uniform(60, 100), rng.randrange(2)] for _ in range(1000)]
+        dists = leaf_distributions(tree, Q)
+        for dist, predicted in zip(dists, np.argmax(dists, axis=1)):
             expected = max(range(len(dist)), key=lambda j: (dist[j], -j))
-            assert predict(tree, x) == expected
+            assert predicted == expected
 
     def test_out_of_domain_nominal_value(self, weather):
         X, y, attrs, classes = weather
-        tree = grow(X, y, attrs, classes, C45Params(min_leaf=2, pruning=False))
+        tree = grow_bank(X, y[:, None], attrs, classes, C45Params(min_leaf=2, pruning=False))[0]
         assert tree.attr[0] == 0
         with pytest.raises(ValidationError, match="outside the domain"):
-            predict(tree, [7, 70.0, 80.0, 0])
+            leaf_distributions(tree, [[7, 70.0, 80.0, 0]])
 
     def test_arity_mismatch(self, weather):
         X, y, attrs, classes = weather
-        tree = prune_ebp(grow(X, y, attrs, classes))
-        with pytest.raises(ValidationError, match="slots"):
-            predict(tree, [0, 70.0])
+        tree = prune_ebp(grow_bank(X, y[:, None], attrs, classes)[0])
+        with pytest.raises(ValidationError, match="4-attribute schema"):
+            leaf_distributions(tree, [[0, 70.0]])
         with pytest.raises(ValidationError, match="4-attribute schema"):
             leaf_distributions(tree, X[:, :3])
 
@@ -474,24 +457,24 @@ class TestPredict:
     )
     def test_values_no_branch_can_take_fail_closed(self, weather, x, message):
         X, y, attrs, classes = weather
-        tree = grow(X, y, attrs, classes, C45Params(min_leaf=2, pruning=False))
+        tree = grow_bank(X, y[:, None], attrs, classes, C45Params(min_leaf=2, pruning=False))[0]
         with pytest.raises(ValidationError, match=message):
-            predict_distribution(tree, x)
+            leaf_distributions(tree, [x])
         batch = np.vstack([X, np.array(x, dtype=np.float64)])
         with pytest.raises(ValidationError, match=message):
             leaf_distributions(tree, batch)
 
     def test_values_off_the_tested_path_are_not_read(self, weather):
         X, y, attrs, classes = weather
-        tree = grow(X, y, attrs, classes, C45Params(min_leaf=2, pruning=False))
+        tree = grow_bank(X, y[:, None], attrs, classes, C45Params(min_leaf=2, pruning=False))[0]
         # overcast is a leaf: neither humidity nor windy is tested
-        assert predict(tree, [0, float("nan"), float("nan"), 0.5]) == 1
+        assert np.argmax(leaf_distributions(tree, [[0, float("nan"), float("nan"), 0.5]])[0]) == 1
 
     def test_batch_rows_equal_one_row_calls(self, weather):
         X, y, attrs, classes = weather
-        tree = grow(X, y, attrs, classes, C45Params(min_leaf=1, pruning=False))
+        tree = grow_bank(X, y[:, None], attrs, classes, C45Params(min_leaf=1, pruning=False))[0]
         batch = leaf_distributions(tree, X)
-        assert np.array_equal(batch, np.vstack([predict_distribution(tree, x) for x in X]))
+        assert np.array_equal(batch, np.vstack([leaf_distributions(tree, x[None]) for x in X]))
         assert leaf_distributions(tree, X[:0]).shape == (0, 2)
 
 
@@ -503,20 +486,11 @@ class TestPredict:
 class TestPersistence:
     def test_json_round_trip(self, weather):
         X, y, attrs, classes = weather
-        tree = prune_ebp(grow(X, y, attrs, classes))
+        tree = prune_ebp(grow_bank(X, y[:, None], attrs, classes)[0])
         doc = json.loads(json.dumps(tree.to_dict()))
-        again = C45Tree.from_dict(doc)
+        again = _read_tree(doc, "tree", attrs, classes)
         assert again.to_dict() == tree.to_dict()
-        for i in range(len(y)):
-            assert predict(again, X[i]) == predict(tree, X[i])
-
-    def test_schema_mismatch_refused(self, weather):
-        X, y, attrs, classes = weather
-        tree = prune_ebp(grow(X, y, attrs, classes))
-        doc = tree.to_dict()
-        other = binary_attrs(4)
-        with pytest.raises(SchemaMismatchError):
-            C45Tree.from_dict(doc, attributes=other, class_names=classes)
+        assert np.array_equal(leaf_distributions(again, X), leaf_distributions(tree, X))
 
     def test_malformed_split_rejected_when_read(self, weather):
         _, _, attrs, classes = weather
@@ -528,11 +502,11 @@ class TestPersistence:
         ):
             root = {"kind": "split", "test": test, "counts": [1.0, 1.0], "majority": 0, "children": children}
             with pytest.raises(ValidationError, match=re.escape(message)):
-                C45Tree.from_dict({"root": root}, attributes=attrs, class_names=classes)
+                _read_tree({"root": root}, "tree", attrs, classes)
 
     def test_render_mentions_tests_and_leaves(self, weather):
         X, y, attrs, classes = weather
-        text = render(grow(X, y, attrs, classes, C45Params(min_leaf=2, pruning=False)))
+        text = render(grow_bank(X, y[:, None], attrs, classes, C45Params(min_leaf=2, pruning=False))[0])
         assert "outlook = sunny" in text
         assert "humidity" in text
         assert "yes (" in text
@@ -548,11 +522,12 @@ def test_chain_of_2000_levels_needs_no_recursion():
     n = 2001
     X = np.arange(n, dtype=np.float64)[:, None]
     y = np.arange(n) % 2
-    tree = grow(X, y, (AttributeMeta("x", NUMERIC, index=0),), ("a", "b"), C45Params(min_leaf=1, pruning=False))
+    attrs = (AttributeMeta("x", NUMERIC, index=0),)
+    tree = grow_bank(X, y[:, None], attrs, ("a", "b"), C45Params(min_leaf=1, pruning=False))[0]
     assert depth(tree) == 2000
     assert tree.n_nodes == 4001
     assert np.array_equal(np.argmax(leaf_distributions(tree, X), axis=1), y)
-    again = C45Tree.from_dict(tree.to_dict())
+    again = _read_tree(tree.to_dict(), "tree", attrs, ("a", "b"))
     for name in ("attr", "threshold", "children", "counts", "virtual"):
         assert np.array_equal(getattr(again, name), getattr(tree, name), equal_nan=True), name
     pruned = prune_ebp(tree)

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 import chidt.tree as tree_module
 import oracle_c45
 from chidt.errors import ValidationError
-from chidt.tree import C45Params, _entropy_rows, grow, grow_bank, prune_ebp
+from chidt.tree import C45Params, _entropy_rows, grow_bank, prune_ebp
 from conftest import node_thresholds, random_view
 from oracle_c45 import SplitTest, oracle_grow, oracle_prune
 
@@ -50,7 +50,8 @@ class TestGrowMatchesOracle:
     def test_same_tree_as_scalar_induction(self, spec, min_leaf, max_depth):
         X, y, attrs, classes = view(**spec)
         params = C45Params(min_leaf=min_leaf, max_depth=max_depth, pruning=False)
-        assert grow(X, y, attrs, classes, params).to_dict() == oracle_grow(X, y, attrs, classes, params)
+        grown = grow_bank(X, y[:, None], attrs, classes, params)[0]
+        assert grown.to_dict() == oracle_grow(X, y, attrs, classes, params)
 
     @settings(deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(3, 10), st.integers(2, 12))
@@ -63,7 +64,8 @@ class TestGrowMatchesOracle:
         X = np.column_stack([np.take(p, X[:, 0].astype(int)) for p in perms]).astype(np.float64)
         attrs = tuple(dataclasses.replace(attrs[0], name=f"a{i}", index=i) for i in range(len(perms)))
         params = C45Params(min_leaf=1, max_depth=2, pruning=False)
-        assert grow(X, y, attrs, classes, params).to_dict() == oracle_grow(X, y, attrs, classes, params)
+        grown = grow_bank(X, y[:, None], attrs, classes, params)[0]
+        assert grown.to_dict() == oracle_grow(X, y, attrs, classes, params)
 
     def test_wide_views_reach_the_pairwise_path(self, monkeypatch):
         # 12 classes and 10-value attributes: nodes and splits with 8 or more nonzero terms
@@ -77,7 +79,8 @@ class TestGrowMatchesOracle:
         monkeypatch.setattr(tree_module, "_pairwise_sum", counted)
         X, y, attrs, classes = view(seed=3, n=300, n_attrs=4, k=12, numeric_share=0.5, max_width=10)
         params = C45Params(min_leaf=1, pruning=False)
-        assert grow(X, y, attrs, classes, params).to_dict() == oracle_grow(X, y, attrs, classes, params)
+        grown = grow_bank(X, y[:, None], attrs, classes, params)[0]
+        assert grown.to_dict() == oracle_grow(X, y, attrs, classes, params)
         assert widths and min(widths) >= 8
 
     def test_level_counted_one_node_at_a_time(self, monkeypatch):
@@ -86,7 +89,8 @@ class TestGrowMatchesOracle:
         for seed in range(5):
             X, y, attrs, classes = view(seed=seed, n=200, n_attrs=4, k=9, numeric_share=0.0, max_width=10)
             params = C45Params(min_leaf=1, pruning=False)
-            assert grow(X, y, attrs, classes, params).to_dict() == oracle_grow(X, y, attrs, classes, params)
+            grown = grow_bank(X, y[:, None], attrs, classes, params)[0]
+            assert grown.to_dict() == oracle_grow(X, y, attrs, classes, params)
 
     def test_shipped_corpus_sized_views(self):
         # the shape of a diverse-br bank: 14 binary attributes, two classes, 2,000 rows
@@ -94,7 +98,8 @@ class TestGrowMatchesOracle:
         for min_leaf in (1, 2):
             X, y, attrs, classes = random_view(rng, 2000, 14, 2, numeric_share=0.0)
             params = C45Params(min_leaf=min_leaf, pruning=False)
-            assert grow(X, y, attrs, classes, params).to_dict() == oracle_grow(X, y, attrs, classes, params)
+            grown = grow_bank(X, y[:, None], attrs, classes, params)[0]
+            assert grown.to_dict() == oracle_grow(X, y, attrs, classes, params)
 
 
 class TestPruneMatchesOracle:
@@ -108,7 +113,7 @@ class TestPruneMatchesOracle:
     def test_same_tree_as_recursive_pruning(self, spec, min_leaf, max_depth, cf):
         X, y, attrs, classes = view(**spec)
         params = C45Params(min_leaf=min_leaf, max_depth=max_depth, confidence_factor=cf, pruning=False)
-        grown = grow(X, y, attrs, classes, params)
+        grown = grow_bank(X, y[:, None], attrs, classes, params)[0]
         assert prune_ebp(grown).to_dict() == oracle_prune(oracle_grow(X, y, attrs, classes, params))
         assert grown.to_dict() == oracle_grow(X, y, attrs, classes, params)  # the input is left as it was
 
