@@ -22,7 +22,6 @@ from .data import (
     Dataset,
     GeneratorConfig,
     GeneratorProfile,
-    Record,
     cover_all_labels_split,
     export_csv,
     generate_synthetic,
@@ -81,7 +80,6 @@ __all__ = [
     "LPModel",
     "MetricsReport",
     "MultiLabelReport",
-    "Record",
     "SchemaMismatchError",
     "TermLexicon",
     "ValidCombinationRegistry",

@@ -267,7 +267,7 @@ def train_cascades(
     stage1_params: C45Params | None = None,
     stage2_params: C45Params | None = None,
     strategy: str = STRATEGY_DIVERSE_BR,
-    registry: ValidCombinationRegistry | None = None,
+    declared: ValidCombinationRegistry | None = None,
     exclusions: Sequence[ExclusionGroup] = (),
     threshold: float = 0.5,
     single_label_fallback: bool = False,
@@ -276,8 +276,9 @@ def train_cascades(
 
     The sets' trees grow together, with one ``grow_bank`` call per stage
     (see ``_br_banks`` and ``_lp_trees``), and each equals the tree that its
-    set grows alone. Each cascade's registry is ``registry``, or else the
-    combinations observed in its own records. Stage-2 parameters default
+    set grows alone. Each cascade's registry is the combinations observed in
+    its own records, merged with ``declared`` if given (observed provenance
+    wins where both list a combination). Stage-2 parameters default
     to the diversified unpruned/min-leaf-1 profile for the diverse-br
     strategy and to stage-1 defaults otherwise. Every set is checked before
     any tree grows, and an error names the first set that fails.
@@ -295,22 +296,23 @@ def train_cascades(
         stage2 = _br_banks(ds, training, stage2_params or DIVERSE_STAGE2_PARAMS, threshold)
     else:
         stage2 = _lp_trees(ds, training, stage2_params or C45Params())
+    observed = [observed_registry(ds.subset(ids)) for ids in training_sets]
     return [
         ChiDTModel(
             stage1=s1,
             stage2=s2,
-            registry=observed_registry(ds.subset(ids)) if registry is None else registry,
+            registry=registry if declared is None else registry.merged(declared),
             exclusions=tuple(exclusions),
             single_label_fallback=single_label_fallback,
             training_ids=ids,
         )
-        for s1, s2, ids in zip(stage1, stage2, training_sets)
+        for s1, s2, registry, ids in zip(stage1, stage2, observed, training_sets)
     ]
 
 
 def train_chidt(ds: Dataset, **kwargs) -> ChiDTModel:
     """Train both cascade stages on all the records of ``ds``: the one-set view of ``train_cascades``, whose
-    keyword arguments it takes. The registry defaults to the combinations observed in ``ds``."""
+    keyword arguments it takes. Its registry is the combinations observed in ``ds``, merged with ``declared``."""
     return train_cascades(ds, [ds.record_ids()], **kwargs)[0]
 
 

@@ -234,19 +234,17 @@ def _build_trainer(cfg: RunConfig):
     declared = _load_registry(registry_path) if cfg.training.use_declared_registry and registry_path.exists() else None
 
     def trainer(ds: Dataset, training_sets) -> list:
-        models = train_cascades(
+        return train_cascades(
             ds,
             training_sets,
             stage1_params=cfg.training.stage1_params,
             stage2_params=cfg.training.stage2_params,
             strategy=cfg.training.strategy,
+            declared=declared,
             exclusions=exclusions,
             threshold=cfg.training.threshold,
             single_label_fallback=cfg.training.single_label_fallback,
         )
-        if declared is None:
-            return models
-        return [replace(model, registry=model.registry.merged(declared)) for model in models]
 
     return trainer
 

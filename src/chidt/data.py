@@ -1,4 +1,4 @@
-"""Clinical-coding dataset model: attribute schema, records, loaders, splits, synthesis.
+"""Clinical-coding dataset model: attribute schema, columnar records, loaders, splits, synthesis.
 
 The on-disk format is a small CSV dialect: one label column holding
 separator-joined code lists, with optional ``code:ROLE`` suffixes for
@@ -13,7 +13,7 @@ import io
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -66,26 +66,6 @@ class AttributeMeta:
         return self.kind == NOMINAL and self.values == BINARY_DOMAIN
 
 
-@dataclass(frozen=True)
-class Record:
-    """One patient-style record: feature vector plus a set of diagnosis codes.
-
-    ``roles`` optionally tags individual codes with PDx/SDx/PROC markers;
-    at most one code may carry the PDx tag. A ``Dataset`` stores its records
-    as columns; a ``Record`` is the per-row view of them.
-    """
-
-    id: str
-    features: tuple
-    labels: frozenset
-    roles: Mapping[str, str] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "features", tuple(self.features))
-        object.__setattr__(self, "labels", frozenset(self.labels))
-        object.__setattr__(self, "roles", dict(self.roles))
-
-
 def _refuse(bad: np.ndarray, message) -> None:
     """Raise ``message(row, column)`` for the first set cell of the 2-D mask ``bad``, if any."""
     if bad.any():
@@ -100,7 +80,7 @@ class Dataset:
     slot holds its value index), codes ``Y[i]`` (bool, one column per code of
     the sorted ``label_alphabet``, so the first set column is the lowest code)
     and role tags ``roles[i]`` (uint8, 0 for none, ``k`` for ``ROLE_TAGS[k - 1]``).
-    The constructor checks the columns once and stores read-only copies.
+    The constructor refuses a column of another dtype kind, checks the columns once and stores read-only copies.
     """
 
     attributes: tuple
@@ -120,20 +100,25 @@ class Dataset:
                 raise ValidationError(f"attribute {attr.name!r} has index {attr.index}, expected {i}")
         if list(alphabet) != sorted(set(alphabet)):
             raise ValidationError("label alphabet must be sorted and free of duplicates")
-        reserved = [code for code in alphabet if code == NONE_CLASS or ";" in code]
-        if reserved:
-            raise ValidationError(f"code {reserved[0]!r} is reserved: {NONE_CLASS!r} means no code, ';' joins codes")
+        _refuse_reserved(alphabet)
         if len(set(ids)) != len(ids):
             raise ValidationError(f"duplicate record id {next(i for i, c in Counter(ids).items() if c > 1)!r}")
         if "" in ids:
             raise ValidationError(f"the record in row {ids.index('')} has an empty id")
         n, L = len(ids), len(alphabet)
-        roles = np.zeros((n, L)) if self.roles is None else self.roles
+        roles = np.zeros((n, L), dtype=np.uint8) if self.roles is None else self.roles
         columns = dict(X=(self.X, np.float64, len(attrs)), Y=(self.Y, bool, L), roles=(roles, np.uint8, L))
+        kinds = dict(X=("iuf", "integers or floats"), Y=("b", "bools"), roles=("iu", "integers"))  # numpy dtype kinds
         for key, (values, dtype, width) in columns.items():
-            column = np.array(values, dtype=dtype)
+            column = np.asarray(values)
+            if column.dtype.kind not in kinds[key][0]:
+                raise ValidationError(f"{key} must hold {kinds[key][1]}, not {column.dtype} values")
             if column.shape != (n, width):
                 raise ValidationError(f"{key} has shape {column.shape}, expected {(n, width)}")
+            if key == "roles":  # before the uint8 cast, which would wrap 256 to 0
+                outside = (column < 0) | (column > len(ROLE_TAGS))
+                _refuse(outside, lambda i, j: f"record {ids[i]!r}: unknown roles tag {column[i, j]} on {alphabet[j]!r}")
+            column = column.astype(dtype)
             column.setflags(write=False)
             object.__setattr__(self, key, column)
         X, Y, roles = self.X, self.Y, self.roles
@@ -148,40 +133,17 @@ class Dataset:
         )
         pdx = roles == ROLE_TAGS.index("PDx") + 1
         _refuse(pdx.sum(axis=1, keepdims=True) > 1, lambda i, _: f"record {ids[i]!r} tags more than one code as PDx")
-        _refuse(roles > len(ROLE_TAGS), lambda i, j: f"record {ids[i]!r}: unknown role tag on {alphabet[j]!r}")
         absent = (roles > 0) & ~Y
         _refuse(absent, lambda i, j: f"record {ids[i]!r}: role tag on code {alphabet[j]!r} absent from its labels")
         for key, value in dict(attributes=attrs, label_alphabet=alphabet, ids=ids).items():
             object.__setattr__(self, key, value)
 
-    @classmethod
-    def from_records(cls, attributes, label_alphabet, records: Iterable[Record]) -> "Dataset":
-        """The columns of ``records``; a code outside ``label_alphabet`` is refused."""
-        records, alphabet = tuple(records), sorted(label_alphabet)
-        for rec in records:
-            unknown = sorted(rec.labels.difference(alphabet))
-            if unknown:
-                raise ValidationError(f"record {rec.id!r} carries codes outside the label alphabet: {unknown}")
-        if any(len(rec.features) != len(attributes) for rec in records):
-            raise ValidationError(f"record features do not match the schema's {len(attributes)} attributes")
-        X = np.array([rec.features for rec in records]).reshape(len(records), len(attributes))
-        if X.dtype.kind not in "iuf":
-            raise ValidationError(f"record features are not numbers or value indices (read as {X.dtype})")
-        ids = [rec.id for rec in records]
-        Y = label_indicator([rec.labels for rec in records], alphabet)
-        return cls(attributes, alphabet, ids, X, Y, _role_matrix(ids, [r.roles for r in records], alphabet))
-
     def __len__(self) -> int:
         return len(self.ids)
 
     def __iter__(self):
-        """The ``Record`` view of each row, built on demand."""
-        nominal = [not a.is_numeric for a in self.attributes]
-        codes = np.asarray(self.label_alphabet, dtype=object)
-        for rid, x, y, r in zip(self.ids, self.X, self.Y, self.roles):
-            features = tuple(int(v) if nom else v for v, nom in zip(x.tolist(), nominal))
-            tags = {codes[j]: ROLE_TAGS[r[j] - 1] for j in np.flatnonzero(r)}
-            yield Record(rid, features, frozenset(codes[y]), tags)
+        """The record ids, in row order."""
+        return iter(self.ids)
 
     def __eq__(self, other) -> bool:
         plain, arrays = ("attributes", "label_alphabet", "ids"), ("X", "Y", "roles")
@@ -191,9 +153,6 @@ class Dataset:
 
     def record_ids(self) -> frozenset:
         return frozenset(self.ids)
-
-    def distinct_labelsets(self) -> set:
-        return {labels for labels in _distinct_labelsets(self.Y, self.label_alphabet)[0] if labels}
 
     def subset(self, ids: Iterable[str]) -> "Dataset":
         """Records whose id is in ``ids``, original order, schema and alphabet kept."""
@@ -210,16 +169,20 @@ class Dataset:
         return self.X
 
 
-def _role_matrix(ids: Sequence[str], roles: Sequence[Mapping], alphabet: Sequence[str]) -> np.ndarray:
-    """n x L role column (see ``Dataset``) of per-row ``{code: tag}`` maps."""
+def _refuse_reserved(codes: Sequence[str], where: str = "") -> None:
+    """Refuse the code ``NONE_CLASS`` and any code holding the ';' of ``combo_key``; ``where`` names the list."""
+    for i, code in enumerate(codes):
+        if code == NONE_CLASS or ";" in code:
+            at = f"{where}[{i}]: " if where else ""
+            raise ValidationError(f"{at}code {code!r} is reserved: {NONE_CLASS!r} means no code, ';' joins codes")
+
+
+def _role_matrix(roles: Sequence[Mapping], alphabet: Sequence[str]) -> np.ndarray:
+    """n x L role column (see ``Dataset``) of per-row ``{code: tag}`` maps over codes of ``alphabet``."""
     index = {code: j for j, code in enumerate(alphabet)}
     out = np.zeros((len(roles), len(index)), dtype=np.uint8)
     for i, tags in enumerate(roles):
         for code, tag in tags.items():
-            if tag not in ROLE_TAGS:
-                raise ValidationError(f"record {ids[i]!r}: unknown role tag {tag!r} on {code!r}")
-            if code not in index:
-                raise ValidationError(f"record {ids[i]!r}: role tag on code {code!r} absent from its labels")
             out[i, index[code]] = ROLE_TAGS.index(tag) + 1
     return out
 
@@ -432,8 +395,7 @@ def load_csv(
     parsed, rows, _ = read[0]
     ids = [f"r{i}" for i in range(len(rows))] if id_idx is None else [read[1][0][k] for k in read[1][1]]
     alphabet = sorted(set().union(*(codes for codes, _ in parsed)))
-    first = np.unique(rows, return_index=True)[1]  # the first row holding each distinct label cell
-    roles = _role_matrix([ids[i] for i in first], [tags for _, tags in parsed], alphabet)
+    roles = _role_matrix([tags for _, tags in parsed], alphabet)
     Y = label_indicator([codes for codes, _ in parsed], alphabet)
     return Dataset(tuple(metas), tuple(alphabet), ids, X, Y[rows], roles[rows])
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .data import AttributeMeta, Dataset, BINARY_DOMAIN
+from .data import AttributeMeta, Dataset, BINARY_DOMAIN, _distinct_labelsets
 from .errors import ValidationError
 from .jsondoc import Fields, code_set, code_sets, distinct, fields, items, loads, one_of, strings, text
 
@@ -143,10 +143,8 @@ def _read_registry(doc, where: str) -> ValidCombinationRegistry:
 
 def observed_registry(ds: Dataset) -> ValidCombinationRegistry:
     """Registry of the distinct non-empty LabelSets appearing in ``ds``."""
-    combos = ds.distinct_labelsets()
-    return ValidCombinationRegistry(
-        frozenset(combos), {c: PROVENANCE_OBSERVED for c in combos}
-    )
+    combos = [labels for labels in _distinct_labelsets(ds.Y, ds.label_alphabet)[0] if labels]
+    return ValidCombinationRegistry(frozenset(combos), dict.fromkeys(combos, PROVENANCE_OBSERVED))
 
 
 @dataclass(frozen=True)

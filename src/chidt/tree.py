@@ -53,7 +53,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import AttributeMeta, NOMINAL, NUMERIC
+from .data import AttributeMeta, NOMINAL, NUMERIC, _refuse_reserved
 from .errors import ValidationError
 from .jsondoc import MAX, Fields, fail, field_names, fields, flag, integer, items, number, one_of, strings, text
 
@@ -73,8 +73,8 @@ class C45Params:
     def __post_init__(self) -> None:
         if self.min_leaf < 1:
             raise ValidationError("min_leaf must be at least 1")
-        if not 0.0 < self.confidence_factor <= 0.5:
-            raise ValidationError("confidence factor must lie in (0, 0.5]")
+        if not 0.0 < self.confidence_factor <= 0.5 or 1.0 - self.confidence_factor == 1.0:  # see pessimistic_errors
+            raise ValidationError(f"confidence factor {self.confidence_factor!r} must lie in (0, 0.5] with 1 - cf < 1")
         if self.max_depth is not None and self.max_depth < 0:
             raise ValidationError("max_depth cannot be negative")
 
@@ -396,6 +396,7 @@ def _read_schema(doc, where: str) -> tuple:
     if len(set(classes)) < len(classes):
         repeated = next(c for c in classes if classes.count(c) > 1)
         raise ValidationError(f"{f.path('classes')} repeats the class {repeated!r}")
+    _refuse_reserved(classes, f.path("classes"))
     return attributes, classes
 
 

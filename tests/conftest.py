@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from chidt.data import AttributeMeta, Dataset, NOMINAL, NUMERIC, Record
+from chidt.data import NOMINAL, NUMERIC, AttributeMeta, Dataset, _role_matrix, label_indicator
 from chidt.ontology import REASONS
 from chidt.tree import C45Tree, _entropy_rows, _read_tree, best_numeric_threshold
 
@@ -83,21 +83,20 @@ def batch_rows(model, X) -> tuple:
 
 
 def make_dataset(feature_rows, labelsets, alphabet=None, roles=None):
-    """Dataset over binary attributes from integer feature rows and label iterables."""
-    n = len(feature_rows[0])
-    attrs = binary_attrs(n)
+    """Dataset over binary attributes from integer feature rows and label iterables; ``roles`` maps a row
+    number to that row's ``{code: tag}``."""
     if alphabet is None:
         alphabet = sorted(set().union(*[set(ls) for ls in labelsets]) or set())
-    records = tuple(
-        Record(
-            id=f"r{i}",
-            features=tuple(int(v) for v in row),
-            labels=frozenset(ls),
-            roles=(roles or {}).get(i, {}),
-        )
-        for i, (row, ls) in enumerate(zip(feature_rows, labelsets))
-    )
-    return Dataset.from_records(attributes=attrs, label_alphabet=tuple(alphabet), records=records)
+    X = np.array(feature_rows, dtype=np.int64)
+    tags = _role_matrix([(roles or {}).get(i, {}) for i in range(len(X))], alphabet)
+    ids = [f"r{i}" for i in range(len(X))]
+    return Dataset(binary_attrs(X.shape[1]), tuple(alphabet), ids, X, label_indicator(labelsets, alphabet), tags)
+
+
+def row_labels(ds: Dataset) -> list:
+    """Each row's codes as a frozenset, read from ``ds.Y``."""
+    codes = np.asarray(ds.label_alphabet, dtype=object)
+    return [frozenset(codes[y]) for y in ds.Y]
 
 
 def random_view(rng, n, n_attrs, k, numeric_share=0.5, widths=(2, 4)):

@@ -163,4 +163,4 @@ def oracle_load_csv(
     alphabet = sorted(set().union(*labelsets))
     X = np.array(rows, dtype=np.float64).reshape(len(rows), len(metas))
     Y = label_indicator(labelsets, alphabet)
-    return Dataset(metas, tuple(alphabet), ids, X, Y, _role_matrix(ids, roles, alphabet))
+    return Dataset(metas, tuple(alphabet), ids, X, Y, _role_matrix(roles, alphabet))

@@ -31,7 +31,7 @@ from chidt.evaluation import (
 from chidt.ontology import ValidCombinationRegistry, is_valid, observed_registry
 from chidt.tree import C45Params, _entropy_rows, grow_bank, prune_ebp
 
-from conftest import DATA_DIR, batch_rows, binary_attrs, make_dataset
+from conftest import DATA_DIR, batch_rows, binary_attrs, make_dataset, row_labels
 from test_cascade import BRModel, ChiDTModel, constant_lp, indicator_tree, spy_batch_rows
 from test_metrics import oracle_errors, oracle_kappa, random_distribution
 from test_tree import random_view, resubstitution_accuracy
@@ -173,9 +173,7 @@ def test_criterion_5_paper_protocol_rehearsal():
             ds, _ = generate_synthetic(cfg)
             assert len(ds.label_alphabet) == 11
             train_ds = ds.subset(cover_all_labels_split(ds, 53, seed=1000 + seed))
-            model = train_chidt(
-                train_ds, strategy=strategy, registry=observed_registry(train_ds)
-            )
+            model = train_chidt(train_ds, strategy=strategy)
             cascade = evaluate_resubstitution(model, ds)
             stage1_only = evaluate_predictions(
                 model.stage1,
@@ -226,9 +224,9 @@ def test_criterion_6_validity_semantics():
             labelsets.append(set(rng.sample(codes, rng.randrange(0, 4))))
         ds = make_dataset([(0,)] * len(labelsets), labelsets, alphabet=codes)
         registry = observed_registry(ds)
-        for rec in list(ds):
-            if rec.labels:
-                assert is_valid(registry, (), rec.labels) == (True, "ok")
+        for labels in row_labels(ds):
+            if labels:
+                assert is_valid(registry, (), labels) == (True, "ok")
     elapsed = time.monotonic() - start
     assert elapsed < 5.0
     report(6, f"validity semantics hold over 100 random registries and corpora ({elapsed:.2f}s)")

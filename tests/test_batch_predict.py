@@ -31,7 +31,7 @@ from chidt.cascade import (
     STRATEGY_LABEL_POWERSET,
     train_chidt,
 )
-from chidt.data import NOMINAL, Dataset, Record, label_indicator
+from chidt.data import NOMINAL, Dataset, label_indicator
 from chidt.errors import SchemaMismatchError, ValidationError
 from chidt.ontology import (
     REASON_OK,
@@ -40,7 +40,6 @@ from chidt.ontology import (
     ValidCombinationRegistry,
     combo_key,
     is_valid,
-    observed_registry,
 )
 from chidt.tree import C45Params, _refuse, _unroutable, grow_bank, leaf_distributions, prune_ebp, route_bank
 
@@ -153,17 +152,14 @@ def random_cascade(rng, strategy: str, fallback: bool):
     X, _, attributes, _ = random_view(rng, n, rng.randrange(1, 5), 2)
     alphabet = CODES[: rng.randrange(1, len(CODES) + 1)]
     min_size = 1 if strategy == STRATEGY_LABEL_POWERSET else 0
-    records = []
-    for i in range(n):
-        labels = rng.sample(alphabet, rng.randrange(min_size, min(4, len(alphabet)) + 1))
-        features = tuple(int(v) if a.kind == NOMINAL else float(v) for a, v in zip(attributes, X[i]))
-        records.append(Record(id=f"r{i}", features=features, labels=labels))
-    ds = Dataset.from_records(attributes=attributes, label_alphabet=alphabet, records=tuple(records))
-    if rng.random() < 0.5 or not ds.distinct_labelsets():
-        registry = observed_registry(ds) if ds.distinct_labelsets() else ValidCombinationRegistry([alphabet[:1]])
+    labelsets = [rng.sample(alphabet, rng.randrange(min_size, min(4, len(alphabet)) + 1)) for _ in range(n)]
+    ds = Dataset(attributes, alphabet, [f"r{i}" for i in range(n)], X, label_indicator(labelsets, alphabet))
+    # the registry is the observed one, merged with a declared one, or declared alone when no record has a code
+    if rng.random() < 0.5 or not ds.Y.any():
+        declared = None if ds.Y.any() else ValidCombinationRegistry([alphabet[:1]])
     else:
         extra = [rng.sample(alphabet, rng.randrange(1, len(alphabet) + 1)) for _ in range(3)]
-        registry = observed_registry(ds).merged(ValidCombinationRegistry(extra))
+        declared = ValidCombinationRegistry(extra)
     exclusions = ()
     if len(alphabet) >= 2 and rng.random() < 0.6:
         exclusions = (ExclusionGroup(frozenset(rng.sample(alphabet, 2))),)
@@ -171,7 +167,7 @@ def random_cascade(rng, strategy: str, fallback: bool):
         ds,
         stage1_params=C45Params(min_leaf=rng.randrange(1, 4), pruning=rng.random() < 0.5),
         strategy=strategy,
-        registry=registry,
+        declared=declared,
         exclusions=exclusions,
         threshold=rng.choice((0.3, 0.5, 0.7)),
         single_label_fallback=fallback,
@@ -222,7 +218,7 @@ def assert_indicator(Y, labelsets, codes) -> None:
 # ---------------------------------------------------------------------------
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=max(120, settings().max_examples), deadline=None)  # the deep profile's count, if larger
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(2, 40),

@@ -340,7 +340,7 @@ class TestTriggerRate:
         model = train_chidt(
             ds,
             stage1_params=C45Params(min_leaf=1, pruning=False),
-            registry=ValidCombinationRegistry([{"a"}, {"b"}]),
+            declared=ValidCombinationRegistry([{"a"}, {"b"}]),
         )
         assert evaluated_trigger_rate(model, ds) == 0.0
 

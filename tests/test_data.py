@@ -16,14 +16,17 @@ from chidt.data import (
     GeneratorProfile,
     NOMINAL,
     NUMERIC,
-    Record,
+    ROLE_TAGS,
     cover_all_labels_split,
     export_csv,
     generate_synthetic,
     load_csv,
     _principal_columns,
+    label_indicator,
 )
 from chidt.errors import ValidationError
+
+from conftest import row_labels
 
 CSV_BASIC = """id,fever,bp,codes
 p1,1,120.5,I21.0;I25.1
@@ -32,20 +35,20 @@ p3,1,140.75,
 """
 
 
-def record(ds: Dataset, rid: str) -> Record:
-    """The record of ``ds`` whose id is ``rid``."""
-    return list(ds)[ds.ids.index(rid)]
+def labels(ds: Dataset, rid: str) -> frozenset:
+    """The codes of the record of ``ds`` whose id is ``rid``."""
+    return row_labels(ds)[ds.ids.index(rid)]
 
 
 class TestLoadCsv:
     def test_multi_label_cell(self):
         ds = load_csv(CSV_BASIC, label_column="codes", id_column="id")
-        assert record(ds, "p1").labels == frozenset({"I21.0", "I25.1"})
+        assert labels(ds, "p1") == frozenset({"I21.0", "I25.1"})
         assert ds.label_alphabet == ("I21.0", "I25.1")
 
     def test_empty_label_cell_loads_as_empty_set(self):
         ds = load_csv(CSV_BASIC, label_column="codes", id_column="id")
-        assert record(ds, "p3").labels == frozenset()
+        assert labels(ds, "p3") == frozenset()
 
     def test_binary_column_inferred_nominal(self):
         # oracle: apply the inference rule directly to the column's cells
@@ -60,7 +63,7 @@ class TestLoadCsv:
     def test_many_valued_numeric_column_inferred_numeric(self):
         ds = load_csv(CSV_BASIC, label_column="codes", id_column="id")
         assert ds.attributes[1].kind == NUMERIC
-        assert record(ds, "p2").features[1] == 131.25
+        assert ds.X[ds.ids.index("p2"), 1] == 131.25
 
     def test_ragged_row_rejected(self):
         bad = "a,b,codes\n1,2\n"
@@ -160,7 +163,9 @@ class TestLoadCsv:
     def test_role_tags_parsed(self):
         text = "a,codes\n1,I21.0:PDx;I25.1:SDx\n1,I21.0\n"
         ds = load_csv(text, label_column="codes")
-        assert list(ds)[0].roles == {"I21.0": "PDx", "I25.1": "SDx"}
+        assert ds.label_alphabet == ("I21.0", "I25.1")
+        assert [ROLE_TAGS[tag - 1] for tag in ds.roles[0]] == ["PDx", "SDx"]
+        assert not ds.roles[1].any()
         assert ds.label_alphabet[_principal_columns(ds.Y, ds.roles)[0]] == "I21.0"
 
     def test_two_pdx_tags_rejected(self):
@@ -200,21 +205,37 @@ class TestLoadCsv:
 
 
 class TestColumnChecks:
-    """The Dataset constructor checks its columns, whether a loader or ``from_records`` built them."""
+    """The Dataset constructor, the one way to build a Dataset, checks the columns it is given."""
 
     ATTRS = (AttributeMeta("f", NOMINAL, values=("0", "1"), index=0), AttributeMeta("g", NUMERIC, index=1))
 
     def columns(self, X=((0, 1.5), (1, 2.5)), ids=("r0", "r1"), Y=((True, True), (False, True)), roles=None):
-        return Dataset(self.ATTRS, ("a", "b"), ids, np.array(X, dtype=float), np.array(Y), roles)
-
-    def records(self, *records):
-        return Dataset.from_records(self.ATTRS, ("a", "b"), records)
+        return Dataset(self.ATTRS, ("a", "b"), ids, X, Y, roles)
 
     def test_valid_columns_are_stored_read_only(self):
         ds = self.columns(roles=[[1, 2], [0, 0]])
         assert not (ds.X.flags.writeable or ds.Y.flags.writeable or ds.roles.flags.writeable)
-        assert list(ds)[0] == Record("r0", (0, 1.5), {"a", "b"}, {"a": "PDx", "b": "SDx"})
-        assert ds == self.records(*ds)
+        assert (ds.X.dtype, ds.Y.dtype, ds.roles.dtype) == (np.float64, np.bool_, np.uint8)
+        assert (ds.X.tolist(), ds.roles.tolist()) == ([[0, 1.5], [1, 2.5]], [[1, 2], [0, 0]])
+        default = self.columns().roles
+        assert default.dtype == np.uint8 and not default.any()
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            ("X", [["1", "1.5"], ["0", "2.5"]], r"X must hold integers or floats, not <U\d+ values"),
+            ("X", [[False, True], [True, False]], "X must hold integers or floats, not bool values"),
+            ("Y", [[2, "x"], [0, 1]], r"Y must hold bools, not <U\d+ values"),
+            ("roles", [[300, 0], [0, 0]], "record 'r0': unknown roles tag 300 on 'a'"),
+            ("Y", [[1, 0], [0, 1]], r"Y must hold bools, not int\d+ values"),
+            ("roles", [[-1, 0], [0, 0]], "record 'r0': unknown roles tag -1 on 'a'"),
+            ("roles", [[1.0, 0], [0, 0]], "roles must hold integers, not float64 values"),
+        ],
+        ids=["str X", "bool X", "non-bool Y", "roles 300", "int Y", "roles -1", "float roles"],
+    )
+    def test_a_column_of_another_kind_is_refused(self, column, value, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            self.columns(**{column: value})
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_numeric_value(self, value):
@@ -225,29 +246,19 @@ class TestColumnChecks:
     def test_nominal_value_outside_its_domain(self, value):
         with pytest.raises(ValidationError, match="^record 'r0': value index .* outside domain of 'f'$"):
             self.columns(X=((value, 1.5), (1, 2.5)))
-        with pytest.raises(ValidationError, match="outside domain of 'f'"):
-            self.records(Record("r0", (value, 1.5), {"a"}))
 
     def test_wrong_feature_width(self):
         with pytest.raises(ValidationError, match=r"^X has shape \(2, 3\), expected \(2, 2\)$"):
             self.columns(X=((0, 1.5, 0), (1, 2.5, 0)))
-        with pytest.raises(ValidationError, match="do not match the schema's 2 attributes"):
-            self.records(Record("r0", (0, 1.5), {"a"}), Record("r1", (0,), {"a"}))
 
     def test_features_that_are_not_numbers(self):
-        with pytest.raises(ValidationError, match="not numbers or value indices"):
-            self.records(Record("r0", ("0", "1.5"), {"a"}))
+        with pytest.raises(ValidationError, match="^X must hold integers or floats, not object values$"):
+            self.columns(X=np.array([[0, 1.5], [1, None]], dtype=object))
 
     @pytest.mark.parametrize("ids, message", [(("r0", "r0"), "duplicate record id 'r0'"), (("r0", ""), "empty id")])
     def test_duplicate_or_empty_ids(self, ids, message):
         with pytest.raises(ValidationError, match=message):
             self.columns(ids=ids)
-        with pytest.raises(ValidationError, match=message):
-            self.records(*(Record(rid, (0, 1.5), {"a"}) for rid in ids))
-
-    def test_code_outside_the_alphabet(self):
-        with pytest.raises(ValidationError, match=r"record 'r0' carries codes outside the label alphabet: \['z'\]"):
-            self.records(Record("r0", (0, 1.5), {"a", "z"}))
 
     @pytest.mark.parametrize("code", ["(none)", "a;b"])
     def test_code_reserved_by_the_reports(self, code):
@@ -257,29 +268,25 @@ class TestColumnChecks:
     def test_two_pdx_tags(self):
         with pytest.raises(ValidationError, match="^record 'r0' tags more than one code as PDx$"):
             self.columns(roles=[[1, 1], [0, 0]])
-        with pytest.raises(ValidationError, match="more than one code as PDx"):
-            self.records(Record("r0", (0, 1.5), {"a", "b"}, {"a": "PDx", "b": "PDx"}))
 
     def test_role_on_an_absent_code(self):
         with pytest.raises(ValidationError, match="^record 'r1': role tag on code 'a' absent from its labels$"):
             self.columns(roles=[[0, 0], [2, 0]])
-        for tags in ({"b": "SDx"}, {"z": "SDx"}):
-            with pytest.raises(ValidationError, match="absent from its labels"):
-                self.records(Record("r0", (0, 1.5), {"a"}, tags))
 
 
 class TestCoverAllLabelsSplit:
     def _corpus_196(self):
         rng = random.Random(7)
         codes = [f"C{i:02d}" for i in range(11)]
-        records = []
-        for i in range(196):
-            labels = {rng.choice(codes)}
+        labelsets, X = [], []
+        for _ in range(196):
+            labelsets.append({rng.choice(codes)})
             if rng.random() < 0.3:
-                labels.add(rng.choice(codes))
-            records.append(Record(id=f"r{i}", features=(rng.randrange(2),), labels=frozenset(labels)))
+                labelsets[-1].add(rng.choice(codes))
+            X.append([rng.randrange(2)])
         attrs = (AttributeMeta("f0", NOMINAL, values=("0", "1"), index=0),)
-        return Dataset.from_records(attributes=attrs, label_alphabet=tuple(codes), records=tuple(records))
+        ids = [f"r{i}" for i in range(196)]
+        return Dataset(attrs, tuple(codes), ids, np.array(X), label_indicator(labelsets, codes))
 
     def test_53_of_196_covers_all_labels(self):
         ds = self._corpus_196()
@@ -287,7 +294,7 @@ class TestCoverAllLabelsSplit:
         assert len(train_ids) == 53
         assert len(ds.record_ids() - train_ids) == 143
         assert train_ids <= ds.record_ids()
-        train_labels = set().union(*(record(ds, r).labels for r in train_ids))
+        train_labels = set().union(*(labels(ds, r) for r in train_ids))
         assert train_labels == set(ds.label_alphabet)
 
     def test_full_train_leaves_empty_test(self):
@@ -299,7 +306,7 @@ class TestCoverAllLabelsSplit:
         ds = self._corpus_196()
         for seed in (3, 4):
             train_ids = cover_all_labels_split(ds, 53, seed=seed)
-            covered = set().union(*(record(ds, r).labels for r in train_ids))
+            covered = set().union(*(labels(ds, r) for r in train_ids))
             assert covered == set(ds.label_alphabet)
             assert train_ids <= ds.record_ids()
 
@@ -331,7 +338,7 @@ class TestGenerateSynthetic:
         )
         ds, combos = generate_synthetic(cfg)
         assert combos == [frozenset({"a"})]
-        assert all(r.labels == frozenset({"a"}) for r in list(ds))
+        assert ds.label_alphabet == ("a",) and ds.Y.all()
 
     def test_degenerate_rates_reproduce_template(self):
         cfg = GeneratorConfig(
@@ -341,7 +348,7 @@ class TestGenerateSynthetic:
             seed=9,
         )
         ds, _ = generate_synthetic(cfg)
-        assert all(r.features == (1, 0, 1) for r in list(ds))
+        assert (ds.X == [1, 0, 1]).all()
 
     def test_profile_counts_within_three_sigma(self):
         # multinomial oracle: n=300, p=1/3 per profile, sigma = sqrt(n*p*(1-p))
@@ -352,7 +359,7 @@ class TestGenerateSynthetic:
         ds, _ = generate_synthetic(cfg)
         sigma = math.sqrt(300 * (1 / 3) * (2 / 3))
         for code in ("a", "b", "c"):
-            count = sum(1 for r in list(ds) if r.labels == frozenset({code}))
+            count = row_labels(ds).count(frozenset({code}))
             assert abs(count - 100) <= 3 * sigma
 
     def test_bit_reproducible(self):
@@ -382,7 +389,7 @@ class TestGenerateSynthetic:
         )
         ds, combos = generate_synthetic(cfg)
         allowed = set(combos)
-        assert all(r.labels in allowed for r in list(ds))
+        assert set(row_labels(ds)) <= allowed
 
     def test_validation_errors(self):
         with pytest.raises(ValidationError, match="at least one profile"):

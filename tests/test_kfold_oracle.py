@@ -23,9 +23,9 @@ from hypothesis import given, settings, strategies as st
 from chidt import cli
 from chidt.cascade import STRATEGIES, STRATEGY_LABEL_POWERSET, model_to_dict, train_chidt
 from chidt.config import RunConfig, TrainingConfig
-from chidt.data import Dataset, Record
+from chidt.data import Dataset, label_indicator
 from chidt.evaluation import MODES, evaluate_kfold
-from chidt.ontology import ValidCombinationRegistry, observed_registry
+from chidt.ontology import ValidCombinationRegistry
 from chidt.tree import C45Params
 
 from conftest import random_view
@@ -41,11 +41,8 @@ def random_corpus(rng, strategy: str) -> Dataset:
     alphabet = CODES[: rng.randrange(1, len(CODES) + 1)]
     min_size = 1 if strategy == STRATEGY_LABEL_POWERSET else 0
     combos = [rng.sample(alphabet, rng.randrange(min_size, min(3, len(alphabet)) + 1)) for _ in range(6)]
-    records = [
-        Record(id=f"r{i}", features=tuple(X[i].tolist()), labels=frozenset(rng.choice(combos)))
-        for i in range(n)
-    ]
-    return Dataset.from_records(attributes=attributes, label_alphabet=alphabet, records=tuple(records))
+    labelsets = [rng.choice(combos) for _ in range(n)]
+    return Dataset(attributes, alphabet, [f"r{i}" for i in range(n)], X, label_indicator(labelsets, alphabet))
 
 
 def random_params(rng):
@@ -78,15 +75,13 @@ def test_folds_grown_together_equal_each_fold_trained_alone(seed, strategy, fall
 
     def one_at_a_time(ds, training_sets):  # the oracle: one fold after another
         for ids in training_sets:
-            train = ds.subset(ids)
-            observed = observed_registry(train)
             alone.append(
                 train_chidt(
-                    train,
+                    ds.subset(ids),
                     stage1_params=training.stage1_params,
                     stage2_params=training.stage2_params,
                     strategy=strategy,
-                    registry=observed.merged(extra) if declared else observed,
+                    declared=extra if declared else None,
                     threshold=training.threshold,
                     single_label_fallback=fallback,
                 )

@@ -126,6 +126,8 @@ PROBES = [
     ("config", ("training", "threshold"), 2.0, "train"),
     ("config", ("paths",), [], "train"),
     ("config", ("training", "stage1_params"), {"pruning": "false"}, "train"),
+    # a traceback: a confidence factor inside (0, 0.5] whose 1 - cf rounds to 1
+    ("config", ("training", "stage1_params"), {"confidence_factor": 1e-17}, "train"),
     # ontology and input files
     ("registry", ("combinations", 0, "codes"), "I20.0", "validate"),
     ("exclusions", (), ["I20.0"], "validate"),
@@ -182,6 +184,17 @@ def test_probed_input_fails_closed(shipped, name, path, value, command):
     code, err = run_case(case, docs, command)
     assert code == 1, err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_model_naming_a_reserved_code_fails_closed(shipped):
+    """A model renamed throughout to a code holding ';' is refused, not read, and written out as two codes."""
+    case, docs = shipped
+    model = Text(dump(docs["model"]).replace('"I20.0"', '"I20.0;I20.9x"'))
+    assert model.count("I20.0;I20.9x") > 2  # the schema, the stage-1 codes and more
+    code, err = run_case(case, {**docs, "model": model}, "predict")
+    assert code == 1, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert ": model schema.classes[0]: code 'I20.0;I20.9x' is reserved: " in err, err
 
 
 SCALARS = st.one_of(

@@ -21,7 +21,7 @@ from chidt.ontology import (
     observed_registry,
 )
 
-from conftest import DATA_DIR, binary_attrs, make_dataset
+from conftest import DATA_DIR, binary_attrs, make_dataset, row_labels
 
 SMALL_HIERARCHY = json.dumps(
     {
@@ -152,9 +152,9 @@ class TestIsValid:
                 labelsets.append(set(rng.sample(codes, k)))
             ds = make_dataset([(0,)] * len(labelsets), labelsets, alphabet=codes)
             reg = observed_registry(ds)
-            for rec in list(ds):
-                if rec.labels:
-                    assert is_valid(reg, [], rec.labels) == (True, "ok")
+            for labels in row_labels(ds):
+                if labels:
+                    assert is_valid(reg, [], labels) == (True, "ok")
 
     def test_exclusion_group_needs_two_codes(self):
         with pytest.raises(ValidationError, match="at least two"):

@@ -24,10 +24,9 @@ from chidt.evaluation import (
     evaluate_resubstitution,
     kfold_assignments,
 )
-from chidt.ontology import observed_registry
 from chidt.tree import C45Params
 
-from conftest import batch_rows, make_dataset
+from conftest import batch_rows, make_dataset, row_labels
 
 
 def small_corpus(seed=5, n=60, noise=0.05):
@@ -71,7 +70,6 @@ class TestResubstitution:
             train_ds,
             stage1_params=C45Params(min_leaf=1, pruning=False),
             strategy="label-powerset",
-            registry=observed_registry(train_ds),
         )
         result = evaluate_resubstitution(model, ds)
         assert result.metrics.total == len(rows)
@@ -90,7 +88,7 @@ class TestResubstitution:
     def test_total_instances_on_196_record_corpus(self):
         ds = small_corpus(n=196)
         train_ds = ds.subset(cover_all_labels_split(ds, 53, seed=2))
-        model = train_chidt(train_ds, registry=observed_registry(train_ds))
+        model = train_chidt(train_ds)
         result = evaluate_resubstitution(model, ds)
         assert result.metrics.total == 196
         assert "Total Number of Instances\t196" in __import__("chidt").format_report(result.metrics)
@@ -112,7 +110,7 @@ class TestHoldout:
         spy = SpyModel(training_ids=cover_all_labels_split(ds, 20, seed=4))
         evaluate_holdout(spy, ds)
         test_ids = ds.record_ids() - spy.training_ids
-        test_features = {tuple(r.features) for r in list(ds) if r.id in test_ids}
+        test_features = {tuple(x) for rid, x in zip(ds.ids, ds.X.tolist()) if rid in test_ids}
         assert set(spy.seen) <= test_features
         assert len(spy.seen) == len(test_ids)
 
@@ -163,7 +161,7 @@ class TestKFold:
     def test_stratification_spreads_first_labels(self):
         ds = small_corpus(n=60, noise=0.0)
         folds = kfold_assignments(ds, 3, seed=8)
-        first = {rec.id: min(rec.labels) for rec in list(ds)}
+        first = {rid: min(labels) for rid, labels in zip(ds.ids, row_labels(ds))}
         totals = {c: sum(1 for v in first.values() if v == c) for c in set(first.values())}
         for fold in folds:
             for code, total in totals.items():
