@@ -110,7 +110,10 @@ class Dataset:
         columns = dict(X=(self.X, np.float64, len(attrs)), Y=(self.Y, bool, L), roles=(roles, np.uint8, L))
         kinds = dict(X=("iuf", "integers or floats"), Y=("b", "bools"), roles=("iu", "integers"))  # numpy dtype kinds
         for key, (values, dtype, width) in columns.items():
-            column = np.asarray(values)
+            try:
+                column = np.asarray(values)
+            except ValueError:  # numpy's "inhomogeneous shape"
+                raise ValidationError(f"{key} must be a rectangular array, not sequences of unequal lengths") from None
             if column.dtype.kind not in kinds[key][0]:
                 raise ValidationError(f"{key} must hold {kinds[key][1]}, not {column.dtype} values")
             if column.shape != (n, width):
@@ -251,6 +254,8 @@ def _read_cell(attr: AttributeMeta, domain: Mapping | None, cell: str) -> float:
             raise ValidationError(f"value {cell!r} outside declared domain of {attr.name!r}")
         return domain[cell]
     try:
+        if "_" in cell:  # float() reads PEP 515 digit grouping: '1_000' as 1000.0
+            raise ValueError(cell)
         value = float(cell)
     except ValueError:
         raise ValidationError(f"unparseable numeric cell {cell!r} in {attr.name!r}") from None
@@ -275,18 +280,102 @@ def _parse_label_cell(raw: str, separator: str):
     return frozenset(codes), roles
 
 
-def _read_id(cell: str, id_column: str) -> str:
-    rid = cell.strip()
-    if not rid:
-        raise ValidationError(f"empty id in column {id_column!r}")
-    return rid
-
-
 def _distinct(column: Sequence[str]):
     """(the distinct cells of ``column`` in first-seen order, each row's index into them)."""
     index = {}
     inverse = np.fromiter((index.setdefault(c, len(index)) for c in column), dtype=np.intp, count=len(column))
     return list(index), inverse
+
+
+def _table(content: str):
+    """(header cells, empty if every line is blank; each record's line number and cell count; per column the
+    distinct cells and each record's index into them, or None unless every record has the header's width).
+    ``_scan`` reads ASCII text with no quote or carriage return, under 1 GiB so that int32 holds its
+    positions; ``_read_rows`` any other. Both give the same table, up to the order of distinct cells.
+    """
+    if content.isascii() and '"' not in content and "\r" not in content and len(content) < 2**30:
+        return _scan(content)
+    return _read_rows(content)
+
+
+def _read_rows(content: str):
+    """``_table`` of a CSV text, parsed by ``csv.reader``."""
+    reader = csv.reader(io.StringIO(content))
+    rows, lines, end = [], [], 0  # the non-blank records and the physical line each starts on
+    try:
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(end + 1)
+            end = reader.line_num
+    except csv.Error as exc:
+        raise ValidationError(f"CSV input is malformed: {exc}") from None
+    del reader  # its StringIO holds a copy of the whole text
+    header, widths = rows[0] if rows else [], np.array([len(row) for row in rows[1:]], dtype=np.intp)
+    columns = None if (widths != len(header)).any() else list(zip(*rows[1:])) or [()] * len(header)
+    del rows
+    return header, np.array(lines[1:]), widths, columns and [_distinct(column) for column in columns]
+
+
+def _group(keys: np.ndarray):
+    """(each key's index among the sorted distinct ``keys``, the position of one key of each distinct value)."""
+    order = np.argsort(keys)
+    ordered, new = keys[order], np.ones(len(keys), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return inverse, order[new]
+
+
+def _scan(content: str):
+    """``_table`` of ASCII text with no quote or carriage return, in whole-array passes over its bytes.
+
+    ``csv.reader`` cuts such text at every comma and newline, skipping empty lines. A cell's key is the
+    big-endian 8-byte words of its bytes and delimiter, masked to that length, and past 32 bytes its text.
+    A column's cells share one delimiter, never NUL, so equal keys mean equal cells. One cell per key is decoded."""
+    raw = content.encode() + (b"" if content.endswith("\n") else b"\n") + bytes(8)  # room for a word at any cell
+    data = np.frombuffer(raw, dtype=np.uint8)[:-8]
+    ends = np.flatnonzero((data == ord(",")) | (data == ord("\n"))).astype(np.int32)  # each cell's delimiter
+    starts = np.concatenate(([0], ends[:-1] + 1), dtype=np.int32)
+    lengths = ends - starts
+    if lengths.max() > (limit := csv.field_size_limit()):
+        raise ValidationError(f"CSV input is malformed: field larger than field limit ({limit})")
+    last = np.flatnonzero(data[ends] == ord("\n"))  # each line's last cell
+    width = np.diff(last, prepend=-1)
+    blank = (width == 1) & (lengths[last] == 0)  # an empty line, which holds no record
+    if blank.all():
+        return [], None, None, None
+    starts, lengths = np.delete(starts, last[blank]), np.delete(lengths, last[blank])
+    width, lines, h = width[~blank], np.flatnonzero(~blank)[1:] + 1, int(width[~blank][0])
+    header = [content[s : s + n] for s, n in zip(starts[:h].tolist(), lengths[:h].tolist())]
+    if (width[1:] != h).any():
+        return header, lines, width[1:], None
+    words = np.ndarray((len(data) + 1,), dtype=">u8", buffer=raw, strides=(1,))  # the word at each byte
+    masks = np.array([2**64 - 2 ** (64 - 8 * k) for k in range(9)], dtype=np.uint64)  # [k]: a word's first k bytes
+    starts, lengths = starts[h:].reshape(-1, h).T.copy(), lengths[h:].reshape(-1, h).T.copy()  # a row per column
+    inverses, picked, rest = [], [], {}
+    for s, n in zip(starts, lengths):
+        inverse, first = _group(words[s] & masks.take(n + 1, mode="clip"))
+        # word k splits only groups of cells that reach it; few reach 32 bytes, so their rest is keyed as text
+        for k in range(1, min(int(n.max(initial=0)) // 8, 4) + 1):
+            rows = np.flatnonzero(n >= 8 * k)
+            if k < 4:
+                word = words[s[rows] + 8 * k] & masks.take(n[rows] + 1 - 8 * k, mode="clip")
+            else:
+                tails = zip(s[rows].tolist(), n[rows].tolist())
+                word = np.fromiter((rest.setdefault(content[a + 32 : a + b], len(rest)) for a, b in tails), np.uint64)
+            inverse[rows] = inverse.max() + 1 + _group((inverse[rows] << 32) | _group(word)[0])[0]  # ids < 2**30
+        if n.max(initial=0) >= 8:
+            inverse, first = _group(inverse)
+        inverses.append(inverse)
+        picked.append((s[first], n[first]))
+    del starts, lengths
+    s, n = (np.concatenate(side) for side in zip(*picked))
+    offsets = np.cumsum(n + 1) - (n + 1)
+    chars = data[np.arange(int(n.sum()) + len(n)) + np.repeat(s - offsets, n + 1)]  # each picked cell, delimited
+    chars[offsets + n] = ord(",")
+    cells, bounds = chars.tobytes().decode().split(","), np.cumsum([0] + [len(s) for s, _ in picked]).tolist()
+    return header, lines, width[1:], [(cells[a:b], inverse) for a, b, inverse in zip(bounds, bounds[1:], inverses)]
 
 
 def _read_each(read, cells: Sequence[str], inverse: np.ndarray):
@@ -324,20 +413,10 @@ def load_csv(
     cells are rejected; an empty label cell yields an empty LabelSet. Each
     distinct cell of a column is read once.
     """
-    reader = csv.reader(io.StringIO(content))
-    rows, lines, end = [], [], 0  # the non-blank records and the physical line each starts on
-    try:
-        for row in reader:
-            if row:
-                rows.append(row)
-                lines.append(end + 1)
-            end = reader.line_num
-    except csv.Error as exc:
-        raise ValidationError(f"CSV input is malformed: {exc}") from None
-    del reader  # its StringIO holds a copy of the whole text
-    if not rows:
+    header, lines, widths, columns = _table(content)
+    if not header:
         raise ValidationError("CSV input has no header row")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in header]
     if not header or any(not h for h in header):
         raise ValidationError("CSV header row is empty or has blank column names")
     if len(set(header)) != len(header):
@@ -353,12 +432,9 @@ def load_csv(
         if id_idx == label_idx:
             raise ValidationError("id column and label column must differ")
 
-    lines = lines[1:]
-    for n, row in zip(lines, rows[1:]):
-        if len(row) != len(header):
-            raise ValidationError(f"line {n}: expected {len(header)} cells, found {len(row)}")
-    columns = list(zip(*rows[1:])) or [()] * len(header)
-    del rows
+    ragged = np.flatnonzero(widths != len(header))
+    if ragged.size:
+        raise ValidationError(f"line {lines[ragged[0]]}: expected {len(header)} cells, found {widths[ragged[0]]}")
 
     feature_cols = [i for i in range(len(header)) if i != label_idx and i != id_idx]
     if attributes is not None and [a.name for a in attributes] != [header[c] for c in feature_cols]:
@@ -366,15 +442,18 @@ def load_csv(
             f"CSV feature columns {[header[c] for c in feature_cols]} do not match "
             f"the declared schema {[a.name for a in attributes]}"
         )
-    if attributes is None and feature_cols and not lines:
+    if attributes is None and feature_cols and not len(lines):
         raise ValidationError(f"CSV input has no records to infer column {header[feature_cols[0]]!r} from")
     # every column's _read_each, in the order errors take within a record: label cell, id, features
-    read = [_read_each(lambda cell: _parse_label_cell(cell, label_separator), *_distinct(columns[label_idx]))]
+    read = [_read_each(lambda cell: _parse_label_cell(cell, label_separator), *columns[label_idx])]
     if id_idx is not None:
-        read.append(_read_each(lambda cell: _read_id(cell, id_column), *_distinct(columns[id_idx])))
+        cells, id_rows = columns[id_idx]
+        rids = list(map(str.strip, cells))
+        empty = [k for k, rid in enumerate(rids) if not rid] if "" in rids else []
+        read.append((rids, id_rows, dict.fromkeys(empty, f"empty id in column {id_column!r}")))
     metas, X = [], np.empty((len(lines), len(feature_cols)))
     for pos, col in enumerate(feature_cols):
-        cells, inverse = _distinct(columns[col])
+        cells, inverse = columns[col]
         attr = AttributeMeta(header[col], NUMERIC, index=pos) if attributes is None else attributes[pos]
         column = _read_feature(attr, cells, inverse)
         if attributes is None:  # numeric iff more than two distinct values, every one a finite number
@@ -393,7 +472,7 @@ def load_csv(
         raise ValidationError(f"line {lines[row]}: {message}")
 
     parsed, rows, _ = read[0]
-    ids = [f"r{i}" for i in range(len(rows))] if id_idx is None else [read[1][0][k] for k in read[1][1]]
+    ids = [f"r{i}" for i in range(len(rows))] if id_idx is None else list(map(rids.__getitem__, id_rows.tolist()))
     alphabet = sorted(set().union(*(codes for codes, _ in parsed)))
     roles = _role_matrix([tags for _, tags in parsed], alphabet)
     Y = label_indicator([codes for codes, _ in parsed], alphabet)

@@ -22,7 +22,7 @@ from chidt.errors import ValidationError
 
 def _parses_numeric(cell: str) -> bool:
     try:
-        return math.isfinite(float(cell))
+        return "_" not in cell and math.isfinite(float(cell))
     except ValueError:
         return False
 
@@ -40,7 +40,7 @@ def _row_reader(attributes: Sequence[AttributeMeta]):
                 raise ValidationError(f"line {n}: missing value in column {attr.name!r} (unsupported)")
             if index is None:
                 try:
-                    value = float(cell)
+                    value = float(cell.replace("_", "?"))  # no PEP 515 digit grouping
                 except ValueError:
                     raise ValidationError(f"line {n}: unparseable numeric cell {cell!r} in {attr.name!r}") from None
                 if not math.isfinite(value):

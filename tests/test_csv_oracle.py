@@ -1,11 +1,13 @@
 """``load_csv`` against the per-row loader it replaced (``tests/oracle_csv.py``).
 
 Random corpora mix binary, nominal and numeric columns, ids present or
-generated, role tags, blank lines and quoted line breaks, and carry 0-3
-injected faults: a missing cell, a bad numeric or nominal value, a bad role
-tag, an empty id, a ragged row, a reserved code. Both loaders must give an
-equal ``Dataset`` or fail with the identical message, under an inferred and
-a declared schema.
+generated, role tags, blank lines, quoted line breaks, '\\n' or '\\r\\n' line
+ends and a missing final line end, and carry 0-3 injected faults: a missing
+cell, a bad numeric or nominal value, a bad role tag, an empty id, a ragged
+row, a reserved code. Corpora with no quoted cell and '\\n' line ends take
+``load_csv``'s whole-array reader, the others ``csv.reader``. Both loaders
+must give an equal ``Dataset`` or fail with the identical message, under an
+inferred and a declared schema.
 A deeper run: ``python -m pytest tests/test_csv_oracle.py --hypothesis-profile=oracle-deep``.
 """
 
@@ -65,7 +67,7 @@ def corpora(draw) -> tuple:
         if fault == "missing" and names:
             row[draw(st.sampled_from(names))] = draw(st.sampled_from(["", "  "]))
         elif fault == "bad-numeric" and "numeric" in kinds:
-            row[names[kinds.index("numeric")]] = draw(st.sampled_from(["oops", "nan", "-inf"]))
+            row[names[kinds.index("numeric")]] = draw(st.sampled_from(["oops", "nan", "-inf", "1_000"]))
         elif fault == "bad-nominal" and names:
             row[draw(st.sampled_from(names))] = "zz"
         elif fault == "bad-role":
@@ -78,13 +80,17 @@ def corpora(draw) -> tuple:
             row["codes"] += separator + draw(st.sampled_from(["(none)", "a;b"]))
     header = names + ["codes"] + (["id"] if with_id else [])
     header = draw(st.permutations(header))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(buf, lineterminator=end)
     writer.writerow(header)
     for i, row in enumerate(rows):
         cells = [row[h] for h in header]
         writer.writerow(cells[:-1] if i in ragged else cells)
-        buf.write("\n" * draw(st.integers(0, 2)))  # blank lines, which the line numbers count
+        buf.write(end * draw(st.integers(0, 2)))  # blank lines, which the line numbers count
+    text = buf.getvalue()
+    if draw(st.booleans()):  # no line end after the last line
+        text = text.removesuffix(end)
     kwargs = dict(label_column="codes", label_separator=separator, id_column="id" if with_id else None)
     if draw(st.booleans()):  # a declared schema: the feature columns in header order
         kind = dict(zip(names, kinds))
@@ -94,7 +100,7 @@ def corpora(draw) -> tuple:
             else AttributeMeta(h, NOMINAL, DOMAINS[kind[h]], j)
             for j, h in enumerate(h for h in header if h in kind)
         )
-    return buf.getvalue(), kwargs
+    return text, kwargs
 
 
 @settings(deadline=None)

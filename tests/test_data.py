@@ -86,6 +86,14 @@ class TestLoadCsv:
         with pytest.raises(ValidationError, match="unparseable numeric"):
             load_csv("a,codes\noops,x\n", label_column="codes", attributes=schema)
 
+    def test_digit_grouping_is_no_number(self):
+        # float() reads '1_000' as 1000.0; a finite decimal number has no '_'
+        text = "id,x,codes\nr1,1_000,A\nr2,2,A\nr3,3,B\n"
+        ds = load_csv(text, label_column="codes", id_column="id")
+        assert (ds.attributes[0].kind, ds.attributes[0].values) == (NOMINAL, ("1_000", "2", "3"))
+        with pytest.raises(ValidationError, match=r"^line 2: unparseable numeric cell '1_000' in 'x'$"):
+            load_csv(text, label_column="codes", id_column="id", attributes=(AttributeMeta("x", NUMERIC, index=0),))
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
     def test_non_finite_numeric_cell_names_its_line(self, cell):
         schema = (AttributeMeta("age", NUMERIC, index=0),)
@@ -235,6 +243,16 @@ class TestColumnChecks:
     )
     def test_a_column_of_another_kind_is_refused(self, column, value, message):
         with pytest.raises(ValidationError, match=f"^{message}$"):
+            self.columns(**{column: value})
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [("X", [[0, 1.5], [1]]), ("Y", [[True, True], [False]]), ("roles", [[1, 2], [0]])],
+        ids=["X", "Y", "roles"],
+    )
+    def test_a_ragged_column_is_refused(self, column, value):
+        message = f"^{column} must be a rectangular array, not sequences of unequal lengths$"
+        with pytest.raises(ValidationError, match=message):
             self.columns(**{column: value})
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

@@ -5,7 +5,8 @@ function entered: ``gen``; ``train`` with and without the single-label
 fallback; ``predict`` and ``predict --terms``; ``eval`` under
 resubstitution, holdout and k-fold in both modes; ``inspect`` and
 ``validate``. Every command runs under both strategies, on the shipped
-``data/run_chd.json`` corpus and on a copy of it with a numeric lab column.
+``data/run_chd.json`` corpus and on a copy of it with a numeric lab column
+and every cell quoted.
 
 A function that no command enters is dead code and fails the test. Delete
 it, or keep it on purpose by adding it to ``ALLOWED`` with the reason.
@@ -124,7 +125,8 @@ def _sweep(tmp_path: Path) -> set:
 
     run_all(runs)
 
-    # the same corpus with a numeric lab column, read as numeric because it has more than two values
+    # the same corpus with a numeric lab column, read as numeric because it has more than two values, and
+    # every cell quoted, which load_csv reads with csv.reader
     numeric = tmp_path / "numeric.csv"
     with open(out / "corpus.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
@@ -132,7 +134,7 @@ def _sweep(tmp_path: Path) -> set:
     for i, row in enumerate(rows[1:]):
         row.insert(1, f"{(i * 37) % 101 / 4:g}")
     with open(numeric, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
+        csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows(rows)
     lab = config("numeric", evaluation=kfold, dataset=numeric)
     run_all([[command, "--config", lab, "--strategy", s] for s in STRATEGIES for command in ("train", "eval")])
     return entered
