@@ -52,9 +52,11 @@ def _dump_json(doc) -> memoryview:
     ``\\"`` hidden, the quotes left toggle in and out of strings. Outside
     them, a line break and two spaces per level of nesting go after each
     comma and each opening bracket and before each closing bracket, except
-    inside an empty ``[]`` or ``{}``. Temporaries are one byte per byte of
-    text where they can be, and the bytes are handed over without a copy,
-    so writing a large model costs little memory.
+    inside an empty ``[]`` or ``{}``. One cumulative sum of the break
+    widths gives each source byte its output position, and one scatter
+    each places the source bytes and the newlines. Temporaries are sized by
+    the compact text, and the bytes are handed over without a copy, so
+    writing a large model costs little memory.
     """
     text = json.dumps(doc, sort_keys=True, separators=(",", ": "))
     hidden = np.frombuffer(text.replace("\\\\", "\0\0").replace('\\"', "\1\1").encode("ascii"), np.uint8)
@@ -75,16 +77,16 @@ def _dump_json(doc) -> memoryview:
     del depth, closes
     source = np.frombuffer(text.encode("ascii"), np.uint8)
     del text
-    start = where + np.cumsum(width) - width  # of each break in the output
-    del where
-    n = len(source) + int(width.sum())
-    step = np.zeros(n, np.int8)  # +1 where a break starts, -1 where it ends
-    step[start] = 1
-    step[start + width] = -1
-    kept = np.equal(np.cumsum(step, dtype=np.int8, out=step), 0, out=step.view(bool))  # the source bytes
+    n = len(source) + int(width.sum())  # bytes out, less the closing newline
+    at = np.ones(len(source), np.int32 if n < 2**31 else np.int64)  # a step of 1 per source byte,
+    at[0] = 0
+    at[where] += width  # and of a break's width at the byte it precedes
+    np.cumsum(at, out=at)  # the output position of each source byte
+    start = at[where] - width  # of each break
+    del where, width
     out = np.full(n + 1, ord(" "), np.uint8)  # the last byte is the closing newline
-    out[:-1][kept] = source
-    del kept, step, source
+    out[at] = source
+    del at, source
     out[start] = out[-1] = ord("\n")
     return out.data
 

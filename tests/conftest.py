@@ -128,5 +128,6 @@ def node_thresholds(values, y, node, k, min_leaf=1) -> list:
     counts = np.zeros((int(node.max()) + 1, k))
     np.add.at(counts, (node, y), 1.0)
     values = np.asarray(values, dtype=np.float64)
-    found = best_numeric_threshold(values, y, node, counts, _entropy_rows(counts), min_leaf)
+    rank = np.argsort(np.argsort(values))
+    found = best_numeric_threshold(values, rank, y, node, counts, _entropy_rows(counts), min_leaf)
     return [None if math.isnan(t) else (t, g, q) for t, g, q in zip(*(a.tolist() for a in found))]

@@ -172,7 +172,8 @@ class TestBestNumericThreshold:
         assert found[0] is None and found[1][0] == pytest.approx(1.5)
         # the raw arrays: a NaN threshold and zero gain and ratio where a node has no candidate
         zeros = np.zeros(5, dtype=int)
-        threshold, gain, ratio = best_numeric_threshold(np.ones(5), zeros, zeros, np.array([[5.0, 0.0]]), np.zeros(1))
+        found = best_numeric_threshold(np.ones(5), np.arange(5), zeros, zeros, np.array([[5.0, 0.0]]), np.zeros(1))
+        threshold, gain, ratio = found
         assert np.isnan(threshold[0]) and gain[0] == ratio[0] == 0.0
 
     def test_matches_exhaustive_oracle_on_random_views(self):

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import chidt.tree as tree_module
 import oracle_c45
+from chidt.data import NUMERIC, AttributeMeta
 from chidt.errors import ValidationError
 from chidt.tree import C45Params, _entropy_rows, grow_bank, prune_ebp
 from conftest import node_thresholds, random_view
@@ -189,6 +190,95 @@ class TestThresholdMatchesOracle:
         assert tied.gain == oracle_c45.gain_ratio(X[node == 0], y[node == 0], 2, SplitTest(0, threshold=2.5)).gain
 
 
+def boundary_view(seed, n, k, classes, shapes, n_nodes):
+    """(X, y, node): n rows whose classes follow the pattern ``classes`` along the row order, one numeric
+    column per entry of ``shapes``, and rows spread over ``n_nodes`` nodes.
+
+    Classes are random, in long one-class runs, or one class with a single minority row at the start, the
+    middle or the end. An ``ordered`` column rises with the row, so within each node its class runs are
+    runs by value; ``few`` has 1 to 3 distinct values, with mixed classes at each; ``adjacent`` rises over
+    neighbouring floats (``np.nextafter``), whose midpoints collapse; ``shuffled`` is a random order.
+    """
+    rng = np.random.default_rng(seed)
+    if classes == "random":
+        y = rng.integers(0, k, n)
+    elif classes == "runs":
+        y = np.repeat(rng.integers(0, k, n), rng.geometric(1 / 8, n))[:n]
+    else:
+        y = np.full(n, rng.integers(k))
+        y[{"first": 0, "middle": n // 2, "last": n - 1}[classes]] = (y[0] + 1) % k
+    columns = []
+    for shape in shapes:
+        if shape == "ordered":
+            columns.append(np.arange(n) // rng.integers(1, 3) * 0.5)
+        elif shape == "few":
+            columns.append(rng.integers(0, rng.integers(1, 4), n).astype(np.float64))
+        elif shape == "adjacent":
+            base = rng.choice([1.0, -3.5, 2.0**52, 1e16])
+            ladder = [base]
+            for _ in range(5):
+                ladder.append(np.nextafter(ladder[-1], np.inf))
+            columns.append(np.array(ladder)[np.arange(n) * 6 // n])
+        else:
+            columns.append(rng.permutation(n) * 0.25)
+    return np.column_stack(columns), y, rng.integers(0, n_nodes, n)
+
+
+boundary_views = st.fixed_dictionaries(
+    {
+        "seed": st.integers(0, 2**32 - 1),
+        "n": st.integers(2, 120),
+        "k": st.sampled_from([2, 3, 8, 12]),
+        "classes": st.sampled_from(["random", "runs", "first", "middle", "last"]),
+        "shapes": st.lists(st.sampled_from(["ordered", "few", "adjacent", "shuffled"]), min_size=1, max_size=4),
+        "n_nodes": st.integers(1, 4),
+    }
+)
+
+
+class TestBoundaryCuts:
+    # only boundary cuts are scored; every (attribute, node) pair still gets the exhaustive scan's split
+
+    @settings(deadline=None)
+    @given(boundary_views, st.integers(1, 4))
+    def test_same_split_as_the_exhaustive_scan(self, spec, min_leaf):
+        X, y, node = boundary_view(**spec)
+        d, k, m = X.shape[1], spec["k"], spec["n_nodes"]
+        # one search over every (attribute, node) pair, numbered as _candidates numbers them
+        counts = np.zeros((m, k))
+        np.add.at(counts, (node, y), 1.0)
+        ranks = np.argsort(np.argsort(X, axis=0), axis=0)
+        pair = (np.arange(d)[:, None] * m + node).ravel()
+        c = np.tile(counts, (d, 1))
+        found = tree_module.best_numeric_threshold(
+            X.T.ravel(), ranks.T.ravel(), np.tile(y, d), pair, c, _entropy_rows(c), min_leaf
+        )
+        for a in range(d):
+            for j in range(m):
+                t, g, q = (float(f[a * m + j]) for f in found)
+                rows = np.flatnonzero(node == j)
+                expected = oracle_c45.best_numeric_threshold(X, y, k, a, min_leaf, rows) if rows.size else None
+                assert (None if np.isnan(t) else (t, g, q)) == expected
+        attrs = tuple(AttributeMeta(f"a{i}", NUMERIC, index=i) for i in range(d))
+        classes = tuple(f"c{j}" for j in range(k))
+        params = C45Params(min_leaf=min_leaf, max_depth=8, pruning=False)  # a wrong search may never stop
+        assert grow_bank(X, y[:, None], attrs, classes, params)[0].to_dict() == oracle_grow(X, y, attrs, classes, params)
+
+    def test_cuts_inside_a_one_class_run_are_not_scored(self, monkeypatch):
+        # ten distinct values, five of one class then five of the other: of the nine cuts, the first, the
+        # last and the one between the runs are scored
+        scored = []
+
+        def counted(parent_h, table):
+            scored.append(len(table))
+            return split_scores(parent_h, table)
+
+        split_scores = tree_module._split_scores
+        monkeypatch.setattr(tree_module, "_split_scores", counted)
+        assert node_thresholds(np.arange(10.0), np.repeat([0, 1], 5), np.zeros(10), 2)[0][0] == 4.5
+        assert scored == [3]
+
+
 def bank(seed, n, n_attrs, k, numeric_share, n_trees):
     """(X, Y, attributes, class_names) of a random view with ``n_trees`` class columns in shuffled order:
     a constant one, which grows a single node, and the rest cycling through a function of one attribute
@@ -277,13 +367,13 @@ class TestBankMatchesOracle:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_numeric_only_levels_searched_in_chunks(self, monkeypatch, seed):
-        # with no nominal attribute each row counts one cell: every search sees one node or at most 64 rows
+        # each row counts one cell per attribute: every search holds at most 64 values, or one node's
         monkeypatch.setattr(tree_module, "_TABLE_CELLS", 64)
         searched = []
 
-        def counted(values, y, node, counts, parent_h, min_leaf):
+        def counted(values, rank, y, node, counts, parent_h, min_leaf):
             searched.append((len(counts), len(values)))
-            return search(values, y, node, counts, parent_h, min_leaf)
+            return search(values, rank, y, node, counts, parent_h, min_leaf)
 
         search = tree_module.best_numeric_threshold
         monkeypatch.setattr(tree_module, "best_numeric_threshold", counted)
@@ -291,8 +381,45 @@ class TestBankMatchesOracle:
         params = C45Params(min_leaf=1, pruning=False)
         for tree, y in zip(grow_bank(X, Y, attrs, classes, params), Y.T):
             assert tree.to_dict() == oracle_grow(X, y, attrs, classes, params)
-        assert all(nodes == 1 or rows <= 64 for nodes, rows in searched)
-        assert max(rows for _, rows in searched) > 64  # a node of its own may hold more
+        # the three numeric attributes of one node are three (attribute, node) pairs
+        assert all(pairs == 3 or values <= 64 for pairs, values in searched)
+        assert max(values for _, values in searched) > 64  # a node of its own may hold more
+
+    @pytest.mark.parametrize("cells", [1 << 16, 256])
+    def test_one_search_per_chunk_covers_every_numeric_attribute(self, monkeypatch, cells):
+        # numeric column j holds values in [1000 j, 1000 j + 10), so a searched row shows its attribute
+        monkeypatch.setattr(tree_module, "_TABLE_CELLS", cells)
+        X, Y, attrs, classes = bank(5, n=150, n_attrs=2, k=3, numeric_share=0.0, n_trees=3)
+        X = np.column_stack([X[:, 0], random_view(random.Random(5), 150, 3, 3, numeric_share=1.0)[0], X[:, 1]])
+        X[:, 1:4] += np.arange(3) * 1000.0
+        attrs = (attrs[0], *(AttributeMeta(f"x{j}", NUMERIC, index=j + 1) for j in range(3)), attrs[1])
+        attrs = tuple(dataclasses.replace(a, index=i) for i, a in enumerate(attrs))
+        levels = []  # each level's open node count and the nodes of each of its searches
+
+        def level(*args):
+            levels.append((len(args[8]), []))  # args[8]: the open nodes' class counts
+            return candidates(*args)
+
+        def search(values, rank, y, node, counts, parent_h, min_leaf):
+            # checked here, before a wrong split could make a level that never ends
+            assert len(counts) % 3 == 0
+            attribute = node // (len(counts) // 3)
+            assert (attribute == values // 1000).all() and set(attribute.tolist()) == {0, 1, 2}
+            levels[-1][1].append(len(counts) // 3)
+            return best_numeric_threshold(values, rank, y, node, counts, parent_h, min_leaf)
+
+        candidates, best_numeric_threshold = tree_module._candidates, tree_module.best_numeric_threshold
+        monkeypatch.setattr(tree_module, "_candidates", level)
+        monkeypatch.setattr(tree_module, "best_numeric_threshold", search)
+        params = C45Params(min_leaf=1, pruning=False)
+        for tree, y in zip(grow_bank(X, Y, attrs, classes, params), Y.T):
+            assert tree.to_dict() == oracle_grow(X, y, attrs, classes, params)
+        levels = [(m, searches) for m, searches in levels if m]  # a level of pure nodes searches nothing
+        assert len(levels) > 2
+        for m, searches in levels:
+            assert sum(searches) == m  # the chunks, one search each, cover the level
+        chunked = max(len(searches) for _, searches in levels)
+        assert chunked == 1 if cells == 1 << 16 else chunked > 1
 
     def test_trees_stop_at_different_depths(self):
         # a one-node tree, a one-split tree and a deep tree grown side by side, at every depth limit
