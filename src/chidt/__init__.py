@@ -61,7 +61,6 @@ from .tree import (
     C45Tree,
     best_numeric_threshold,
     grow_bank,
-    prune_ebp,
 )
 
 __all__ = [
@@ -108,7 +107,6 @@ __all__ = [
     "normalize_term",
     "observed_registry",
     "probabilistic_errors",
-    "prune_ebp",
     "train_cascades",
     "train_chidt",
 ]

@@ -9,8 +9,8 @@ observed combinations, is available as an alternative strategy.
 
 Training has one path, ``train_cascades``: one cascade per set of training
 records (the k training sets of a k-fold run, say), with all the sets'
-trees of a stage grown by one ``grow_bank`` call. ``train_chidt`` is its
-one-set view.
+trees of a stage grown, and pruned, by one ``grow_bank`` call.
+``train_chidt`` is its one-set view.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .jsondoc import Fields, code_sets, distinct, fields, flag, items, number, o
 from .ontology import REASONS, ExclusionGroup, ValidCombinationRegistry, _read_registry, combo_key, is_valid
 from .ontology import observed_registry
 from .tree import C45Params, C45Tree, _read_params, _read_schema, _read_tree, grow_bank, leaf_distributions
-from .tree import prune_ebp, route_bank, schema_fingerprint
+from .tree import route_bank, schema_fingerprint
 
 BINARY_CLASSES = ("absent", "present")
 
@@ -156,8 +156,6 @@ def _br_banks(ds: Dataset, training: np.ndarray, params: C45Params, threshold: f
     n_codes, n_sets = len(ds.label_alphabet), training.shape[1]
     Y, rows = np.tile(ds.Y, n_sets), np.repeat(training, n_codes, axis=1)
     trees = grow_bank(ds.feature_matrix(), Y, ds.attributes, BINARY_CLASSES, params, rows)
-    if params.pruning:
-        trees = [prune_ebp(tree) for tree in trees]
     return [
         BRModel(ds.label_alphabet, tuple(trees[s * n_codes : (s + 1) * n_codes]), ds.attributes, threshold, params)
         for s in range(n_sets)
@@ -168,9 +166,13 @@ def _lp_trees(ds: Dataset, training: np.ndarray, params: C45Params) -> list:
     """One label-powerset model per column of ``training``, the trees grown by one ``grow_bank`` call.
 
     The trees share one class list: the union of the sets' combinations, in
-    ``combo_key`` order. Each tree's counts are then cut to its own set's
-    combinations, and only then is the tree pruned, so it is the tree that
-    its set grows alone.
+    ``combo_key`` order. ``grow_bank`` prunes the trees over that list, if
+    ``params.pruning`` is set, and each tree's counts are then cut to its own
+    set's combinations. A combination that a set lacks is a column of zeros
+    in its tree, which changes neither a node's row count nor its largest
+    count: every pessimistic error, and so the pruned tree, is the same as
+    over the set's own combinations. So each tree is the tree that its set
+    grows, and prunes, alone.
     """
     used = np.flatnonzero(training.any(axis=1))
     distinct, inverse = _distinct_labelsets(ds.Y[used], ds.label_alphabet)
@@ -187,8 +189,6 @@ def _lp_trees(ds: Dataset, training: np.ndarray, params: C45Params) -> list:
     for tree, own in zip(grow_bank(ds.feature_matrix(), Y, ds.attributes, names, params, training), present.T):
         own = np.flatnonzero(own)
         tree = replace(tree, counts=tree.counts[:, own], class_names=tuple(names[c] for c in own))
-        if params.pruning:
-            tree = prune_ebp(tree)
         models.append(LPModel(tree, tuple(combos[c] for c in own), ds.label_alphabet, ds.attributes, params))
     return models
 

@@ -148,12 +148,6 @@ class Dataset:
         """The record ids, in row order."""
         return iter(self.ids)
 
-    def __eq__(self, other) -> bool:
-        plain, arrays = ("attributes", "label_alphabet", "ids"), ("X", "Y", "roles")
-        return isinstance(other, Dataset) and all(getattr(self, k) == getattr(other, k) for k in plain) and all(
-            np.array_equal(getattr(self, k), getattr(other, k)) for k in arrays
-        )
-
     def record_ids(self) -> frozenset:
         return frozenset(self.ids)
 

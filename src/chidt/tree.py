@@ -38,12 +38,14 @@ one-node-at-a-time induction, which ``tests/oracle_c45.py`` keeps as the
 test oracle.
 
 A tree is one set of flat arrays in breadth-first order (``C45Tree``):
-growth appends each level's nodes, pruning is one pass in reverse order,
-prediction routes a bank's trees as one forest over their concatenated
-child tables (``route_bank``), and writing, reading and rendering walk
-the arrays or an explicit queue or stack. Nothing recurses, so any
-depth that JSON can nest works. The oracle module also keeps the
-recursive pruning that the reverse pass replaced.
+growth appends each level's nodes; pruning, when the parameters ask for
+it, runs on the bank's levels before any tree is built, deepest level
+first, with each level's pessimistic errors as one array expression
+(``_prune_levels``); prediction routes a bank's trees as one forest over
+their concatenated child tables (``route_bank``), and writing, reading
+and rendering walk the arrays or an explicit queue or stack. Nothing
+recurses, so any depth that JSON can nest works. The oracle module also
+keeps the scalar, recursive pruning that the level pass replaced.
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ import numpy as np
 
 from .data import AttributeMeta, NOMINAL, NUMERIC, _refuse_reserved
 from .errors import ValidationError
-from .jsondoc import MAX, Fields, fail, field_names, fields, flag, integer, items, number, one_of, strings, text
+from .jsondoc import MAX, Fields, distinct, fail, field_names, fields, flag, integer, items, number, one_of, strings
+from .jsondoc import text
 
 # gains at or below this are treated as zero when ranking candidates
 GAIN_EPS = 1e-12
@@ -76,7 +79,7 @@ class C45Params:
     def __post_init__(self) -> None:
         if self.min_leaf < 1:
             raise ValidationError("min_leaf must be at least 1")
-        if not 0.0 < self.confidence_factor <= 0.5 or 1.0 - self.confidence_factor == 1.0:  # see pessimistic_errors
+        if not 0.0 < self.confidence_factor <= 0.5 or 1.0 - self.confidence_factor == 1.0:  # see _prune_levels
             raise ValidationError(f"confidence factor {self.confidence_factor!r} must lie in (0, 0.5] with 1 - cf < 1")
         if self.max_depth is not None and self.max_depth < 0:
             raise ValidationError("max_depth cannot be negative")
@@ -311,6 +314,48 @@ def _keep(rows: np.ndarray, node: np.ndarray, chosen: np.ndarray) -> tuple:
     return rows[keep], (np.cumsum(chosen) - 1)[node[keep]]
 
 
+def _prune_levels(levels: list, cf: float) -> list:
+    """The levels of a grown bank (see ``grow_bank``) after C4.5's error-based pruning at confidence factor
+    ``cf``: bottom-up subtree replacement, by the normal-approximation upper bound on each node's error.
+
+    A node of N rows, E of them outside its majority class, has the
+    pessimistic error N * U, U being the upper confidence limit on E / N
+    (z is the standard-normal upper-``cf`` quantile, about 0.6745 at 0.25);
+    a virtual leaf's is 0. The levels are taken deepest first, each node's
+    error computed for the whole level at once, in the operations and
+    order of the scalar formula. A split's children sit consecutively in
+    the level below, and its subtree error is their errors, as pruned,
+    added branch by branch from 0.0. The split collapses to a leaf when its
+    own error is no worse (``<=``), so ties favour the smaller tree. One
+    forward pass then drops the nodes below each collapsed split.
+    """
+    z = NormalDist().inv_cdf(1.0 - cf)
+    below = np.zeros(0)  # the errors of the level below, as pruned
+    for _, attr, _, n_branches, counts, virtual in reversed(levels):
+        n = counts.sum(axis=1)
+        f = (n - counts.max(axis=1)) / n
+        inner = f / n - (f * f) / n + (z * z) / (4 * n * n)
+        u = (f + (z * z) / (2 * n) + z * np.sqrt(np.maximum(inner, 0.0))) / (1.0 + (z * z) / n)
+        error = np.where(virtual, 0.0, n * u)
+        split = np.flatnonzero(n_branches)
+        nb = n_branches[split]
+        first = np.cumsum(nb) - nb
+        subtree = np.zeros(split.size)
+        for j in range(int(nb.max(initial=0))):
+            subtree += np.where(j < nb, np.take(below, first + j, mode="clip"), 0.0)
+        collapse = error[split] <= subtree
+        attr[split[collapse]] = -1
+        error[split[~collapse]] = subtree[~collapse]
+        below = error
+    pruned, keep = [], np.ones(len(levels[0][0]), dtype=bool)
+    for owner, attr, threshold, n_branches, counts, virtual in levels:
+        split = attr >= 0
+        threshold, nb = np.where(split, threshold, np.nan), np.where(split, n_branches, 0)
+        pruned.append(tuple(column[keep] for column in (owner, attr, threshold, nb, counts, virtual)))
+        keep = np.repeat(keep & split, n_branches)
+    return pruned
+
+
 @dataclass(frozen=True, eq=False)
 class C45Tree:
     """A grown (optionally pruned) tree plus the schema it was trained on.
@@ -415,10 +460,8 @@ def _read_schema(doc, where: str) -> tuple:
         AttributeMeta(a.get("name", text), a.get("kind", one_of, choices=kinds), a.optional("values", strings), i)
         for i, a in enumerate(entries)
     )
-    classes = f.get("classes", strings)
-    if len(set(classes)) < len(classes):
-        repeated = next(c for c in classes if classes.count(c) > 1)
-        raise ValidationError(f"{f.path('classes')} repeats the class {repeated!r}")
+    distinct([a.name for a in attributes], f.path("attributes"), "attribute name")
+    classes = distinct(f.get("classes", strings), f.path("classes"), "class")
     _refuse_reserved(classes, f.path("classes"))
     return attributes, classes
 
@@ -508,8 +551,8 @@ def grow_bank(
     params: C45Params | None = None,
     training=None,
 ) -> list:
-    """Top-down C4.5 induction of one tree per column of ``Y``, one level of the whole bank at a time (no
-    pruning; see prune_ebp).
+    """Top-down C4.5 induction of one tree per column of ``Y``, one level of the whole bank at a time, then
+    error-based pruning of the whole bank when ``params.pruning`` is set (see ``_prune_levels``).
 
     Each tree has its own set of training rows, all from the one shared
     ``X``: row r of the bank is the pair (tree ``r // n``, feature row
@@ -527,9 +570,11 @@ def grow_bank(
     The class list may be a superset of a tree's classes. A class that
     none of a tree's rows has is a column of zeros in each of its nodes'
     counts, and it changes no score: the entropy kernel adds an exact 0.0
-    for it, and cumulative counts add it as an exact 0. So taking the
-    counts of the classes the tree has (``counts[:, present]``) gives the
-    tree grown over that class list alone, node for node.
+    for it, and cumulative counts add it as an exact 0. Nor does it change
+    a node's row count or its largest count, so every pessimistic error of
+    pruning is the same too. So taking the counts of the classes the tree
+    has (``counts[:, present]``) gives the tree grown, and pruned, over
+    that class list alone, node for node.
 
     Args:
         X: (n, d) float matrix; nominal columns hold value indices.
@@ -615,6 +660,8 @@ def grow_bank(
         owner = np.repeat(owner[at], nb)
         counts = np.repeat(counts[at], nb, axis=0)
         depth += 1
+    if params.pruning:
+        levels = _prune_levels(levels, params.confidence_factor)
     owner, *columns = (np.concatenate(column) for column in zip(*levels))
     by_tree = np.argsort(owner, kind="stable")  # each tree's nodes, in level order
     ends = np.cumsum(np.bincount(owner, minlength=n_trees))[:-1]
@@ -622,69 +669,6 @@ def grow_bank(
         _tree(*node_columns, attributes, class_names, params)
         for node_columns in zip(*(np.split(column[by_tree], ends) for column in columns))
     ]
-
-
-# ---------------------------------------------------------------------------
-# Error-based pruning
-# ---------------------------------------------------------------------------
-
-
-def pessimistic_errors(n: float, e: float, cf: float) -> float:
-    """N times the upper confidence bound on the training error rate.
-
-    Uses the normal-approximation upper limit on f = E/N at confidence CF
-    (z is the standard-normal upper-CF quantile, about 0.6745 at CF 0.25).
-    """
-    if n <= 0:
-        return 0.0
-    z = NormalDist().inv_cdf(1.0 - cf)
-    f = e / n
-    inner = f / n - (f * f) / n + (z * z) / (4 * n * n)
-    u = (f + (z * z) / (2 * n) + z * math.sqrt(max(inner, 0.0))) / (1.0 + (z * z) / n)
-    return n * u
-
-
-def prune_ebp(tree: C45Tree) -> C45Tree:
-    """Bottom-up subtree replacement using the pessimistic error bound at the confidence factor of
-    ``tree.params``, the parameters it was grown with; ``tree`` itself is unchanged.
-
-    A subtree collapses to a majority leaf whenever the leaf's pessimistic
-    error is no worse than the sum over the subtree's leaves, so node count
-    never increases and ties favor the smaller tree. One pass in reverse
-    breadth-first order sees every node's children before the node; a
-    subtree's error is summed over its children in branch order. The nodes
-    below a collapsed one are then dropped, the rest keeping their order.
-    """
-    n = tree.counts.sum(axis=1)
-    n, e, virtual = n.tolist(), (n - tree.counts.max(axis=1)).tolist(), tree.virtual.tolist()
-    attr, children = tree.attr.tolist(), tree.children.tolist()
-    error = [0.0] * tree.n_nodes  # of each subtree, as pruned
-    for i in reversed(range(tree.n_nodes)):
-        error[i] = 0.0 if virtual[i] else pessimistic_errors(n[i], e[i], tree.params.confidence_factor)
-        if attr[i] >= 0:
-            as_subtree = sum(error[c] for c in children[i] if c >= 0)
-            if error[i] <= as_subtree:
-                attr[i] = -1
-            else:
-                error[i] = as_subtree
-    attr = np.array(attr, dtype=np.intp)
-    dropped = np.zeros(tree.n_nodes, dtype=bool)
-    below = tree.children[attr != tree.attr]
-    while below.size:  # one level down at a time
-        below = below[below >= 0]
-        dropped[below] = True
-        below = tree.children[below]
-    keep, split = ~dropped, attr >= 0
-    return _tree(
-        attr[keep],
-        np.where(split, tree.threshold, np.nan)[keep],
-        np.where(split, tree.n_branches, 0)[keep],
-        tree.counts[keep],
-        tree.virtual[keep],
-        tree.attributes,
-        tree.class_names,
-        tree.params,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,14 @@ def row_labels(ds: Dataset) -> list:
     return [frozenset(codes[y]) for y in ds.Y]
 
 
+def assert_same_dataset(got: Dataset, want: Dataset) -> None:
+    """``got`` and ``want`` hold the same schema, alphabet, ids and columns."""
+    for key in ("attributes", "label_alphabet", "ids"):
+        assert getattr(got, key) == getattr(want, key), key
+    for key in ("X", "Y", "roles"):
+        assert np.array_equal(getattr(got, key), getattr(want, key)), key
+
+
 def random_view(rng, n, n_attrs, k, numeric_share=0.5, widths=(2, 4)):
     """(X, y, attributes, class_names): n rows of n_attrs random attributes, numeric with probability
     ``numeric_share`` (20 distinct values, so ties are common) or nominal with ``randrange(*widths)``

@@ -7,20 +7,23 @@ Python loop. ``oracle_grow(...)`` builds the nested node documents of
 ``C45Tree.to_dict`` directly and must equal the ``to_dict()`` of the tree
 that ``grow_bank`` grows from the same class column, for every input, so
 the table-driven induction is checked tree for tree.
-``oracle_prune`` prunes such a document by recursive subtree replacement
-and must equal what ``prune_ebp`` makes of the flat tree.
+``oracle_prune`` prunes such a document by recursive subtree replacement,
+one ``pessimistic_errors`` call per node, and must equal the tree that
+``grow_bank`` grows with pruning on.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from chidt.data import AttributeMeta, NUMERIC
 from chidt.errors import ValidationError
-from chidt.tree import GAIN_EPS, C45Params, pessimistic_errors
+from chidt.tree import GAIN_EPS, C45Params
 
 
 @dataclass(frozen=True)
@@ -215,6 +218,21 @@ def oracle_grow(
 
     root = build(np.arange(len(y)), 0)
     return {"root": root, "params": params.to_dict()}
+
+
+def pessimistic_errors(n: float, e: float, cf: float) -> float:
+    """N times the upper confidence bound on the training error rate.
+
+    Uses the normal-approximation upper limit on f = E/N at confidence CF
+    (z is the standard-normal upper-CF quantile, about 0.6745 at CF 0.25).
+    """
+    if n <= 0:
+        return 0.0
+    z = NormalDist().inv_cdf(1.0 - cf)
+    f = e / n
+    inner = f / n - (f * f) / n + (z * z) / (4 * n * n)
+    u = (f + (z * z) / (2 * n) + z * math.sqrt(max(inner, 0.0))) / (1.0 + (z * z) / n)
+    return n * u
 
 
 def _subtree_error(node: dict, cf: float) -> float:

@@ -41,7 +41,7 @@ from chidt.ontology import (
     combo_key,
     is_valid,
 )
-from chidt.tree import C45Params, _refuse, _unroutable, grow_bank, leaf_distributions, prune_ebp, route_bank
+from chidt.tree import C45Params, _refuse, _unroutable, grow_bank, leaf_distributions, route_bank
 
 from conftest import binary_attrs, leaf_tree
 from test_tree import random_view
@@ -183,8 +183,10 @@ def random_bank(rng, n_trees: int):
     X, _, attributes, _ = random_view(rng, n, rng.randrange(1, 5), 2, widths=(2, 6))
     Y = np.array([[rng.randrange(2) for _ in range(n_trees)] for _ in range(n)], dtype=np.int64)
     Y[:, rng.randrange(n_trees)] = rng.randrange(2)
-    trees = grow_bank(X, Y, attributes, BINARY_CLASSES, C45Params(min_leaf=rng.randrange(1, 3)))
-    trees = tuple(prune_ebp(tree) if rng.random() < 0.5 else tree for tree in trees)
+    min_leaf = rng.randrange(1, 3)
+    grown = grow_bank(X, Y, attributes, BINARY_CLASSES, C45Params(min_leaf=min_leaf, pruning=False))
+    pruned = grow_bank(X, Y, attributes, BINARY_CLASSES, C45Params(min_leaf=min_leaf))
+    trees = tuple(tree_pruned if rng.random() < 0.5 else tree for tree, tree_pruned in zip(grown, pruned))
     codes = tuple(f"k{j}" for j in range(n_trees))
     return BRModel(codes=codes, trees=trees, attributes=attributes, threshold=rng.choice((0.3, 0.5))), X
 
@@ -230,9 +232,7 @@ def assert_indicator(Y, labelsets, codes) -> None:
 def test_tree_batch_equals_per_record_walk(seed, n, n_attrs, k, min_leaf, pruned):
     rng = random.Random(seed)
     X, y, attrs, classes = random_view(rng, n, n_attrs, k)
-    tree = grow_bank(X, y[:, None], attrs, classes, C45Params(min_leaf=min_leaf, pruning=False))[0]
-    if pruned:
-        tree = prune_ebp(tree)
+    tree = grow_bank(X, y[:, None], attrs, classes, C45Params(min_leaf=min_leaf, pruning=pruned))[0]
     Q = np.vstack([X, random_queries(rng, attrs, 30)])
     got = leaf_distributions(tree, Q)
     want = np.vstack([oracle_distribution(tree, q) for q in Q])

@@ -26,7 +26,7 @@ from chidt.data import (
 )
 from chidt.errors import ValidationError
 
-from conftest import row_labels
+from conftest import assert_same_dataset, row_labels
 
 CSV_BASIC = """id,fever,bp,codes
 p1,1,120.5,I21.0;I25.1
@@ -195,13 +195,13 @@ class TestLoadCsv:
     def test_csv_round_trip(self):
         ds = load_csv(CSV_BASIC, label_column="codes", id_column="id")
         again = load_csv(export_csv(ds), label_column="codes", id_column="id")
-        assert again == ds
+        assert_same_dataset(again, ds)
 
     def test_csv_round_trip_with_roles_and_numerics(self):
         text = "x,y,codes\n0.5,a,I21.0:PDx\n1.5,b,I21.0;I25.1\n2.5,a,\n"
         ds = load_csv(text, label_column="codes")
         again = load_csv(export_csv(ds), label_column="codes", id_column="id")
-        assert again == ds
+        assert_same_dataset(again, ds)
 
     def test_quoted_cells_round_trip(self):
         # nominal values containing the delimiter and quote characters
@@ -209,7 +209,7 @@ class TestLoadCsv:
         ds = load_csv(text, label_column="codes")
         assert ds.attributes[0].values == ('angina, unstable', 'said "stable"')
         again = load_csv(export_csv(ds), label_column="codes", id_column="id")
-        assert again == ds
+        assert_same_dataset(again, ds)
 
 
 class TestColumnChecks:
@@ -392,7 +392,7 @@ class TestGenerateSynthetic:
         )
         ds1, combos1 = generate_synthetic(cfg)
         ds2, combos2 = generate_synthetic(cfg)
-        assert ds1 == ds2
+        assert_same_dataset(ds1, ds2)
         assert combos1 == combos2
 
     def test_every_labelset_is_a_profile(self):
@@ -433,7 +433,7 @@ class TestGenerateSynthetic:
         )
         ds, _ = generate_synthetic(cfg)
         again = load_csv(export_csv(ds), label_column="codes", id_column="id")
-        assert again == ds
+        assert_same_dataset(again, ds)
 
 
 def _is_number(cell: str) -> bool:

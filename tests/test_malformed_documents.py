@@ -243,3 +243,17 @@ def test_mutated_document_fails_closed(shipped, name, data):
     code, err = run_case(case, {**docs, name: mutate(data, docs[name])}, COMMAND[name])
     assert code in (0, 1, 2)
     assert code == 0 or (err.startswith(("error: ", "i/o error: ")) and err.count("\n") == 1), err
+
+
+def test_model_repeating_an_attribute_name_fails_closed(shipped):
+    """A model schema that names two attributes alike is refused, not read with a term setting the wrong one."""
+    case, docs = shipped
+    docs = copy.deepcopy(docs)
+    attributes = docs["model"]["schema"]["attributes"]
+    assert [a["name"] for a in attributes[:2]] == ["chest_pain", "exertional_pain"]
+    attributes[1]["name"] = "chest_pain"
+    docs["lexicon"] = {"chest pain": ["chest_pain"]}
+    code, err = run_case(case, docs, "terms")
+    assert code == 1, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert ": model schema.attributes[1] repeats the attribute name 'chest_pain'" in err, err

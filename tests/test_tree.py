@@ -21,7 +21,6 @@ from chidt.tree import (
     best_numeric_threshold,
     grow_bank,
     leaf_distributions,
-    prune_ebp,
     render,
 )
 
@@ -340,15 +339,17 @@ class TestPrune:
     def test_pure_leaf_unchanged(self):
         X = np.array([[0], [1]], dtype=float)
         y = np.array([0, 0])
-        tree = grow_bank(X, y[:, None], binary_attrs(1), ("a", "b"))[0]
-        assert prune_ebp(tree).to_dict() == tree.to_dict()
+        tree = grow_bank(X, y[:, None], binary_attrs(1), ("a", "b"), C45Params(pruning=False))[0]
+        pruned = grow_bank(X, y[:, None], binary_attrs(1), ("a", "b"))[0]
+        assert pruned.to_dict()["root"] == tree.to_dict()["root"]
 
     def test_children_with_parent_majority_collapse(self):
         # split where both sides keep the same majority: pruning removes it
         X = np.array([[0], [0], [0], [0], [1], [1], [1], [1]], dtype=float)
         y = np.array([0, 0, 0, 1, 0, 0, 0, 1])
-        grown = grow_bank(X, y[:, None], binary_attrs(1), ("a", "b"), C45Params(min_leaf=1, pruning=True))[0]
-        pruned = prune_ebp(grown)
+        grown = grow_bank(X, y[:, None], binary_attrs(1), ("a", "b"), C45Params(min_leaf=1, pruning=False))[0]
+        pruned = grow_bank(X, y[:, None], binary_attrs(1), ("a", "b"), C45Params(min_leaf=1, pruning=True))[0]
+        assert grown.n_nodes == 3
         assert pruned.n_nodes == 1
         assert pruned.majority[0] == 0
 
@@ -361,7 +362,7 @@ class TestPrune:
         for _ in range(50):
             X, y, attrs, classes = random_view(rng, rng.randrange(6, 40), 4, 3)
             grown = grow_bank(X, y[:, None], attrs, classes, C45Params(min_leaf=1, pruning=False))[0]
-            pruned = prune_ebp(grown)
+            pruned = grow_bank(X, y[:, None], attrs, classes, C45Params(min_leaf=1))[0]
             assert pruned.n_nodes <= grown.n_nodes
             assert pruned.attributes == grown.attributes
             assert pruned.class_names == grown.class_names
@@ -371,8 +372,7 @@ class TestPrune:
     def test_useful_split_survives(self):
         X = np.repeat(np.array([[0], [1]], dtype=float), 20, axis=0)
         y = np.repeat(np.array([0, 1]), 20)
-        grown = grow_bank(X, y[:, None], binary_attrs(1), ("a", "b"), C45Params(min_leaf=1, pruning=False))[0]
-        assert prune_ebp(grown).attr[0] >= 0
+        assert grow_bank(X, y[:, None], binary_attrs(1), ("a", "b"), C45Params(min_leaf=1))[0].attr[0] >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +391,7 @@ class TestPredict:
 
     def test_distributions_sum_to_one(self, weather):
         X, y, attrs, classes = weather
-        tree = prune_ebp(grow_bank(X, y[:, None], attrs, classes, C45Params())[0])
+        tree = grow_bank(X, y[:, None], attrs, classes, C45Params())[0]
         for dist in leaf_distributions(tree, X):
             assert dist.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -420,7 +420,7 @@ class TestPredict:
 
     def test_agrees_with_argmax_oracle_on_1000_vectors(self, weather):
         X, y, attrs, classes = weather
-        tree = prune_ebp(grow_bank(X, y[:, None], attrs, classes)[0])
+        tree = grow_bank(X, y[:, None], attrs, classes)[0]
         rng = random.Random(6)
         Q = [[rng.randrange(3), rng.uniform(60, 90), rng.uniform(60, 100), rng.randrange(2)] for _ in range(1000)]
         dists = leaf_distributions(tree, Q)
@@ -437,7 +437,7 @@ class TestPredict:
 
     def test_arity_mismatch(self, weather):
         X, y, attrs, classes = weather
-        tree = prune_ebp(grow_bank(X, y[:, None], attrs, classes)[0])
+        tree = grow_bank(X, y[:, None], attrs, classes)[0]
         with pytest.raises(ValidationError, match="4-attribute schema"):
             leaf_distributions(tree, [[0, 70.0]])
         with pytest.raises(ValidationError, match="4-attribute schema"):
@@ -487,7 +487,7 @@ class TestPredict:
 class TestPersistence:
     def test_json_round_trip(self, weather):
         X, y, attrs, classes = weather
-        tree = prune_ebp(grow_bank(X, y[:, None], attrs, classes)[0])
+        tree = grow_bank(X, y[:, None], attrs, classes)[0]
         doc = json.loads(json.dumps(tree.to_dict()))
         again = _read_tree(doc, "tree", attrs, classes)
         assert again.to_dict() == tree.to_dict()
@@ -531,7 +531,7 @@ def test_chain_of_2000_levels_needs_no_recursion():
     again = _read_tree(tree.to_dict(), "tree", attrs, ("a", "b"))
     for name in ("attr", "threshold", "children", "counts", "virtual"):
         assert np.array_equal(getattr(again, name), getattr(tree, name), equal_nan=True), name
-    pruned = prune_ebp(tree)
+    pruned = grow_bank(X, y[:, None], attrs, ("a", "b"), C45Params(min_leaf=1))[0]
     assert pruned.n_nodes <= tree.n_nodes
     assert leaf_distributions(pruned, X).shape == (n, 2)
     assert pruned.to_dict()["root"]["kind"] in ("leaf", "split")

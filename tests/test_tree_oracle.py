@@ -1,4 +1,4 @@
-"""Table-driven C4.5 induction and flat-array pruning against the scalar, recursive code they replaced
+"""Table-driven C4.5 induction and level-wise pruning against the scalar, recursive code they replaced
 (``oracle_c45``), tree for tree.
 
 Every comparison is exact (``==``): the table kernel must reproduce the
@@ -21,7 +21,7 @@ import chidt.tree as tree_module
 import oracle_c45
 from chidt.data import NUMERIC, AttributeMeta
 from chidt.errors import ValidationError
-from chidt.tree import C45Params, _entropy_rows, grow_bank, prune_ebp
+from chidt.tree import C45Params, _entropy_rows, grow_bank
 from conftest import node_thresholds, random_view
 from oracle_c45 import SplitTest, oracle_grow, oracle_prune
 
@@ -113,10 +113,11 @@ class TestPruneMatchesOracle:
     )
     def test_same_tree_as_recursive_pruning(self, spec, min_leaf, max_depth, cf):
         X, y, attrs, classes = view(**spec)
-        params = C45Params(min_leaf=min_leaf, max_depth=max_depth, confidence_factor=cf, pruning=False)
-        grown = grow_bank(X, y[:, None], attrs, classes, params)[0]
-        assert prune_ebp(grown).to_dict() == oracle_prune(oracle_grow(X, y, attrs, classes, params))
-        assert grown.to_dict() == oracle_grow(X, y, attrs, classes, params)  # the input is left as it was
+        params = C45Params(min_leaf=min_leaf, max_depth=max_depth, confidence_factor=cf)
+        pruned = grow_bank(X, y[:, None], attrs, classes, params)[0]
+        assert pruned.to_dict() == oracle_prune(oracle_grow(X, y, attrs, classes, params))
+        grown = grow_bank(X, y[:, None], attrs, classes, dataclasses.replace(params, pruning=False))[0]
+        assert grown.to_dict() == oracle_grow(X, y, attrs, classes, dataclasses.replace(params, pruning=False))
 
 
 class TestEntropyKernel:
@@ -314,12 +315,12 @@ class TestBankMatchesOracle:
     def test_every_tree_is_the_scalar_one(self, spec, min_leaf, max_depth, cf):
         X, Y, attrs, classes = bank(**spec)
         params = C45Params(min_leaf=min_leaf, max_depth=max_depth, confidence_factor=cf, pruning=False)
-        trees = grow_bank(X, Y, attrs, classes, params)
-        assert len(trees) == Y.shape[1]
-        for tree, y in zip(trees, Y.T):
-            expected = oracle_grow(X, y, attrs, classes, params)
-            assert tree.to_dict() == expected
-            assert prune_ebp(tree).to_dict() == oracle_prune(expected)
+        pruning = dataclasses.replace(params, pruning=True)
+        trees, pruned = grow_bank(X, Y, attrs, classes, params), grow_bank(X, Y, attrs, classes, pruning)
+        assert len(trees) == len(pruned) == Y.shape[1]
+        for tree, tree_pruned, y in zip(trees, pruned, Y.T):
+            assert tree.to_dict() == oracle_grow(X, y, attrs, classes, params)
+            assert tree_pruned.to_dict() == oracle_prune(oracle_grow(X, y, attrs, classes, pruning))
 
     @settings(deadline=None)
     @given(
@@ -331,21 +332,26 @@ class TestBankMatchesOracle:
     )
     def test_per_tree_rows_grow_each_tree_alone(self, spec, min_leaf, max_depth, share, seed):
         # each tree trains on its own random rows, which other trees reuse; the shared class list is a
-        # superset of a tree's classes, so the bank tree's counts are cut to the classes its rows have
+        # superset of a tree's classes, so the bank tree's counts are cut to the classes its rows have.
+        # The bank prunes before that cut, as label-powerset training does, so the pruned compare
+        # guards that order
         X, Y, attrs, classes = bank(**spec)
         rng = np.random.default_rng(seed)
         training = rng.random(Y.shape) < share
         training[rng.integers(len(Y), size=Y.shape[1]), np.arange(Y.shape[1])] = True  # no tree without rows
         params = C45Params(min_leaf=min_leaf, max_depth=max_depth, pruning=False)
+        pruning = dataclasses.replace(params, pruning=True)
         trees = grow_bank(X, Y, attrs, classes, params, training)
-        assert len(trees) == Y.shape[1]
-        for tree, y, rows in zip(trees, Y.T, training.T):
+        pruned = grow_bank(X, Y, attrs, classes, pruning, training)
+        assert len(trees) == len(pruned) == Y.shape[1]
+        for tree, tree_pruned, y, rows in zip(trees, pruned, Y.T, training.T):
             own = np.unique(y[rows])
             names = tuple(classes[c] for c in own)
-            expected = oracle_grow(X[rows], np.searchsorted(own, y[rows]), attrs, names, params)
+            alone = (X[rows], np.searchsorted(own, y[rows]), attrs, names)
             projected = dataclasses.replace(tree, counts=tree.counts[:, own], class_names=names)
-            assert projected.to_dict() == expected
-            assert prune_ebp(projected).to_dict() == oracle_prune(expected)
+            assert projected.to_dict() == oracle_grow(*alone, params)
+            projected = dataclasses.replace(tree_pruned, counts=tree_pruned.counts[:, own], class_names=names)
+            assert projected.to_dict() == oracle_prune(oracle_grow(*alone, pruning))
 
     def test_a_tree_without_rows_is_refused(self):
         X, Y, attrs, classes = bank(1, n=20, n_attrs=2, k=3, numeric_share=0.5, n_trees=2)
