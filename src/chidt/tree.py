@@ -42,7 +42,7 @@ growth appends each level's nodes; pruning, when the parameters ask for
 it, runs on the bank's levels before any tree is built, deepest level
 first, with each level's pessimistic errors as one array expression
 (``_prune_levels``); prediction routes a bank's trees as one forest over
-their concatenated child tables (``route_bank``), and writing, reading
+their concatenated node arrays (``route_bank``), and writing, reading
 and rendering walk the arrays or an explicit queue or stack. Nothing
 recurses, so any depth that JSON can nest works. The oracle module also
 keeps the scalar, recursive pruning that the level pass replaced.
@@ -363,14 +363,15 @@ class C45Tree:
     The tree is read-only flat arrays, one entry per node in breadth-first
     order with the root at 0 (the layout of scikit-learn's ``tree_``): a
     node's children are consecutive, in branch order, and come after the
-    children of every node before it. A branch that no training row reached
+    children of every node before it, so the branch counts place them
+    (``first``). A branch that no training row reached
     is a *virtual* leaf with its parent's counts: it predicts the parent
     majority but adds nothing to pruning error sums.
     """
 
     attr: np.ndarray  # tested attribute, -1 at a leaf
     threshold: np.ndarray  # numeric threshold, NaN at nominal tests and leaves
-    children: np.ndarray  # (nodes, widest branching) child index, -1 past a node's branches
+    n_branches: np.ndarray  # branch count, 0 at a leaf
     counts: np.ndarray  # (nodes, classes) training class counts
     virtual: np.ndarray  # True at a virtual leaf
     attributes: tuple
@@ -378,7 +379,7 @@ class C45Tree:
     params: C45Params
 
     def __post_init__(self) -> None:
-        for array in (self.attr, self.threshold, self.children, self.counts, self.virtual):
+        for array in (self.attr, self.threshold, self.n_branches, self.counts, self.virtual):
             array.setflags(write=False)
 
     @property
@@ -391,13 +392,13 @@ class C45Tree:
         return np.argmax(self.counts, axis=1)
 
     @property
-    def n_branches(self) -> np.ndarray:
-        """Each node's branch count, 0 at a leaf."""
-        return np.count_nonzero(self.children >= 0, axis=1)
+    def first(self) -> np.ndarray:
+        """Each node's first child: branch j of node i leads to node ``first[i] + j``."""
+        return np.cumsum(self.n_branches) - self.n_branches + 1
 
     def to_dict(self) -> dict:
         """The tree as nested node documents, built children first, so that no depth recurses."""
-        attr, threshold, children = self.attr.tolist(), self.threshold.tolist(), self.children.tolist()
+        attr, threshold, nb, first = (a.tolist() for a in (self.attr, self.threshold, self.n_branches, self.first))
         counts, majority, virtual = self.counts.tolist(), self.majority.tolist(), self.virtual.tolist()
         nodes = [None] * self.n_nodes
         for i in reversed(range(self.n_nodes)):
@@ -406,7 +407,7 @@ class C45Tree:
                 if virtual[i]:
                     nodes[i]["virtual"] = True
                 continue
-            branches = [nodes[c] for c in children[i] if c >= 0]
+            branches = nodes[first[i] : first[i] + nb[i]]
             test = {"attr": attr[i]}
             if math.isnan(threshold[i]):
                 test["branches"] = len(branches)
@@ -418,15 +419,12 @@ class C45Tree:
 
 
 def _tree(attr, threshold, n_branches, counts, virtual, attributes, class_names, params) -> C45Tree:
-    """A tree from its per-node values in breadth-first order; the child table follows from the branch counts."""
-    n_branches = np.asarray(n_branches, dtype=np.intp)
-    first = np.cumsum(n_branches) - n_branches + 1
-    j = np.arange(max(1, int(n_branches.max())))
+    """A tree from its per-node values in breadth-first order."""
     return C45Tree(
         attr=np.asarray(attr, dtype=np.intp),
         threshold=np.asarray(threshold, dtype=np.float64),
-        children=np.where(j < n_branches[:, None], first[:, None] + j, -1),
-        counts=np.asarray(counts, dtype=np.float64).reshape(len(n_branches), len(class_names)),
+        n_branches=np.asarray(n_branches, dtype=np.intp),
+        counts=np.asarray(counts, dtype=np.float64).reshape(len(attr), len(class_names)),
         virtual=np.asarray(virtual, dtype=bool),
         attributes=tuple(attributes),
         class_names=tuple(class_names),
@@ -613,7 +611,6 @@ def grow_bank(
     if bad.any():
         i, j = divmod(int(np.argmax(bad)), X.shape[1])
         _refuse(X[i, j], numeric[j], attributes[j].name)
-    width = max(2, int(widths.max(initial=0)))  # branches of the widest test
     nominal = widths > 0
     # each row's (nominal attribute, value) cell of a node's (attribute, value, class) count table
     keys = (X[:, nominal].astype(np.intp) + np.arange(np.count_nonzero(nominal)) * widths.max(initial=0)) * k
@@ -651,12 +648,12 @@ def grow_bank(
         rows, node = _keep(rows, node, split)
 
         values = X[rows % n, a[node]]
-        key = node * width + np.where(numeric[a[node]], values > t[node], values).astype(np.intp)
-        seen = np.bincount(key, minlength=len(at) * width).reshape(-1, width) > 0
-        node = (np.cumsum(seen) - 1)[key]
+        # each row's branch slot in the next level: the slots of a split's branches follow those before it
+        key = (np.cumsum(nb) - nb)[node] + np.where(numeric[a[node]], values > t[node], values).astype(np.intp)
+        reached = np.bincount(key, minlength=int(nb.sum())) > 0
+        node = (np.cumsum(reached) - 1)[key]
         order = np.argsort(node, kind="stable")
         rows, node = rows[order], node[order]
-        reached = seen[np.arange(width) < nb[:, None]]
         owner = np.repeat(owner[at], nb)
         counts = np.repeat(counts[at], nb, axis=0)
         depth += 1
@@ -707,14 +704,14 @@ def route_bank(trees: Sequence[C45Tree], X) -> np.ndarray:
     schema, as a node index of that tree.
 
     The trees are routed as one forest: their node arrays are concatenated,
-    with each tree's child indices offset by the nodes before it, and every
-    (tree, row) pair moves down one level at a time.
+    with each tree's first children (``C45Tree.first``) offset by the nodes
+    before it, and every (tree, row) pair moves down one level at a time.
     Each step gathers the tested value of every pair still at a split
-    node, from a column-major copy of the rows, and indexes the child
-    table; the pairs that reached a leaf drop out. Rows go in blocks whose
-    pairs and column copy hold at most ``_TABLE_CELLS`` cells together, one
-    per pair and one per value, so the arrays of a step stay small. The
-    forest is built anew on each call from the trees.
+    node, from a column-major copy of the rows, and moves the pair to
+    ``first[node] + branch``; the pairs that reached a leaf drop out. Rows
+    go in blocks whose pairs and column copy hold at most ``_TABLE_CELLS``
+    cells together, one per pair and one per value, so the arrays of a
+    step stay small. The forest is built anew on each call from the trees.
 
     A value that no branch can take (see ``_unroutable``) is refused where
     a reached test reads it; a value that no reached test reads is never
@@ -732,12 +729,7 @@ def route_bank(trees: Sequence[C45Tree], X) -> np.ndarray:
         )
     sizes = [tree.n_nodes for tree in trees]
     offsets = np.cumsum([0] + sizes[:-1])
-    width = max(tree.children.shape[1] for tree in trees)
-    children = np.full((sum(sizes), width), -1, dtype=np.intp)
-    for tree, offset in zip(trees, offsets.tolist()):
-        local = tree.children
-        children[offset : offset + tree.n_nodes, : local.shape[1]] = np.where(local >= 0, local + offset, -1)
-    children = children.ravel()
+    first = np.concatenate([tree.first + offset for tree, offset in zip(trees, offsets.tolist())])
     attr = np.concatenate([tree.attr for tree in trees])
     threshold = np.concatenate([tree.threshold for tree in trees])
     numeric = ~np.isnan(threshold)
@@ -764,11 +756,11 @@ def route_bank(trees: Sequence[C45Tree], X) -> np.ndarray:
             hit = None if bad is None else bad[cell]
             if hit is not None and hit.any():  # refuse the first, route the others on
                 i = int(np.argmax(hit))
-                first = (int(pair[i]) // b, level, lo + int(pair[i]) % b, int(attr[at[i]]))
-                refusal = first if refusal is None else min(refusal, first)
+                met = (int(pair[i]) // b, level, lo + int(pair[i]) % b, int(attr[at[i]]))
+                refusal = met if refusal is None else min(refusal, met)
                 pair, at, cell = pair[~hit], at[~hit], cell[~hit]
             values = columns[cell]
-            at = children[at * width + np.where(numeric[at], values > threshold[at], values).astype(np.intp)]
+            at = first[at] + np.where(numeric[at], values > threshold[at], values).astype(np.intp)
             node[pair] = at
             split = np.flatnonzero(attr[at] >= 0)
             pair, at = pair[split], at[split]
@@ -821,12 +813,12 @@ def render(tree: C45Tree) -> str:
     """Indented one-test-per-line rendering, leaves annotated with (n) or (n/errors)."""
     if tree.attr[0] < 0:
         return "root" + _leaf_suffix(tree, 0)
-    n_branches = tree.n_branches.tolist()
+    n_branches, first = tree.n_branches.tolist(), tree.first.tolist()
     lines = []
     stack = [(0, j, "") for j in reversed(range(n_branches[0]))]  # (node, branch, indent) lines still to write
     while stack:  # depth first, branches in order
         i, j, prefix = stack.pop()
-        child = int(tree.children[i, j])
+        child = first[i] + j
         head = prefix + _branch_label(tree, i, j)
         if tree.attr[child] < 0:
             lines.append(head + _leaf_suffix(tree, child))

@@ -74,6 +74,15 @@ def leaf_tree(counts, attributes, class_names) -> C45Tree:
     return _read_tree({"root": root}, "tree", attributes, class_names)
 
 
+def child_lists(tree: C45Tree) -> list:
+    """Each node's children in branch order, found from their parents: the nodes after the root are the
+    children of the nodes in order, ``n_branches[i]`` of them for node i."""
+    children = [[] for _ in range(tree.n_nodes)]
+    for child, parent in enumerate(np.repeat(np.arange(tree.n_nodes), tree.n_branches).tolist(), start=1):
+        children[parent].append(child)
+    return children
+
+
 def batch_rows(model, X) -> tuple:
     """``model.predict_batch(X)`` read row by row: (each row's labels as a frozenset, the scores, each row's
     reason string, or None for a single stage)."""

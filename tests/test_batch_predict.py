@@ -43,7 +43,7 @@ from chidt.ontology import (
 )
 from chidt.tree import C45Params, _refuse, _unroutable, grow_bank, leaf_distributions, route_bank
 
-from conftest import binary_attrs, leaf_tree
+from conftest import binary_attrs, child_lists, leaf_tree
 from test_tree import random_view
 
 CODES = ("a", "b", "c", "d", "e", "f")
@@ -75,7 +75,7 @@ def oracle_route(tree, x) -> dict:
 def oracle_tree_walk(tree, X) -> np.ndarray:
     """The leaf each row of ``X`` reaches: one tree on its own, all rows a level at a time, a value no branch
     can take refused at the first level where a reached test reads it, at the first such row."""
-    n_branches = tree.n_branches
+    n_branches, children = tree.n_branches, child_lists(tree)
     node = np.zeros(len(X), dtype=np.intp)
     rows = np.arange(len(X)) if tree.attr[0] >= 0 else np.zeros(0, dtype=np.intp)
     while rows.size:
@@ -86,7 +86,8 @@ def oracle_tree_walk(tree, X) -> np.ndarray:
         if bad.any():
             i = int(np.argmax(bad))
             _refuse(values[i], numeric[i], tree.attributes[tree.attr[at[i]]].name)
-        step = tree.children[at, np.where(numeric, values > threshold, values).astype(np.intp)]
+        branch = np.where(numeric, values > threshold, values).astype(np.intp)
+        step = np.array([children[i][j] for i, j in zip(at.tolist(), branch.tolist())], dtype=np.intp)
         node[rows] = step
         rows = rows[tree.attr[step] >= 0]
     return node
@@ -177,10 +178,12 @@ def random_cascade(rng, strategy: str, fallback: bool):
 
 
 def random_bank(rng, n_trees: int):
-    """A BR model of ``n_trees`` trees grown together over mixed nominal (2 to 5 values) and numeric
-    attributes, one of them a leaf-only (constant-code) tree, about half of them pruned, plus its rows."""
+    """A BR model of ``n_trees`` trees grown together over mixed nominal (2 to 5 values, or in about a
+    quarter of the banks 2 to 300) and numeric attributes, one of them a leaf-only (constant-code) tree, about
+    half of them pruned, plus its rows."""
     n = rng.randrange(4, 40)
-    X, _, attributes, _ = random_view(rng, n, rng.randrange(1, 5), 2, widths=(2, 6))
+    widths = (2, 301 if rng.random() < 0.25 else 6)
+    X, _, attributes, _ = random_view(rng, n, rng.randrange(1, 5), 2, widths=widths)
     Y = np.array([[rng.randrange(2) for _ in range(n_trees)] for _ in range(n)], dtype=np.int64)
     Y[:, rng.randrange(n_trees)] = rng.randrange(2)
     min_leaf = rng.randrange(1, 3)
@@ -295,14 +298,15 @@ def test_bank_refuses_what_the_per_tree_walk_refuses_first(seed, n_trees, cells,
 
 def test_bank_generator_reaches_every_kind_of_tree():
     rng = random.Random(5)
-    leaf_only = numeric = wide = 0
+    leaf_only = numeric = wide = hundreds = 0
     for _ in range(30):
         model, _ = random_bank(rng, rng.randrange(1, 6))
         for tree in model.trees:
             leaf_only += bool(tree.attr[0] < 0)
             numeric += bool((~np.isnan(tree.threshold)).any())
             wide += bool((tree.n_branches > 2).any())
-    assert leaf_only and numeric and wide
+            hundreds += bool((tree.n_branches >= 100).any())
+    assert leaf_only and numeric and wide and hundreds
 
 
 @pytest.mark.parametrize("extra", (-1, 0, 1, 6))

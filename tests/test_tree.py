@@ -24,7 +24,7 @@ from chidt.tree import (
     render,
 )
 
-from conftest import binary_attrs, node_thresholds, random_view
+from conftest import binary_attrs, child_lists, node_thresholds, random_view
 from oracle_c45 import SplitTest
 
 
@@ -217,11 +217,10 @@ class TestBestNumericThreshold:
 
 def depth(tree: C45Tree) -> int:
     """Edges on the longest root-to-leaf path."""
-    level, edges = np.zeros(1, dtype=np.intp), 0
+    children, level, edges = child_lists(tree), [0], 0
     while True:
-        level = tree.children[level]
-        level = level[level >= 0]
-        if not level.size:
+        level = [child for i in level for child in children[i]]
+        if not level:
             return edges
         edges += 1
 
@@ -399,11 +398,13 @@ class TestPredict:
         X, y, attrs, classes = weather
         tree = grow_bank(X, y[:, None], attrs, classes, C45Params(min_leaf=2, pruning=False))[0]
 
+        children = child_lists(tree)
+
         def hand_route(x):
             i = 0
             while tree.attr[i] >= 0:
                 value, threshold = x[tree.attr[i]], tree.threshold[i]
-                i = tree.children[i, int(value) if np.isnan(threshold) else int(value > threshold)]
+                i = children[i][int(value) if np.isnan(threshold) else int(value > threshold)]
             return tree.counts[i] / tree.counts[i].sum()
 
         for x, dist in zip(X, leaf_distributions(tree, X)):
@@ -529,7 +530,7 @@ def test_chain_of_2000_levels_needs_no_recursion():
     assert tree.n_nodes == 4001
     assert np.array_equal(np.argmax(leaf_distributions(tree, X), axis=1), y)
     again = _read_tree(tree.to_dict(), "tree", attrs, ("a", "b"))
-    for name in ("attr", "threshold", "children", "counts", "virtual"):
+    for name in ("attr", "threshold", "n_branches", "counts", "virtual"):
         assert np.array_equal(getattr(again, name), getattr(tree, name), equal_nan=True), name
     pruned = grow_bank(X, y[:, None], attrs, ("a", "b"), C45Params(min_leaf=1))[0]
     assert pruned.n_nodes <= tree.n_nodes

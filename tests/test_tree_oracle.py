@@ -32,7 +32,7 @@ views = st.fixed_dictionaries(
         "n_attrs": st.integers(1, 5),
         "k": st.integers(2, 12),
         "numeric_share": st.sampled_from([0.0, 0.5, 1.0]),
-        "max_width": st.sampled_from([3, 10]),
+        "max_width": st.sampled_from([3, 10, 300]),
     }
 )
 
