@@ -14,9 +14,9 @@ matrix (one tree per code and per k-fold training set, say), and a row may
 train several trees. The class list is shared, so it may be a superset of
 a tree's classes; a class that a tree lacks is a column of zero counts,
 and it changes no score. Each bank level counts the classes of its open
-nodes with one ``np.bincount``, and scores them in chunks of nodes of
-bounded size: one more ``np.bincount`` per chunk counts every branch of
-every nominal test, and one search per chunk covers every (numeric
+nodes with one ``np.bincount``, and scores them in chunks of bounded
+size: one more ``np.bincount`` per chunk counts each nominal attribute's
+own values, one table per width, and one search covers every (numeric
 attribute, node) pair. Each numeric column is ranked once per bank, so
 the search sorts its rows by (pair, rank) with one integer argsort. It
 scores only the boundary cuts: a cut inside a run of one class is
@@ -237,34 +237,34 @@ def best_numeric_threshold(values, rank, y, node, counts: np.ndarray, parent_h: 
     return threshold, gain, ratio
 
 
-# cells of nominal count table and of row keys built at once; a bank level with more is scored in node chunks
+# count-table cells (each nominal attribute's own values) and row keys built at once; a level with more is chunked
 _TABLE_CELLS = 1 << 16
 
 
-def _candidates(columns, ranks, keys, widths, y, rows, n, node, counts, parent_h, min_leaf) -> tuple:
+def _candidates(columns, ranks, keys, nominal, widths, y, rows, n, node, counts, parent_h, min_leaf) -> tuple:
     """(gain, gain ratio, threshold, candidacy) of every attribute at every open node of a bank level, as
     (nodes, attributes) arrays. ``rows`` are the bank rows at the open nodes, grouped by ``node``: bank row
     r is feature row ``r % n`` of class ``y[r]``; ``counts`` and ``parent_h`` hold each open node's class
     counts and entropy. ``columns`` and ``ranks`` hold each numeric attribute's values and their ranks, one
-    row per attribute, and ``keys`` each feature row's (nominal attribute, value) cells of one node's count
-    table (see ``grow_bank``).
+    row per attribute; ``nominal`` lists the nominal attributes by width, ties by index, and ``keys`` holds
+    each feature row's (attribute, value) cells of one node's count table, in that order (see ``grow_bank``).
 
-    The level is scored in chunks of consecutive nodes whose rows, one
-    cell per attribute, and count tables hold at most ``_TABLE_CELLS``
-    cells, so that a numeric-only schema is chunked too; a node that alone
-    holds more is a chunk of its own. In each chunk, the class counts of
-    every branch of every nominal test come from one ``np.bincount`` over
-    (node, attribute, value, class) and are scored at once, and one
-    ``best_numeric_threshold`` call searches every (numeric attribute,
-    node) pair, numbered as a node of its own. No score looks across
-    nodes, so the chunking changes no result.
+    The level is scored in chunks of consecutive nodes whose rows, one cell
+    per attribute, and count tables (``sum(widths) * k`` cells a node) hold
+    at most ``_TABLE_CELLS`` cells, so that a numeric-only schema is chunked
+    too; a node that alone holds more is a chunk of its own. In each chunk,
+    one ``np.bincount`` over (node, attribute, value, class) counts every
+    nominal branch, and each width's attributes are scored as one (nodes,
+    attributes, width, classes) slice of it. One ``best_numeric_threshold``
+    call searches every (numeric attribute, node) pair, numbered as a node
+    of its own. No score looks across nodes, so the chunking changes no result.
     """
     (m, k), d = counts.shape, len(widths)
     gain, ratio, threshold = np.zeros((m, d)), np.zeros((m, d)), np.full((m, d), np.nan)
     ok = np.zeros((m, d), dtype=bool)
-    nominal, numeric = np.flatnonzero(widths), np.flatnonzero(widths == 0)
-    w = int(widths.max(initial=0))
-    per_node = nominal.size * w * k
+    numeric, per_node = np.flatnonzero(widths == 0), int(widths.sum()) * k
+    edges = np.flatnonzero(np.diff(widths[nominal])) + 1  # where the attributes of a greater width start
+    groups, cuts = np.split(nominal, edges), np.cumsum(widths[nominal])[edges - 1] * k  # and their first cells
     starts = np.searchsorted(node, np.arange(m + 1))
     # the cells of rows and tables of the nodes before each node
     before = np.concatenate(([0], np.cumsum(np.diff(starts) * d + per_node)))
@@ -276,11 +276,12 @@ def _candidates(columns, ranks, keys, widths, y, rows, n, node, counts, parent_h
         if nominal.size:
             cells = keys[sample]
             cells += (local * per_node + cls)[:, None]
-            table = np.bincount(cells.ravel(), minlength=(hi - lo) * per_node).reshape(hi - lo, nominal.size, w, k)
+            table = np.bincount(cells.ravel(), minlength=(hi - lo) * per_node).reshape(hi - lo, per_node)
             del cells
-            g, _, q, sizes = _split_scores(parent_h[lo:hi, None], table.astype(np.float64))
-            gain[lo:hi, nominal], ratio[lo:hi, nominal] = g, q
-            ok[lo:hi, nominal] = np.count_nonzero(sizes >= min_leaf, axis=-1) >= 2
+            for group, part in zip(groups, np.split(table.astype(np.float64), cuts, axis=1)):
+                g, _, q, sizes = _split_scores(parent_h[lo:hi, None], part.reshape(hi - lo, group.size, -1, k))
+                gain[lo:hi, group], ratio[lo:hi, group] = g, q
+                ok[lo:hi, group] = np.count_nonzero(sizes >= min_leaf, axis=-1) >= 2
         if numeric.size:
             pair = (np.arange(numeric.size)[:, None] * (hi - lo) + local).ravel()  # (attribute, node) as one node
             v, r = columns[:, sample].ravel(), ranks[:, sample].ravel()
@@ -606,14 +607,15 @@ def grow_bank(
         raise ValidationError("class indices fall outside the class list")
     if not n_trees:
         return []
-    numeric, widths = _schema_kinds(attributes)
+    widths = _schema_kinds(attributes)
+    numeric = widths == 0
     bad = _unroutable(X, numeric, widths)
     if bad.any():
         i, j = divmod(int(np.argmax(bad)), X.shape[1])
         _refuse(X[i, j], numeric[j], attributes[j].name)
-    nominal = widths > 0
-    # each row's (nominal attribute, value) cell of a node's (attribute, value, class) count table
-    keys = (X[:, nominal].astype(np.intp) + np.arange(np.count_nonzero(nominal)) * widths.max(initial=0)) * k
+    nominal = np.argsort(widths, kind="stable")[np.count_nonzero(numeric) :]  # by width, ties by index
+    # each row's (nominal attribute, value) cell of a node's count table: an attribute's values follow those before
+    keys = (X[:, nominal].astype(np.intp) + np.cumsum(widths[nominal]) - widths[nominal]) * k
     columns = X[:, numeric].T.copy()  # each numeric attribute's values, ranked once for the whole bank
     ranks = np.empty(columns.shape, dtype=np.intp)
     np.put_along_axis(ranks, np.argsort(columns, axis=1), np.arange(n), axis=1)
@@ -636,7 +638,7 @@ def grow_bank(
         rows, node = _keep(rows, node, impure)
         at = np.flatnonzero(reached)[impure]
         h = _entropy_rows(counts[at])  # the open nodes' entropies, once for the nominal and the numeric scores
-        found = _candidates(columns, ranks, keys, widths, y, rows, n, node, counts[at], h, params.min_leaf)
+        found = _candidates(columns, ranks, keys, nominal, widths, y, rows, n, node, counts[at], h, params.min_leaf)
         gain, ratio, threshold, ok = found
         split = ok.any(axis=1)
         if not split.any():
@@ -692,11 +694,9 @@ def _refuse(value: float, numeric: bool, name: str):
     raise ValidationError(f"value index {value:g} outside the domain of {name!r}")
 
 
-def _schema_kinds(attributes: Sequence[AttributeMeta]) -> tuple:
-    """(numeric flag, value count, 0 at a numeric attribute) arrays of a schema's attributes."""
-    numeric = np.array([a.is_numeric for a in attributes], dtype=bool)
-    widths = np.array([0 if a.is_numeric else len(a.values) for a in attributes], dtype=np.intp)
-    return numeric, widths
+def _schema_kinds(attributes: Sequence[AttributeMeta]) -> np.ndarray:
+    """Each attribute's value count; 0 marks a numeric attribute, as a nominal domain is never empty."""
+    return np.array([0 if a.is_numeric else len(a.values) for a in attributes], dtype=np.intp)
 
 
 def route_bank(trees: Sequence[C45Tree], X) -> np.ndarray:
@@ -733,7 +733,7 @@ def route_bank(trees: Sequence[C45Tree], X) -> np.ndarray:
     attr = np.concatenate([tree.attr for tree in trees])
     threshold = np.concatenate([tree.threshold for tree in trees])
     numeric = ~np.isnan(threshold)
-    is_numeric, widths = _schema_kinds(attributes)
+    widths = _schema_kinds(attributes)
     owner = np.repeat(np.arange(len(trees)), sizes)  # the tree of each node
     refusal = None  # (tree, level, row, attribute) of the first refusal met so far
 
@@ -743,7 +743,7 @@ def route_bank(trees: Sequence[C45Tree], X) -> np.ndarray:
     for lo in range(0, n, step):
         b = min(step, n - lo)
         columns = X[lo : lo + b].T.ravel()  # column-major: value (row r, attribute a) at a * b + r
-        bad = _unroutable(columns.reshape(-1, b), is_numeric[:, None], widths[:, None]).ravel()
+        bad = _unroutable(columns.reshape(-1, b), widths[:, None] == 0, widths[:, None]).ravel()
         bad = bad if bad.any() else None
         # pair p is (tree p // b, row p % b): at a split node of its tree, it reads cell p + shift of ``columns``
         shift = (attr - owner) * b

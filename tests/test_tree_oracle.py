@@ -11,6 +11,7 @@ pick a different split and change a model. For a deeper run::
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import random
 
 import numpy as np
@@ -19,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import chidt.tree as tree_module
 import oracle_c45
-from chidt.data import NUMERIC, AttributeMeta
+from chidt.data import NOMINAL, NUMERIC, AttributeMeta
 from chidt.errors import ValidationError
 from chidt.tree import C45Params, _entropy_rows, grow_bank
 from conftest import node_thresholds, random_view
@@ -280,12 +281,13 @@ class TestBoundaryCuts:
         assert scored == [3]
 
 
-def bank(seed, n, n_attrs, k, numeric_share, n_trees):
+def bank(seed, n, n_attrs, k, numeric_share, n_trees, widths=(2, 4)):
     """(X, Y, attributes, class_names) of a random view with ``n_trees`` class columns in shuffled order:
     a constant one, which grows a single node, and the rest cycling through a function of one attribute
-    (a shallow tree), that function with a tenth of the classes redrawn, and random classes (deep trees)."""
+    (a shallow tree), that function with a tenth of the classes redrawn, and random classes (deep trees).
+    A nominal attribute has ``randrange(*widths)`` values."""
     rng = random.Random(seed)
-    X, y, attrs, classes = random_view(rng, n, n_attrs, k, numeric_share)
+    X, y, attrs, classes = random_view(rng, n, n_attrs, k, numeric_share, widths)
     columns = [np.full(n, rng.randrange(k))]
     for j in range(n_trees - 1):
         shallow = (X[:, rng.randrange(n_attrs)] * 2).astype(np.int64) % k
@@ -403,7 +405,7 @@ class TestBankMatchesOracle:
         levels = []  # each level's open node count and the nodes of each of its searches
 
         def level(*args):
-            levels.append((len(args[8]), []))  # args[8]: the open nodes' class counts
+            levels.append((len(signature.bind(*args).arguments["counts"]), []))  # the open nodes' class counts
             return candidates(*args)
 
         def search(values, rank, y, node, counts, parent_h, min_leaf):
@@ -415,6 +417,7 @@ class TestBankMatchesOracle:
             return best_numeric_threshold(values, rank, y, node, counts, parent_h, min_leaf)
 
         candidates, best_numeric_threshold = tree_module._candidates, tree_module.best_numeric_threshold
+        signature = inspect.signature(candidates)
         monkeypatch.setattr(tree_module, "_candidates", level)
         monkeypatch.setattr(tree_module, "best_numeric_threshold", search)
         params = C45Params(min_leaf=1, pruning=False)
@@ -426,6 +429,36 @@ class TestBankMatchesOracle:
             assert sum(searches) == m  # the chunks, one search each, cover the level
         chunked = max(len(searches) for _, searches in levels)
         assert chunked == 1 if cells == 1 << 16 else chunked > 1
+
+    @pytest.mark.parametrize("pruning", [False, True])
+    @pytest.mark.parametrize("min_leaf", [1, 2])
+    def test_each_nominal_attribute_scored_over_its_own_values(self, monkeypatch, min_leaf, pruning):
+        # four binary attributes with a 300-value one between them, and a numeric one: the binary tests
+        # are scored as one table 2 branches wide, the 300-value test as a table of its own
+        X, Y, attrs, classes = bank(11, n=400, n_attrs=4, k=3, numeric_share=0.0, n_trees=3, widths=(2, 3))
+        rng = np.random.default_rng(11)
+        wide = rng.integers(0, 300, len(X))
+        X = np.column_stack([X[:, :2], wide, X[:, 2:], rng.integers(0, 20, len(X)) * 0.5])
+        Y = np.column_stack([Y, wide % 3])  # classes that only the 300-value attribute tells
+        wide_attr = AttributeMeta("w", NOMINAL, tuple(map(str, range(300))))
+        attrs = (*attrs[:2], wide_attr, *attrs[2:], AttributeMeta("x", NUMERIC))
+        attrs = tuple(dataclasses.replace(a, name=f"a{i}", index=i) for i, a in enumerate(attrs))
+        tables = []
+
+        def counted(parent_h, table):
+            tables.append(table.shape)
+            return split_scores(parent_h, table)
+
+        split_scores = tree_module._split_scores
+        monkeypatch.setattr(tree_module, "_split_scores", counted)
+        params = C45Params(min_leaf=min_leaf, pruning=pruning, max_depth=6)  # a wrong score may never stop
+        trees = grow_bank(X, Y, attrs, classes, params)
+        for tree, y in zip(trees, Y.T):
+            grown = oracle_grow(X, y, attrs, classes, params)
+            assert tree.to_dict() == (oracle_prune(grown) if pruning else grown)
+        assert any((tree.attr == 2).any() for tree in trees)
+        # (attributes, branches) of each nominal table; a numeric search scores (cuts, 2, classes) tables
+        assert {shape[1:3] for shape in tables if len(shape) == 4} == {(4, 2), (1, 300)}
 
     def test_trees_stop_at_different_depths(self):
         # a one-node tree, a one-split tree and a deep tree grown side by side, at every depth limit
