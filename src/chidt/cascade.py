@@ -132,13 +132,11 @@ def _training_rows(ds: Dataset, training_sets: list) -> np.ndarray:
     """(records, sets) bool: cell (i, s) is set iff record ``ds.ids[i]`` is in ``training_sets[s]``."""
     if not training_sets:
         raise ValidationError("no training sets to train on")
-    columns, known = [], ds.record_ids()
-    for ids in training_sets:
+    columns = []
+    for ids in training_sets:  # the first set that fails names the error: its emptiness, then its unknown ids
         if not ids:
             raise ValidationError("cannot train on an empty dataset")
-        if ids - known:
-            raise ValidationError(f"unknown record ids: {sorted(ids - known)}")
-        columns.append(np.fromiter((rid in ids for rid in ds.ids), dtype=bool, count=len(ds)))
+        columns.append(ds.rows(ids))
     return np.column_stack(columns)
 
 

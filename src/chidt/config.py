@@ -90,7 +90,7 @@ class RunConfig:
             label_separator=f.get("label_separator", text, ";"),
             id_column=f.get("id_column", text, "id"),
             paths=f.get("paths", _read_paths, {}),
-            generator=f.optional("generator", _read_generator, seeded=False),
+            generator=f.optional("generator", _read_generator),
             training=TrainingConfig.from_dict(doc.get("training", {})),
             evaluation=EvaluationConfig.from_dict(doc.get("evaluation", {})),
         )

@@ -43,7 +43,6 @@ class AttributeMeta:
     name: str
     kind: str
     values: tuple[str, ...] | None = None
-    index: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in (NUMERIC, NOMINAL):
@@ -76,10 +75,11 @@ def _refuse(bad: np.ndarray, message) -> None:
 class Dataset:
     """Immutable columnar records sharing one attribute schema.
 
-    Row ``i`` is the record ``ids[i]``: features ``X[i]`` (float64, a nominal
-    slot holds its value index), codes ``Y[i]`` (bool, one column per code of
-    the sorted ``label_alphabet``, so the first set column is the lowest code)
-    and role tags ``roles[i]`` (uint8, 0 for none, ``k`` for ``ROLE_TAGS[k - 1]``).
+    Row ``i`` is the record ``ids[i]``: features ``X[i]`` (float64; column
+    ``j`` is ``attributes[j]``, and a nominal slot holds its value index),
+    codes ``Y[i]`` (bool, one column per code of the sorted ``label_alphabet``,
+    so the first set column is the lowest code) and role tags ``roles[i]``
+    (uint8, 0 for none, ``k`` for ``ROLE_TAGS[k - 1]``).
     The constructor refuses a column of another dtype kind, checks the columns once and stores read-only copies.
     """
 
@@ -95,9 +95,6 @@ class Dataset:
         names = [a.name for a in attrs]
         if len(set(names)) != len(names):
             raise ValidationError("attribute names must be unique")
-        for i, attr in enumerate(attrs):
-            if attr.index != i:
-                raise ValidationError(f"attribute {attr.name!r} has index {attr.index}, expected {i}")
         if list(alphabet) != sorted(set(alphabet)):
             raise ValidationError("label alphabet must be sorted and free of duplicates")
         _refuse_reserved(alphabet)
@@ -126,9 +123,9 @@ class Dataset:
             object.__setattr__(self, key, column)
         X, Y, roles = self.X, self.Y, self.roles
 
-        num = [a.index for a in attrs if a.is_numeric]
+        num = [j for j, a in enumerate(attrs) if a.is_numeric]
         _refuse(~np.isfinite(X[:, num]), lambda i, j: f"record {ids[i]!r}: non-finite value in {names[num[j]]!r}")
-        nom = [a.index for a in attrs if not a.is_numeric]
+        nom = [j for j, a in enumerate(attrs) if not a.is_numeric]
         values, sizes = X[:, nom], np.array([len(attrs[j].values) for j in nom])
         _refuse(
             (values != np.floor(values)) | (values < 0) | (values >= sizes),
@@ -151,14 +148,18 @@ class Dataset:
     def record_ids(self) -> frozenset:
         return frozenset(self.ids)
 
-    def subset(self, ids: Iterable[str]) -> "Dataset":
-        """Records whose id is in ``ids``, original order, schema and alphabet kept."""
+    def rows(self, ids: Iterable[str]) -> np.ndarray:
+        """Bool mask over the rows, set where the record's id is in ``ids``; an id of no record is refused."""
         wanted = set(ids)
         missing = wanted - self.record_ids()
         if missing:
             raise ValidationError(f"unknown record ids: {sorted(missing)}")
-        rows = np.fromiter((rid in wanted for rid in self.ids), dtype=bool, count=len(self.ids))
-        kept = [rid for rid in self.ids if rid in wanted]
+        return np.fromiter((rid in wanted for rid in self.ids), dtype=bool, count=len(self.ids))
+
+    def subset(self, ids: Iterable[str]) -> "Dataset":
+        """Records whose id is in ``ids``, original order, schema and alphabet kept."""
+        rows = self.rows(ids)
+        kept = [self.ids[i] for i in np.flatnonzero(rows).tolist()]
         return Dataset(self.attributes, self.label_alphabet, kept, self.X[rows], self.Y[rows], self.roles[rows])
 
     def feature_matrix(self) -> np.ndarray:
@@ -448,12 +449,12 @@ def load_csv(
     metas, X = [], np.empty((len(lines), len(feature_cols)))
     for pos, col in enumerate(feature_cols):
         cells, inverse = columns[col]
-        attr = AttributeMeta(header[col], NUMERIC, index=pos) if attributes is None else attributes[pos]
+        attr = AttributeMeta(header[col], NUMERIC) if attributes is None else attributes[pos]
         column = _read_feature(attr, cells, inverse)
         if attributes is None:  # numeric iff more than two distinct values, every one a finite number
             distinct = sorted({cell.strip() for cell in cells})
             if len(distinct) <= 2 or column[2]:
-                attr = AttributeMeta(header[col], NOMINAL, distinct, pos)
+                attr = AttributeMeta(header[col], NOMINAL, distinct)
                 column = _read_feature(attr, cells, inverse)
         read.append(column)
         X[:, pos] = np.array(column[0], dtype=np.float64)[inverse]  # a refused cell reads as NaN
@@ -579,20 +580,14 @@ class GeneratorConfig:
                 raise ValidationError(f"{len(names)} feature names for {width} rates")
             object.__setattr__(self, "feature_names", names)
 
-    @classmethod
-    def from_dict(cls, doc: Mapping) -> "GeneratorConfig":
-        return _read_generator(doc, "generator")
 
-
-def _read_generator(doc, where: str, seeded: bool = True) -> GeneratorConfig:
-    """A generator section; a run config's carries no seed of its own (``seeded`` False)."""
-    keys = ("profiles", "n_records", "noise_rate", "features") + (("seed",) if seeded else ())
-    f = Fields(doc, where, keys, ("profiles", "n_records"))
+def _read_generator(doc, where: str) -> GeneratorConfig:
+    """A run config's generator section. It carries no seed of its own: ``seed`` reads 0 and ``cmd_gen`` sets it."""
+    f = Fields(doc, where, ("profiles", "n_records", "noise_rate", "features"), ("profiles", "n_records"))
     return GeneratorConfig(
         profiles=tuple(f.get("profiles", items, entry=_read_profile)),
         n_records=f.get("n_records", integer),
         noise_rate=f.get("noise_rate", number, 0.0),
-        seed=f.get("seed", integer, 0),
         feature_names=f.optional("features", strings),
     )
 
@@ -615,7 +610,7 @@ def generate_synthetic(cfg: GeneratorConfig):
     """
     width = len(cfg.profiles[0].rates)
     names = cfg.feature_names or tuple(f"f{i:02d}" for i in range(width))
-    attributes = tuple(AttributeMeta(n, NOMINAL, values=BINARY_DOMAIN, index=i) for i, n in enumerate(names))
+    attributes = tuple(AttributeMeta(n, NOMINAL, values=BINARY_DOMAIN) for n in names)
     alphabet = sorted(set().union(*(p.labels for p in cfg.profiles)))
 
     rng = random.Random(cfg.seed)

@@ -124,7 +124,6 @@ class MetricsReport:
     protocol: str
     correct: int
     total: int
-    accuracy_pct: float
     kappa: float
     mae: float
     rmse: float
@@ -136,11 +135,13 @@ class MetricsReport:
         """A resubstitution report: the model's training records are among those it scores."""
         return self.protocol == "resubstitution"
 
+    @property
+    def accuracy_pct(self) -> float:
+        return 100.0 * self.correct / self.total
+
     def __post_init__(self) -> None:
         if self.total <= 0 or not 0 <= self.correct <= self.total:
             raise ValidationError("report counts are inconsistent")
-        if abs(self.accuracy_pct - 100.0 * self.correct / self.total) > 1e-9:
-            raise ValidationError("accuracy percentage must equal 100*correct/total")
         if self.kappa > 1.0 + 1e-12:
             raise ValidationError("kappa cannot exceed 1")
 
@@ -276,13 +277,12 @@ def evaluate_predictions(
     k = len(classes)
     cm = ConfusionMatrix(classes, np.bincount(truth * k + guess, minlength=k * k).reshape(k, k))
 
-    correct, pct = accuracy(cm)
+    correct, _ = accuracy(cm)
     metrics = MetricsReport(
         mode=mode,
         protocol=protocol,
         correct=correct,
         total=cm.total,
-        accuracy_pct=pct,
         kappa=kappa(cm),
         mae=errors.mae,
         rmse=errors.rmse,
@@ -295,26 +295,21 @@ def evaluate_predictions(
 
 def _binary_averaged_errors(truth_indicator, scores, train_indicator) -> ErrorStats:
     """Probabilistic errors of each code's binary subproblem, averaged."""
-    maes, rmses, raes, rrses = [], [], [], []
+    stats = []
     priors = train_indicator.sum(axis=0) / len(train_indicator)
     for j, q in enumerate(priors):
         s = scores[:, j]
         pred = np.column_stack([1.0 - s, s])
         y = truth_indicator[:, j].astype(np.float64)
         target = np.column_stack([1.0 - y, y])
-        stats = probabilistic_errors(pred, target, np.array([1.0 - q, q]))
-        maes.append(stats.mae)
-        rmses.append(stats.rmse)
-        if stats.rae_pct is not None:
-            raes.append(stats.rae_pct)
-        if stats.rrse_pct is not None:
-            rrses.append(stats.rrse_pct)
-    return ErrorStats(
-        mae=float(np.mean(maes)),
-        rmse=float(np.mean(rmses)),
-        rae_pct=float(np.mean(raes)) if raes else None,
-        rrse_pct=float(np.mean(rrses)) if rrses else None,
-    )
+        stats.append(probabilistic_errors(pred, target, np.array([1.0 - q, q])))
+    return _mean_errors(stats)
+
+
+def _mean_errors(stats: Sequence[ErrorStats]) -> ErrorStats:
+    """Field-by-field mean of ``stats``; undefined relative errors are skipped, and a field none defines is None."""
+    columns = ([v for v in column if v is not None] for column in zip(*stats))
+    return ErrorStats(*(float(np.mean(c)) if c else None for c in columns))
 
 
 def _multilabel_report(alphabet, t: np.ndarray, p: np.ndarray, reasons) -> MultiLabelReport:
@@ -397,9 +392,27 @@ def kfold_assignments(ds: Dataset, k: int, seed: int) -> list:
 
 @dataclass(frozen=True)
 class KFoldResult:
+    """The per-fold results of ``evaluate_kfold``, in fold order; the sizes and the aggregate are read off them."""
+
     folds: tuple
-    aggregate: MetricsReport
-    fold_sizes: tuple
+
+    @property
+    def fold_sizes(self) -> tuple:
+        return tuple(f.metrics.total for f in self.folds)
+
+    @property
+    def aggregate(self) -> MetricsReport:
+        """Correct and total summed over the folds, kappa and the errors averaged (see ``_mean_errors``)."""
+        metrics = [f.metrics for f in self.folds]
+        errors = _mean_errors([ErrorStats(m.mae, m.rmse, m.rae_pct, m.rrse_pct) for m in metrics])
+        return MetricsReport(
+            mode=metrics[0].mode,
+            protocol=f"kfold(k={len(metrics)})",
+            correct=sum(m.correct for m in metrics),
+            total=sum(m.total for m in metrics),
+            kappa=float(np.mean([m.kappa for m in metrics])),
+            **errors._asdict(),
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -422,8 +435,7 @@ def evaluate_kfold(
     frozenset of the ids of the records of ``ds`` outside one fold, in fold
     order, to the k models, in the same order; ``cascade.train_cascades``
     (with its keyword arguments bound) is one. Each model is then scored on
-    its fold. The aggregate report sums correct/total across folds and
-    averages the remaining metrics (undefined relative errors are skipped).
+    its fold, and the result holds the k fold results (see ``KFoldResult``).
     """
     assignments = kfold_assignments(ds, k, seed)
     training_sets = [ds.record_ids() - fold_ids for fold_ids in assignments]
@@ -434,36 +446,12 @@ def evaluate_kfold(
         evaluate_predictions(model, ds.subset(fold_ids), ds.subset(train_ids), mode=mode, protocol="kfold-fold")
         for model, fold_ids, train_ids in zip(models, assignments, training_sets)
     ]
-    correct = sum(r.metrics.correct for r in results)
-    total = sum(r.metrics.total for r in results)
-    raes = [r.metrics.rae_pct for r in results if r.metrics.rae_pct is not None]
-    rrses = [r.metrics.rrse_pct for r in results if r.metrics.rrse_pct is not None]
-    aggregate = MetricsReport(
-        mode=mode,
-        protocol=f"kfold(k={k})",
-        correct=correct,
-        total=total,
-        accuracy_pct=100.0 * correct / total,
-        kappa=float(np.mean([r.metrics.kappa for r in results])),
-        mae=float(np.mean([r.metrics.mae for r in results])),
-        rmse=float(np.mean([r.metrics.rmse for r in results])),
-        rae_pct=float(np.mean(raes)) if raes else None,
-        rrse_pct=float(np.mean(rrses)) if rrses else None,
-    )
-    return KFoldResult(
-        folds=tuple(results),
-        aggregate=aggregate,
-        fold_sizes=tuple(len(a) for a in assignments),
-    )
+    return KFoldResult(tuple(results))
 
 
 # ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------
-
-
-def _pct(value: float) -> str:
-    return f"{value:.4f}"
 
 
 def _plain(value: float | None) -> str:
@@ -472,7 +460,7 @@ def _plain(value: float | None) -> str:
 
 def format_report(report: MetricsReport) -> str:
     """Table-style text rendering: fixed 4-decimal numbers, tab-separated."""
-    acc = _pct(report.accuracy_pct)
+    acc = _plain(report.accuracy_pct)
     # rendered accuracy and error must sum to exactly 100
     err = str(Decimal("100.0000") - Decimal(acc))
     incorrect = report.total - report.correct

@@ -456,8 +456,8 @@ def _read_schema(doc, where: str) -> tuple:
     entries = f.get("attributes", items, entry=Fields, keys=("name", "kind", "values"), required=("name", "kind"))
     kinds = (NUMERIC, NOMINAL)
     attributes = tuple(
-        AttributeMeta(a.get("name", text), a.get("kind", one_of, choices=kinds), a.optional("values", strings), i)
-        for i, a in enumerate(entries)
+        AttributeMeta(a.get("name", text), a.get("kind", one_of, choices=kinds), a.optional("values", strings))
+        for a in entries
     )
     distinct([a.name for a in attributes], f.path("attributes"), "attribute name")
     classes = distinct(f.get("classes", strings), f.path("classes"), "class")
@@ -783,10 +783,6 @@ def leaf_distributions(tree: C45Tree, X) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _fmt_count(v: float) -> str:
-    return f"{v:g}"
-
-
 def _leaf_suffix(tree: C45Tree, i: int) -> str:
     counts = tree.counts[i]
     majority = int(np.argmax(counts))
@@ -796,8 +792,8 @@ def _leaf_suffix(tree: C45Tree, i: int) -> str:
     if tree.virtual[i]:
         return f": {label} (0)"
     if e > 0:
-        return f": {label} ({_fmt_count(n)}/{_fmt_count(e)})"
-    return f": {label} ({_fmt_count(n)})"
+        return f": {label} ({n:g}/{e:g})"
+    return f": {label} ({n:g})"
 
 
 def _branch_label(tree: C45Tree, i: int, j: int) -> str:

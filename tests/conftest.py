@@ -47,10 +47,10 @@ WEATHER_CLASSES = ("no", "yes")
 def weather():
     """(X, y, attributes, class_names) for the weather corpus."""
     attributes = (
-        AttributeMeta("outlook", NOMINAL, values=OUTLOOK_VALUES, index=0),
-        AttributeMeta("temperature", NUMERIC, index=1),
-        AttributeMeta("humidity", NUMERIC, index=2),
-        AttributeMeta("windy", NOMINAL, values=WINDY_VALUES, index=3),
+        AttributeMeta("outlook", NOMINAL, values=OUTLOOK_VALUES),
+        AttributeMeta("temperature", NUMERIC),
+        AttributeMeta("humidity", NUMERIC),
+        AttributeMeta("windy", NOMINAL, values=WINDY_VALUES),
     )
     X = np.array(
         [
@@ -65,7 +65,7 @@ def weather():
 
 def binary_attrs(n: int):
     """n binary {0,1} nominal attributes named f0..f{n-1}."""
-    return tuple(AttributeMeta(f"f{i}", NOMINAL, values=("0", "1"), index=i) for i in range(n))
+    return tuple(AttributeMeta(f"f{i}", NOMINAL, values=("0", "1")) for i in range(n))
 
 
 def leaf_tree(counts, attributes, class_names) -> C45Tree:
@@ -124,12 +124,12 @@ def random_view(rng, n, n_attrs, k, numeric_share=0.5, widths=(2, 4)):
     cols = []
     for i in range(n_attrs):
         if rng.random() < numeric_share:
-            attrs.append(AttributeMeta(f"a{i}", NUMERIC, index=i))
+            attrs.append(AttributeMeta(f"a{i}", NUMERIC))
             cols.append([rng.randrange(0, 10) + 0.5 * rng.randrange(0, 2) for _ in range(n)])
         else:
             width = rng.randrange(*widths)
             attrs.append(
-                AttributeMeta(f"a{i}", NOMINAL, values=tuple(str(v) for v in range(width)), index=i)
+                AttributeMeta(f"a{i}", NOMINAL, values=tuple(str(v) for v in range(width)))
             )
             cols.append([rng.randrange(width) for _ in range(n)])
     X = np.array(cols, dtype=np.float64).T

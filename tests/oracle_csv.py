@@ -145,9 +145,9 @@ def oracle_load_csv(
         for pos, col in enumerate(feature_cols):
             distinct = sorted({row[col].strip() for row in body})
             if len(distinct) > 2 and all(_parses_numeric(c) for c in distinct):
-                inferred.append(AttributeMeta(header[col], NUMERIC, index=pos))
+                inferred.append(AttributeMeta(header[col], NUMERIC))
             else:
-                inferred.append(AttributeMeta(header[col], NOMINAL, values=tuple(distinct), index=pos))
+                inferred.append(AttributeMeta(header[col], NOMINAL, values=tuple(distinct)))
         metas = tuple(inferred)
     read_row = _row_reader(metas)
     ids, rows, labelsets, roles = [], [], [], []

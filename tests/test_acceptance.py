@@ -10,16 +10,13 @@ import itertools
 import json
 import random
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from chidt.cascade import train_chidt
-from chidt.data import (
-    GeneratorConfig,
-    cover_all_labels_split,
-    generate_synthetic,
-)
+from chidt.data import _read_generator, cover_all_labels_split, generate_synthetic
 from chidt.cli import main as cli_main
 from chidt.evaluation import (
     ConfusionMatrix,
@@ -169,7 +166,7 @@ def test_criterion_5_paper_protocol_rehearsal():
         improvements = []
         total_line_seen = False
         for seed in range(20):
-            cfg = GeneratorConfig.from_dict({**gen, "seed": 1000 + seed})
+            cfg = replace(_read_generator(gen, "generator"), seed=1000 + seed)
             ds, _ = generate_synthetic(cfg)
             assert len(ds.label_alphabet) == 11
             train_ds = ds.subset(cover_all_labels_split(ds, 53, seed=1000 + seed))

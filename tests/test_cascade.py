@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from chidt.cascade import (
     LPModel,
     model_from_dict,
     model_to_dict,
+    train_cascades,
     train_chidt,
 )
 from chidt.data import GeneratorConfig, GeneratorProfile, generate_synthetic
@@ -239,6 +241,18 @@ class TestTrainChidt:
     def test_unknown_strategy(self):
         with pytest.raises(ValidationError, match="strategy"):
             train_chidt(self._corpus(), strategy="mystery")
+
+    @pytest.mark.parametrize(
+        "sets, message",
+        [
+            ([{"r00", "nobody"}, set()], "unknown record ids: ['nobody']"),
+            ([set(), {"r00", "nobody"}], "cannot train on an empty dataset"),
+        ],
+        ids=["unknown id first", "empty set first"],
+    )
+    def test_the_first_failing_training_set_names_the_error(self, sets, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            train_cascades(self._corpus(), sets)
 
 
 class TestPredictChidt:

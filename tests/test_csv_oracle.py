@@ -96,10 +96,11 @@ def corpora(draw) -> tuple:
     if draw(st.booleans()):  # a declared schema: the feature columns in header order
         kind = dict(zip(names, kinds))
         kwargs["attributes"] = tuple(
-            AttributeMeta(h, NUMERIC, index=j)
+            AttributeMeta(h, NUMERIC)
             if kind[h] == "numeric"
-            else AttributeMeta(h, NOMINAL, DOMAINS[kind[h]], j)
-            for j, h in enumerate(h for h in header if h in kind)
+            else AttributeMeta(h, NOMINAL, DOMAINS[kind[h]])
+            for h in header
+            if h in kind
         )
     return text, kwargs
 

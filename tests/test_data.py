@@ -82,7 +82,7 @@ class TestLoadCsv:
             load_csv(bad, label_column="codes")
 
     def test_unparseable_numeric_cell_with_explicit_schema(self):
-        schema = (AttributeMeta("a", NUMERIC, index=0),)
+        schema = (AttributeMeta("a", NUMERIC),)
         with pytest.raises(ValidationError, match="unparseable numeric"):
             load_csv("a,codes\noops,x\n", label_column="codes", attributes=schema)
 
@@ -92,16 +92,16 @@ class TestLoadCsv:
         ds = load_csv(text, label_column="codes", id_column="id")
         assert (ds.attributes[0].kind, ds.attributes[0].values) == (NOMINAL, ("1_000", "2", "3"))
         with pytest.raises(ValidationError, match=r"^line 2: unparseable numeric cell '1_000' in 'x'$"):
-            load_csv(text, label_column="codes", id_column="id", attributes=(AttributeMeta("x", NUMERIC, index=0),))
+            load_csv(text, label_column="codes", id_column="id", attributes=(AttributeMeta("x", NUMERIC),))
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
     def test_non_finite_numeric_cell_names_its_line(self, cell):
-        schema = (AttributeMeta("age", NUMERIC, index=0),)
+        schema = (AttributeMeta("age", NUMERIC),)
         with pytest.raises(ValidationError, match=f"^line 3: non-finite value '{cell}' in 'age'$"):
             load_csv(f"age,codes\n1.5,a\n{cell},b\n", label_column="codes", attributes=schema)
 
     def test_value_outside_declared_domain_names_its_line(self):
-        schema = (AttributeMeta("f", NOMINAL, values=("0", "1"), index=0), AttributeMeta("g", NUMERIC, index=1))
+        schema = (AttributeMeta("f", NOMINAL, values=("0", "1")), AttributeMeta("g", NUMERIC))
         with pytest.raises(ValidationError, match=r"^line 3: value '7' outside declared domain of 'f'$"):
             load_csv("f,g,codes\n0,1.5,a\n7,2.5,b\n", label_column="codes", attributes=schema)
 
@@ -125,7 +125,7 @@ class TestLoadCsv:
         with pytest.raises(ValidationError, match="CSV input is malformed"):
             load_csv(text, label_column="codes")
 
-    SCHEMA = (AttributeMeta("f", NOMINAL, values=("0", "1"), index=0), AttributeMeta("g", NUMERIC, index=1))
+    SCHEMA = (AttributeMeta("f", NOMINAL, values=("0", "1")), AttributeMeta("g", NUMERIC))
 
     def test_faults_in_two_records_name_the_earlier_one(self):
         # the later record's bad cell is in the earlier column
@@ -215,7 +215,7 @@ class TestLoadCsv:
 class TestColumnChecks:
     """The Dataset constructor, the one way to build a Dataset, checks the columns it is given."""
 
-    ATTRS = (AttributeMeta("f", NOMINAL, values=("0", "1"), index=0), AttributeMeta("g", NUMERIC, index=1))
+    ATTRS = (AttributeMeta("f", NOMINAL, values=("0", "1")), AttributeMeta("g", NUMERIC))
 
     def columns(self, X=((0, 1.5), (1, 2.5)), ids=("r0", "r1"), Y=((True, True), (False, True)), roles=None):
         return Dataset(self.ATTRS, ("a", "b"), ids, X, Y, roles)
@@ -227,6 +227,11 @@ class TestColumnChecks:
         assert (ds.X.tolist(), ds.roles.tolist()) == ([[0, 1.5], [1, 2.5]], [[1, 2], [0, 0]])
         default = self.columns().roles
         assert default.dtype == np.uint8 and not default.any()
+        # column j is the schema's attribute j: no attribute carries a number of its own to agree with it
+        schema = (AttributeMeta("a", NUMERIC), AttributeMeta("b", NUMERIC))
+        assert Dataset(schema, ("x",), ("r0",), [[1.0, 2.0]], [[True]]).attributes == schema
+        ds = load_csv("a,b,codes\n1.5,2.5,x\n3,4,y\n", label_column="codes", attributes=schema)
+        assert (ds.attributes, ds.X.tolist()) == (schema, [[1.5, 2.5], [3.0, 4.0]])
 
     @pytest.mark.parametrize(
         "column, value, message",
@@ -302,7 +307,7 @@ class TestCoverAllLabelsSplit:
             if rng.random() < 0.3:
                 labelsets[-1].add(rng.choice(codes))
             X.append([rng.randrange(2)])
-        attrs = (AttributeMeta("f0", NOMINAL, values=("0", "1"), index=0),)
+        attrs = (AttributeMeta("f0", NOMINAL, values=("0", "1")),)
         ids = [f"r{i}" for i in range(196)]
         return Dataset(attrs, tuple(codes), ids, np.array(X), label_indicator(labelsets, codes))
 

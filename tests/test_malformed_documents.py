@@ -4,7 +4,10 @@ The shipped run is trained once per module. ``test_probed_input_fails_closed``
 drives inputs that once ended in a traceback or were silently misread;
 ``test_mutated_document_fails_closed`` lets hypothesis mutate the run's valid
 config, model, registry, ontology, terms and label-set documents (drop a key,
-retype a value, replace a list by a string, truncate a list).
+retype a value, replace a list by a string, truncate a list);
+``test_mutated_bytes_fail_closed`` mutates the bytes of those documents and
+of the corpus (flip a byte, delete or duplicate a span, truncate, insert a
+hostile token).
 """
 
 from __future__ import annotations
@@ -20,9 +23,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chidt.cli import main
+from chidt.cascade import model_from_dict
+from chidt.cli import _load_dataset, main
+from chidt.config import RunConfig
+from chidt.data import export_csv, load_csv
 
-from conftest import DATA_DIR, REPO_ROOT
+from conftest import DATA_DIR, REPO_ROOT, assert_same_dataset
 
 # the command that reads each document
 COMMAND = {
@@ -83,9 +89,13 @@ def shipped(tmp_path_factory) -> tuple:
 
 
 def run_case(case: Path, docs: dict, command: str) -> tuple:
-    """(exit code, stderr) of ``command`` over ``docs``, each written to ``case/<name>.json``."""
+    """(exit code, stderr) of ``command`` over ``docs``, each written to ``case/<name>.json`` (``bytes`` as they are)."""
     for name, doc in docs.items():
-        (case / f"{name}.json").write_text(dump(doc), encoding="utf-8")
+        path = case / f"{name}.json"
+        if isinstance(doc, bytes):
+            path.write_bytes(doc)
+        else:
+            path.write_text(dump(doc), encoding="utf-8")
     argv = {
         "terms": ["predict", "--input", str(case / "terms.json"), "--terms"],
         "validate": ["validate", str(case / "labelsets.json")],
@@ -257,3 +267,43 @@ def test_model_repeating_an_attribute_name_fails_closed(shipped):
     assert code == 1, err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert ": model schema.attributes[1] repeats the attribute name 'chest_pain'" in err, err
+
+
+# what a byte-level mutation inserts: a byte-order mark, NUL, a byte no UTF-8 text holds, an overflowing and a
+# non-finite number, a quote, a bare carriage return and a 400-digit run
+INSERTS = (b"\xef\xbb\xbf", b"\x00", b"\xff", b"1e999", b"NaN", b'"', b"\r", b"7" * 400)
+# each document with the command that reads it; the corpus is read by predict and by eval
+BYTE_CASES = [(name, COMMAND[name]) for name in sorted(COMMAND)] + [("corpus", "predict"), ("corpus", "eval")]
+
+
+def mutate_bytes(data, text: str) -> bytes:
+    """The UTF-8 bytes of ``text`` with one drawn mutation: a byte flipped, a span of at most 64 bytes deleted
+    or duplicated, the tail cut off, or one of ``INSERTS`` inserted."""
+    raw = text.encode("utf-8")
+    way = data.draw(st.sampled_from(["flip", "delete", "duplicate", "truncate", "insert"]))
+    i = data.draw(st.integers(0, len(raw) - 1))
+    j = data.draw(st.integers(i + 1, min(i + 64, len(raw))))
+    if way == "flip":
+        return raw[:i] + bytes([raw[i] ^ data.draw(st.integers(1, 255))]) + raw[i + 1 :]
+    if way == "delete":
+        return raw[:i] + raw[j:]
+    if way == "duplicate":
+        return raw[:j] + raw[i:j] + raw[j:]
+    if way == "truncate":
+        return raw[:i]
+    return raw[:i] + data.draw(st.sampled_from(INSERTS)) + raw[i:]
+
+
+@pytest.mark.parametrize("name, command", BYTE_CASES, ids=[f"{name}-{command}" for name, command in BYTE_CASES])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_bytes_fail_closed(shipped, name, command, data):
+    case, docs = shipped
+    code, err = run_case(case, {**docs, name: mutate_bytes(data, dump(docs[name]))}, command)
+    assert code in (0, 1, 2)
+    assert code == 0 or (err.startswith(("error: ", "i/o error: ")) and err.count("\n") == 1), err
+    if name == "corpus" and command == "predict" and code == 0:  # what predict read, written out and read back
+        attributes = model_from_dict(docs["model"]).attributes
+        ds = _load_dataset(RunConfig.from_dict(docs["config"]), case / "corpus.json", attributes)
+        again = load_csv(export_csv(ds), label_column="codes", id_column="id", attributes=attributes)
+        assert_same_dataset(again, ds)

@@ -12,7 +12,9 @@ import pytest
 from chidt.errors import ValidationError
 from chidt.evaluation import (
     ConfusionMatrix,
+    ErrorStats,
     MetricsReport,
+    _mean_errors,
     accuracy,
     format_report,
     kappa,
@@ -195,6 +197,11 @@ class TestProbabilisticErrors:
         assert stats.rae_pct is None
         assert stats.rrse_pct is None
 
+    def test_mean_skips_undefined_relative_errors(self):
+        # per code in multilabel mode, per fold in a k-fold aggregate: a mean over no defined value is undefined
+        stats = [ErrorStats(0.25, 0.5, 40.0, None), ErrorStats(0.75, 1.0, None, None)]
+        assert _mean_errors(stats) == ErrorStats(0.5, 0.75, 40.0, None)
+
 
 def report_for(correct, total, kappa_v, mae, rmse, rae, rrse, mode="multilabel",
                protocol="resubstitution"):
@@ -203,7 +210,6 @@ def report_for(correct, total, kappa_v, mae, rmse, rae, rrse, mode="multilabel",
         protocol=protocol,
         correct=correct,
         total=total,
-        accuracy_pct=100.0 * correct / total,
         kappa=kappa_v,
         mae=mae,
         rmse=rmse,
@@ -251,14 +257,6 @@ class TestFormatReport:
 
 
 class TestReportInvariants:
-    def test_inconsistent_accuracy_rejected(self):
-        with pytest.raises(ValidationError, match="accuracy percentage"):
-            MetricsReport(
-                mode="multilabel", protocol="holdout", correct=5, total=10,
-                accuracy_pct=51.0, kappa=0.5, mae=0.1, rmse=0.2,
-                rae_pct=None, rrse_pct=None,
-            )
-
     def test_kappa_above_one_rejected(self):
         with pytest.raises(ValidationError, match="kappa"):
             report_for(10, 10, 1.5, 0.0, 0.0, 0.0, 0.0)

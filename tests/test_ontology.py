@@ -214,12 +214,12 @@ class TestLexicon:
 
     def test_unset_feature_takes_the_index_of_its_value_0(self):
         lex = TermLexicon({"chest pain": ["f0"]})
-        schema = binary_attrs(1) + (AttributeMeta("grade", NOMINAL, values=("-1", "0", "1"), index=1),)
+        schema = binary_attrs(1) + (AttributeMeta("grade", NOMINAL, values=("-1", "0", "1")),)
         assert map_terms(lex, ["chest pain"], schema) == ((1, 1), 0)
 
     @pytest.mark.parametrize(
         "attr",
-        [AttributeMeta("trop", NUMERIC, index=1), AttributeMeta("grade", NOMINAL, values=("high", "low"), index=1)],
+        [AttributeMeta("trop", NUMERIC), AttributeMeta("grade", NOMINAL, values=("high", "low"))],
     )
     def test_feature_without_an_absent_value_rejected(self, attr):
         lex = TermLexicon({"chest pain": ["f0"]})

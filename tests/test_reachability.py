@@ -37,7 +37,6 @@ ALLOWED = {
     "tree._refuse": "raises on an unroutable value only",
     "tree._read_nodes.<locals>.path": "names a tree node only in the message of a failed check",
     "data.Dataset.__iter__": "perfbench/tracer.py zips an evaluated dataset with its recorded predictions",
-    "data.GeneratorConfig.from_dict": "reads a standalone generator section in the Python API",
 }
 
 

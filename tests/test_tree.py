@@ -311,7 +311,7 @@ class TestGrow:
         ],
     )
     def test_values_no_branch_can_take_fail_closed(self, column, value, message):
-        attrs = (AttributeMeta("sign", NOMINAL, values=("0", "1"), index=0), AttributeMeta("lab", NUMERIC, index=1))
+        attrs = (AttributeMeta("sign", NOMINAL, values=("0", "1")), AttributeMeta("lab", NUMERIC))
         X = np.array([[0, 1.0], [0, 2.0], [1, 3.0], [1, 4.0], [0, 5.0]])
         y = np.array([0, 0, 1, 1, 0])
         X[3, column] = value
@@ -319,7 +319,7 @@ class TestGrow:
             grow_bank(X, y[:, None], attrs, ("no", "yes"), C45Params(min_leaf=1))
 
     def test_unobserved_nominal_value_routes_to_parent_majority(self):
-        attrs = (AttributeMeta("color", NOMINAL, values=("r", "g", "b"), index=0),)
+        attrs = (AttributeMeta("color", NOMINAL, values=("r", "g", "b")),)
         X = np.array([[0], [0], [1], [1], [1]], dtype=float)
         y = np.array([0, 0, 1, 1, 1])
         tree = grow_bank(X, y[:, None], attrs, ("no", "yes"), C45Params(min_leaf=1, pruning=False))[0]
@@ -524,7 +524,7 @@ def test_chain_of_2000_levels_needs_no_recursion():
     n = 2001
     X = np.arange(n, dtype=np.float64)[:, None]
     y = np.arange(n) % 2
-    attrs = (AttributeMeta("x", NUMERIC, index=0),)
+    attrs = (AttributeMeta("x", NUMERIC),)
     tree = grow_bank(X, y[:, None], attrs, ("a", "b"), C45Params(min_leaf=1, pruning=False))[0]
     assert depth(tree) == 2000
     assert tree.n_nodes == 4001

@@ -64,7 +64,7 @@ class TestGrowMatchesOracle:
         X, y, attrs, classes = random_view(rng, 200, 1, k, numeric_share=0.0, widths=(width, width + 1))
         perms = [list(range(width))] + [rng.sample(range(width), width) for _ in range(5)]
         X = np.column_stack([np.take(p, X[:, 0].astype(int)) for p in perms]).astype(np.float64)
-        attrs = tuple(dataclasses.replace(attrs[0], name=f"a{i}", index=i) for i in range(len(perms)))
+        attrs = tuple(dataclasses.replace(attrs[0], name=f"a{i}") for i in range(len(perms)))
         params = C45Params(min_leaf=1, max_depth=2, pruning=False)
         grown = grow_bank(X, y[:, None], attrs, classes, params)[0]
         assert grown.to_dict() == oracle_grow(X, y, attrs, classes, params)
@@ -261,7 +261,7 @@ class TestBoundaryCuts:
                 rows = np.flatnonzero(node == j)
                 expected = oracle_c45.best_numeric_threshold(X, y, k, a, min_leaf, rows) if rows.size else None
                 assert (None if np.isnan(t) else (t, g, q)) == expected
-        attrs = tuple(AttributeMeta(f"a{i}", NUMERIC, index=i) for i in range(d))
+        attrs = tuple(AttributeMeta(f"a{i}", NUMERIC) for i in range(d))
         classes = tuple(f"c{j}" for j in range(k))
         params = C45Params(min_leaf=min_leaf, max_depth=8, pruning=False)  # a wrong search may never stop
         assert grow_bank(X, y[:, None], attrs, classes, params)[0].to_dict() == oracle_grow(X, y, attrs, classes, params)
@@ -400,8 +400,7 @@ class TestBankMatchesOracle:
         X, Y, attrs, classes = bank(5, n=150, n_attrs=2, k=3, numeric_share=0.0, n_trees=3)
         X = np.column_stack([X[:, 0], random_view(random.Random(5), 150, 3, 3, numeric_share=1.0)[0], X[:, 1]])
         X[:, 1:4] += np.arange(3) * 1000.0
-        attrs = (attrs[0], *(AttributeMeta(f"x{j}", NUMERIC, index=j + 1) for j in range(3)), attrs[1])
-        attrs = tuple(dataclasses.replace(a, index=i) for i, a in enumerate(attrs))
+        attrs = (attrs[0], *(AttributeMeta(f"x{j}", NUMERIC) for j in range(3)), attrs[1])
         levels = []  # each level's open node count and the nodes of each of its searches
 
         def level(*args):
@@ -442,7 +441,7 @@ class TestBankMatchesOracle:
         Y = np.column_stack([Y, wide % 3])  # classes that only the 300-value attribute tells
         wide_attr = AttributeMeta("w", NOMINAL, tuple(map(str, range(300))))
         attrs = (*attrs[:2], wide_attr, *attrs[2:], AttributeMeta("x", NUMERIC))
-        attrs = tuple(dataclasses.replace(a, name=f"a{i}", index=i) for i, a in enumerate(attrs))
+        attrs = tuple(dataclasses.replace(a, name=f"a{i}") for i, a in enumerate(attrs))
         tables = []
 
         def counted(parent_h, table):
