@@ -9,7 +9,9 @@ observed combinations, is available as an alternative strategy.
 
 Training has one path, ``train_cascades``: one cascade per set of training
 records (the k training sets of a k-fold run, say), with all the sets'
-trees of a stage grown, and pruned, by one ``grow_bank`` call.
+trees of a stage grown by one ``grow_bank`` call. Under diverse-br that
+call grows both stages, so a node that both stages reach is counted and
+scored once; each stage is pruned with its own parameters.
 ``train_chidt`` is its one-set view.
 """
 
@@ -148,15 +150,17 @@ def _refuse_empty_labelsets(ds: Dataset, training: np.ndarray) -> None:
             raise ValidationError(f"label-powerset training requires non-empty LabelSets: {empties[:5]}")
 
 
-def _br_banks(ds: Dataset, training: np.ndarray, params: C45Params, threshold: float) -> list:
-    """One BR model per column of ``training``: the banks of all the sets grow together, with one ``grow_bank``
-    call over ``np.tile(ds.Y, sets)`` (tree ``s * codes + j`` is code j of set s)."""
+def _br_banks(ds: Dataset, training: np.ndarray, stages: Sequence[C45Params], threshold: float) -> list:
+    """For each parameter set of ``stages``, one BR model per column of ``training``: the banks of all the
+    stages and sets grow together, with one ``grow_bank`` call over ``np.tile(ds.Y, sets)`` (tree
+    ``(stage * sets + s) * codes + j`` is code j of set s)."""
     n_codes, n_sets = len(ds.label_alphabet), training.shape[1]
     Y, rows = np.tile(ds.Y, n_sets), np.repeat(training, n_codes, axis=1)
-    trees = grow_bank(ds.feature_matrix(), Y, ds.attributes, BINARY_CLASSES, params, rows)
+    trees = grow_bank(ds.feature_matrix(), Y, ds.attributes, BINARY_CLASSES, stages, rows)
+    banks = [tuple(trees[b * n_codes : (b + 1) * n_codes]) for b in range(len(stages) * n_sets)]
     return [
-        BRModel(ds.label_alphabet, tuple(trees[s * n_codes : (s + 1) * n_codes]), ds.attributes, threshold, params)
-        for s in range(n_sets)
+        [BRModel(ds.label_alphabet, banks[i * n_sets + s], ds.attributes, threshold, params) for s in range(n_sets)]
+        for i, params in enumerate(stages)
     ]
 
 
@@ -184,7 +188,7 @@ def _lp_trees(ds: Dataset, training: np.ndarray, params: C45Params) -> list:
     present[y[rows], sets] = True
     Y = np.repeat(y[:, None], training.shape[1], axis=1)
     models = []
-    for tree, own in zip(grow_bank(ds.feature_matrix(), Y, ds.attributes, names, params, training), present.T):
+    for tree, own in zip(grow_bank(ds.feature_matrix(), Y, ds.attributes, names, (params,), training), present.T):
         own = np.flatnonzero(own)
         tree = replace(tree, counts=tree.counts[:, own], class_names=tuple(names[c] for c in own))
         models.append(LPModel(tree, tuple(combos[c] for c in own), ds.label_alphabet, ds.attributes, params))
@@ -272,9 +276,10 @@ def train_cascades(
 ) -> list:
     """One cascade per set of record ids of ``ds`` in ``training_sets``, each trained on those records alone.
 
-    The sets' trees grow together, with one ``grow_bank`` call per stage
-    (see ``_br_banks`` and ``_lp_trees``), and each equals the tree that its
-    set grows alone. Each cascade's registry is the combinations observed in
+    The sets' trees grow together, with one ``grow_bank`` call for both
+    diverse-br stages, or one per stage under label-powerset (see
+    ``_br_banks`` and ``_lp_trees``), and each equals the tree that its set
+    grows alone in its stage. Each cascade's registry is the combinations observed in
     its own records, merged with ``declared`` if given (observed provenance
     wins where both list a combination). Stage-2 parameters default
     to the diversified unpruned/min-leaf-1 profile for the diverse-br
@@ -289,12 +294,13 @@ def train_cascades(
         raise ValidationError("cannot train with an empty label alphabet")
     if strategy == STRATEGY_LABEL_POWERSET:
         _refuse_empty_labelsets(ds, training)
-    stage1 = _br_banks(ds, training, stage1_params or C45Params(), threshold)
+    stage1_params = stage1_params or C45Params()
     if strategy == STRATEGY_DIVERSE_BR:
-        stage2 = _br_banks(ds, training, stage2_params or DIVERSE_STAGE2_PARAMS, threshold)
+        stage1, stage2 = _br_banks(ds, training, (stage1_params, stage2_params or DIVERSE_STAGE2_PARAMS), threshold)
     else:
+        (stage1,) = _br_banks(ds, training, (stage1_params,), threshold)
         stage2 = _lp_trees(ds, training, stage2_params or C45Params())
-    observed = [observed_registry(ds.subset(ids)) for ids in training_sets]
+    observed = [observed_registry(ds, rows) for rows in training.T]
     return [
         ChiDTModel(
             stage1=s1,

@@ -158,7 +158,10 @@ class Dataset:
 
     def subset(self, ids: Iterable[str]) -> "Dataset":
         """Records whose id is in ``ids``, original order, schema and alphabet kept."""
-        rows = self.rows(ids)
+        return self.select(self.rows(ids))
+
+    def select(self, rows: np.ndarray) -> "Dataset":
+        """Records where the bool mask ``rows`` is set, original order, schema and alphabet kept."""
         kept = [self.ids[i] for i in np.flatnonzero(rows).tolist()]
         return Dataset(self.attributes, self.label_alphabet, kept, self.X[rows], self.Y[rows], self.roles[rows])
 

@@ -141,9 +141,11 @@ def _read_registry(doc, where: str) -> ValidCombinationRegistry:
     return ValidCombinationRegistry(frozenset(prov), prov)
 
 
-def observed_registry(ds: Dataset) -> ValidCombinationRegistry:
-    """Registry of the distinct non-empty LabelSets appearing in ``ds``."""
-    combos = [labels for labels in _distinct_labelsets(ds.Y, ds.label_alphabet)[0] if labels]
+def observed_registry(ds: Dataset, rows=None) -> ValidCombinationRegistry:
+    """Registry of the distinct non-empty LabelSets appearing in ``ds``, or in its records where the bool
+    row mask ``rows`` is set."""
+    Y = ds.Y if rows is None else ds.Y[rows]
+    combos = [labels for labels in _distinct_labelsets(Y, ds.label_alphabet)[0] if labels]
     return ValidCombinationRegistry(frozenset(combos), dict.fromkeys(combos, PROVENANCE_OBSERVED))
 
 

@@ -110,7 +110,7 @@ def _entropy_rows(C: np.ndarray) -> np.ndarray:
     order, and summed by ``_pairwise_sum``.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        p = C / C.sum(axis=1, keepdims=True)
+        p = C / _row_sums(C)[:, None]
         terms = np.log2(p)
         terms *= p
     del p
@@ -128,6 +128,20 @@ def _entropy_rows(C: np.ndarray) -> np.ndarray:
             rows = wide[m == width]
             h[rows] = -_pairwise_sum(terms[rows][nonzero[rows]].reshape(-1, width))
     return h
+
+
+def _row_sums(A: np.ndarray) -> np.ndarray:
+    """The sums over the last axis of a count array, added column by column.
+
+    numpy's ``sum`` over a short last axis runs one small reduction per
+    row, many times slower than adding whole columns. Counts are integers
+    held in floats, so every partial sum is exact and any order of adding
+    them gives the same bits.
+    """
+    total = A[..., 0].copy()
+    for j in range(1, A.shape[-1]):
+        total += A[..., j]
+    return total
 
 
 def _pairwise_sum(T: np.ndarray) -> np.ndarray:
@@ -162,11 +176,11 @@ def _split_scores(parent_h, table: np.ndarray) -> tuple:
     branch adding an exact 0.0, so every score is the float that the
     scalar per-branch formula gives.
     """
-    sizes = table.sum(axis=-1)
+    sizes = _row_sums(table)
     h = _entropy_rows(table.reshape(-1, table.shape[-1])).reshape(sizes.shape)
     split_info = _entropy_rows(sizes.reshape(-1, sizes.shape[-1])).reshape(sizes.shape[:-1])
     with np.errstate(divide="ignore", invalid="ignore"):
-        frac = sizes / sizes.sum(axis=-1, keepdims=True)
+        frac = sizes / _row_sums(sizes)[..., None]
         weighted = np.zeros(sizes.shape[:-1])
         for j in range(sizes.shape[-1]):
             weighted += frac[..., j] * h[..., j]
@@ -241,13 +255,14 @@ def best_numeric_threshold(values, rank, y, node, counts: np.ndarray, parent_h: 
 _TABLE_CELLS = 1 << 16
 
 
-def _candidates(columns, ranks, keys, nominal, widths, y, rows, n, node, counts, parent_h, min_leaf) -> tuple:
-    """(gain, gain ratio, threshold, candidacy) of every attribute at every open node of a bank level, as
-    (nodes, attributes) arrays. ``rows`` are the bank rows at the open nodes, grouped by ``node``: bank row
-    r is feature row ``r % n`` of class ``y[r]``; ``counts`` and ``parent_h`` hold each open node's class
-    counts and entropy. ``columns`` and ``ranks`` hold each numeric attribute's values and their ranks, one
-    row per attribute; ``nominal`` lists the nominal attributes by width, ties by index, and ``keys`` holds
-    each feature row's (attribute, value) cells of one node's count table, in that order (see ``grow_bank``).
+def _candidates(columns, ranks, keys, nominal, widths, y, rows, n, node, counts, parent_h, min_leafs, need) -> tuple:
+    """(gain, gain ratio, threshold, candidacy) of every attribute at every open node of a bank level, for
+    each leaf size of ``min_leafs``, as (leaf sizes, nodes, attributes) arrays. ``rows`` are the bank rows at
+    the open nodes, grouped by ``node``: bank row r is feature row ``r % n`` of class ``y[r]``; ``counts``
+    and ``parent_h`` hold each open node's class counts and entropy. ``columns`` and ``ranks`` hold each
+    numeric attribute's values and their ranks, one row per attribute; ``nominal`` lists the nominal
+    attributes by width, ties by index, and ``keys`` holds each feature row's (attribute, value) cells of one
+    node's count table, in that order (see ``grow_bank``).
 
     The level is scored in chunks of consecutive nodes whose rows, one cell
     per attribute, and count tables (``sum(widths) * k`` cells a node) hold
@@ -255,13 +270,18 @@ def _candidates(columns, ranks, keys, nominal, widths, y, rows, n, node, counts,
     too; a node that alone holds more is a chunk of its own. In each chunk,
     one ``np.bincount`` over (node, attribute, value, class) counts every
     nominal branch, and each width's attributes are scored as one (nodes,
-    attributes, width, classes) slice of it. One ``best_numeric_threshold``
-    call searches every (numeric attribute, node) pair, numbered as a node
-    of its own. No score looks across nodes, so the chunking changes no result.
+    attributes, width, classes) slice of it. Nominal gains do not depend on
+    the leaf size: only their candidacy, whether a second branch holds at
+    least that many rows, is taken once per leaf size. One
+    ``best_numeric_threshold`` call per leaf size ``min_leafs[l]`` searches
+    every (numeric attribute, node) pair of the chunk's nodes where
+    ``need[l]`` is set, each pair numbered as a node of its own; the other
+    nodes read no numeric candidate at that size. No score looks across
+    nodes, so the chunking changes no result.
     """
     (m, k), d = counts.shape, len(widths)
-    gain, ratio, threshold = np.zeros((m, d)), np.zeros((m, d)), np.full((m, d), np.nan)
-    ok = np.zeros((m, d), dtype=bool)
+    shape = (len(min_leafs), m, d)
+    gain, ratio, threshold, ok = np.zeros(shape), np.zeros(shape), np.full(shape, np.nan), np.zeros(shape, dtype=bool)
     numeric, per_node = np.flatnonzero(widths == 0), int(widths.sum()) * k
     edges = np.flatnonzero(np.diff(widths[nominal])) + 1  # where the attributes of a greater width start
     groups, cuts = np.split(nominal, edges), np.cumsum(widths[nominal])[edges - 1] * k  # and their first cells
@@ -280,15 +300,19 @@ def _candidates(columns, ranks, keys, nominal, widths, y, rows, n, node, counts,
             del cells
             for group, part in zip(groups, np.split(table.astype(np.float64), cuts, axis=1)):
                 g, _, q, sizes = _split_scores(parent_h[lo:hi, None], part.reshape(hi - lo, group.size, -1, k))
-                gain[lo:hi, group], ratio[lo:hi, group] = g, q
-                ok[lo:hi, group] = np.count_nonzero(sizes >= min_leaf, axis=-1) >= 2
-        if numeric.size:
-            pair = (np.arange(numeric.size)[:, None] * (hi - lo) + local).ravel()  # (attribute, node) as one node
-            v, r = columns[:, sample].ravel(), ranks[:, sample].ravel()
-            c, h = np.tile(counts[lo:hi], (numeric.size, 1)), np.tile(parent_h[lo:hi], numeric.size)
-            found = best_numeric_threshold(v, r, np.tile(cls, numeric.size), pair, c, h, min_leaf)
-            t, gain[lo:hi, numeric], ratio[lo:hi, numeric] = (a.reshape(numeric.size, hi - lo).T for a in found)
-            threshold[lo:hi, numeric], ok[lo:hi, numeric] = t, ~np.isnan(t)
+                gain[:, lo:hi, group], ratio[:, lo:hi, group] = g, q
+                for l, min_leaf in enumerate(min_leafs):
+                    ok[l][lo:hi, group] = np.count_nonzero(sizes >= min_leaf, axis=-1) >= 2
+        for l, min_leaf in enumerate(min_leafs if numeric.size else ()):
+            wanted = need[l, lo:hi]
+            searched, kept = np.flatnonzero(wanted) + lo, wanted[local]  # the nodes searched, and their rows
+            s, c = sample[kept], np.tile(counts[searched], (numeric.size, 1))
+            pair = (np.arange(numeric.size)[:, None] * searched.size + (np.cumsum(wanted) - 1)[local[kept]]).ravel()
+            v, r, h = columns[:, s].ravel(), ranks[:, s].ravel(), np.tile(parent_h[searched], numeric.size)
+            found = best_numeric_threshold(v, r, np.tile(cls[kept], numeric.size), pair, c, h, min_leaf)
+            t, g, q = (a.reshape(numeric.size, searched.size).T for a in found)
+            cell = np.ix_(searched, numeric)
+            threshold[l][cell], gain[l][cell], ratio[l][cell], ok[l][cell] = t, g, q, ~np.isnan(t)
         lo = hi
     return gain, ratio, threshold, ok
 
@@ -309,10 +333,13 @@ def _choose(gain: np.ndarray, ratio: np.ndarray, ok: np.ndarray) -> np.ndarray:
     return np.where(n_positive > 0, best, np.argmax(ok, axis=1))
 
 
-def _keep(rows: np.ndarray, node: np.ndarray, chosen: np.ndarray) -> tuple:
-    """The rows at the nodes where ``chosen`` holds, their nodes renumbered 0, 1, ... in order."""
-    keep = chosen[node]
-    return rows[keep], (np.cumsum(chosen) - 1)[node[keep]]
+def _keep(rows: np.ndarray, node: np.ndarray, kept: np.ndarray) -> tuple:
+    """The rows at the nodes ``kept``, ascending with repeats allowed, node ``kept[j]``'s rows renumbered as
+    node j's: the rows of a node kept twice are copied."""
+    first = np.searchsorted(node, kept)  # where each kept node's rows start
+    sizes = np.searchsorted(node, kept, "right") - first
+    renumbered = np.repeat(np.arange(kept.size), sizes)
+    return rows[np.arange(renumbered.size) + (first - np.cumsum(sizes) + sizes)[renumbered]], renumbered
 
 
 def _prune_levels(levels: list, cf: float) -> list:
@@ -326,9 +353,10 @@ def _prune_levels(levels: list, cf: float) -> list:
     error computed for the whole level at once, in the operations and
     order of the scalar formula. A split's children sit consecutively in
     the level below, and its subtree error is their errors, as pruned,
-    added branch by branch from 0.0. The split collapses to a leaf when its
-    own error is no worse (``<=``), so ties favour the smaller tree. One
-    forward pass then drops the nodes below each collapsed split.
+    added branch by branch from 0.0, as one weighted ``np.bincount`` over
+    the level below adds them. The split collapses to a leaf when its own
+    error is no worse (``<=``), so ties favour the smaller tree. One forward
+    pass then drops the nodes below each collapsed split.
     """
     z = NormalDist().inv_cdf(1.0 - cf)
     below = np.zeros(0)  # the errors of the level below, as pruned
@@ -339,11 +367,8 @@ def _prune_levels(levels: list, cf: float) -> list:
         u = (f + (z * z) / (2 * n) + z * np.sqrt(np.maximum(inner, 0.0))) / (1.0 + (z * z) / n)
         error = np.where(virtual, 0.0, n * u)
         split = np.flatnonzero(n_branches)
-        nb = n_branches[split]
-        first = np.cumsum(nb) - nb
-        subtree = np.zeros(split.size)
-        for j in range(int(nb.max(initial=0))):
-            subtree += np.where(j < nb, np.take(below, first + j, mode="clip"), 0.0)
+        # bincount adds each split's children, the level below in order, one by one from 0.0
+        subtree = np.bincount(np.repeat(np.arange(split.size), n_branches[split]), below, minlength=split.size)
         collapse = error[split] <= subtree
         attr[split[collapse]] = -1
         error[split[~collapse]] = subtree[~collapse]
@@ -547,11 +572,12 @@ def grow_bank(
     Y,
     attributes: Sequence[AttributeMeta],
     class_names: Sequence[str],
-    params: C45Params | None = None,
+    stages: Sequence[C45Params] = (C45Params(),),
     training=None,
 ) -> list:
-    """Top-down C4.5 induction of one tree per column of ``Y``, one level of the whole bank at a time, then
-    error-based pruning of the whole bank when ``params.pruning`` is set (see ``_prune_levels``).
+    """Top-down C4.5 induction of one tree per column of ``Y`` and per *stage*, one parameter set of
+    ``stages``, one level of the whole bank at a time; then each stage's trees are pruned with its own
+    parameters when they set ``pruning`` (see ``_prune_levels``).
 
     Each tree has its own set of training rows, all from the one shared
     ``X``: row r of the bank is the pair (tree ``r // n``, feature row
@@ -565,6 +591,17 @@ def grow_bank(
     in (parent, branch) order, so each tree's own nodes, taken in that
     order, are in breadth-first order. No choice looks across trees, so
     each tree is the one its column would grow alone from its rows.
+
+    The stages grow in the same pass. A node of column j is shared by every
+    stage that reaches it with the same rows after the same tests: it holds
+    its rows once and is counted and scored once, as nominal tables and
+    gains do not depend on ``min_leaf``; the numeric search runs once for
+    each distinct ``min_leaf`` of the stages that may split the node. Each
+    stage then makes its own choice. Where the choices differ (another test,
+    or a leaf because that stage's ``min_leaf`` leaves no candidate or its
+    ``max_depth`` is reached), the node becomes one node per stage, in stage
+    order, each with its own copy of the rows. So a stage's nodes, taken in
+    level order, are the nodes that the stage alone would grow.
 
     The class list may be a superset of a tree's classes. A class that
     none of a tree's rows has is a column of zeros in each of its nodes'
@@ -580,16 +617,16 @@ def grow_bank(
         Y: (n, trees) integer classes, indices into class_names.
         attributes: schema describing the d columns.
         class_names: ordered class list, shared by the trees.
-        params: induction parameters (defaults used when None).
+        stages: induction parameters, one set per stage.
         training: (n, trees) bool, set where feature row i trains tree t;
             every row trains every tree when None.
 
-    Returns the trees in column order. Raises ValidationError, as
-    prediction does, on a value of ``X`` that no branch can take: a NaN
-    numeric value or a nominal value that is not an index into its
-    attribute's values.
+    Returns the trees stage by stage, each stage's in column order: tree
+    ``s * trees + t`` is column t grown with ``stages[s]``. Raises
+    ValidationError, as prediction does, on a value of ``X`` that no branch
+    can take: a NaN numeric value or a nominal value that is not an index
+    into its attribute's values.
     """
-    params = params or C45Params()
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.int64)
     if X.ndim != 2 or X.shape[1] != len(attributes):
@@ -605,7 +642,7 @@ def grow_bank(
     k = len(class_names)
     if k < 1 or Y.min(initial=0) < 0 or Y.max(initial=0) >= k:
         raise ValidationError("class indices fall outside the class list")
-    if not n_trees:
+    if not n_trees or not stages:
         return []
     widths = _schema_kinds(attributes)
     numeric = widths == 0
@@ -620,35 +657,53 @@ def grow_bank(
     ranks = np.empty(columns.shape, dtype=np.intp)
     np.put_along_axis(ranks, np.argsort(columns, axis=1), np.arange(n), axis=1)
     y = Y.T.ravel()  # the class of bank row r
+    min_leafs = sorted({p.min_leaf for p in stages})
+    size = np.array([min_leafs.index(p.min_leaf) for p in stages])  # each stage's min_leaf, as an index
+    limit = np.array([math.inf if p.max_depth is None else p.max_depth for p in stages])
+    bit = 1 << np.arange(len(stages))
 
-    levels = []  # (tree, attribute, threshold, branch count, class counts, virtual) of each level's nodes
+    levels = []  # (stages, tree, attribute, threshold, branch count, class counts, virtual) of each level's nodes
     rows = np.flatnonzero(training.T)  # the bank rows at the level's reached nodes, grouped by node, ascending in one
     node = rows // n  # the reached node of each, numbered among the reached nodes
     reached = np.ones(n_trees, dtype=bool)  # the level's nodes that rows reach; the others are virtual
     owner = np.arange(n_trees)  # the tree of each of the level's nodes
+    shared = np.full(n_trees, bit.sum())  # the stages that share each of the level's nodes, one bit each
     counts = np.zeros((n_trees, k))  # the level's class counts: a virtual node keeps its parent's
     depth = 0
     while True:
         counts[reached] = np.bincount(node * k + y[rows], minlength=np.count_nonzero(reached) * k).reshape(-1, k)
-        attr, thr, n_branches = np.full(len(reached), -1), np.full(len(reached), np.nan), np.zeros(len(reached), int)
-        levels.append((owner, attr, thr, n_branches, counts, ~reached))  # the splits below fill in attr, thr, nb
-        if params.max_depth is not None and depth >= params.max_depth:
+        member = (shared[:, None] & bit) > 0  # (nodes, stages)
+        impure = np.zeros(len(reached), dtype=bool)
+        impure[reached] = np.count_nonzero(counts[reached], axis=1) > 1
+        may_split = member & impure[:, None] & (depth < limit)
+        # each stage's test at each node: (attribute, threshold), -1 and NaN at a leaf
+        attr, thr = np.full(member.shape, -1), np.full(member.shape, np.nan)
+        at = np.flatnonzero(may_split.any(axis=1))
+        if at.size:
+            rows, node = _keep(rows, node, np.flatnonzero(may_split[reached].any(axis=1)))
+            need = np.stack([may_split[at][:, size == l].any(axis=1) for l in range(len(min_leafs))])
+            h = _entropy_rows(counts[at])  # the open nodes' entropies, once for the nominal and the numeric scores
+            found = _candidates(columns, ranks, keys, nominal, widths, y, rows, n, node, counts[at], h, min_leafs, need)
+            gain, ratio, threshold, ok = found
+            for l in range(len(min_leafs)):
+                chosen, alike = _choose(gain[l], ratio[l], ok[l]), np.flatnonzero(size == l)  # stages of this size
+                split = may_split[at][:, alike] & ok[l].any(axis=1)[:, None]
+                attr[at[:, None], alike] = np.where(split, chosen[:, None], -1)
+                thr[at[:, None], alike] = np.where(split, threshold[l, np.arange(at.size), chosen][:, None], np.nan)
+        # a node whose stages choose alike stays shared; otherwise it becomes one node per stage
+        lead = np.argmax(member, axis=1)  # the node's first stage
+        a0, t0 = attr[np.arange(len(lead)), lead][:, None], thr[np.arange(len(lead)), lead][:, None]
+        diverged = (member & ((attr != a0) | ((thr != t0) & ~(np.isnan(thr) & np.isnan(t0))))).any(axis=1)
+        i, s = np.nonzero(np.where(diverged[:, None], member, np.arange(len(bit)) == lead[:, None]))
+        a, t, shared = attr[i, s], thr[i, s], np.where(diverged[i], bit[s], shared[i])
+        nb = np.where(a >= 0, np.where(numeric[a], 2, widths[a]), 0)
+        levels.append((shared, owner[i], a, t, nb, counts[i], ~reached[i]))
+        split = np.flatnonzero(nb)
+        if not split.size:
             break
-        impure = np.count_nonzero(counts[reached], axis=1) > 1
-        rows, node = _keep(rows, node, impure)
-        at = np.flatnonzero(reached)[impure]
-        h = _entropy_rows(counts[at])  # the open nodes' entropies, once for the nominal and the numeric scores
-        found = _candidates(columns, ranks, keys, nominal, widths, y, rows, n, node, counts[at], h, params.min_leaf)
-        gain, ratio, threshold, ok = found
-        split = ok.any(axis=1)
-        if not split.any():
-            break
-        chosen = _choose(gain, ratio, ok)
-        at, a, t = at[split], chosen[split], threshold[np.arange(len(chosen)), chosen][split]
-        nb = np.where(numeric[a], 2, widths[a])
-        attr[at], thr[at], n_branches[at] = a, t, nb
-        rows, node = _keep(rows, node, split)
-
+        # the open nodes' rows, one copy for each node that splits them
+        rows, node = _keep(rows, node, (np.cumsum(may_split.any(axis=1)) - 1)[i[split]])
+        a, t, nb = a[split], t[split], nb[split]
         values = X[rows % n, a[node]]
         # each row's branch slot in the next level: the slots of a split's branches follow those before it
         key = (np.cumsum(nb) - nb)[node] + np.where(numeric[a[node]], values > t[node], values).astype(np.intp)
@@ -656,18 +711,22 @@ def grow_bank(
         node = (np.cumsum(reached) - 1)[key]
         order = np.argsort(node, kind="stable")
         rows, node = rows[order], node[order]
-        owner = np.repeat(owner[at], nb)
-        counts = np.repeat(counts[at], nb, axis=0)
+        owner, shared = np.repeat(owner[i[split]], nb), np.repeat(shared[split], nb)
+        counts = np.repeat(counts[i[split]], nb, axis=0)
         depth += 1
-    if params.pruning:
-        levels = _prune_levels(levels, params.confidence_factor)
-    owner, *columns = (np.concatenate(column) for column in zip(*levels))
-    by_tree = np.argsort(owner, kind="stable")  # each tree's nodes, in level order
-    ends = np.cumsum(np.bincount(owner, minlength=n_trees))[:-1]
-    return [
-        _tree(*node_columns, attributes, class_names, params)
-        for node_columns in zip(*(np.split(column[by_tree], ends) for column in columns))
-    ]
+    trees = []
+    for s, params in enumerate(stages):
+        own = [tuple(column[(shared & bit[s]) > 0] for column in columns) for shared, *columns in levels]
+        if params.pruning:
+            own = _prune_levels(own, params.confidence_factor)
+        owner, *columns = (np.concatenate(column) for column in zip(*own))
+        by_tree = np.argsort(owner, kind="stable")  # each tree's nodes, in level order
+        ends = np.cumsum(np.bincount(owner, minlength=n_trees))[:-1]
+        trees += [
+            _tree(*node_columns, attributes, class_names, params)
+            for node_columns in zip(*(np.split(column[by_tree], ends) for column in columns))
+        ]
+    return trees
 
 
 # ---------------------------------------------------------------------------

@@ -97,20 +97,20 @@ def test_criterion_3_c45_core():
         for i in range(len(y)):  # force conflict-freeness
             key = tuple(X[i])
             y[i] = seen.setdefault(key, y[i])
-        tree = grow_bank(X, y[:, None], attrs, classes, params)[0]
+        tree = grow_bank(X, y[:, None], attrs, classes, (params,))[0]
         assert resubstitution_accuracy(tree, X, y) == 1.0
     # XOR-style fixture: zero single-attribute gain everywhere, still separable
     X = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=float)
     y = np.array([0, 1, 1, 0])
-    xor_tree = grow_bank(X, y[:, None], binary_attrs(2), ("a", "b"), params)[0]
+    xor_tree = grow_bank(X, y[:, None], binary_attrs(2), ("a", "b"), (params,))[0]
     assert resubstitution_accuracy(xor_tree, X, y) == 1.0
 
     for _ in range(8):
         X, y, attrs, classes = random_view(rng, 30, 4, 3)
-        g1 = grow_bank(X, y[:, None], attrs, classes, C45Params(min_leaf=2, pruning=False))[0]
-        g2 = grow_bank(X, y[:, None], attrs, classes, C45Params(min_leaf=2, pruning=False))[0]
+        g1 = grow_bank(X, y[:, None], attrs, classes, (C45Params(min_leaf=2, pruning=False),))[0]
+        g2 = grow_bank(X, y[:, None], attrs, classes, (C45Params(min_leaf=2, pruning=False),))[0]
         assert g1.to_dict() == g2.to_dict()
-        p1, p2 = (grow_bank(X, y[:, None], attrs, classes, C45Params(min_leaf=2))[0] for _ in range(2))
+        p1, p2 = (grow_bank(X, y[:, None], attrs, classes, (C45Params(min_leaf=2),))[0] for _ in range(2))
         assert p1.to_dict() == p2.to_dict()
     elapsed = time.monotonic() - start
     assert elapsed < 5.0

@@ -187,8 +187,8 @@ def random_bank(rng, n_trees: int):
     Y = np.array([[rng.randrange(2) for _ in range(n_trees)] for _ in range(n)], dtype=np.int64)
     Y[:, rng.randrange(n_trees)] = rng.randrange(2)
     min_leaf = rng.randrange(1, 3)
-    grown = grow_bank(X, Y, attributes, BINARY_CLASSES, C45Params(min_leaf=min_leaf, pruning=False))
-    pruned = grow_bank(X, Y, attributes, BINARY_CLASSES, C45Params(min_leaf=min_leaf))
+    grown = grow_bank(X, Y, attributes, BINARY_CLASSES, (C45Params(min_leaf=min_leaf, pruning=False),))
+    pruned = grow_bank(X, Y, attributes, BINARY_CLASSES, (C45Params(min_leaf=min_leaf),))
     trees = tuple(tree_pruned if rng.random() < 0.5 else tree for tree, tree_pruned in zip(grown, pruned))
     codes = tuple(f"k{j}" for j in range(n_trees))
     return BRModel(codes=codes, trees=trees, attributes=attributes, threshold=rng.choice((0.3, 0.5))), X
@@ -235,7 +235,7 @@ def assert_indicator(Y, labelsets, codes) -> None:
 def test_tree_batch_equals_per_record_walk(seed, n, n_attrs, k, min_leaf, pruned):
     rng = random.Random(seed)
     X, y, attrs, classes = random_view(rng, n, n_attrs, k)
-    tree = grow_bank(X, y[:, None], attrs, classes, C45Params(min_leaf=min_leaf, pruning=pruned))[0]
+    tree = grow_bank(X, y[:, None], attrs, classes, (C45Params(min_leaf=min_leaf, pruning=pruned),))[0]
     Q = np.vstack([X, random_queries(rng, attrs, 30)])
     got = leaf_distributions(tree, Q)
     want = np.vstack([oracle_distribution(tree, q) for q in Q])
@@ -247,7 +247,7 @@ def test_tree_generator_reaches_virtual_leaves_and_numeric_splits():
     virtual = numeric = 0
     for _ in range(40):
         X, y, attrs, classes = random_view(rng, rng.randrange(2, 40), rng.randrange(1, 5), 3)
-        tree = grow_bank(X, y[:, None], attrs, classes, C45Params(min_leaf=1, pruning=False))[0]
+        tree = grow_bank(X, y[:, None], attrs, classes, (C45Params(min_leaf=1, pruning=False),))[0]
         virtual += bool(tree.virtual.any())
         numeric += bool((~np.isnan(tree.threshold)).any())
     assert virtual and numeric

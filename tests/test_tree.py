@@ -240,14 +240,14 @@ class TestGrow:
     def test_single_separating_attribute(self):
         X = np.array([[0], [0], [1], [1]], dtype=float)
         y = np.array([0, 0, 1, 1])
-        tree = grow_bank(X, y[:, None], binary_attrs(1), ("a", "b"), C45Params(min_leaf=1, pruning=False))[0]
+        tree = grow_bank(X, y[:, None], binary_attrs(1), ("a", "b"), (C45Params(min_leaf=1, pruning=False),))[0]
         assert depth(tree) == 1
         assert resubstitution_accuracy(tree, X, y) == 1.0
 
     def test_weather_unpruned_is_perfect_and_root_matches_oracle(self, weather):
         X, y, attrs, classes = weather
         params = C45Params(min_leaf=2, pruning=False)
-        tree = grow_bank(X, y[:, None], attrs, classes, params)[0]
+        tree = grow_bank(X, y[:, None], attrs, classes, (params,))[0]
         assert resubstitution_accuracy(tree, X, y) == 1.0
         expected_root = oracle_root_selection(X, y, len(classes), attrs, params.min_leaf)
         assert tree.attr[0] == expected_root
@@ -258,14 +258,14 @@ class TestGrow:
 
     def test_max_depth_stops_growth(self, weather):
         X, y, attrs, classes = weather
-        tree = grow_bank(X, y[:, None], attrs, classes, C45Params(min_leaf=1, pruning=False, max_depth=1))[0]
+        tree = grow_bank(X, y[:, None], attrs, classes, (C45Params(min_leaf=1, pruning=False, max_depth=1),))[0]
         assert depth(tree) <= 1
 
     def test_deterministic_across_runs(self, weather):
         X, y, attrs, classes = weather
         params = C45Params(min_leaf=2, pruning=False)
-        t1 = grow_bank(X, y[:, None], attrs, classes, params)[0]
-        t2 = grow_bank(X, y[:, None], attrs, classes, params)[0]
+        t1 = grow_bank(X, y[:, None], attrs, classes, (params,))[0]
+        t2 = grow_bank(X, y[:, None], attrs, classes, (params,))[0]
         assert t1.to_dict() == t2.to_dict()
 
     def test_deterministic_on_random_views(self):
@@ -273,8 +273,8 @@ class TestGrow:
         for _ in range(10):
             X, y, attrs, classes = random_view(rng, 30, 4, 3)
             params = C45Params(min_leaf=1, pruning=False)
-            first = grow_bank(X, y[:, None], attrs, classes, params)[0].to_dict()
-            again = grow_bank(X, y[:, None], attrs, classes, params)[0].to_dict()
+            first = grow_bank(X, y[:, None], attrs, classes, (params,))[0].to_dict()
+            again = grow_bank(X, y[:, None], attrs, classes, (params,))[0].to_dict()
             assert first == again
 
     def test_min_leaf_one_unpruned_memorizes_conflict_free_data(self):
@@ -289,14 +289,14 @@ class TestGrow:
                     y[i] = seen[key]
                 else:
                     seen[key] = y[i]
-            tree = grow_bank(X, y[:, None], attrs, classes, C45Params(min_leaf=1, pruning=False))[0]
+            tree = grow_bank(X, y[:, None], attrs, classes, (C45Params(min_leaf=1, pruning=False),))[0]
             assert resubstitution_accuracy(tree, X, y) == 1.0
 
     def test_xor_is_memorized(self):
         # every single attribute has zero gain here; growth must still separate
         X = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=float)
         y = np.array([0, 1, 1, 0])
-        tree = grow_bank(X, y[:, None], binary_attrs(2), ("a", "b"), C45Params(min_leaf=1, pruning=False))[0]
+        tree = grow_bank(X, y[:, None], binary_attrs(2), ("a", "b"), (C45Params(min_leaf=1, pruning=False),))[0]
         assert resubstitution_accuracy(tree, X, y) == 1.0
 
     # before grow checked its input, these views lost the bad row (the root's children held 4 rows) or misread it
@@ -316,13 +316,13 @@ class TestGrow:
         y = np.array([0, 0, 1, 1, 0])
         X[3, column] = value
         with pytest.raises(ValidationError, match=re.escape(message)):
-            grow_bank(X, y[:, None], attrs, ("no", "yes"), C45Params(min_leaf=1))
+            grow_bank(X, y[:, None], attrs, ("no", "yes"), (C45Params(min_leaf=1),))
 
     def test_unobserved_nominal_value_routes_to_parent_majority(self):
         attrs = (AttributeMeta("color", NOMINAL, values=("r", "g", "b")),)
         X = np.array([[0], [0], [1], [1], [1]], dtype=float)
         y = np.array([0, 0, 1, 1, 1])
-        tree = grow_bank(X, y[:, None], attrs, ("no", "yes"), C45Params(min_leaf=1, pruning=False))[0]
+        tree = grow_bank(X, y[:, None], attrs, ("no", "yes"), (C45Params(min_leaf=1, pruning=False),))[0]
         # value "b" never occurs; its virtual leaf predicts the root majority
         dist = leaf_distributions(tree, [[2]])[0]
         assert np.argmax(dist) == 1
@@ -338,7 +338,7 @@ class TestPrune:
     def test_pure_leaf_unchanged(self):
         X = np.array([[0], [1]], dtype=float)
         y = np.array([0, 0])
-        tree = grow_bank(X, y[:, None], binary_attrs(1), ("a", "b"), C45Params(pruning=False))[0]
+        tree = grow_bank(X, y[:, None], binary_attrs(1), ("a", "b"), (C45Params(pruning=False),))[0]
         pruned = grow_bank(X, y[:, None], binary_attrs(1), ("a", "b"))[0]
         assert pruned.to_dict()["root"] == tree.to_dict()["root"]
 
@@ -346,8 +346,8 @@ class TestPrune:
         # split where both sides keep the same majority: pruning removes it
         X = np.array([[0], [0], [0], [0], [1], [1], [1], [1]], dtype=float)
         y = np.array([0, 0, 0, 1, 0, 0, 0, 1])
-        grown = grow_bank(X, y[:, None], binary_attrs(1), ("a", "b"), C45Params(min_leaf=1, pruning=False))[0]
-        pruned = grow_bank(X, y[:, None], binary_attrs(1), ("a", "b"), C45Params(min_leaf=1, pruning=True))[0]
+        grown = grow_bank(X, y[:, None], binary_attrs(1), ("a", "b"), (C45Params(min_leaf=1, pruning=False),))[0]
+        pruned = grow_bank(X, y[:, None], binary_attrs(1), ("a", "b"), (C45Params(min_leaf=1, pruning=True),))[0]
         assert grown.n_nodes == 3
         assert pruned.n_nodes == 1
         assert pruned.majority[0] == 0
@@ -360,8 +360,8 @@ class TestPrune:
         rng = random.Random(2024)
         for _ in range(50):
             X, y, attrs, classes = random_view(rng, rng.randrange(6, 40), 4, 3)
-            grown = grow_bank(X, y[:, None], attrs, classes, C45Params(min_leaf=1, pruning=False))[0]
-            pruned = grow_bank(X, y[:, None], attrs, classes, C45Params(min_leaf=1))[0]
+            grown = grow_bank(X, y[:, None], attrs, classes, (C45Params(min_leaf=1, pruning=False),))[0]
+            pruned = grow_bank(X, y[:, None], attrs, classes, (C45Params(min_leaf=1),))[0]
             assert pruned.n_nodes <= grown.n_nodes
             assert pruned.attributes == grown.attributes
             assert pruned.class_names == grown.class_names
@@ -371,7 +371,7 @@ class TestPrune:
     def test_useful_split_survives(self):
         X = np.repeat(np.array([[0], [1]], dtype=float), 20, axis=0)
         y = np.repeat(np.array([0, 1]), 20)
-        assert grow_bank(X, y[:, None], binary_attrs(1), ("a", "b"), C45Params(min_leaf=1))[0].attr[0] >= 0
+        assert grow_bank(X, y[:, None], binary_attrs(1), ("a", "b"), (C45Params(min_leaf=1),))[0].attr[0] >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -383,20 +383,20 @@ class TestPredict:
     def test_leaf_distribution_normalized(self):
         X = np.array([[0], [0], [0], [1]], dtype=float)
         y = np.array([0, 0, 0, 1])
-        tree = grow_bank(X, y[:, None], binary_attrs(1), ("a", "b"), C45Params(min_leaf=4))[0]
+        tree = grow_bank(X, y[:, None], binary_attrs(1), ("a", "b"), (C45Params(min_leaf=4),))[0]
         assert tree.n_nodes == 1
         dist = leaf_distributions(tree, [[0]])[0]
         assert dist == pytest.approx([0.75, 0.25], abs=1e-12)
 
     def test_distributions_sum_to_one(self, weather):
         X, y, attrs, classes = weather
-        tree = grow_bank(X, y[:, None], attrs, classes, C45Params())[0]
+        tree = grow_bank(X, y[:, None], attrs, classes, (C45Params(),))[0]
         for dist in leaf_distributions(tree, X):
             assert dist.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_fixture_probabilities_match_hand_routing(self, weather):
         X, y, attrs, classes = weather
-        tree = grow_bank(X, y[:, None], attrs, classes, C45Params(min_leaf=2, pruning=False))[0]
+        tree = grow_bank(X, y[:, None], attrs, classes, (C45Params(min_leaf=2, pruning=False),))[0]
 
         children = child_lists(tree)
 
@@ -413,7 +413,7 @@ class TestPredict:
     def test_tie_breaks_to_lowest_class_index(self):
         X = np.array([[0], [1]], dtype=float)
         y = np.array([1, 0])
-        tree = grow_bank(X, y[:, None], binary_attrs(1), ("a", "b"), C45Params(min_leaf=2))[0]
+        tree = grow_bank(X, y[:, None], binary_attrs(1), ("a", "b"), (C45Params(min_leaf=2),))[0]
         assert tree.n_nodes == 1
         dist = leaf_distributions(tree, [[0]])[0]
         assert dist == pytest.approx([0.5, 0.5])
@@ -431,7 +431,7 @@ class TestPredict:
 
     def test_out_of_domain_nominal_value(self, weather):
         X, y, attrs, classes = weather
-        tree = grow_bank(X, y[:, None], attrs, classes, C45Params(min_leaf=2, pruning=False))[0]
+        tree = grow_bank(X, y[:, None], attrs, classes, (C45Params(min_leaf=2, pruning=False),))[0]
         assert tree.attr[0] == 0
         with pytest.raises(ValidationError, match="outside the domain"):
             leaf_distributions(tree, [[7, 70.0, 80.0, 0]])
@@ -459,7 +459,7 @@ class TestPredict:
     )
     def test_values_no_branch_can_take_fail_closed(self, weather, x, message):
         X, y, attrs, classes = weather
-        tree = grow_bank(X, y[:, None], attrs, classes, C45Params(min_leaf=2, pruning=False))[0]
+        tree = grow_bank(X, y[:, None], attrs, classes, (C45Params(min_leaf=2, pruning=False),))[0]
         with pytest.raises(ValidationError, match=message):
             leaf_distributions(tree, [x])
         batch = np.vstack([X, np.array(x, dtype=np.float64)])
@@ -468,13 +468,13 @@ class TestPredict:
 
     def test_values_off_the_tested_path_are_not_read(self, weather):
         X, y, attrs, classes = weather
-        tree = grow_bank(X, y[:, None], attrs, classes, C45Params(min_leaf=2, pruning=False))[0]
+        tree = grow_bank(X, y[:, None], attrs, classes, (C45Params(min_leaf=2, pruning=False),))[0]
         # overcast is a leaf: neither humidity nor windy is tested
         assert np.argmax(leaf_distributions(tree, [[0, float("nan"), float("nan"), 0.5]])[0]) == 1
 
     def test_batch_rows_equal_one_row_calls(self, weather):
         X, y, attrs, classes = weather
-        tree = grow_bank(X, y[:, None], attrs, classes, C45Params(min_leaf=1, pruning=False))[0]
+        tree = grow_bank(X, y[:, None], attrs, classes, (C45Params(min_leaf=1, pruning=False),))[0]
         batch = leaf_distributions(tree, X)
         assert np.array_equal(batch, np.vstack([leaf_distributions(tree, x[None]) for x in X]))
         assert leaf_distributions(tree, X[:0]).shape == (0, 2)
@@ -508,7 +508,7 @@ class TestPersistence:
 
     def test_render_mentions_tests_and_leaves(self, weather):
         X, y, attrs, classes = weather
-        text = render(grow_bank(X, y[:, None], attrs, classes, C45Params(min_leaf=2, pruning=False))[0])
+        text = render(grow_bank(X, y[:, None], attrs, classes, (C45Params(min_leaf=2, pruning=False),))[0])
         assert "outlook = sunny" in text
         assert "humidity" in text
         assert "yes (" in text
@@ -525,14 +525,14 @@ def test_chain_of_2000_levels_needs_no_recursion():
     X = np.arange(n, dtype=np.float64)[:, None]
     y = np.arange(n) % 2
     attrs = (AttributeMeta("x", NUMERIC),)
-    tree = grow_bank(X, y[:, None], attrs, ("a", "b"), C45Params(min_leaf=1, pruning=False))[0]
+    tree = grow_bank(X, y[:, None], attrs, ("a", "b"), (C45Params(min_leaf=1, pruning=False),))[0]
     assert depth(tree) == 2000
     assert tree.n_nodes == 4001
     assert np.array_equal(np.argmax(leaf_distributions(tree, X), axis=1), y)
     again = _read_tree(tree.to_dict(), "tree", attrs, ("a", "b"))
     for name in ("attr", "threshold", "n_branches", "counts", "virtual"):
         assert np.array_equal(getattr(again, name), getattr(tree, name), equal_nan=True), name
-    pruned = grow_bank(X, y[:, None], attrs, ("a", "b"), C45Params(min_leaf=1))[0]
+    pruned = grow_bank(X, y[:, None], attrs, ("a", "b"), (C45Params(min_leaf=1),))[0]
     assert pruned.n_nodes <= tree.n_nodes
     assert leaf_distributions(pruned, X).shape == (n, 2)
     assert pruned.to_dict()["root"]["kind"] in ("leaf", "split")

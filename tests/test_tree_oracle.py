@@ -52,7 +52,7 @@ class TestGrowMatchesOracle:
     def test_same_tree_as_scalar_induction(self, spec, min_leaf, max_depth):
         X, y, attrs, classes = view(**spec)
         params = C45Params(min_leaf=min_leaf, max_depth=max_depth, pruning=False)
-        grown = grow_bank(X, y[:, None], attrs, classes, params)[0]
+        grown = grow_bank(X, y[:, None], attrs, classes, (params,))[0]
         assert grown.to_dict() == oracle_grow(X, y, attrs, classes, params)
 
     @settings(deadline=None)
@@ -66,7 +66,7 @@ class TestGrowMatchesOracle:
         X = np.column_stack([np.take(p, X[:, 0].astype(int)) for p in perms]).astype(np.float64)
         attrs = tuple(dataclasses.replace(attrs[0], name=f"a{i}") for i in range(len(perms)))
         params = C45Params(min_leaf=1, max_depth=2, pruning=False)
-        grown = grow_bank(X, y[:, None], attrs, classes, params)[0]
+        grown = grow_bank(X, y[:, None], attrs, classes, (params,))[0]
         assert grown.to_dict() == oracle_grow(X, y, attrs, classes, params)
 
     def test_wide_views_reach_the_pairwise_path(self, monkeypatch):
@@ -81,7 +81,7 @@ class TestGrowMatchesOracle:
         monkeypatch.setattr(tree_module, "_pairwise_sum", counted)
         X, y, attrs, classes = view(seed=3, n=300, n_attrs=4, k=12, numeric_share=0.5, max_width=10)
         params = C45Params(min_leaf=1, pruning=False)
-        grown = grow_bank(X, y[:, None], attrs, classes, params)[0]
+        grown = grow_bank(X, y[:, None], attrs, classes, (params,))[0]
         assert grown.to_dict() == oracle_grow(X, y, attrs, classes, params)
         assert widths and min(widths) >= 8
 
@@ -91,7 +91,7 @@ class TestGrowMatchesOracle:
         for seed in range(5):
             X, y, attrs, classes = view(seed=seed, n=200, n_attrs=4, k=9, numeric_share=0.0, max_width=10)
             params = C45Params(min_leaf=1, pruning=False)
-            grown = grow_bank(X, y[:, None], attrs, classes, params)[0]
+            grown = grow_bank(X, y[:, None], attrs, classes, (params,))[0]
             assert grown.to_dict() == oracle_grow(X, y, attrs, classes, params)
 
     def test_shipped_corpus_sized_views(self):
@@ -100,7 +100,7 @@ class TestGrowMatchesOracle:
         for min_leaf in (1, 2):
             X, y, attrs, classes = random_view(rng, 2000, 14, 2, numeric_share=0.0)
             params = C45Params(min_leaf=min_leaf, pruning=False)
-            grown = grow_bank(X, y[:, None], attrs, classes, params)[0]
+            grown = grow_bank(X, y[:, None], attrs, classes, (params,))[0]
             assert grown.to_dict() == oracle_grow(X, y, attrs, classes, params)
 
 
@@ -115,9 +115,9 @@ class TestPruneMatchesOracle:
     def test_same_tree_as_recursive_pruning(self, spec, min_leaf, max_depth, cf):
         X, y, attrs, classes = view(**spec)
         params = C45Params(min_leaf=min_leaf, max_depth=max_depth, confidence_factor=cf)
-        pruned = grow_bank(X, y[:, None], attrs, classes, params)[0]
+        pruned = grow_bank(X, y[:, None], attrs, classes, (params,))[0]
         assert pruned.to_dict() == oracle_prune(oracle_grow(X, y, attrs, classes, params))
-        grown = grow_bank(X, y[:, None], attrs, classes, dataclasses.replace(params, pruning=False))[0]
+        grown = grow_bank(X, y[:, None], attrs, classes, (dataclasses.replace(params, pruning=False),))[0]
         assert grown.to_dict() == oracle_grow(X, y, attrs, classes, dataclasses.replace(params, pruning=False))
 
 
@@ -264,7 +264,8 @@ class TestBoundaryCuts:
         attrs = tuple(AttributeMeta(f"a{i}", NUMERIC) for i in range(d))
         classes = tuple(f"c{j}" for j in range(k))
         params = C45Params(min_leaf=min_leaf, max_depth=8, pruning=False)  # a wrong search may never stop
-        assert grow_bank(X, y[:, None], attrs, classes, params)[0].to_dict() == oracle_grow(X, y, attrs, classes, params)
+        grown = grow_bank(X, y[:, None], attrs, classes, (params,))[0]
+        assert grown.to_dict() == oracle_grow(X, y, attrs, classes, params)
 
     def test_cuts_inside_a_one_class_run_are_not_scored(self, monkeypatch):
         # ten distinct values, five of one class then five of the other: of the nine cuts, the first, the
@@ -318,7 +319,7 @@ class TestBankMatchesOracle:
         X, Y, attrs, classes = bank(**spec)
         params = C45Params(min_leaf=min_leaf, max_depth=max_depth, confidence_factor=cf, pruning=False)
         pruning = dataclasses.replace(params, pruning=True)
-        trees, pruned = grow_bank(X, Y, attrs, classes, params), grow_bank(X, Y, attrs, classes, pruning)
+        trees, pruned = grow_bank(X, Y, attrs, classes, (params,)), grow_bank(X, Y, attrs, classes, (pruning,))
         assert len(trees) == len(pruned) == Y.shape[1]
         for tree, tree_pruned, y in zip(trees, pruned, Y.T):
             assert tree.to_dict() == oracle_grow(X, y, attrs, classes, params)
@@ -343,8 +344,8 @@ class TestBankMatchesOracle:
         training[rng.integers(len(Y), size=Y.shape[1]), np.arange(Y.shape[1])] = True  # no tree without rows
         params = C45Params(min_leaf=min_leaf, max_depth=max_depth, pruning=False)
         pruning = dataclasses.replace(params, pruning=True)
-        trees = grow_bank(X, Y, attrs, classes, params, training)
-        pruned = grow_bank(X, Y, attrs, classes, pruning, training)
+        trees = grow_bank(X, Y, attrs, classes, (params,), training)
+        pruned = grow_bank(X, Y, attrs, classes, (pruning,), training)
         assert len(trees) == len(pruned) == Y.shape[1]
         for tree, tree_pruned, y, rows in zip(trees, pruned, Y.T, training.T):
             own = np.unique(y[rows])
@@ -360,9 +361,9 @@ class TestBankMatchesOracle:
         training = np.ones(Y.shape, dtype=bool)
         training[:, 1] = False
         with pytest.raises(ValidationError, match="empty view"):
-            grow_bank(X, Y, attrs, classes, C45Params(), training)
+            grow_bank(X, Y, attrs, classes, (C45Params(),), training)
         with pytest.raises(ValidationError, match="do not match"):
-            grow_bank(X, Y, attrs, classes, C45Params(), training[:, :1])
+            grow_bank(X, Y, attrs, classes, (C45Params(),), training[:, :1])
 
     @pytest.mark.parametrize("seed", range(4))
     def test_levels_counted_in_several_chunks(self, monkeypatch, seed):
@@ -370,7 +371,7 @@ class TestBankMatchesOracle:
         monkeypatch.setattr(tree_module, "_TABLE_CELLS", 64)
         X, Y, attrs, classes = bank(seed, n=120, n_attrs=4, k=3, numeric_share=0.5, n_trees=5)
         params = C45Params(min_leaf=1, pruning=False)
-        for tree, y in zip(grow_bank(X, Y, attrs, classes, params), Y.T):
+        for tree, y in zip(grow_bank(X, Y, attrs, classes, (params,)), Y.T):
             assert tree.to_dict() == oracle_grow(X, y, attrs, classes, params)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -387,7 +388,7 @@ class TestBankMatchesOracle:
         monkeypatch.setattr(tree_module, "best_numeric_threshold", counted)
         X, Y, attrs, classes = bank(seed, n=120, n_attrs=3, k=3, numeric_share=1.0, n_trees=4)
         params = C45Params(min_leaf=1, pruning=False)
-        for tree, y in zip(grow_bank(X, Y, attrs, classes, params), Y.T):
+        for tree, y in zip(grow_bank(X, Y, attrs, classes, (params,)), Y.T):
             assert tree.to_dict() == oracle_grow(X, y, attrs, classes, params)
         # the three numeric attributes of one node are three (attribute, node) pairs
         assert all(pairs == 3 or values <= 64 for pairs, values in searched)
@@ -420,7 +421,7 @@ class TestBankMatchesOracle:
         monkeypatch.setattr(tree_module, "_candidates", level)
         monkeypatch.setattr(tree_module, "best_numeric_threshold", search)
         params = C45Params(min_leaf=1, pruning=False)
-        for tree, y in zip(grow_bank(X, Y, attrs, classes, params), Y.T):
+        for tree, y in zip(grow_bank(X, Y, attrs, classes, (params,)), Y.T):
             assert tree.to_dict() == oracle_grow(X, y, attrs, classes, params)
         levels = [(m, searches) for m, searches in levels if m]  # a level of pure nodes searches nothing
         assert len(levels) > 2
@@ -451,7 +452,7 @@ class TestBankMatchesOracle:
         split_scores = tree_module._split_scores
         monkeypatch.setattr(tree_module, "_split_scores", counted)
         params = C45Params(min_leaf=min_leaf, pruning=pruning, max_depth=6)  # a wrong score may never stop
-        trees = grow_bank(X, Y, attrs, classes, params)
+        trees = grow_bank(X, Y, attrs, classes, (params,))
         for tree, y in zip(trees, Y.T):
             grown = oracle_grow(X, y, attrs, classes, params)
             assert tree.to_dict() == (oracle_prune(grown) if pruning else grown)
@@ -464,7 +465,62 @@ class TestBankMatchesOracle:
         X, Y, attrs, classes = bank(7, n=200, n_attrs=3, k=2, numeric_share=0.5, n_trees=3)
         for max_depth in (None, 0, 1, 2):
             params = C45Params(min_leaf=2, max_depth=max_depth, pruning=False)
-            trees = grow_bank(X, Y, attrs, classes, params)
+            trees = grow_bank(X, Y, attrs, classes, (params,))
             for tree, y in zip(trees, Y.T):
                 assert tree.to_dict() == oracle_grow(X, y, attrs, classes, params)
-        assert len({tree.n_nodes for tree in grow_bank(X, Y, attrs, classes, C45Params(pruning=False))}) == 3
+        assert len({tree.n_nodes for tree in grow_bank(X, Y, attrs, classes, (C45Params(pruning=False),))}) == 3
+
+
+stage_params = st.builds(
+    C45Params,
+    min_leaf=st.integers(1, 3),
+    confidence_factor=st.sampled_from([0.05, 0.25]),
+    pruning=st.booleans(),
+    max_depth=st.sampled_from([None, 0, 1, 2, 3, 4]),
+)
+
+
+class TestStagesGrowInOnePass:
+    # two stages grown as one bank share every node that both reach with the same rows after the same
+    # tests; each stage's trees are still the ones a bank of that stage alone grows
+
+    @settings(deadline=None)
+    @given(
+        banks,
+        st.sampled_from([3, 10, 300]),
+        st.integers(1, 3),
+        st.sampled_from([0.3, 0.7, 1.0]),
+        stage_params,
+        stage_params | st.none(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_each_stage_is_its_own_bank(self, spec, max_width, n_sets, share, first, second, seed):
+        # second is None: the two stages are equal
+        X, Y, attrs, classes = bank(**spec, widths=(2, max_width + 1))
+        stages = (first, first if second is None else second)
+        rng = np.random.default_rng(seed)
+        sets = rng.random((len(X), n_sets)) < share
+        sets[rng.integers(len(X), size=n_sets), np.arange(n_sets)] = True  # no set without rows
+        # the layout of the cascade's banks: code j of set s is tree s * codes + j
+        Y, training = np.tile(Y, n_sets), np.repeat(sets, Y.shape[1], axis=1)
+        together = grow_bank(X, Y, attrs, classes, stages, training)
+        alone = [tree for params in stages for tree in grow_bank(X, Y, attrs, classes, (params,), training)]
+        assert len(together) == len(alone) == 2 * Y.shape[1]
+        assert [tree.to_dict() for tree in together] == [tree.to_dict() for tree in alone]
+        for b, tree in enumerate(together):
+            params, y, rows = stages[b // Y.shape[1]], Y[:, b % Y.shape[1]], training[:, b % Y.shape[1]]
+            own = np.unique(y[rows])
+            names = tuple(classes[c] for c in own)
+            grown = oracle_grow(X[rows], np.searchsorted(own, y[rows]), attrs, names, params)
+            projected = dataclasses.replace(tree, counts=tree.counts[:, own], class_names=names)
+            assert projected.to_dict() == (oracle_prune(grown) if params.pruning else grown)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stages_that_choose_apart_each_keep_the_rows(self, seed):
+        # numeric attributes at min_leaf 3 and 1: the stages share the roots, then cut elsewhere, and each
+        # node they split apart becomes two nodes, each of which must route its own copy of the rows
+        X, Y, attrs, classes = bank(seed, n=150, n_attrs=3, k=3, numeric_share=1.0, n_trees=4)
+        stages = (C45Params(min_leaf=3, pruning=False), C45Params(min_leaf=1))
+        together = grow_bank(X, Y, attrs, classes, stages)
+        alone = [tree for params in stages for tree in grow_bank(X, Y, attrs, classes, (params,))]
+        assert [tree.to_dict() for tree in together] == [tree.to_dict() for tree in alone]
