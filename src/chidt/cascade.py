@@ -279,12 +279,13 @@ def train_cascades(
     The sets' trees grow together, with one ``grow_bank`` call for both
     diverse-br stages, or one per stage under label-powerset (see
     ``_br_banks`` and ``_lp_trees``), and each equals the tree that its set
-    grows alone in its stage. Each cascade's registry is the combinations observed in
-    its own records, merged with ``declared`` if given (observed provenance
-    wins where both list a combination). Stage-2 parameters default
-    to the diversified unpruned/min-leaf-1 profile for the diverse-br
-    strategy and to stage-1 defaults otherwise. Every set is checked before
-    any tree grows, and an error names the first set that fails.
+    grows alone in its stage. Each cascade's registry is the combinations
+    observed in its own records, merged with ``declared`` if given
+    (observed provenance wins where both list a combination). Stage-2
+    parameters default to the diversified unpruned/min-leaf-1 profile for
+    the diverse-br strategy and to stage-1 defaults otherwise. Every set is
+    checked before any tree grows, and an error names the first set that
+    fails.
     """
     if strategy not in STRATEGIES:
         raise ValidationError(f"unknown cascade strategy {strategy!r}")
@@ -300,7 +301,7 @@ def train_cascades(
     else:
         (stage1,) = _br_banks(ds, training, (stage1_params,), threshold)
         stage2 = _lp_trees(ds, training, stage2_params or C45Params())
-    observed = [observed_registry(ds, rows) for rows in training.T]
+    observed = [observed_registry(ds.Y[rows], ds.label_alphabet) for rows in training.T]
     return [
         ChiDTModel(
             stage1=s1,

@@ -149,19 +149,17 @@ class Dataset:
         return frozenset(self.ids)
 
     def rows(self, ids: Iterable[str]) -> np.ndarray:
-        """Bool mask over the rows, set where the record's id is in ``ids``; an id of no record is refused."""
+        """Bool mask over the rows, set where the record's id is in ``ids``; an id of no record is refused.
+        Record ids are distinct, so an id is missing exactly when fewer rows match than there are ids."""
         wanted = set(ids)
-        missing = wanted - self.record_ids()
-        if missing:
-            raise ValidationError(f"unknown record ids: {sorted(missing)}")
-        return np.fromiter((rid in wanted for rid in self.ids), dtype=bool, count=len(self.ids))
+        rows = np.fromiter((rid in wanted for rid in self.ids), dtype=bool, count=len(self.ids))
+        if np.count_nonzero(rows) < len(wanted):
+            raise ValidationError(f"unknown record ids: {sorted(wanted - self.record_ids())}")
+        return rows
 
     def subset(self, ids: Iterable[str]) -> "Dataset":
         """Records whose id is in ``ids``, original order, schema and alphabet kept."""
-        return self.select(self.rows(ids))
-
-    def select(self, rows: np.ndarray) -> "Dataset":
-        """Records where the bool mask ``rows`` is set, original order, schema and alphabet kept."""
+        rows = self.rows(ids)
         kept = [self.ids[i] for i in np.flatnonzero(rows).tolist()]
         return Dataset(self.attributes, self.label_alphabet, kept, self.X[rows], self.Y[rows], self.roles[rows])
 

@@ -337,14 +337,16 @@ def _multilabel_report(alphabet, t: np.ndarray, p: np.ndarray, reasons) -> Multi
 # ---------------------------------------------------------------------------
 
 
-def _trained(model, ds: Dataset) -> np.ndarray:
-    """Bool mask of the records of ``ds`` that ``model`` was trained on; every one of its ``training_ids`` must
-    be in ``ds``. Record ids are distinct, so one is missing iff fewer records match than there are ids."""
-    trained = np.fromiter((rid in model.training_ids for rid in ds.ids), dtype=bool, count=len(ds))
-    if np.count_nonzero(trained) < len(model.training_ids):
+def _training_records(model, ds: Dataset) -> Dataset:
+    """The records of ``ds`` that ``model`` was trained on; every one of its ``training_ids`` must be in ``ds``."""
+    try:
+        return ds.subset(model.training_ids)
+    except ValidationError:
         missing = model.training_ids - ds.record_ids()
-        raise ValidationError(f"dataset lacks {len(missing)} of the model's training records: {sorted(missing)[:5]}")
-    return trained
+        if not missing:
+            raise
+        message = f"dataset lacks {len(missing)} of the model's training records: {sorted(missing)[:5]}"
+        raise ValidationError(message) from None
 
 
 def evaluate_resubstitution(model, ds: Dataset, mode: str = MODE_MULTILABEL) -> EvalResult:
@@ -354,13 +356,13 @@ def evaluate_resubstitution(model, ds: Dataset, mode: str = MODE_MULTILABEL) -> 
     report is flagged resubstitution-contaminated because training records
     leak into the evaluation set.
     """
-    return evaluate_predictions(model, ds, ds.select(_trained(model, ds)), mode=mode, protocol="resubstitution")
+    train = _training_records(model, ds)
+    return evaluate_predictions(model, ds, train, mode=mode, protocol="resubstitution")
 
 
 def evaluate_holdout(model, ds: Dataset, mode: str = MODE_MULTILABEL) -> EvalResult:
     """Evaluate on the records of ``ds`` that the model was not trained on."""
-    trained = _trained(model, ds)
-    train, test = ds.select(trained), ds.select(~trained)
+    train, test = _training_records(model, ds), ds.subset(ds.record_ids() - model.training_ids)
     if not len(test):
         raise ValidationError(f"all {len(ds)} records of the dataset are the model's training records; none is held out")
     return evaluate_predictions(model, test, train, mode=mode, protocol="holdout")

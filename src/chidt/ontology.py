@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .data import AttributeMeta, Dataset, BINARY_DOMAIN, _distinct_labelsets
+from .data import AttributeMeta, BINARY_DOMAIN, _distinct_labelsets
 from .errors import ValidationError
 from .jsondoc import Fields, code_set, code_sets, distinct, fields, items, loads, one_of, strings, text
 
@@ -141,11 +141,10 @@ def _read_registry(doc, where: str) -> ValidCombinationRegistry:
     return ValidCombinationRegistry(frozenset(prov), prov)
 
 
-def observed_registry(ds: Dataset, rows=None) -> ValidCombinationRegistry:
-    """Registry of the distinct non-empty LabelSets appearing in ``ds``, or in its records where the bool
-    row mask ``rows`` is set."""
-    Y = ds.Y if rows is None else ds.Y[rows]
-    combos = [labels for labels in _distinct_labelsets(Y, ds.label_alphabet)[0] if labels]
+def observed_registry(Y, codes: Sequence[str]) -> ValidCombinationRegistry:
+    """Registry of the distinct non-empty LabelSets among the rows of the label indicator ``Y`` over ``codes``
+    (a ``Dataset``'s ``Y`` and ``label_alphabet``, or some of its rows)."""
+    combos = [labels for labels in _distinct_labelsets(Y, codes)[0] if labels]
     return ValidCombinationRegistry(frozenset(combos), dict.fromkeys(combos, PROVENANCE_OBSERVED))
 
 

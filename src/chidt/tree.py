@@ -16,8 +16,8 @@ a tree's classes; a class that a tree lacks is a column of zero counts,
 and it changes no score. Each bank level counts the classes of its open
 nodes with one ``np.bincount``, and scores them in chunks of bounded
 size: one more ``np.bincount`` per chunk counts each nominal attribute's
-own values, one table per width, and one search covers every (numeric
-attribute, node) pair. Each numeric column is ranked once per bank, so
+own values, one table per width, and one search per ``min_leaf`` covers
+every (numeric attribute, node) pair. Each numeric column is ranked once per bank, so
 the search sorts its rows by (pair, rank) with one integer argsort. It
 scores only the boundary cuts: a cut inside a run of one class is
 strictly worse than a neighbouring cut, as the weighted child entropy is
@@ -37,14 +37,20 @@ grouping. So the trees are bit for bit those of the scalar,
 one-node-at-a-time induction, which ``tests/oracle_c45.py`` keeps as the
 test oracle.
 
+A bank may grow several *stages*, parameter sets, in one pass (the two
+stages of a diverse-br cascade, say). A node that the stages reach with
+the same rows after the same tests is one node of its level, counted and
+scored once; where their choices differ, it becomes one node per stage.
+So the trees of a stage are those that a bank of that stage alone grows.
+
 A tree is one set of flat arrays in breadth-first order (``C45Tree``):
-growth appends each level's nodes; pruning, when the parameters ask for
-it, runs on the bank's levels before any tree is built, deepest level
-first, with each level's pessimistic errors as one array expression
-(``_prune_levels``); prediction routes a bank's trees as one forest over
-their concatenated node arrays (``route_bank``), and writing, reading
-and rendering walk the arrays or an explicit queue or stack. Nothing
-recurses, so any depth that JSON can nest works. The oracle module also
+growth appends each level's nodes; pruning, for each stage whose
+parameters ask for it, runs on that stage's levels before any tree is
+built, deepest level first, with each level's pessimistic errors as one
+array expression (``_prune_levels``); prediction routes a bank's trees as
+one forest over their concatenated node arrays (``route_bank``), and
+writing, reading and rendering walk the arrays or an explicit queue or
+stack. Nothing recurses, so any depth that JSON can nest works. The oracle module also
 keeps the scalar, recursive pruning that the level pass replaced.
 """
 
@@ -131,13 +137,16 @@ def _entropy_rows(C: np.ndarray) -> np.ndarray:
 
 
 def _row_sums(A: np.ndarray) -> np.ndarray:
-    """The sums over the last axis of a count array, added column by column.
+    """The sums over the last axis of a count array, added column by column when that axis is short.
 
     numpy's ``sum`` over a short last axis runs one small reduction per
-    row, many times slower than adding whole columns. Counts are integers
+    row, many times slower than adding whole columns; over a long one (a
+    nominal attribute's many values) it is the faster. Counts are integers
     held in floats, so every partial sum is exact and any order of adding
     them gives the same bits.
     """
+    if A.shape[-1] > 16:
+        return A.sum(axis=-1)
     total = A[..., 0].copy()
     for j in range(1, A.shape[-1]):
         total += A[..., j]

@@ -220,7 +220,7 @@ def test_criterion_6_validity_semantics():
         for _ in range(rng.randrange(1, 15)):
             labelsets.append(set(rng.sample(codes, rng.randrange(0, 4))))
         ds = make_dataset([(0,)] * len(labelsets), labelsets, alphabet=codes)
-        registry = observed_registry(ds)
+        registry = observed_registry(ds.Y, ds.label_alphabet)
         for labels in row_labels(ds):
             if labels:
                 assert is_valid(registry, (), labels) == (True, "ok")

@@ -195,7 +195,7 @@ class TestLabelPowerset:
         labelsets = [rng.choice(combos) for _ in rows]
         ds = make_dataset(rows, labelsets, alphabet=list("abc"))
         model = train_chidt(ds, strategy="label-powerset", stage2_params=C45Params(min_leaf=1, pruning=False)).stage2
-        registry = observed_registry(ds)
+        registry = observed_registry(ds.Y, ds.label_alphabet)
         for labels in batch_rows(model, list(itertools.product((0, 1), repeat=4)))[0]:
             assert labels in registry
 

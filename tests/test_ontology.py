@@ -82,12 +82,12 @@ class TestHierarchy:
 class TestRegistry:
     def test_single_combo_corpus(self):
         ds = make_dataset([(0,), (1,)], [{"I21.0"}, {"I21.0"}])
-        reg = observed_registry(ds)
+        reg = observed_registry(ds.Y, ds.label_alphabet)
         assert reg.combinations == frozenset({frozenset({"I21.0"})})
 
     def test_empty_labelsets_contribute_nothing(self):
         ds = make_dataset([(0,), (1,), (0,), (1,)], [{"a"}, {"a", "b"}, {"a"}, set()])
-        reg = observed_registry(ds)
+        reg = observed_registry(ds.Y, ds.label_alphabet)
         assert reg.combinations == frozenset({frozenset({"a"}), frozenset({"a", "b"})})
 
     def test_synthetic_noise_free_registry_equals_profiles(self):
@@ -99,14 +99,15 @@ class TestRegistry:
         ds, combos = generate_synthetic(
             GeneratorConfig(profiles=profiles, n_records=120, noise_rate=0.0, seed=5)
         )
-        assert observed_registry(ds).combinations == frozenset(combos)
+        assert observed_registry(ds.Y, ds.label_alphabet).combinations == frozenset(combos)
 
     def test_empty_combination_rejected(self):
         with pytest.raises(ValidationError, match="empty combination"):
             ValidCombinationRegistry(frozenset({frozenset()}))
 
     def test_merge_keeps_existing_provenance(self):
-        left = observed_registry(make_dataset([(0,)], [{"a"}]))
+        ds = make_dataset([(0,)], [{"a"}])
+        left = observed_registry(ds.Y, ds.label_alphabet)
         right = ValidCombinationRegistry([{"a"}, {"b"}])
         merged = left.merged(right)
         assert merged.provenance[frozenset({"a"})] == "observed"
@@ -151,7 +152,7 @@ class TestIsValid:
                 k = rng.randrange(0, 3)
                 labelsets.append(set(rng.sample(codes, k)))
             ds = make_dataset([(0,)] * len(labelsets), labelsets, alphabet=codes)
-            reg = observed_registry(ds)
+            reg = observed_registry(ds.Y, ds.label_alphabet)
             for labels in row_labels(ds):
                 if labels:
                     assert is_valid(reg, [], labels) == (True, "ok")
